@@ -16,12 +16,9 @@ from .groebner import (
     BudgetExceededError,
     IdealHandle,
     SyzygyMatrix,
-    buchberger_reduced,
     gb_hash,
-    ideal_member,
     module_gb,
     module_syzygies,
-    normal_form,
     syzygies,
 )
 from .ideals import (

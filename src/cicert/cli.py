@@ -18,7 +18,7 @@ from pathlib import Path
 from . import certificates
 from .certificates import SchemaError
 from .dsl import DslParseError, Session, parse_session
-from .groebner import BudgetExceededError, IdealHandle
+from .groebner import Budget, BudgetExceededError, IdealHandle
 from .homology import ext_module, free_resolution, koszul2_exactness
 from .ideals import (
     RadicalEqualityCertificate,
@@ -98,8 +98,8 @@ def _dispatch(session: Session, command, options: RunOptions):
 
     if command.name == "member":
         handle = ideal()
-        nf = handle.normal_form(args["element"], budgets.gb())
-        hashes["ideal"] = handle.gb_hash(budgets.gb())
+        nf = handle.normal_form(args["element"])
+        hashes["ideal"] = handle.gb_hash()
         verdict = "verified" if nf.is_zero else "refuted"
         return verdict, {"element": str(args["element"]),
                          "normal_form": str(nf)}, hashes
@@ -107,47 +107,46 @@ def _dispatch(session: Session, command, options: RunOptions):
     if command.name == "radical-member":
         handle = ideal()
         w = radical_member(args["element"], handle, want_exponent=True,
-                           e_max=budgets.e_max, budget=budgets.gb())
-        hashes["ideal"] = handle.gb_hash(budgets.gb())
+                           e_max=budgets.e_max)
+        hashes["ideal"] = handle.gb_hash()
         return ("verified" if w.member else "refuted"), w.payload(), hashes
 
     if command.name == "radical-equal":
         from .ideals import radical_equal
 
         left, right = session.ideals[args["left"]], session.ideals[args["right"]]
-        outcome = radical_equal(left, right, e_max=budgets.e_max,
-                                budget=budgets.gb())
-        hashes["left"] = left.gb_hash(budgets.gb())
-        hashes["right"] = right.gb_hash(budgets.gb())
+        outcome = radical_equal(left, right, e_max=budgets.e_max)
+        hashes["left"] = left.gb_hash()
+        hashes["right"] = right.gb_hash()
         if isinstance(outcome, RadicalEqualityCertificate):
             return "verified", outcome.payload(), hashes
         return "refuted", outcome.payload(), hashes
 
     if command.name == "dimension":
         handle = ideal()
-        report = dimension_height(handle, budgets.gb())
-        hashes["ideal"] = handle.gb_hash(budgets.gb())
+        report = dimension_height(handle)
+        hashes["ideal"] = handle.gb_hash()
         return "verified", report.payload(), hashes
 
     if command.name == "regular-sequence":
         base = session.ideals[args["mod"]] if "mod" in args else None
-        outcome = is_regular_sequence(args["sequence"], base, budgets)
+        outcome = is_regular_sequence(args["sequence"], base)
         if isinstance(outcome, RegSeqCertificate):
             return "verified", outcome.payload(), hashes
         return "refuted", outcome.payload(), hashes
 
     if command.name == "koszul-exact":
         x, y = args["pair"]
-        verdict = koszul2_exactness(x, y, budgets.gb())
+        verdict = koszul2_exactness(x, y)
         return ("verified" if verdict.exact else "refuted"), verdict.payload(), hashes
 
     if command.name == "lci":
-        outcome = lci_certificate(ideal(), budgets)
+        outcome = lci_certificate(ideal())
         ok = isinstance(outcome, LCIProxyCertificate)
         return ("verified" if ok else "refuted"), outcome.payload(), hashes
 
     if command.name == "mod-square":
-        outcome = mod_square_generation(ideal(), args["candidates"], budgets)
+        outcome = mod_square_generation(ideal(), args["candidates"])
         return ("verified" if outcome.holds else "refuted"), outcome.payload(), hashes
 
     if command.name == "ci":
@@ -178,15 +177,15 @@ def _dispatch(session: Session, command, options: RunOptions):
         return "inconclusive", outcome.payload(), hashes
 
     if command.name == "ext-cyclic":
-        outcome = ext_module(ideal(), args["degree"], budgets.gb())
+        outcome = ext_module(ideal(), args["degree"])
         verdict = "verified" if outcome.locally_cyclic else "refuted"
         return verdict, outcome.payload(), hashes
 
     if command.name == "resolution":
         if not 1 <= args["length"] <= 4:
             raise InputError("resolution length must be between 1 and 4")
-        res = free_resolution(ideal(), args["length"], budgets.gb())
-        ok = res.verify(budgets.gb())
+        res = free_resolution(ideal(), args["length"])
+        ok = res.verify()
         payload = {
             "betti": list(res.betti),
             "matrices": [[[str(e) for e in row] for row in m]
@@ -204,7 +203,8 @@ def run_command(session: Session, index: int, options: RunOptions) -> dict:
     command = session.commands[index]
     started = time.perf_counter()
     try:
-        verdict, witnesses, hashes = _dispatch(session, command, options)
+        with Budget(options.budgets.gb_steps):
+            verdict, witnesses, hashes = _dispatch(session, command, options)
     except BudgetExceededError as exc:
         verdict = "inconclusive"
         witnesses = {"reason": str(exc)}

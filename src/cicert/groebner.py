@@ -7,10 +7,13 @@ Syzygies come out of the same machinery by augmenting each generator
 with a unit-vector tail and keeping the basis elements whose leading
 block vanishes.
 
-Every computation runs against an explicit step budget (one step per
-S-pair reduction); exhausting it raises BudgetExceededError with the
-partial basis attached so callers can report "inconclusive" instead of
-guessing.
+Work is metered by one scoped step counter, `Budget`: every S-pair
+reduction charges the innermost meter opened with `with Budget(limit):`.
+The command line opens one meter per check, so the step limit bounds
+the whole check, however many bases it computes; a computation started
+with no meter open gets a fresh one of DEFAULT_GB_STEPS.  Exhausting the
+meter raises BudgetExceededError with the partial basis attached so
+callers can report "inconclusive" instead of guessing.
 
 Quotient rings A = k[x]/J0 are handled uniformly: ideal computations
 append the J0 generators, module computations append J0 multiples of
@@ -20,6 +23,7 @@ the free-module basis vectors.
 from __future__ import annotations
 
 import hashlib
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 from .poly import (
@@ -40,9 +44,6 @@ __all__ = [
     "SyzygyMatrix",
     "ModuleBasis",
     "ExtendedGB",
-    "buchberger_reduced",
-    "normal_form",
-    "ideal_member",
     "groebner_basis",
     "module_groebner",
     "module_gb",
@@ -67,19 +68,28 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass
 class Budget:
-    """Mutable step counter shared by one top-level computation."""
+    """Step meter, one step per S-pair reduction.  `with Budget(limit):`
+    makes it the meter every Groebner computation in the block charges,
+    until an inner block opens another."""
 
     limit: int = DEFAULT_GB_STEPS
     used: int = 0
+    _token: object = field(default=None, init=False, repr=False, compare=False)
 
     def charge(self, partial=None):
         self.used += 1
         if self.used > self.limit:
             raise BudgetExceededError(self.limit, partial)
 
+    def __enter__(self):
+        self._token = _METER.set(self)
+        return self
 
-def _budget(budget) -> Budget:
-    return budget if budget is not None else Budget()
+    def __exit__(self, *exc):
+        _METER.reset(self._token)
+
+
+_METER: ContextVar[Budget | None] = ContextVar("cicert_gb_meter", default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +189,8 @@ def _spair(b1: _BasisElt, b2: _BasisElt, field) -> dict:
 # Buchberger core
 
 
-def _module_buchberger_dicts(vecdicts, ring, budget) -> list[_BasisElt]:
+def _module_buchberger_dicts(vecdicts, ring) -> list[_BasisElt]:
+    meter = _METER.get() or Budget()  # none open: a fresh default meter
     field = ring.field
     okey = ring.order.key
     scalar = all(pos == 0 for v in vecdicts for (pos, _m) in v)
@@ -226,7 +237,7 @@ def _module_buchberger_dicts(vecdicts, ring, budget) -> list[_BasisElt]:
                     break
         if skip:
             continue
-        budget.charge(partial)
+        meter.charge(partial)
         s = _spair(bi, bj, field)
         r = _vec_reduce(s, G, ring)
         if r:
@@ -243,7 +254,6 @@ def _rank_of(G) -> int:
 
 
 def _reduced_basis(G: list[_BasisElt], ring) -> list[_BasisElt]:
-    field = ring.field
     okey = ring.order.key
     # minimal: drop elements whose lead another kept lead divides
     order = sorted(range(len(G)), key=lambda i: (-G[i].pos, okey(G[i].mono)))
@@ -253,23 +263,17 @@ def _reduced_basis(G: list[_BasisElt], ring) -> list[_BasisElt]:
         if any(h.pos == g.pos and mono_divides(h.mono, g.mono) for h in kept):
             continue
         kept.append(g)
-    # interreduce tails until stable
-    for _ in range(100):
-        changed = False
-        for i, g in enumerate(kept):
-            others = kept[:i] + kept[i + 1:]
-            r = _vec_reduce(dict(g.vec), others, ring)
-            if r != g.vec:
-                lead = _vec_lead(okey, r)
-                kept[i] = _BasisElt(lead[0], lead[1], _make_monic(field, r, lead))
-                changed = True
-        if not changed:
-            break
+    # interreduce tails: the leads are pairwise non-dividing and reduction
+    # never changes them, so a tail reduced once stays reduced
+    for i, g in enumerate(kept):
+        r = _vec_reduce(dict(g.vec), kept[:i] + kept[i + 1:], ring)
+        if r != g.vec:
+            kept[i] = _BasisElt(g.pos, g.mono, r)
     kept.sort(key=lambda b: (-b.pos, okey(b.mono)), reverse=True)
     return kept
 
 
-def module_groebner(vectors, ring, budget=None):
+def module_groebner(vectors, ring):
     """Reduced Groebner basis of the submodule generated by `vectors`.
 
     Vectors are tuples of polynomials of one fixed length; position over
@@ -286,16 +290,15 @@ def module_groebner(vectors, ring, budget=None):
         for f in v:
             if f.ring != ring:
                 raise RingMismatchError("module element from a different ring")
-    budget = _budget(budget)
-    G = _module_buchberger_dicts([_vec_from_polys(v) for v in vectors], ring, budget)
+    G = _module_buchberger_dicts([_vec_from_polys(v) for v in vectors], ring)
     G = _reduced_basis(G, ring)
     return tuple(_vec_to_polys(ring, rank, b.vec) for b in G)
 
 
-def groebner_basis(polys, ring, budget=None):
+def groebner_basis(polys, ring):
     """Reduced Groebner basis of the ideal generated by `polys` (no base)."""
     vectors = [(f,) for f in polys if f]
-    basis = module_groebner(vectors, ring, budget)
+    basis = module_groebner(vectors, ring)
     return tuple(v[0] for v in basis)
 
 
@@ -349,9 +352,9 @@ class IdealHandle:
     def working_gens(self):
         return tuple(g for g in self.gens if g) + self.ring.base_ideal
 
-    def groebner(self, budget=None):
+    def groebner(self):
         if self._gb is None:
-            basis = groebner_basis(self.working_gens(), self.ring, budget)
+            basis = groebner_basis(self.working_gens(), self.ring)
             if basis:
                 # self-check: every input generator must reduce to zero
                 entries = _entries([(g,) for g in basis], self.ring)
@@ -363,58 +366,46 @@ class IdealHandle:
             self._gb = basis
         return self._gb
 
-    def extended(self, budget=None) -> "ExtendedGB":
+    def extended(self) -> "ExtendedGB":
         if self._ext is None:
-            self._ext = extended_groebner(self.gens, self.ring, budget)
+            self._ext = extended_groebner(self.gens, self.ring)
         return self._ext
 
-    def normal_form(self, f: Polynomial, budget=None) -> Polynomial:
+    def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
             raise RingMismatchError("element from a different ring")
-        basis = self.groebner(budget)
+        basis = self.groebner()
         if not basis:
             return f
         entries = _entries([(g,) for g in basis], self.ring)
         r = _vec_reduce(_vec_from_polys((f,)), entries, self.ring)
         return _vec_to_polys(self.ring, 1, r)[0]
 
-    def contains(self, f: Polynomial, budget=None) -> bool:
-        return self.normal_form(f, budget).is_zero
+    def contains(self, f: Polynomial) -> bool:
+        return self.normal_form(f).is_zero
 
-    def contains_ideal(self, other: "IdealHandle", budget=None) -> bool:
-        return all(self.contains(g, budget) for g in other.gens)
+    def contains_ideal(self, other: "IdealHandle") -> bool:
+        return all(self.contains(g) for g in other.gens)
 
-    def equals(self, other: "IdealHandle", budget=None) -> bool:
+    def equals(self, other: "IdealHandle") -> bool:
         if self.ring != other.ring:
             raise RingMismatchError("ideals in different rings")
-        return self.groebner(budget) == other.groebner(budget)
+        return self.groebner() == other.groebner()
 
-    def is_unit(self, budget=None) -> bool:
-        basis = self.groebner(budget)
+    def is_unit(self) -> bool:
+        basis = self.groebner()
         return len(basis) == 1 and basis[0].is_constant()
 
-    def is_zero_ideal(self, budget=None) -> bool:
+    def is_zero_ideal(self) -> bool:
         """True if the ideal of A is zero, i.e. every generator lies in J0."""
         live = [g for g in self.gens if g]
         if not live:
             return True
         base = IdealHandle(self.ring, [])
-        return all(base.contains(g, budget) for g in live)
+        return all(base.contains(g) for g in live)
 
-    def gb_hash(self, budget=None) -> str:
-        return gb_hash(self.ring, self.groebner(budget))
-
-
-def buchberger_reduced(ideal: IdealHandle, budget=None):
-    return ideal.groebner(budget)
-
-
-def normal_form(f: Polynomial, ideal: IdealHandle, budget=None) -> Polynomial:
-    return ideal.normal_form(f, budget)
-
-
-def ideal_member(f: Polynomial, ideal: IdealHandle, budget=None) -> bool:
-    return ideal.contains(f, budget)
+    def gb_hash(self) -> str:
+        return gb_hash(self.ring, self.groebner())
 
 
 def gb_hash(ring: RingSpec, basis) -> str:
@@ -441,7 +432,7 @@ class ModuleBasis:
         return all(f.is_zero for f in self.reduce(vec))
 
 
-def module_gb(vectors, ring, budget=None) -> ModuleBasis:
+def module_gb(vectors, ring) -> ModuleBasis:
     """Reduced basis of the A-submodule generated by `vectors`.
 
     Quotient structure enters by appending J0 multiples of the free
@@ -455,7 +446,7 @@ def module_gb(vectors, ring, budget=None) -> ModuleBasis:
     for s in range(rank):
         for j0 in ring.base_ideal:
             work.append(tuple(j0 if t == s else ring.zero for t in range(rank)))
-    basis = module_groebner(work, ring, budget)
+    basis = module_groebner(work, ring)
     return ModuleBasis(ring, rank, basis)
 
 
@@ -463,7 +454,7 @@ def module_gb(vectors, ring, budget=None) -> ModuleBasis:
 # syzygies
 
 
-def module_syzygies(rows, ring, budget=None):
+def module_syzygies(rows, ring):
     """Generators of {a : sum a_i * rows_i = 0 over A = k[x]/J0}.
 
     Each row is augmented with a unit tail; basis elements whose leading
@@ -485,7 +476,7 @@ def module_syzygies(rows, ring, budget=None):
         for j0 in ring.base_ideal:
             augmented.append(
                 tuple(j0 if p == s else zero for p in range(m)) + (zero,) * t)
-    basis = module_groebner(augmented, ring, budget)
+    basis = module_groebner(augmented, ring)
     out = []
     for v in basis:
         if all(f.is_zero for f in v[:m]):
@@ -501,13 +492,13 @@ class SyzygyMatrix:
     targets: tuple
     rows: tuple
 
-    def verify(self, budget=None) -> bool:
+    def verify(self) -> bool:
         zero_mod = IdealHandle(self.ring, [])
         for row in self.rows:
             total = self.ring.zero
             for r, f in zip(row, self.targets):
                 total = total + r * f
-            if not zero_mod.normal_form(total, budget).is_zero:
+            if not zero_mod.normal_form(total).is_zero:
                 return False
         return True
 
@@ -515,13 +506,13 @@ class SyzygyMatrix:
         return [[str(f) for f in row] for row in self.rows]
 
 
-def syzygies(targets, budget=None) -> SyzygyMatrix:
+def syzygies(targets) -> SyzygyMatrix:
     """All A-relations of a tuple of ring elements, verified exactly."""
     targets = tuple(targets)
     if not targets:
         raise ValueError("syzygies of an empty tuple")
     ring = targets[0].ring
-    rows = module_syzygies([(f,) for f in targets], ring, budget)
+    rows = module_syzygies([(f,) for f in targets], ring)
     matrix = SyzygyMatrix(ring, targets, rows)
     if not matrix.verify():
         raise AssertionError("computed syzygy fails exact multiplication check")
@@ -581,7 +572,7 @@ class ExtendedGB:
         return remainder, coeffs
 
 
-def extended_groebner(gens, ring, budget=None) -> ExtendedGB:
+def extended_groebner(gens, ring) -> ExtendedGB:
     inputs = tuple(gens) + ring.base_ideal
     n = len(inputs)
     zero = ring.zero
@@ -589,7 +580,7 @@ def extended_groebner(gens, ring, budget=None) -> ExtendedGB:
     for i, g in enumerate(inputs):
         tail = tuple(ring.one if j == i else zero for j in range(n))
         vectors.append((g,) + tail)
-    basis = module_groebner(vectors, ring, budget)
+    basis = module_groebner(vectors, ring)
     scalar = []
     cofs = []
     syz = []

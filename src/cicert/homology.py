@@ -295,27 +295,27 @@ class Koszul2Verdict:
         return out
 
 
-def koszul2_exactness(x: Polynomial, y: Polynomial, budget=None) -> Koszul2Verdict:
+def koszul2_exactness(x: Polynomial, y: Polynomial) -> Koszul2Verdict:
     """Exact iff ann(x) = 0 in A and all relations of (x, y) are
     multiples of (-y, x)."""
     ring = x.ring
     if y.ring != ring:
         raise RingMismatchError("pair from different rings")
     mod_base = IdealHandle(ring, [])
-    ann_rows = syzygies((x,), budget).rows
+    ann_rows = syzygies((x,)).rows
     for row in ann_rows:
-        witness = mod_base.normal_form(row[0], budget)
+        witness = mod_base.normal_form(row[0])
         if not witness.is_zero:
             return Koszul2Verdict(ring, (x, y), False,
                                   ("annihilator", witness), ())
-    syz = syzygies((x, y), budget)
-    expected = module_gb([(-y, x)], ring, budget)
+    syz = syzygies((x, y))
+    expected = module_gb([(-y, x)], ring)
     for row in syz.rows:
         if not expected.contains(row):
             return Koszul2Verdict(ring, (x, y), False,
                                   ("extra_syzygy", row), syz.rows)
     if syz.rows:
-        actual = module_gb(syz.rows, ring, budget)
+        actual = module_gb(syz.rows, ring)
         if not actual.contains((-y, x)):
             raise AssertionError("syzygy module misses the Koszul relation")
     return Koszul2Verdict(ring, (x, y), True, None, syz.rows)
@@ -325,13 +325,13 @@ def koszul2_exactness(x: Polynomial, y: Polynomial, budget=None) -> Koszul2Verdi
 # free resolutions
 
 
-def _prune_rows(rows, ring, budget=None):
+def _prune_rows(rows, ring):
     """Drop rows lying in the span of the remaining ones."""
     kept = list(rows)
     i = len(kept) - 1
     while i >= 0 and len(kept) > 1:
         others = kept[:i] + kept[i + 1:]
-        if module_gb(others, ring, budget).contains(kept[i]):
+        if module_gb(others, ring).contains(kept[i]):
             kept.pop(i)
         i -= 1
     return kept
@@ -350,25 +350,25 @@ class Resolution:
     def betti(self):
         return tuple([1] + [len(m) for m in self.matrices])
 
-    def verify(self, budget=None, completeness=False) -> bool:
+    def verify(self, completeness=False) -> bool:
         mod_base = IdealHandle(self.ring, [])
         for k in range(1, len(self.matrices)):
             prod = matrix_product(self.matrices[k], self.matrices[k - 1], self.ring)
             for row in prod:
                 for entry in row:
-                    if not mod_base.normal_form(entry, budget).is_zero:
+                    if not mod_base.normal_form(entry).is_zero:
                         return False
         if completeness:
             for k in range(1, len(self.matrices)):
-                rows = module_syzygies(self.matrices[k - 1], self.ring, budget)
+                rows = module_syzygies(self.matrices[k - 1], self.ring)
                 if rows:
-                    span = module_gb(self.matrices[k], self.ring, budget)
+                    span = module_gb(self.matrices[k], self.ring)
                     if not all(span.contains(r) for r in rows):
                         return False
         return True
 
 
-def free_resolution(I: IdealHandle, length: int, budget=None) -> Resolution:
+def free_resolution(I: IdealHandle, length: int) -> Resolution:
     if not 1 <= length <= 4:
         raise ValueError("resolution length must be between 1 and 4")
     ring = I.ring
@@ -377,10 +377,10 @@ def free_resolution(I: IdealHandle, length: int, budget=None) -> Resolution:
         return Resolution(ring, (), [])
     matrices = [[(g,) for g in gens]]
     while len(matrices) < length:
-        rows = module_syzygies(matrices[-1], ring, budget)
+        rows = module_syzygies(matrices[-1], ring)
         if not rows:
             break
-        matrices.append(_prune_rows(rows, ring, budget))
+        matrices.append(_prune_rows(rows, ring))
     return Resolution(ring, gens, matrices)
 
 
@@ -397,13 +397,13 @@ class PresentationMatrix:
     rows: tuple
 
     @classmethod
-    def of(cls, ring, ngens, rows, budget=None):
+    def of(cls, ring, ngens, rows):
         mod_base = IdealHandle(ring, [])
         clean = []
         for row in rows:
             if len(row) != ngens:
                 raise ValueError("presentation row of wrong length")
-            nf = tuple(mod_base.normal_form(f, budget) for f in row)
+            nf = tuple(mod_base.normal_form(f) for f in row)
             if any(not f.is_zero for f in nf):
                 clean.append(nf)
         return cls(ring, ngens, tuple(clean))
@@ -416,7 +416,7 @@ class PresentationMatrix:
         }
 
 
-def conormal_presentation(I: IdealHandle, budget=None) -> PresentationMatrix:
+def conormal_presentation(I: IdealHandle) -> PresentationMatrix:
     """I/I^2 over A/I: generators are the images of the generators of I,
     relations are their syzygies reduced modulo I."""
     ring = I.ring
@@ -424,9 +424,9 @@ def conormal_presentation(I: IdealHandle, budget=None) -> PresentationMatrix:
     if not gens:
         raise ValueError("conormal module of the zero ideal")
     quotient_spec = ring.quotient(gens)
-    rows = syzygies(gens, budget).rows
+    rows = syzygies(gens).rows
     rehomed = [tuple(quotient_spec.rehome(f) for f in row) for row in rows]
-    return PresentationMatrix.of(quotient_spec, len(gens), rehomed, budget)
+    return PresentationMatrix.of(quotient_spec, len(gens), rehomed)
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +457,10 @@ class FittingIdealSet:
     presentation: PresentationMatrix
     ideals: tuple  # index k -> IdealHandle
 
-    def chain_verified(self, budget=None) -> bool:
+    def chain_verified(self) -> bool:
         for k in range(len(self.ideals) - 1):
             bigger = self.ideals[k + 1]
-            if not all(bigger.contains(g, budget) for g in self.ideals[k].gens):
+            if not all(bigger.contains(g) for g in self.ideals[k].gens):
                 return False
         return True
 
@@ -471,7 +471,7 @@ class FittingIdealSet:
         }
 
 
-def fitting_ideals(P: PresentationMatrix, budget=None) -> FittingIdealSet:
+def fitting_ideals(P: PresentationMatrix) -> FittingIdealSet:
     ring = P.ring
     nrows = len(P.rows)
     mod_base = IdealHandle(ring, [])
@@ -489,7 +489,7 @@ def fitting_ideals(P: PresentationMatrix, budget=None) -> FittingIdealSet:
         for rsel in itertools.combinations(range(nrows), size):
             for csel in itertools.combinations(range(P.ngens), size):
                 sub = [tuple(P.rows[i][j] for j in csel) for i in rsel]
-                det = mod_base.normal_form(_determinant(sub, ring), budget)
+                det = mod_base.normal_form(_determinant(sub, ring))
                 if det and det.terms not in seen:
                     seen.add(det.terms)
                     minors.append(det)
@@ -527,13 +527,13 @@ class ProjectiveRankCertificate:
             ]
         return out
 
-    def verify(self, budget=None) -> bool:
+    def verify(self) -> bool:
         """Replay the stored unit combination and the vanishing check."""
-        fitts = fitting_ideals(self.presentation, budget)
+        fitts = fitting_ideals(self.presentation)
         low = fitts.ideals[self.rank - 1] if self.rank >= 1 else None
         high = fitts.ideals[self.rank]
-        low_zero = low is None or low.is_zero_ideal(budget)
-        high_unit = high.is_unit(budget)
+        low_zero = low is None or low.is_zero_ideal()
+        high_unit = high.is_unit()
         if not self.certified:
             return not (low_zero and high_unit)
         if not (low_zero and high_unit):
@@ -549,27 +549,27 @@ class ProjectiveRankCertificate:
         return True
 
 
-def projective_rank_certificate(P: PresentationMatrix, rank: int,
-                                budget=None) -> ProjectiveRankCertificate:
+def projective_rank_certificate(P: PresentationMatrix,
+                                rank: int) -> ProjectiveRankCertificate:
     if rank < 0:
         raise ValueError("rank must be non-negative")
-    fitts = fitting_ideals(P, budget)
+    fitts = fitting_ideals(P)
     if rank > P.ngens:
         return ProjectiveRankCertificate(P, rank, False,
                                          f"rank {rank} exceeds generator count",
                                          None, None, None)
     low = fitts.ideals[rank - 1] if rank >= 1 else None
-    if low is not None and not low.is_zero_ideal(budget):
+    if low is not None and not low.is_zero_ideal():
         mod_base = IdealHandle(P.ring, [])
-        witness = next(mod_base.normal_form(g, budget) for g in low.gens
-                       if not mod_base.contains(g, budget))
+        witness = next(mod_base.normal_form(g) for g in low.gens
+                       if not mod_base.contains(g))
         return ProjectiveRankCertificate(
             P, rank, False, f"fitt_{rank - 1} is nonzero", witness, None, None)
     high = fitts.ideals[rank]
-    if not high.is_unit(budget):
+    if not high.is_unit():
         return ProjectiveRankCertificate(
             P, rank, False, f"fitt_{rank} is not the unit ideal", None, None, None)
-    ext = extended_groebner(high.gens, P.ring, budget)
+    ext = extended_groebner(high.gens, P.ring)
     remainder, coeffs = ext.express(P.ring.one)
     if not remainder.is_zero:
         raise AssertionError("unit ideal without a unit witness")
@@ -605,7 +605,7 @@ class ExtModule:
         }
 
 
-def ext_module(I: IdealHandle, r: int, budget=None) -> ExtModule:
+def ext_module(I: IdealHandle, r: int) -> ExtModule:
     """Cohomology of the dualized resolution at slot r, over A/I.
 
     Locally cyclic means Fitt_1 of the presentation is the unit ideal
@@ -618,27 +618,27 @@ def ext_module(I: IdealHandle, r: int, budget=None) -> ExtModule:
     if not gens:
         raise ValueError("ext module of the zero ideal")
     quotient_spec = ring.quotient(gens)
-    res = free_resolution(I, min(r + 1, 4), budget)
+    res = free_resolution(I, min(r + 1, 4))
     matrices = res.matrices
     if r > len(matrices):
-        pres = PresentationMatrix.of(quotient_spec, 0, [], budget)
+        pres = PresentationMatrix.of(quotient_spec, 0, [])
         return ExtModule(I, r, pres, True)
     b_r = len(matrices[r - 1])
     if r < len(matrices):
-        kernel = module_syzygies(matrix_transpose(matrices[r]), ring, budget)
-        kernel = _prune_rows(kernel, ring, budget) if kernel else []
+        kernel = module_syzygies(matrix_transpose(matrices[r]), ring)
+        kernel = _prune_rows(kernel, ring) if kernel else []
     else:
         kernel = [tuple(ring.one if j == i else ring.zero for j in range(b_r))
                   for i in range(b_r)]
     if not kernel:
-        pres = PresentationMatrix.of(quotient_spec, 0, [], budget)
+        pres = PresentationMatrix.of(quotient_spec, 0, [])
         return ExtModule(I, r, pres, True)
     image = matrix_transpose(matrices[r - 1]) if r >= 1 else []
     combined = list(kernel) + list(image)
-    relations = module_syzygies(combined, ring, budget)
+    relations = module_syzygies(combined, ring)
     proj = [row[: len(kernel)] for row in relations]
     rehomed = [tuple(quotient_spec.rehome(f) for f in row) for row in proj]
-    pres = PresentationMatrix.of(quotient_spec, len(kernel), rehomed, budget)
-    fitts = fitting_ideals(pres, budget)
-    cyclic = fitts.ideals[1].is_unit(budget) if len(fitts.ideals) > 1 else True
+    pres = PresentationMatrix.of(quotient_spec, len(kernel), rehomed)
+    fitts = fitting_ideals(pres)
+    cyclic = fitts.ideals[1].is_unit() if len(fitts.ideals) > 1 else True
     return ExtModule(I, r, pres, cyclic)

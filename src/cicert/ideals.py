@@ -58,26 +58,26 @@ def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
     return qs[0]
 
 
-def _tag_intersection(left_gens, right_gens, ring, budget=None):
+def _tag_intersection(left_gens, right_gens, ring):
     """Generators of (left) + (right) intersection in the free ring."""
     ext = extend_ring(ring.poly_ring(), (fresh_name(ring),))
     t = ext.ring.gen(ext.added[0])
     gens = [t * ext.embed(g) for g in left_gens if g]
     gens += [(ext.ring.one - t) * ext.embed(g) for g in right_gens if g]
-    basis = groebner_basis(gens, ext.ring, budget)
+    basis = groebner_basis(gens, ext.ring)
     return tuple(ring.rehome(ext.contract(g)) for g in basis
                  if not ext.uses_added(g))
 
 
-def intersect(I: IdealHandle, J: IdealHandle, budget=None) -> IdealHandle:
+def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     """I intersect J as ideals of A, via the tag-variable trick."""
     if I.ring != J.ring:
         raise RingMismatchError("ideals in different rings")
-    gens = _tag_intersection(I.working_gens(), J.working_gens(), I.ring, budget)
+    gens = _tag_intersection(I.working_gens(), J.working_gens(), I.ring)
     return IdealHandle(I.ring, gens)
 
 
-def quotient(I: IdealHandle, divisor, budget=None) -> IdealHandle:
+def quotient(I: IdealHandle, divisor) -> IdealHandle:
     """The colon ideal (I : f), or (I : J) when given an ideal.
 
     (I : 0) is the whole ring by convention.  Computed through
@@ -90,8 +90,8 @@ def quotient(I: IdealHandle, divisor, budget=None) -> IdealHandle:
         if not nonzero:
             return IdealHandle(ring, [ring.one])
         for g in nonzero:
-            step = quotient(I, g, budget)
-            result = step if result is None else intersect(result, step, budget)
+            step = quotient(I, g)
+            result = step if result is None else intersect(result, step)
         return result
     f = divisor
     if f.ring != ring:
@@ -100,11 +100,11 @@ def quotient(I: IdealHandle, divisor, budget=None) -> IdealHandle:
         return IdealHandle(ring, [ring.one])
     if f.is_constant():
         return IdealHandle(ring, I.gens)
-    meet = _tag_intersection(I.working_gens(), (f,), ring, budget)
+    meet = _tag_intersection(I.working_gens(), (f,), ring)
     return IdealHandle(ring, tuple(exact_div(g, f) for g in meet))
 
 
-def saturate(I: IdealHandle, f: Polynomial, budget=None) -> IdealHandle:
+def saturate(I: IdealHandle, f: Polynomial) -> IdealHandle:
     """(I : f^infinity), computed with one inverted-variable extension."""
     ring = I.ring
     if f.ring != ring:
@@ -115,13 +115,13 @@ def saturate(I: IdealHandle, f: Polynomial, budget=None) -> IdealHandle:
     t = ext.ring.gen(ext.added[0])
     gens = [ext.embed(g) for g in I.working_gens() if g]
     gens.append(ext.ring.one - t * ext.embed(f))
-    basis = groebner_basis(gens, ext.ring, budget)
+    basis = groebner_basis(gens, ext.ring)
     kept = tuple(ring.rehome(ext.contract(g)) for g in basis
                  if not ext.uses_added(g))
     return IdealHandle(ring, kept)
 
 
-def eliminate(I: IdealHandle, var_names, budget=None) -> IdealHandle:
+def eliminate(I: IdealHandle, var_names) -> IdealHandle:
     """I intersected with the subring avoiding `var_names`.
 
     The result is returned as an ideal of the same ring; its generators
@@ -141,7 +141,7 @@ def eliminate(I: IdealHandle, var_names, budget=None) -> IdealHandle:
                           permutation=tuple(idx + rest))
     espec = RingSpec(ring.variables, ring.field, order)
     gens = [espec.rehome(g) for g in I.working_gens() if g]
-    basis = groebner_basis(gens, espec, budget)
+    basis = groebner_basis(gens, espec)
     kept = []
     for g in basis:
         if all(all(m[i] == 0 for i in idx) for m, _ in g.terms):
@@ -174,7 +174,7 @@ class RadicalMembership:
 
 
 def radical_member(f: Polynomial, I: IdealHandle, want_exponent=False,
-                   e_max=30, budget=None) -> RadicalMembership:
+                   e_max=30) -> RadicalMembership:
     """Is f in the radical of I?  Exponent search is optional."""
     ring = I.ring
     if f.ring != ring:
@@ -183,14 +183,14 @@ def radical_member(f: Polynomial, I: IdealHandle, want_exponent=False,
     t = ext.ring.gen(ext.added[0])
     gens = [ext.embed(g) for g in I.working_gens() if g]
     gens.append(ext.ring.one - t * ext.embed(f))
-    basis = groebner_basis(gens, ext.ring, budget)
+    basis = groebner_basis(gens, ext.ring)
     member = len(basis) == 1 and basis[0].is_constant()
     exponent = None
     if member and want_exponent:
         power = ring.one
         for e in range(1, e_max + 1):
             power = power * f
-            if I.contains(power, budget):
+            if I.contains(power):
                 exponent = e
                 break
     return RadicalMembership(ring, f, I.gens, member, exponent,
@@ -215,14 +215,13 @@ class RadicalEqualityCertificate:
             ],
         }
 
-    def verify(self, budget=None) -> bool:
+    def verify(self) -> bool:
         left = IdealHandle(self.ring, self.left_gens)
         right = IdealHandle(self.ring, self.right_gens)
         for direction, w in self.witnesses:
             target = right if direction == "left_in_right" else left
             redo = radical_member(w.element, target,
-                                  want_exponent=w.exponent is not None,
-                                  budget=budget)
+                                  want_exponent=w.exponent is not None)
             if not redo.member or redo.aux_gb_hash != w.aux_gb_hash:
                 return False
             if w.exponent is not None and redo.exponent != w.exponent:
@@ -245,7 +244,7 @@ class RadicalRefutation:
 
 
 def radical_equal(I: IdealHandle, J: IdealHandle, want_exponents=True,
-                  e_max=30, budget=None):
+                  e_max=30):
     """Certificate that sqrt(I) = sqrt(J), or a refutation naming the
     first generator that fails radical membership."""
     if I.ring != J.ring:
@@ -254,7 +253,7 @@ def radical_equal(I: IdealHandle, J: IdealHandle, want_exponents=True,
     for direction, src, dst in (("left_in_right", I, J), ("right_in_left", J, I)):
         for g in src.gens:
             w = radical_member(g, dst, want_exponent=want_exponents,
-                               e_max=e_max, budget=budget)
+                               e_max=e_max)
             if not w.member:
                 return RadicalRefutation(direction, g, w.aux_gb_hash)
             witnesses.append((direction, w))
@@ -323,11 +322,11 @@ def _dimension_of_basis(ring, basis):
     return len(combo), combo
 
 
-def dimension_height(I: IdealHandle, budget=None) -> DimensionReport:
+def dimension_height(I: IdealHandle) -> DimensionReport:
     ring = I.ring
-    basis = I.groebner(budget)
+    basis = I.groebner()
     dim_q, combo = _dimension_of_basis(ring, basis)
-    ambient_basis = groebner_basis(ring.base_ideal, ring, budget)
+    ambient_basis = groebner_basis(ring.base_ideal, ring)
     dim_a, _ = _dimension_of_basis(ring, ambient_basis)
     unit = dim_q == -1
     height = None if unit else dim_a - dim_q

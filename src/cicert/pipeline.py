@@ -11,16 +11,12 @@ but never soundness.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groebner import (
-    Budget,
-    BudgetExceededError,
-    DEFAULT_GB_STEPS,
-    IdealHandle,
-)
+from .groebner import DEFAULT_GB_STEPS, IdealHandle
 from .homology import conormal_presentation, projective_rank_certificate
 from .ideals import (
     DimensionReport,
@@ -66,16 +62,15 @@ class InputError(ValueError):
 
 @dataclass
 class Budgets:
-    """Knobs shared by all searches; every Groebner call gets a fresh
-    step budget of gb_steps."""
+    """The limits of one check.  gb_steps bounds the Groebner steps of
+    the whole check: cli.run_command opens one groebner.Budget meter of
+    that size around it.  trials, degree_bound and e_max bound the
+    searches, which read them from here."""
 
     gb_steps: int = DEFAULT_GB_STEPS
     trials: int = 200
     degree_bound: int | None = None
     e_max: int = 30
-
-    def gb(self) -> Budget:
-        return Budget(self.gb_steps)
 
 
 DEFAULT_BUDGETS = Budgets()
@@ -113,14 +108,14 @@ class NzdResult:
         return out
 
 
-def is_nzd(f: Polynomial, base: IdealHandle, budgets=DEFAULT_BUDGETS) -> NzdResult:
+def is_nzd(f: Polynomial, base: IdealHandle) -> NzdResult:
     """f is a non-zerodivisor on A/B exactly when (B : f) = B."""
-    colon = quotient(base, f, budgets.gb())
-    base_hash = base.gb_hash(budgets.gb())
-    colon_hash = colon.gb_hash(budgets.gb())
+    colon = quotient(base, f)
+    base_hash = base.gb_hash()
+    colon_hash = colon.gb_hash()
     if base_hash == colon_hash:
         return NzdResult(f, base.gens, True, None, base_hash, colon_hash)
-    witness = next(g for g in colon.groebner() if not base.contains(g, budgets.gb()))
+    witness = next(g for g in colon.groebner() if not base.contains(g))
     return NzdResult(f, base.gens, False, witness, base_hash, colon_hash)
 
 
@@ -140,10 +135,10 @@ class RegSeqCertificate:
             "steps": [s.payload() for s in self.steps],
         }
 
-    def verify(self, budgets=DEFAULT_BUDGETS) -> bool:
+    def verify(self) -> bool:
         prefix = list(self.base_gens)
         for g, step in zip(self.sequence, self.steps):
-            redo = is_nzd(g, IdealHandle(self.ring, prefix), budgets)
+            redo = is_nzd(g, IdealHandle(self.ring, prefix))
             if not redo.nzd or redo.base_hash != step.base_hash \
                     or redo.colon_hash != step.colon_hash:
                 return False
@@ -160,8 +155,7 @@ class RegSeqFailure:
         return {"index": self.index, "witness": str(self.witness)}
 
 
-def is_regular_sequence(sequence, base: IdealHandle | None = None,
-                        budgets=DEFAULT_BUDGETS):
+def is_regular_sequence(sequence, base: IdealHandle | None = None):
     """Iterated non-zerodivisor test; certificate or first failure."""
     sequence = tuple(sequence)
     if not sequence:
@@ -171,7 +165,7 @@ def is_regular_sequence(sequence, base: IdealHandle | None = None,
     prefix = list(base_gens)
     steps = []
     for k, g in enumerate(sequence):
-        step = is_nzd(g, IdealHandle(ring, prefix), budgets)
+        step = is_nzd(g, IdealHandle(ring, prefix))
         if not step.nzd:
             return RegSeqFailure(k + 1, step.witness)
         steps.append(step)
@@ -284,14 +278,14 @@ class RegularizationResult:
             "output_gb_hash": self.output_hash,
         }
 
-    def verify(self, budgets=DEFAULT_BUDGETS) -> bool:
+    def verify(self) -> bool:
         if not all(p.verify() for p in self.perturbations):
             return False
-        if not self.certificate.verify(budgets):
+        if not self.certificate.verify():
             return False
         ring = self.sequence[0].ring
         regen = IdealHandle(ring, self.sequence)
-        return regen.gb_hash(budgets.gb()) == self.output_hash
+        return regen.gb_hash() == self.output_hash
 
 
 def regularize_generators(I: IdealHandle, generators, seed=0,
@@ -308,7 +302,7 @@ def regularize_generators(I: IdealHandle, generators, seed=0,
     generators = tuple(generators)
     ring = I.ring
     given = IdealHandle(ring, generators)
-    if not given.equals(I, budgets.gb()):
+    if not given.equals(I):
         raise InputError("the supplied generators do not generate the ideal")
     rng = random.Random(seed)
     degree_cap = budgets.degree_bound
@@ -321,8 +315,7 @@ def regularize_generators(I: IdealHandle, generators, seed=0,
     for k, candidate in enumerate(generators):
         tail = generators[k + 1:]
         base = IdealHandle(ring, sequence)
-        step = is_nzd(candidate, base, budgets)
-        if step.nzd:
+        if is_nzd(candidate, base).nzd:
             sequence.append(candidate)
             continue
         if not tail:
@@ -345,12 +338,7 @@ def regularize_generators(I: IdealHandle, generators, seed=0,
             shifted = candidate + lam
             if not shifted:
                 continue
-            try:
-                attempt = is_nzd(shifted, base, budgets)
-            except BudgetExceededError:
-                log.append(f"step {k + 1} trial {trial}: budget")
-                continue
-            if attempt.nzd:
+            if is_nzd(shifted, base).nzd:
                 perturbations.append(PerturbationElement(
                     k + 1, lam, tuple((g, c) for g, c in coeffs if c),
                     seed, trial))
@@ -361,16 +349,14 @@ def regularize_generators(I: IdealHandle, generators, seed=0,
         if not found:
             return Inconclusive(f"no regularizing perturbation at step {k + 1}",
                                 len(log), tuple(log))
-    cert = is_regular_sequence(sequence, None, budgets)
+    cert = is_regular_sequence(sequence)
     if isinstance(cert, RegSeqFailure):
         raise AssertionError("verified steps did not assemble into a sequence")
     out = IdealHandle(ring, sequence)
-    if not out.equals(I, budgets.gb()):
+    if not out.equals(I):
         raise AssertionError("perturbation changed the ideal")
     return RegularizationResult(I.gens, tuple(sequence), cert,
-                                tuple(perturbations),
-                                I.gb_hash(budgets.gb()),
-                                out.gb_hash(budgets.gb()))
+                                tuple(perturbations), I.gb_hash(), out.gb_hash())
 
 
 # ---------------------------------------------------------------------------
@@ -389,20 +375,19 @@ class ModSquareResult:
         return out
 
 
-def mod_square_generation(I: IdealHandle, candidates,
-                          budgets=DEFAULT_BUDGETS) -> ModSquareResult:
+def mod_square_generation(I: IdealHandle, candidates) -> ModSquareResult:
     """Does I = (candidates) + I^2?  Candidates must lie in I."""
     candidates = tuple(candidates)
     ring = I.ring
     for c in candidates:
-        if not I.contains(c, budgets.gb()):
+        if not I.contains(c):
             raise InputError(f"candidate {c} does not lie in the ideal")
     live = [g for g in I.gens if g]
     square = [a * b for a, b in
               itertools.combinations_with_replacement(live, 2)]
     K = IdealHandle(ring, list(candidates) + square)
     for g in live:
-        if not K.contains(g, budgets.gb()):
+        if not K.contains(g):
             return ModSquareResult(False, g)
     return ModSquareResult(True, None)
 
@@ -437,8 +422,8 @@ class LCIProxyCertificate:
             "ambient_hypotheses": self.ambient_hypotheses,
         }
 
-    def verify(self, budgets=DEFAULT_BUDGETS) -> bool:
-        return self.projective.verify(budgets.gb())
+    def verify(self) -> bool:
+        return self.projective.verify()
 
 
 @dataclass
@@ -454,13 +439,13 @@ class LCIRefutation:
         return out
 
 
-def lci_certificate(I: IdealHandle, budgets=DEFAULT_BUDGETS):
-    report = dimension_height(I, budgets.gb())
+def lci_certificate(I: IdealHandle):
+    report = dimension_height(I)
     h = report.height
     if report.unit_ideal or h is None or h < 1:
         return LCIRefutation(I.gens, f"height {h} out of range", None)
-    pres = conormal_presentation(I, budgets.gb())
-    proj = projective_rank_certificate(pres, h, budgets.gb())
+    pres = conormal_presentation(I)
+    proj = projective_rank_certificate(pres, h)
     if proj.certified:
         return LCIProxyCertificate(I.gens, report, proj)
     return LCIRefutation(I.gens, proj.failing or "conormal not projective",
@@ -490,27 +475,26 @@ class CICertificate:
             "regular_sequence": self.regseq.payload(),
         }
 
-    def verify(self, budgets=DEFAULT_BUDGETS) -> bool:
+    def verify(self) -> bool:
         ring = self.pair[0].ring
-        ih = IdealHandle(ring, self.ideal_gens).gb_hash(budgets.gb())
-        ph = IdealHandle(ring, self.pair).gb_hash(budgets.gb())
+        ih = IdealHandle(ring, self.ideal_gens).gb_hash()
+        ph = IdealHandle(ring, self.pair).gb_hash()
         if ih != self.ideal_hash or ph != self.pair_hash or ih != ph:
             return False
-        return self.regseq.verify(budgets)
+        return self.regseq.verify()
 
 
-def _try_ci_pair(I, c, d, budgets):
+def _try_ci_pair(I, c, d):
     ring = I.ring
     if not c or not d:
         return None
     pair_ideal = IdealHandle(ring, [c, d])
-    if not pair_ideal.equals(I, budgets.gb()):
+    if not pair_ideal.equals(I):
         return None
-    reg = is_regular_sequence((c, d), None, budgets)
+    reg = is_regular_sequence((c, d))
     if isinstance(reg, RegSeqFailure):
         return None
-    return CICertificate(I.gens, (c, d), I.gb_hash(budgets.gb()),
-                         pair_ideal.gb_hash(budgets.gb()), reg)
+    return CICertificate(I.gens, (c, d), I.gb_hash(), pair_ideal.gb_hash(), reg)
 
 
 def ci_from_free_conormal(I: IdealHandle, pair, seed=0,
@@ -524,12 +508,12 @@ def ci_from_free_conormal(I: IdealHandle, pair, seed=0,
     """
     c, d = pair
     ring = I.ring
-    lci = _lci if _lci is not None else lci_certificate(I, budgets)
+    lci = _lci if _lci is not None else lci_certificate(I)
     if not isinstance(lci, LCIProxyCertificate) or lci.height != 2:
         raise InputError("ideal is not certified lci of height 2")
-    if not mod_square_generation(I, (c, d), budgets).holds:
+    if not mod_square_generation(I, (c, d)).holds:
         raise InputError("pair does not generate the ideal modulo its square")
-    hit = _try_ci_pair(I, c, d, budgets)
+    hit = _try_ci_pair(I, c, d)
     if hit is not None:
         return hit
     rng = random.Random(seed)
@@ -538,26 +522,19 @@ def ci_from_free_conormal(I: IdealHandle, pair, seed=0,
         degree_cap = default_degree_bound(I.gens)
     live = [g for g in I.gens if g]
     square = [a * b for a, b in itertools.combinations_with_replacement(live, 2)]
-    tried = 0
-    log = []
     for trial in range(budgets.trials):
-        tried += 1
-        try:
-            if trial < budgets.trials // 2:
-                delta1 = _random_combination(square, rng, 0)
-                delta2 = _random_combination(square, rng, 0)
-                hit = _try_ci_pair(I, c + delta1, d + delta2, budgets)
-            else:
-                f = _random_combination(live, rng, rng.randint(0, degree_cap))
-                g = _random_combination(live, rng, rng.randint(0, degree_cap))
-                hit = _try_ci_pair(I, f, g, budgets)
-        except BudgetExceededError:
-            log.append(f"trial {trial}: budget")
-            continue
+        if trial < budgets.trials // 2:
+            delta1 = _random_combination(square, rng, 0)
+            delta2 = _random_combination(square, rng, 0)
+            hit = _try_ci_pair(I, c + delta1, d + delta2)
+        else:
+            f = _random_combination(live, rng, rng.randint(0, degree_cap))
+            g = _random_combination(live, rng, rng.randint(0, degree_cap))
+            hit = _try_ci_pair(I, f, g)
         if hit is not None:
             return hit
     return Inconclusive("no exact two-element basis found within budget",
-                        tried, tuple(log))
+                        budgets.trials)
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +558,8 @@ class STCICertificate:
             "radical_equality": self.radical.payload(),
         }
 
-    def verify(self, budgets=DEFAULT_BUDGETS) -> bool:
-        return self.regseq.verify(budgets) and self.radical.verify(budgets.gb())
+    def verify(self) -> bool:
+        return self.regseq.verify() and self.radical.verify()
 
 
 @dataclass
@@ -597,14 +574,13 @@ class STCIRefutation:
 def stci_verify(I: IdealHandle, pair, budgets=DEFAULT_BUDGETS):
     """Check that the pair is regular and cuts out the same radical."""
     f, g = pair
-    report = dimension_height(I, budgets.gb())
+    report = dimension_height(I)
     if report.height != 2:
         raise InputError(f"height is {report.height}, need 2")
-    reg = is_regular_sequence((f, g), None, budgets)
+    reg = is_regular_sequence((f, g))
     if isinstance(reg, RegSeqFailure):
         return STCIRefutation("regular-sequence", reg.payload())
-    rad = radical_equal(I, IdealHandle(I.ring, [f, g]),
-                        e_max=budgets.e_max, budget=budgets.gb())
+    rad = radical_equal(I, IdealHandle(I.ring, [f, g]), e_max=budgets.e_max)
     if not isinstance(rad, RadicalEqualityCertificate):
         return STCIRefutation("radical-equality", rad.payload())
     return STCICertificate(I.gens, (f, g), report, reg, rad)
@@ -624,9 +600,8 @@ class SearchResult:
 
 
 def _stci_from_ci(I, ci: CICertificate, budgets) -> STCICertificate:
-    report = dimension_height(I, budgets.gb())
-    rad = radical_equal(I, IdealHandle(I.ring, list(ci.pair)),
-                        e_max=budgets.e_max, budget=budgets.gb())
+    report = dimension_height(I)
+    rad = radical_equal(I, IdealHandle(I.ring, list(ci.pair)), e_max=budgets.e_max)
     if not isinstance(rad, RadicalEqualityCertificate):
         raise AssertionError("equal ideals with unequal radicals")
     return STCICertificate(I.gens, ci.pair, report, ci.regseq, rad)
@@ -642,10 +617,10 @@ def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS, pair=None,
     the generators.  Over a prime field a stalled search is retried
     over small extension fields represented as F_p[a]/(m(a)).
     """
-    report = dimension_height(I, budgets.gb())
+    report = dimension_height(I)
     if report.height != 2:
         raise InputError(f"height is {report.height}, need 2")
-    lci = lci_certificate(I, budgets)
+    lci = lci_certificate(I)
     lci_ok = isinstance(lci, LCIProxyCertificate) and lci.height == 2
     trials_used = 0
 
@@ -665,10 +640,10 @@ def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS, pair=None,
     if lci_ok:
         for cand in candidates[:400]:
             try:
-                if not mod_square_generation(I, cand, budgets).holds:
+                if not mod_square_generation(I, cand).holds:
                     continue
                 hit = ci_from_free_conormal(I, cand, seed, budgets, _lci=lci)
-            except (InputError, BudgetExceededError):
+            except InputError:
                 continue
             if isinstance(hit, CICertificate):
                 return SearchResult(_stci_from_ci(I, hit, budgets),
@@ -676,13 +651,10 @@ def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS, pair=None,
     if pair is not None:
         # an explicit pair can still certify set-theoretically even when
         # the exact-equality upgrade fails
-        try:
-            outcome = stci_verify(I, tuple(pair), budgets)
-            if isinstance(outcome, STCICertificate):
-                return SearchResult(outcome, "supplied-pair", trials_used,
-                                    ring=I.ring)
-        except BudgetExceededError:
-            pass
+        outcome = stci_verify(I, tuple(pair), budgets)
+        if isinstance(outcome, STCICertificate):
+            return SearchResult(outcome, "supplied-pair", trials_used,
+                                ring=I.ring)
 
     rng = random.Random(seed)
     degree_cap = budgets.degree_bound
@@ -698,7 +670,7 @@ def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS, pair=None,
             continue
         try:
             outcome = stci_verify(I, (f, g), budgets)
-        except (BudgetExceededError, InputError):
+        except InputError:
             continue
         if isinstance(outcome, STCICertificate):
             return SearchResult(outcome, "random-pairs", trials_used, ring=I.ring)
@@ -723,18 +695,52 @@ def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS, pair=None,
 # scalar extension F_p -> F_{p^k}
 
 
+def _has_root(f, p):
+    """Does x^k + f[0] x^(k-1) + ... + f[-1], with f[-1] != 0, have a
+    root in F_p?  Coefficient lists here run from the highest degree."""
+    k = len(f)
+    if not any(f[:-1]):
+        # x^k + c has a root exactly when -c is a k-th power
+        return pow(-f[-1], (p - 1) // math.gcd(k, p - 1), p) == 1
+
+    def mulmod(a, b):  # a * b mod f, both of degree < k
+        prod = [0] * (2 * k - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                prod[i + j] += ai * bj
+        for d in range(k - 1):
+            for i, fi in enumerate(f, d + 1):
+                prod[i] -= prod[d] * fi
+        return [c % p for c in prod[k - 1:]]
+
+    # otherwise a root exactly when gcd(f, x^p - x) != 1
+    x = [0] * (k - 2) + [1, 0]
+    power = x
+    for bit in bin(p)[3:]:
+        power = mulmod(power, power)
+        if bit == "1":
+            power = mulmod(power, x)
+    power[-2] = (power[-2] - 1) % p
+    a, b = [1, *f], power
+    while any(b):
+        while b[0] == 0:
+            b.pop(0)
+        while len(a) >= len(b):
+            q = a[0] * pow(b[0], -1, p)
+            a = [(ai - q * bi) % p for ai, bi in zip(a[1:], b[1:])] + a[len(b):]
+        a, b = b, a
+    return len(a) > 1
+
+
 def _find_irreducible(p, k):
-    """Monic irreducible of degree k over F_p; k <= 3 so testing for
-    roots suffices."""
+    """The first monic irreducible of degree k over F_p, in the order of
+    its coefficients (leading coefficient first); k <= 3, so having no
+    root suffices."""
     if k < 2 or k > 3:
         raise ValueError("extension degree must be 2 or 3")
     for tail in itertools.product(range(p), repeat=k):
-        coeffs = (1,) + tail  # leading coefficient first
-        if tail[-1] == 0:
-            continue
-        if all(sum(c * pow(a, k - i, p) for i, c in enumerate(coeffs)) % p
-               for a in range(p)):
-            return coeffs
+        if tail[-1] != 0 and not _has_root(tail, p):
+            return (1,) + tail
     raise AssertionError(f"no irreducible of degree {k} over F_{p}")
 
 

@@ -1,6 +1,6 @@
 import json
 
-from cicert import certificates
+from cicert import certificates, groebner
 from cicert.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT_ERROR,
@@ -52,6 +52,51 @@ def test_exit_code_inconclusive_on_tiny_budget():
         "check dimension I;",
         RunOptions(budgets=Budgets(gb_steps=2)))
     assert code == EXIT_INCONCLUSIVE
+
+
+def test_step_limit_bounds_the_whole_check(monkeypatch):
+    """Each basis of `stci I with P` fits under the limit, their total
+    does not, and the check ends inconclusive."""
+    charged = 0
+    charge = groebner.Budget.charge
+
+    def counting(meter, partial=None):
+        nonlocal charged
+        charged += 1
+        return charge(meter, partial)
+
+    steps = []
+    basis = groebner.module_groebner
+
+    def counted(vectors, ring):
+        start = charged
+        try:
+            return basis(vectors, ring)
+        finally:
+            steps.append(charged - start)
+
+    monkeypatch.setattr(groebner.Budget, "charge", counting)
+    monkeypatch.setattr(groebner, "module_groebner", counted)
+    payloads, _ = run_session(SKEW_SESSION)
+    assert payloads[0]["verdict"] == "verified"
+    limit = max(steps)
+    assert sum(steps) > limit
+    payloads, code = run_session(SKEW_SESSION,
+                                 RunOptions(budgets=Budgets(gb_steps=limit)))
+    assert payloads[0]["verdict"] == "inconclusive"
+    assert code == EXIT_INCONCLUSIVE
+
+
+def test_each_check_gets_a_fresh_meter():
+    # dimension I takes more than 3 steps, dimension J takes 3
+    payloads, _ = run_session(
+        "ring R = QQ[x,y,z];"
+        "ideal I = (x^3*y - z^2, y^4 - x*z, z^3 - x^2*y^2);"
+        "ideal J = (y - x^2, z - x^3);"
+        "check dimension I; check dimension J; check dimension I;",
+        RunOptions(budgets=Budgets(gb_steps=3)))
+    assert [p["verdict"] for p in payloads] == \
+        ["inconclusive", "verified", "inconclusive"]
 
 
 def test_skew_session_verifies():

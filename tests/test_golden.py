@@ -38,6 +38,7 @@ def _options(stored):
 def test_corpus_covers_the_required_sessions():
     assert set(SESSIONS) >= {"readme-skew", "twisted-cubic", "c345",
                              "f5-cylinder", "skew-quotient", "budget-2"}
+    assert [c["verdict"] for c in _load("budget-2")] == ["inconclusive"]
 
 
 @pytest.mark.parametrize("name", SESSIONS)
@@ -56,7 +57,3 @@ def test_golden_certificates_replay(name):
     for cert in _load(name):
         _verdict, ok = replay_payload(cert)
         assert ok, cert["command"]
-
-
-def test_budget_golden_is_inconclusive():
-    assert [c["verdict"] for c in _load("budget-2")] == ["inconclusive"]

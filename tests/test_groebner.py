@@ -10,11 +10,9 @@ from cicert.groebner import (
     extended_groebner,
     gb_hash,
     groebner_basis,
-    ideal_member,
     module_gb,
     module_normal_form,
     module_syzygies,
-    normal_form,
     syzygies,
 )
 from cicert.poly import GF, QQ, MonomialOrder, RingSpec
@@ -34,21 +32,21 @@ def test_lex_reduction():
 
 
 def test_twisted_cubic_membership(R3, twisted_cubic):
-    assert ideal_member(R3.parse("x*z - y^2"), twisted_cubic)
-    assert not ideal_member(R3.gen("x"), twisted_cubic)
+    assert twisted_cubic.contains(R3.parse("x*z - y^2"))
+    assert not twisted_cubic.contains(R3.gen("x"))
 
 
 def test_normal_form_examples(R3):
     I = IdealHandle(R3, ["x"])
-    assert normal_form(R3.parse("x^2"), I).is_zero
-    assert normal_form(R3.gen("y"), I) == R3.gen("y")
+    assert I.normal_form(R3.parse("x^2")).is_zero
+    assert I.normal_form(R3.gen("y")) == R3.gen("y")
     J = IdealHandle(R3, ["x*y - 1"])
-    assert normal_form(R3.parse("x*(x*y - 1) + x"), J) == R3.gen("x")
+    assert J.normal_form(R3.parse("x*(x*y - 1) + x")) == R3.gen("x")
 
 
 def test_membership_examples(R3):
-    assert not ideal_member(R3.gen("x"), IdealHandle(R3, ["x^2"]))
-    assert ideal_member(R3.parse("x^2"), IdealHandle(R3, ["x"]))
+    assert not IdealHandle(R3, ["x^2"]).contains(R3.gen("x"))
+    assert IdealHandle(R3, ["x"]).contains(R3.parse("x^2"))
 
 
 def test_reduced_basis_invariant_under_input_presentation(R3):
@@ -91,10 +89,24 @@ def test_quotient_ring_membership():
 def test_budget_exceeded_carries_partial():
     R = RingSpec(("x", "y", "z"), QQ)
     gens = [R.parse(t) for t in ("x^3*y - z^2", "y^4 - x*z", "z^3 - x^2*y^2")]
-    with pytest.raises(BudgetExceededError) as err:
-        groebner_basis(gens, R, Budget(limit=2))
+    with pytest.raises(BudgetExceededError) as err, Budget(limit=2):
+        groebner_basis(gens, R)
     assert err.value.limit == 2
     assert err.value.partial is not None and len(err.value.partial()) >= 3
+
+
+def test_innermost_meter_is_charged():
+    R = RingSpec(("x", "y", "z"), QQ)
+    gens = [R.parse(t) for t in ("x^3*y - z^2", "y^4 - x*z", "z^3 - x^2*y^2")]
+    with Budget() as outer:
+        with Budget() as inner:
+            groebner_basis(gens, R)
+        assert inner.used > 0 and outer.used == 0
+        groebner_basis(gens, R)
+    assert outer.used == inner.used
+    # with no meter open, a computation gets a fresh one of its own
+    groebner_basis(gens, R)
+    assert outer.used == inner.used
 
 
 def test_gb_hash_stable(R3, skew_lines):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from cicert.pipeline import (
     stci_search,
     stci_verify,
 )
+from cicert.pipeline import _find_irreducible
 from cicert.poly import GF, QQ, RingSpec
 
 from oracles import bounded_zerodivisor_witness
@@ -379,6 +381,33 @@ def test_extend_scalars_preserves_dimension(f5_cylinder):
     r1 = dimension_height(lifted)
     assert (r1.dim_ambient, r1.dim_quotient, r1.height) == \
         (r0.dim_ambient, r0.dim_quotient, r0.height)
+
+
+def _first_rootless(p, k):
+    """Brute force: the first monic of degree k over F_p, in coefficient
+    order, with no root in F_p."""
+    for tail in itertools.product(range(p), repeat=k):
+        coeffs = (1,) + tail
+        if tail[-1] and all(
+                sum(c * pow(a, k - i, p) for i, c in enumerate(coeffs)) % p
+                for a in range(p)):
+            return coeffs
+    return None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43])
+def test_find_irreducible_matches_root_scan(p):
+    for k in (2, 3):
+        assert _find_irreducible(p, k) == _first_rootless(p, k)
+
+
+def test_find_irreducible_cubic_over_f32003():
+    # every element of F_32003 is a cube, so no x^3 + c qualifies
+    p = 32003
+    coeffs = _find_irreducible(p, 3)
+    assert coeffs == (1, 0, 1, 5)
+    assert all(sum(c * pow(a, 3 - i, p) for i, c in enumerate(coeffs)) % p
+               for a in range(p))
 
 
 def test_stci_search_works_over_extension(f5_cylinder):
