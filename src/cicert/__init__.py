@@ -15,7 +15,6 @@ from .groebner import (
     Budget,
     BudgetExceededError,
     IdealHandle,
-    SyzygyMatrix,
     gb_hash,
     module_gb,
     module_syzygies,

@@ -3,9 +3,14 @@
 One Buchberger core handles both cases: elements of R^m are held as
 sparse dicts keyed by (position, monomial) and compared position over
 term, position 0 strongest.  Scalar polynomials are rank-1 vectors.
-Syzygies come out of the same machinery by augmenting each generator
-with a unit-vector tail and keeping the basis elements whose leading
-block vanishes.
+
+One augmented-module primitive, `_augmented`, serves every construction
+that needs more than a basis: it appends unit-vector tails to the
+generators, computes one basis, and splits it into the basis proper, the
+cofactors (tails of elements with a nonzero leading block) and the
+syzygies (tails of elements whose leading block vanishes).  Module
+bases, syzygies and the cofactor-tracking extended basis are calls of
+it, and so are colon ideals and intersections in `cicert.ideals`.
 
 Work is metered by one scoped step counter, `Budget`: every S-pair
 reduction charges the innermost meter opened with `with Budget(limit):`.
@@ -17,7 +22,7 @@ callers can report "inconclusive" instead of guessing.
 
 Quotient rings A = k[x]/J0 are handled uniformly: ideal computations
 append the J0 generators, module computations append J0 multiples of
-the free-module basis vectors.
+the free-module basis vectors (`_base_rows`).
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ __all__ = [
     "BudgetExceededError",
     "DEFAULT_GB_STEPS",
     "IdealHandle",
-    "SyzygyMatrix",
     "ModuleBasis",
     "ExtendedGB",
     "groebner_basis",
@@ -414,6 +418,44 @@ def gb_hash(ring: RingSpec, basis) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the augmented module: basis, cofactors and syzygies from one basis
+
+
+def _base_rows(ring, rank):
+    """J0 multiples of the free basis vectors of A^rank."""
+    zero = ring.zero
+    return [tuple(j0 if p == s else zero for p in range(rank))
+            for s in range(rank) for j0 in ring.base_ideal]
+
+
+def _augmented(rows, ring, tagged):
+    """(basis, cofactors, syzygies) from one basis of the rows, the first
+    `tagged` of them with unit-vector tails and the rest with zero tails.
+
+    The row block is strongest (position over term).  A basis element
+    with a nonzero row block gives that block and its tail, the cofactors
+    over the tagged rows; the tails of the elements whose row block
+    vanishes generate the relations among the tagged rows modulo the
+    untagged ones.  Rows of unequal lengths are rejected by
+    module_groebner.
+    """
+    if not rows:
+        return (), (), ()
+    m = len(rows[0])
+    zero = ring.zero
+    augmented = [row + tuple(ring.one if j == i else zero for j in range(tagged))
+                 for i, row in enumerate(rows)]
+    basis, cofactors, syz = [], [], []
+    for v in module_groebner(augmented, ring):
+        if all(f.is_zero for f in v[:m]):
+            syz.append(v[m:])
+        else:
+            basis.append(v[:m])
+            cofactors.append(v[m:])
+    return tuple(basis), tuple(cofactors), tuple(syz)
+
+
+# ---------------------------------------------------------------------------
 # module membership over the quotient ring
 
 
@@ -442,11 +484,7 @@ def module_gb(vectors, ring) -> ModuleBasis:
     if not vectors:
         raise ValueError("module_gb needs at least one generator to fix the rank")
     rank = len(vectors[0])
-    work = list(vectors)
-    for s in range(rank):
-        for j0 in ring.base_ideal:
-            work.append(tuple(j0 if t == s else ring.zero for t in range(rank)))
-    basis = module_groebner(work, ring)
+    basis = _augmented(vectors + _base_rows(ring, rank), ring, 0)[0]
     return ModuleBasis(ring, rank, basis)
 
 
@@ -461,62 +499,28 @@ def module_syzygies(rows, ring):
     block vanishes are exactly the relations, read off the tail.
     """
     rows = [tuple(r) for r in rows]
-    t = len(rows)
-    if t == 0:
+    if not rows:
         return ()
-    m = len(rows[0])
-    zero = ring.zero
-    augmented = []
-    for i, row in enumerate(rows):
-        if len(row) != m:
-            raise ValueError("rows must share one length")
-        tail = tuple(ring.one if j == i else zero for j in range(t))
-        augmented.append(row + tail)
-    for s in range(m):
-        for j0 in ring.base_ideal:
-            augmented.append(
-                tuple(j0 if p == s else zero for p in range(m)) + (zero,) * t)
-    basis = module_groebner(augmented, ring)
-    out = []
-    for v in basis:
-        if all(f.is_zero for f in v[:m]):
-            out.append(v[m:])
-    return tuple(out)
+    rank = len(rows[0])
+    return _augmented(rows + _base_rows(ring, rank), ring, len(rows))[2]
 
 
-@dataclass
-class SyzygyMatrix:
-    """Rows generating all relations of a fixed polynomial tuple over A."""
-
-    ring: RingSpec
-    targets: tuple
-    rows: tuple
-
-    def verify(self) -> bool:
-        zero_mod = IdealHandle(self.ring, [])
-        for row in self.rows:
-            total = self.ring.zero
-            for r, f in zip(row, self.targets):
-                total = total + r * f
-            if not zero_mod.normal_form(total).is_zero:
-                return False
-        return True
-
-    def payload(self):
-        return [[str(f) for f in row] for row in self.rows]
-
-
-def syzygies(targets) -> SyzygyMatrix:
-    """All A-relations of a tuple of ring elements, verified exactly."""
+def syzygies(targets):
+    """All A-relations of a tuple of ring elements, verified exactly:
+    every returned row multiplies the tuple into J0."""
     targets = tuple(targets)
     if not targets:
         raise ValueError("syzygies of an empty tuple")
     ring = targets[0].ring
     rows = module_syzygies([(f,) for f in targets], ring)
-    matrix = SyzygyMatrix(ring, targets, rows)
-    if not matrix.verify():
-        raise AssertionError("computed syzygy fails exact multiplication check")
-    return matrix
+    zero_mod = IdealHandle(ring, [])
+    for row in rows:
+        total = ring.zero
+        for r, f in zip(row, targets):
+            total = total + r * f
+        if not zero_mod.normal_form(total).is_zero:
+            raise AssertionError("computed syzygy fails exact multiplication check")
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +551,6 @@ class ExtendedGB:
 
     def _augmented_entries(self):
         if self._entries is None:
-            n = len(self.inputs)
             vecs = [
                 (b,) + cof for b, cof in zip(self.basis, self.cofactors)
             ] + [
@@ -573,27 +576,14 @@ class ExtendedGB:
 
 
 def extended_groebner(gens, ring) -> ExtendedGB:
-    inputs = tuple(gens) + ring.base_ideal
-    n = len(inputs)
-    zero = ring.zero
-    vectors = []
-    for i, g in enumerate(inputs):
-        tail = tuple(ring.one if j == i else zero for j in range(n))
-        vectors.append((g,) + tail)
-    basis = module_groebner(vectors, ring)
-    scalar = []
-    cofs = []
-    syz = []
-    for v in basis:
-        if v[0].is_zero:
-            syz.append(v[1:])
-        else:
-            scalar.append(v[0])
-            cofs.append(v[1:])
-    ext = ExtendedGB(ring, inputs, len(tuple(gens)), tuple(scalar),
-                     tuple(cofs), tuple(syz))
+    gens = tuple(gens)
+    rows = [(g,) for g in gens] + _base_rows(ring, 1)
+    inputs = tuple(row[0] for row in rows)
+    basis, cofs, syz = _augmented(rows, ring, len(rows))
+    scalar = tuple(v[0] for v in basis)
+    ext = ExtendedGB(ring, inputs, len(gens), scalar, cofs, syz)
     for b, cof in zip(scalar, cofs):
-        total = zero
+        total = ring.zero
         for c, g in zip(cof, inputs):
             total = total + c * g
         if total != b:

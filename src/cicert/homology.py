@@ -302,7 +302,7 @@ def koszul2_exactness(x: Polynomial, y: Polynomial) -> Koszul2Verdict:
     if y.ring != ring:
         raise RingMismatchError("pair from different rings")
     mod_base = IdealHandle(ring, [])
-    ann_rows = syzygies((x,)).rows
+    ann_rows = syzygies((x,))
     for row in ann_rows:
         witness = mod_base.normal_form(row[0])
         if not witness.is_zero:
@@ -310,15 +310,15 @@ def koszul2_exactness(x: Polynomial, y: Polynomial) -> Koszul2Verdict:
                                   ("annihilator", witness), ())
     syz = syzygies((x, y))
     expected = module_gb([(-y, x)], ring)
-    for row in syz.rows:
+    for row in syz:
         if not expected.contains(row):
             return Koszul2Verdict(ring, (x, y), False,
-                                  ("extra_syzygy", row), syz.rows)
-    if syz.rows:
-        actual = module_gb(syz.rows, ring)
+                                  ("extra_syzygy", row), syz)
+    if syz:
+        actual = module_gb(syz, ring)
         if not actual.contains((-y, x)):
             raise AssertionError("syzygy module misses the Koszul relation")
-    return Koszul2Verdict(ring, (x, y), True, None, syz.rows)
+    return Koszul2Verdict(ring, (x, y), True, None, syz)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +424,7 @@ def conormal_presentation(I: IdealHandle) -> PresentationMatrix:
     if not gens:
         raise ValueError("conormal module of the zero ideal")
     quotient_spec = ring.quotient(gens)
-    rows = syzygies(gens).rows
+    rows = syzygies(gens)
     rehomed = [tuple(quotient_spec.rehome(f) for f in row) for row in rows]
     return PresentationMatrix.of(quotient_spec, len(gens), rehomed)
 

@@ -2,11 +2,14 @@
 dimension and height.
 
 All constructions are carried out on free-ring representatives: an
-ideal of A = k[x]/J0 is handled as its preimage I + J0, auxiliary
-variables are prepended in an elimination block and removed again after
-the Groebner computation.  Radical membership uses the extra-variable
-trick: f lies in the radical of I exactly when I + (1 - t*f) is the
-unit ideal.
+ideal of A = k[x]/J0 is handled as its preimage I + J0.  Colon ideals
+and intersections are read off module syzygies (Greuel-Pfister, A
+Singular Introduction to Commutative Algebra, 1.8), through the
+augmented-module primitive of `cicert.groebner`.  Saturation and radical
+membership add one tag variable t and compute a basis of
+I + J0 + (1 - t*f): f lies in the radical of I exactly when that is the
+unit ideal, and its t-free part is the saturation.  Elimination moves
+the eliminated variables into a block order instead.
 """
 
 from __future__ import annotations
@@ -14,14 +17,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .groebner import IdealHandle, gb_hash, groebner_basis
+from .groebner import IdealHandle, _augmented, gb_hash, groebner_basis
 from .poly import (
     MonomialOrder,
     Polynomial,
     RingMismatchError,
     RingSpec,
     extend_ring,
-    reduce as poly_reduce,
 )
 
 __all__ = [
@@ -36,7 +38,6 @@ __all__ = [
     "RadicalEqualityCertificate",
     "RadicalRefutation",
     "DimensionReport",
-    "exact_div",
     "fresh_name",
 ]
 
@@ -48,60 +49,60 @@ def fresh_name(ring: RingSpec, stem: str = "t") -> str:
     return name
 
 
-def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
-    """f / g when g divides f exactly; raises ValueError otherwise."""
-    if f.is_zero:
-        return f
-    r, qs = poly_reduce(f, [g])
-    if not r.is_zero:
-        raise ValueError(f"{g} does not divide {f}")
-    return qs[0]
-
-
-def _tag_intersection(left_gens, right_gens, ring):
-    """Generators of (left) + (right) intersection in the free ring."""
-    ext = extend_ring(ring.poly_ring(), (fresh_name(ring),))
-    t = ext.ring.gen(ext.added[0])
-    gens = [t * ext.embed(g) for g in left_gens if g]
-    gens += [(ext.ring.one - t) * ext.embed(g) for g in right_gens if g]
-    basis = groebner_basis(gens, ext.ring)
-    return tuple(ring.rehome(ext.contract(g)) for g in basis
-                 if not ext.uses_added(g))
+def _first_syzygy_entries(rows, ring):
+    """Ideal of the first-row coefficients a with a*rows[0] in the span
+    of rows[1:]: the first entries of the syzygies of the rows, with
+    only the first row tagged."""
+    return IdealHandle(ring, tuple(s[0] for s in _augmented(rows, ring, 1)[2]))
 
 
 def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
-    """I intersect J as ideals of A, via the tag-variable trick."""
+    """I intersect J as ideals of A: the a with a*(1, 1) in I + J,
+    read off the syzygies of the rows (1, 1), (g, 0) and (0, h)."""
     if I.ring != J.ring:
         raise RingMismatchError("ideals in different rings")
-    gens = _tag_intersection(I.working_gens(), J.working_gens(), I.ring)
-    return IdealHandle(I.ring, gens)
+    ring = I.ring
+    zero = ring.zero
+    rows = [(ring.one, ring.one)]
+    rows += [(g, zero) for g in I.working_gens()]
+    rows += [(zero, h) for h in J.working_gens()]
+    return _first_syzygy_entries(rows, ring)
 
 
 def quotient(I: IdealHandle, divisor) -> IdealHandle:
     """The colon ideal (I : f), or (I : J) when given an ideal.
 
-    (I : 0) is the whole ring by convention.  Computed through
-    intersection with the principal ideal followed by exact division.
+    (I : 0) is the whole ring by convention.  For J = (f_1, ..., f_s) the
+    colon is the set of a with a*(f_1, ..., f_s) in (I + J0)^s, read off
+    the syzygies of that row and the rows h*e_j for h in I + J0, in one
+    module basis; a single f is the case s = 1.
     """
     ring = I.ring
-    if isinstance(divisor, IdealHandle):
-        result = None
-        nonzero = [g for g in divisor.gens if g]
-        if not nonzero:
-            return IdealHandle(ring, [ring.one])
-        for g in nonzero:
-            step = quotient(I, g)
-            result = step if result is None else intersect(result, step)
-        return result
-    f = divisor
-    if f.ring != ring:
-        raise RingMismatchError("element from a different ring")
-    if f.is_zero:
+    divisors = divisor.gens if isinstance(divisor, IdealHandle) else (divisor,)
+    if any(f.ring != ring for f in divisors):
+        raise RingMismatchError("divisor from a different ring")
+    divisors = [f for f in divisors if f]
+    if not divisors:
         return IdealHandle(ring, [ring.one])
-    if f.is_constant():
+    if any(f.is_constant() for f in divisors):
         return IdealHandle(ring, I.gens)
-    meet = _tag_intersection(I.working_gens(), (f,), ring)
-    return IdealHandle(ring, tuple(exact_div(g, f) for g in meet))
+    zero = ring.zero
+    s = len(divisors)
+    rows = [tuple(divisors)]
+    rows += [tuple(h if p == j else zero for p in range(s))
+             for j in range(s) for h in I.working_gens()]
+    return _first_syzygy_entries(rows, ring)
+
+
+def _inverted(I: IdealHandle, f: Polynomial):
+    """(ext, reduced basis of I + J0 + (1 - t*f)) with t the variable
+    that `ext` adds in front of the ring's variables."""
+    ring = I.ring
+    ext = extend_ring(ring.poly_ring(), (fresh_name(ring),))
+    t = ext.ring.gen(ext.added[0])
+    gens = [ext.embed(g) for g in I.working_gens() if g]
+    gens.append(ext.ring.one - t * ext.embed(f))
+    return ext, groebner_basis(gens, ext.ring)
 
 
 def saturate(I: IdealHandle, f: Polynomial) -> IdealHandle:
@@ -111,11 +112,7 @@ def saturate(I: IdealHandle, f: Polynomial) -> IdealHandle:
         raise RingMismatchError("element from a different ring")
     if f.is_zero:
         raise ValueError("cannot saturate by zero")
-    ext = extend_ring(ring.poly_ring(), (fresh_name(ring),))
-    t = ext.ring.gen(ext.added[0])
-    gens = [ext.embed(g) for g in I.working_gens() if g]
-    gens.append(ext.ring.one - t * ext.embed(f))
-    basis = groebner_basis(gens, ext.ring)
+    ext, basis = _inverted(I, f)
     kept = tuple(ring.rehome(ext.contract(g)) for g in basis
                  if not ext.uses_added(g))
     return IdealHandle(ring, kept)
@@ -179,11 +176,7 @@ def radical_member(f: Polynomial, I: IdealHandle, want_exponent=False,
     ring = I.ring
     if f.ring != ring:
         raise RingMismatchError("element from a different ring")
-    ext = extend_ring(ring.poly_ring(), (fresh_name(ring),))
-    t = ext.ring.gen(ext.added[0])
-    gens = [ext.embed(g) for g in I.working_gens() if g]
-    gens.append(ext.ring.one - t * ext.embed(f))
-    basis = groebner_basis(gens, ext.ring)
+    ext, basis = _inverted(I, f)
     member = len(basis) == 1 and basis[0].is_constant()
     exponent = None
     if member and want_exponent:

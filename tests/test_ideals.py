@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from cicert.groebner import IdealHandle
 from cicert.ideals import (
     RadicalEqualityCertificate,
@@ -19,6 +21,16 @@ from oracles import variety_points, eval_at
 
 def H(ring, *gens):
     return IdealHandle(ring, list(gens))
+
+
+def xy_quotient(field):
+    """k[x,y,z]/(xy): the zero divisors x and y make colons nontrivial."""
+    bare = RingSpec(("x", "y", "z"), field)
+    return bare.quotient([bare.parse("x*y")])
+
+
+# the free ring and two quotient rings, one of them over F5
+RINGS = [RingSpec(("x", "y", "z"), QQ), xy_quotient(QQ), xy_quotient(GF(5))]
 
 
 # -- quotient
@@ -43,12 +55,38 @@ def test_quotient_by_zero_is_unit(R3):
 def test_quotient_by_ideal(R3):
     got = quotient(H(R3, "x*y", "x*z"), H(R3, "y", "z"))
     assert got.equals(H(R3, "x"))
+    # (I : J) in one module basis equals the meet of the colons (I : g)
+    for ring in RINGS:
+        for gens, divisors in [(("x^2", "z^2"), ("x", "z")),
+                               (("x*z^2", "y^2 - z"), ("x + y", "z", "y^2"))]:
+            I = H(ring, *gens)
+            meet = None
+            for d in divisors:
+                col = quotient(I, ring.parse(d))
+                meet = col if meet is None else intersect(meet, col)
+            assert quotient(I, H(ring, *divisors)).equals(meet)
 
 
-def test_quotient_contains_ideal(R3):
-    I = H(R3, "x^2 - x", "x*y")
-    col = quotient(I, R3.gen("x"))
-    assert col.contains_ideal(I)
+def test_quotient_contains_ideal():
+    """I is inside (I : f), and f*(I : f) is inside I."""
+    for ring in RINGS:
+        for gens, f in [(("x^2 - x", "x*y"), "x"),
+                        (("x^2*z", "y^3 - z"), "x*z + y"),
+                        ((), "x")]:
+            I = H(ring, *gens)
+            f = ring.parse(f)
+            col = quotient(I, f)
+            assert col.contains_ideal(I)
+            assert all(I.contains(f * g) for g in col.groebner())
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_quotient_by_base_ideal_element_is_unit(field):
+    A = xy_quotient(field)
+    for gens in [(), ("z",), ("x + z^2",)]:
+        for f in ("x*y", "z*x*y - x^2*y"):
+            assert not A.parse(f).is_zero  # zero in A, not as a representative
+            assert quotient(H(A, *gens), A.parse(f)).is_unit()
 
 
 def test_nzd_iff_colon_stable(R3):
@@ -92,6 +130,19 @@ def test_intersect_examples(R3, skew_lines):
     for g in meet.gens:
         assert H(R3, "x", "y").contains(g)
         assert H(R3, "x - 1", "z").contains(g)
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@pytest.mark.parametrize("left,right", [(("x",), ("y",)),
+                                        (("x^2", "z"), ("x*z", "y + z")),
+                                        (("x - z",), ())])
+def test_intersection_sandwich(ring, left, right):
+    """I*J is inside I cap J, which is inside both I and J."""
+    I, J = H(ring, *left), H(ring, *right)
+    meet = intersect(I, J)
+    product = IdealHandle(ring, [g * h for g in I.gens for h in J.gens])
+    assert meet.contains_ideal(product)
+    assert I.contains_ideal(meet) and J.contains_ideal(meet)
 
 
 # -- elimination
