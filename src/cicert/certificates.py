@@ -2,9 +2,16 @@
 
 A certificate is a JSON tree with canonically ordered keys.  Timings
 and the replay hash itself are volatile: they are excluded from the
-hash and from replay comparison.  Replaying re-executes the recorded
-command with the recorded seed and budgets and demands a byte-identical
-core payload, so any tampering with witnesses is detected.
+hash and from replay comparison.
+
+There is one replay rule, applied at two levels: re-run the producer on
+the recorded inputs and demand the same payload.  For a certificate file
+(`cicert --replay`) the producer is the recorded command, run with the
+recorded seed and budgets, and the core payload must be byte-identical.
+For a certificate object of the library, `Replayable.verify()` calls the
+producing function on the object's recorded fields and compares
+`payload()`.  Any tampering with a witness, a hash or an input is
+detected, because the producer recomputes all of them.
 """
 
 from __future__ import annotations
@@ -19,6 +26,20 @@ VOLATILE_KEYS = ("timings", "replay_hash")
 
 class SchemaError(ValueError):
     """Unsupported or malformed certificate file."""
+
+
+class Replayable:
+    """verify() for certificate objects: `_rerun()` calls the producer on
+    the recorded inputs, and the certificate holds when the fresh result
+    has the same payload.  A producer that rejects the recorded inputs
+    (ValueError) or finds nothing (None) does not reproduce it."""
+
+    def verify(self) -> bool:
+        try:
+            fresh = self._rerun()
+        except ValueError:
+            return False
+        return fresh is not None and fresh.payload() == self.payload()
 
 
 def canonical_json(payload: dict) -> str:
@@ -58,6 +79,8 @@ def load_certificate(path) -> dict:
             payload = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"not a certificate file: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("schema") != SCHEMA:
+    if not isinstance(payload, dict):
+        raise SchemaError(f"not a certificate: top level is {type(payload).__name__}")
+    if payload.get("schema") != SCHEMA:
         raise SchemaError(f"unsupported schema {payload.get('schema')!r}")
     return payload

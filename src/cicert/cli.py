@@ -251,21 +251,27 @@ def run_session(text: str, options: RunOptions | None = None):
 # replay
 
 
-def replay_payload(stored: dict, quiet=False):
+def replay_payload(stored: dict):
     """Re-execute a stored certificate; returns (verdict, ok)."""
     if certificates.replay_hash(stored) != stored.get("replay_hash"):
         return stored.get("verdict"), False
-    budgets = Budgets(
-        gb_steps=stored["budgets"]["gb_steps"],
-        trials=stored["budgets"]["trials"],
-        degree_bound=stored["budgets"]["degree_bound"],
-        e_max=stored["budgets"].get("e_max", 30),
-    )
-    options = RunOptions(seed=stored["seed"], budgets=budgets,
-                         field_text=stored.get("field_override"))
+    try:
+        budgets = Budgets(**stored["budgets"])
+        options = RunOptions(seed=stored["seed"], budgets=budgets,
+                             field_text=stored.get("field_override"))
+        text, index = stored["session"], stored["command_index"]
+    except (KeyError, TypeError) as exc:
+        raise SchemaError(f"malformed certificate: {exc!r}") from exc
+    numbers = (index, options.seed, budgets.gb_steps, budgets.trials,
+               budgets.e_max, budgets.degree_bound or 0)
+    if not all(isinstance(v, int) for v in numbers) or not isinstance(text, str) \
+            or not isinstance(options.field_text or "", str):
+        raise SchemaError("malformed certificate: a recorded field has the wrong type")
     override = parse_field(options.field_text) if options.field_text else None
-    session = parse_session(stored["session"], field_override=override)
-    fresh = run_command(session, stored["command_index"], options)
+    session = parse_session(text, field_override=override)
+    if not 0 <= index < len(session.commands):
+        raise SchemaError(f"command_index {index} is not a check of the session")
+    fresh = run_command(session, index, options)
     ok = certificates.core_payload(fresh) == certificates.core_payload(stored)
     return fresh["verdict"], ok
 
@@ -306,7 +312,7 @@ def main(argv=None) -> int:
         try:
             stored = certificates.load_certificate(args.replay)
             verdict, ok = replay_payload(stored)
-        except (OSError, SchemaError, KeyError, DslParseError, InputError) as exc:
+        except (OSError, KeyError, ValueError) as exc:
             print(f"cicert: replay failed: {exc}", file=sys.stderr)
             return EXIT_INPUT_ERROR
         if ok:

@@ -348,7 +348,6 @@ class IdealHandle:
             coerced.append(g)
         self.gens = tuple(coerced)
         self._gb = None
-        self._ext = None
 
     def __repr__(self):
         return f"<Ideal ({', '.join(str(g) for g in self.gens)}) of {self.ring.describe()}>"
@@ -369,11 +368,6 @@ class IdealHandle:
                             f"generator {g} does not reduce against its own basis")
             self._gb = basis
         return self._gb
-
-    def extended(self) -> "ExtendedGB":
-        if self._ext is None:
-            self._ext = extended_groebner(self.gens, self.ring)
-        return self._ext
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
@@ -539,15 +533,10 @@ class ExtendedGB:
 
     ring: RingSpec
     inputs: tuple
-    ngens: int
     basis: tuple
     cofactors: tuple
     full_syzygies: tuple
     _entries: list = field(default=None, repr=False)
-
-    def syzygy_rows(self):
-        """Relation rows restricted to the user generators (valid mod J0)."""
-        return tuple(row[: self.ngens] for row in self.full_syzygies)
 
     def _augmented_entries(self):
         if self._entries is None:
@@ -581,7 +570,7 @@ def extended_groebner(gens, ring) -> ExtendedGB:
     inputs = tuple(row[0] for row in rows)
     basis, cofs, syz = _augmented(rows, ring, len(rows))
     scalar = tuple(v[0] for v in basis)
-    ext = ExtendedGB(ring, inputs, len(gens), scalar, cofs, syz)
+    ext = ExtendedGB(ring, inputs, scalar, cofs, syz)
     for b, cof in zip(scalar, cofs):
         total = ring.zero
         for c, g in zip(cof, inputs):

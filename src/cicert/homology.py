@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .certificates import Replayable
 from .groebner import (
     IdealHandle,
     extended_groebner,
@@ -498,7 +499,7 @@ def fitting_ideals(P: PresentationMatrix) -> FittingIdealSet:
 
 
 @dataclass
-class ProjectiveRankCertificate:
+class ProjectiveRankCertificate(Replayable):
     """M projective of constant rank r iff Fitt_{r-1} = 0 and Fitt_r = (1)."""
 
     presentation: PresentationMatrix
@@ -527,26 +528,8 @@ class ProjectiveRankCertificate:
             ]
         return out
 
-    def verify(self) -> bool:
-        """Replay the stored unit combination and the vanishing check."""
-        fitts = fitting_ideals(self.presentation)
-        low = fitts.ideals[self.rank - 1] if self.rank >= 1 else None
-        high = fitts.ideals[self.rank]
-        low_zero = low is None or low.is_zero_ideal()
-        high_unit = high.is_unit()
-        if not self.certified:
-            return not (low_zero and high_unit)
-        if not (low_zero and high_unit):
-            return False
-        if self.unit_combination is not None:
-            total = self.presentation.ring.zero
-            for m, c in self.unit_combination:
-                total = total + c * m
-            for g, c in self.base_combination or ():
-                total = total + c * g
-            if total != self.presentation.ring.one:
-                return False
-        return True
+    def _rerun(self):
+        return projective_rank_certificate(self.presentation, self.rank)
 
 
 def projective_rank_certificate(P: PresentationMatrix,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .certificates import Replayable
 from .groebner import IdealHandle, _augmented, gb_hash, groebner_basis
 from .poly import (
     MonomialOrder,
@@ -191,13 +192,14 @@ def radical_member(f: Polynomial, I: IdealHandle, want_exponent=False,
 
 
 @dataclass
-class RadicalEqualityCertificate:
+class RadicalEqualityCertificate(Replayable):
     """Radical equality sqrt(I) = sqrt(J), one witness per generator."""
 
     ring: RingSpec
     left_gens: tuple
     right_gens: tuple
     witnesses: tuple  # (direction, RadicalMembership)
+    e_max: int
 
     def payload(self):
         return {
@@ -208,18 +210,9 @@ class RadicalEqualityCertificate:
             ],
         }
 
-    def verify(self) -> bool:
-        left = IdealHandle(self.ring, self.left_gens)
-        right = IdealHandle(self.ring, self.right_gens)
-        for direction, w in self.witnesses:
-            target = right if direction == "left_in_right" else left
-            redo = radical_member(w.element, target,
-                                  want_exponent=w.exponent is not None)
-            if not redo.member or redo.aux_gb_hash != w.aux_gb_hash:
-                return False
-            if w.exponent is not None and redo.exponent != w.exponent:
-                return False
-        return True
+    def _rerun(self):
+        return radical_equal(IdealHandle(self.ring, self.left_gens),
+                             IdealHandle(self.ring, self.right_gens), self.e_max)
 
 
 @dataclass
@@ -236,8 +229,7 @@ class RadicalRefutation:
         }
 
 
-def radical_equal(I: IdealHandle, J: IdealHandle, want_exponents=True,
-                  e_max=30):
+def radical_equal(I: IdealHandle, J: IdealHandle, e_max=30):
     """Certificate that sqrt(I) = sqrt(J), or a refutation naming the
     first generator that fails radical membership."""
     if I.ring != J.ring:
@@ -245,12 +237,12 @@ def radical_equal(I: IdealHandle, J: IdealHandle, want_exponents=True,
     witnesses = []
     for direction, src, dst in (("left_in_right", I, J), ("right_in_left", J, I)):
         for g in src.gens:
-            w = radical_member(g, dst, want_exponent=want_exponents,
-                               e_max=e_max)
+            w = radical_member(g, dst, want_exponent=True, e_max=e_max)
             if not w.member:
                 return RadicalRefutation(direction, g, w.aux_gb_hash)
             witnesses.append((direction, w))
-    return RadicalEqualityCertificate(I.ring, I.gens, J.gens, tuple(witnesses))
+    return RadicalEqualityCertificate(I.ring, I.gens, J.gens,
+                                      tuple(witnesses), e_max)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Certificate-producing procedures for complete-intersection checks.
 
-Everything here either returns a certificate whose witnesses replay
-through the Groebner layer, a refutation naming the failing sub-check,
-or an explicit "inconclusive" when a search budget runs out.  Searches
+Everything here either returns a certificate, a refutation naming the
+failing sub-check, or an explicit "inconclusive" when a search budget
+runs out.  A certificate's verify() re-runs the procedure that produced
+it on its recorded inputs and compares payloads (`Replayable`).  Searches
 are deterministic functions of (seed, budgets); random candidates are
 always verified before they are reported, so a bad sample costs a trial
 but never soundness.
@@ -16,6 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .certificates import Replayable
 from .groebner import DEFAULT_GB_STEPS, IdealHandle
 from .homology import conormal_presentation, projective_rank_certificate
 from .ideals import (
@@ -120,7 +122,7 @@ def is_nzd(f: Polynomial, base: IdealHandle) -> NzdResult:
 
 
 @dataclass
-class RegSeqCertificate:
+class RegSeqCertificate(Replayable):
     """One colon-equality hash pair per element of the sequence."""
 
     ring: RingSpec
@@ -135,15 +137,9 @@ class RegSeqCertificate:
             "steps": [s.payload() for s in self.steps],
         }
 
-    def verify(self) -> bool:
-        prefix = list(self.base_gens)
-        for g, step in zip(self.sequence, self.steps):
-            redo = is_nzd(g, IdealHandle(self.ring, prefix))
-            if not redo.nzd or redo.base_hash != step.base_hash \
-                    or redo.colon_hash != step.colon_hash:
-                return False
-            prefix.append(g)
-        return True
+    def _rerun(self):
+        return is_regular_sequence(self.sequence,
+                                   IdealHandle(self.ring, self.base_gens))
 
 
 @dataclass
@@ -238,13 +234,6 @@ class PerturbationElement:
             "trial": self.trial,
         }
 
-    def verify(self) -> bool:
-        ring = self.value.ring
-        total = ring.zero
-        for g, c in self.combination:
-            total = total + c * g
-        return total == self.value
-
 
 @dataclass
 class Inconclusive:
@@ -260,13 +249,20 @@ class Inconclusive:
 
 
 @dataclass
-class RegularizationResult:
+class RegularizationResult(Replayable):
+    """A regular sequence generating the ideal.  generators, seed and
+    budgets are the recorded inputs of the search; payload() leaves
+    them out."""
+
     ideal_gens: tuple
     sequence: tuple
     certificate: RegSeqCertificate
     perturbations: tuple
     input_hash: str
     output_hash: str
+    generators: tuple
+    seed: int
+    budgets: Budgets
 
     def payload(self):
         return {
@@ -278,14 +274,9 @@ class RegularizationResult:
             "output_gb_hash": self.output_hash,
         }
 
-    def verify(self) -> bool:
-        if not all(p.verify() for p in self.perturbations):
-            return False
-        if not self.certificate.verify():
-            return False
-        ring = self.sequence[0].ring
-        regen = IdealHandle(ring, self.sequence)
-        return regen.gb_hash() == self.output_hash
+    def _rerun(self):
+        I = IdealHandle(self.certificate.ring, self.ideal_gens)
+        return regularize_generators(I, self.generators, self.seed, self.budgets)
 
 
 def regularize_generators(I: IdealHandle, generators, seed=0,
@@ -356,7 +347,8 @@ def regularize_generators(I: IdealHandle, generators, seed=0,
     if not out.equals(I):
         raise AssertionError("perturbation changed the ideal")
     return RegularizationResult(I.gens, tuple(sequence), cert,
-                                tuple(perturbations), I.gb_hash(), out.gb_hash())
+                                tuple(perturbations), I.gb_hash(), out.gb_hash(),
+                                generators, seed, budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +389,7 @@ def mod_square_generation(I: IdealHandle, candidates) -> ModSquareResult:
 
 
 @dataclass
-class LCIProxyCertificate:
+class LCIProxyCertificate(Replayable):
     """Conormal module projective of rank = height (Fitting conditions).
 
     The jump from this to "locally a complete intersection" needs the
@@ -422,8 +414,8 @@ class LCIProxyCertificate:
             "ambient_hypotheses": self.ambient_hypotheses,
         }
 
-    def verify(self) -> bool:
-        return self.projective.verify()
+    def _rerun(self):
+        return lci_certificate(IdealHandle(self.report.ring, self.ideal_gens))
 
 
 @dataclass
@@ -457,7 +449,7 @@ def lci_certificate(I: IdealHandle):
 
 
 @dataclass
-class CICertificate:
+class CICertificate(Replayable):
     """I = (c, d) with (c, d) a regular sequence; replays both ways."""
 
     ideal_gens: tuple
@@ -475,13 +467,9 @@ class CICertificate:
             "regular_sequence": self.regseq.payload(),
         }
 
-    def verify(self) -> bool:
-        ring = self.pair[0].ring
-        ih = IdealHandle(ring, self.ideal_gens).gb_hash()
-        ph = IdealHandle(ring, self.pair).gb_hash()
-        if ih != self.ideal_hash or ph != self.pair_hash or ih != ph:
-            return False
-        return self.regseq.verify()
+    def _rerun(self):
+        return _try_ci_pair(IdealHandle(self.pair[0].ring, self.ideal_gens),
+                            *self.pair)
 
 
 def _try_ci_pair(I, c, d):
@@ -542,7 +530,7 @@ def ci_from_free_conormal(I: IdealHandle, pair, seed=0,
 
 
 @dataclass
-class STCICertificate:
+class STCICertificate(Replayable):
     ideal_gens: tuple
     pair: tuple
     report: DimensionReport
@@ -558,8 +546,9 @@ class STCICertificate:
             "radical_equality": self.radical.payload(),
         }
 
-    def verify(self) -> bool:
-        return self.regseq.verify() and self.radical.verify()
+    def _rerun(self):
+        return stci_verify(IdealHandle(self.report.ring, self.ideal_gens),
+                           self.pair, Budgets(e_max=self.radical.e_max))
 
 
 @dataclass

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cicert import certificates, groebner
 from cicert.cli import (
     EXIT_INCONCLUSIVE,
@@ -240,6 +242,26 @@ def test_main_requires_exactly_one_mode(tmp_path):
 def test_main_replay_garbage_is_input_error(tmp_path):
     bad = tmp_path / "x.json"
     bad.write_text("{not json")
+    assert main(["--replay", str(bad)]) == EXIT_INPUT_ERROR
+
+
+def _rehashed(**edits):
+    def edit(payload):
+        return certificates.finalize({**payload, **edits})
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _rehashed(command_index=7),
+    _rehashed(budgets=None),
+    _rehashed(budgets={"gb_steps": "many", "trials": 1, "degree_bound": None}),
+    _rehashed(field_override="Fp:seven"),
+    lambda payload: [payload],
+], ids=["command-index", "null-budgets", "budget-type", "field", "list"])
+def test_main_replay_malformed_is_input_error(tmp_path, edit):
+    payloads, _ = run_session("ring R = QQ[x]; ideal I = (x); check member x in I;")
+    bad = tmp_path / "x.json"
+    bad.write_text(json.dumps(edit(payloads[0])))
     assert main(["--replay", str(bad)]) == EXIT_INPUT_ERROR
 
 

@@ -229,9 +229,21 @@ def test_radical_equal_is_equivalence_on_samples(R3):
 
 
 def test_tampered_radical_witness_fails_verify(R3):
-    cert = radical_equal(H(R3, "x^2"), H(R3, "x"))
-    cert.witnesses[0][1].aux_gb_hash = "sha256:0000"
-    assert not cert.verify()
+    def bad_hash(cert):
+        cert.witnesses[0][1].aux_gb_hash = "sha256:0000"
+
+    def narrowed_right(cert):
+        # sqrt(x^2, y) != sqrt(x): drop the witness for y in sqrt(x, y)
+        # and shrink the right ideal to (x)
+        cert.witnesses = cert.witnesses[:1] + cert.witnesses[2:]
+        cert.right_gens = (R3.gen("x"),)
+
+    cases = ((bad_hash, ("x^2",), ("x",)),
+             (narrowed_right, ("x^2", "y"), ("x", "y")))
+    for tamper, left, right in cases:
+        cert = radical_equal(H(R3, *left), H(R3, *right))
+        tamper(cert)
+        assert not cert.verify(), tamper.__name__
 
 
 # -- dimension and height

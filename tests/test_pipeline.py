@@ -78,9 +78,43 @@ def test_regseq_skew_pair(R3, skew_pair):
 
 
 def test_regseq_tampered_hash_fails(R3):
-    cert = is_regular_sequence((R3.gen("x"), R3.gen("y")), None)
-    cert.steps[1].colon_hash = "sha256:bad"
+    def bad_colon_hash(cert):
+        cert.steps[1].colon_hash = "sha256:bad"
+
+    def irregular_sequence(cert):
+        # (x, x*y) is not regular; the one step kept is the true one for x
+        x, y = cert.sequence
+        cert.sequence = (x, x * y)
+        cert.steps = cert.steps[:1]
+
+    def empty_sequence(cert):
+        # the producer rejects it (InputError): no replay, not a crash
+        cert.sequence, cert.steps = (), ()
+
+    for tamper in (bad_colon_hash, irregular_sequence, empty_sequence):
+        cert = is_regular_sequence((R3.gen("x"), R3.gen("y")), None)
+        tamper(cert)
+        assert not cert.verify(), tamper.__name__
+
+
+def test_ci_with_foreign_regseq_fails(R3, skew_lines, skew_pair):
+    cert = ci_from_free_conormal(skew_lines, skew_pair, seed=0)
+    cert.regseq = is_regular_sequence((R3.gen("x"), R3.gen("y")), None)
     assert not cert.verify()
+
+
+def test_stci_with_tampered_pair_fails(R2):
+    cert = stci_verify(H(R2, "x", "y"), (R2.gen("x"), R2.gen("y")))
+    cert.pair = (R2.gen("x"), R2.gen("x"))
+    assert not cert.verify()
+
+
+def test_regularization_with_tampered_perturbation_fails(R3):
+    out = regularize_generators(
+        H(R3, "x", "y", "z"), tuple(R3.parse(t) for t in FIXTURE_BAD_ORDER),
+        seed=5)
+    out.perturbations[0].value = out.perturbations[0].value + R3.one
+    assert not out.verify()
 
 
 # -- coherence: exactness of the length-2 Koszul complex must agree with
@@ -171,7 +205,9 @@ def test_regularize_repairs_bad_order(R3):
     assert isinstance(is_regular_sequence(fs, None), RegSeqFailure)
     out = regularize_generators(I, fs, seed=5)
     assert isinstance(out, RegularizationResult)
-    assert out.perturbations and all(p.verify() for p in out.perturbations)
+    assert out.perturbations
+    for p in out.perturbations:
+        assert sum((c * g for g, c in p.combination), R3.zero) == p.value
     assert out.verify()
     assert IdealHandle(R3, out.sequence).equals(I)
 
