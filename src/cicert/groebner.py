@@ -4,6 +4,14 @@ One Buchberger core handles both cases: elements of R^m are held as
 sparse dicts keyed by (position, monomial) and compared position over
 term, position 0 strongest.  Scalar polynomials are rank-1 vectors.
 
+Every vector dict is kept in descending order, so its lead term is its
+first key: `_vec_from_polys` reads sorted polynomials, and reduction
+takes terms largest first from a heap keyed by the order's `neg_key`,
+computed once per term, and cancels each with the first basis element
+in list order whose lead divides it.  S-pairs wait in a heap ordered by
+(order key of the lcm, i, j); the smallest is reduced next unless the
+product or chain criterion drops it.
+
 One augmented-module primitive, `_augmented`, serves every construction
 that needs more than a basis: it appends unit-vector tails to the
 generators, computes one basis, and splits it into the basis proper, the
@@ -28,6 +36,7 @@ the free-module basis vectors (`_base_rows`).
 from __future__ import annotations
 
 import hashlib
+import heapq
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
@@ -116,21 +125,19 @@ def _vec_to_polys(ring, rank, vec: dict):
 
 
 class _BasisElt:
+    """A basis vector; its lead is the first key of its dict."""
+
     __slots__ = ("pos", "mono", "vec", "tail")
 
-    def __init__(self, pos, mono, vec):
-        self.pos = pos
-        self.mono = mono
+    def __init__(self, vec):
+        terms = iter(vec.items())
+        (self.pos, self.mono), _lc = next(terms)
         self.vec = vec
-        self.tail = [(k, c) for k, c in vec.items() if k != (pos, mono)]
+        self.tail = list(terms)
 
 
-def _vec_lead(okey, vec: dict):
-    return max(vec, key=lambda pm: (-pm[0], okey(pm[1])))
-
-
-def _make_monic(field, vec: dict, lead_key) -> dict:
-    inv = field.inv(vec[lead_key])
+def _make_monic(field, vec: dict) -> dict:
+    inv = field.inv(next(iter(vec.values())))
     if inv == field.one:
         return vec
     return {k: field.mul(c, inv) for k, c in vec.items()}
@@ -140,18 +147,24 @@ def _vec_reduce(work: dict, basis, ring) -> dict:
     """Full normal form of a vector dict against monic basis elements.
 
     Every term divisible by some basis lead (same position) is
-    cancelled; irreducible terms migrate to the remainder.  The first
-    dividing basis element in list order is used, which keeps the
-    result deterministic.
+    cancelled; irreducible terms migrate to the remainder, which comes
+    out in descending order.  The first dividing basis element in list
+    order is used, which keeps the result deterministic.  A cancelled
+    term stays in `work` as a zero, skipped when popped, so each term is
+    queued once.
     """
     fieldops = ring.field
-    okey = ring.order.key
+    nkey = ring.order.neg_key
     zero = fieldops.zero
+    heap = [(pos, nkey(m), (pos, m)) for pos, m in work]
+    heapq.heapify(heap)
     remainder = {}
-    while work:
-        key = _vec_lead(okey, work)
-        pos, mono = key
+    while heap:
+        key = heapq.heappop(heap)[2]
         coeff = work.pop(key)
+        if coeff == zero:
+            continue
+        pos, mono = key
         hit = None
         for b in basis:
             if b.pos == pos and mono_divides(b.mono, mono):
@@ -162,12 +175,11 @@ def _vec_reduce(work: dict, basis, ring) -> dict:
             continue
         shift = mono_div(mono, hit.mono)
         for (p2, m2), c2 in hit.tail:
-            k2 = (p2, mono_mul(m2, shift))
-            val = fieldops.sub(work.get(k2, zero), fieldops.mul(c2, coeff))
-            if val == zero:
-                work.pop(k2, None)
-            else:
-                work[k2] = val
+            m = mono_mul(m2, shift)
+            k2 = (p2, m)
+            if k2 not in work:
+                heapq.heappush(heap, (p2, nkey(m), k2))
+            work[k2] = fieldops.sub(work.get(k2, zero), fieldops.mul(c2, coeff))
     return remainder
 
 
@@ -200,18 +212,18 @@ def _module_buchberger_dicts(vecdicts, ring) -> list[_BasisElt]:
     scalar = all(pos == 0 for v in vecdicts for (pos, _m) in v)
 
     G: list[_BasisElt] = []
-    P: dict[tuple[int, int], tuple] = {}
+    queue: list[tuple] = []  # heap of (okey(lcm), i, j, lcm)
+    P: set[tuple[int, int]] = set()  # pairs still queued
 
     def add_element(vec):
-        lead = _vec_lead(okey, vec)
-        vec = _make_monic(field, vec, lead)
-        elt = _BasisElt(lead[0], lead[1], vec)
+        elt = _BasisElt(_make_monic(field, vec))
         t = len(G)
         G.append(elt)
         for i in range(t):
             if G[i].pos == elt.pos:
                 lcm = mono_lcm(G[i].mono, elt.mono)
-                P[(i, t)] = (okey(lcm), lcm)
+                heapq.heappush(queue, (okey(lcm), i, t, lcm))
+                P.add((i, t))
 
     for v in vecdicts:
         if v:
@@ -220,9 +232,9 @@ def _module_buchberger_dicts(vecdicts, ring) -> list[_BasisElt]:
     def partial():
         return tuple(_vec_to_polys(ring, _rank_of(G), b.vec) for b in G)
 
-    while P:
-        (i, j) = min(P, key=lambda ij: (P[ij][0], ij))
-        _, lcm = P.pop((i, j))
+    while queue:
+        _, i, j, lcm = heapq.heappop(queue)
+        P.remove((i, j))
         bi, bj = G[i], G[j]
         # product criterion is only valid in the rank-1 (ideal) case
         if scalar and lcm == mono_mul(bi.mono, bj.mono):
@@ -272,7 +284,7 @@ def _reduced_basis(G: list[_BasisElt], ring) -> list[_BasisElt]:
     for i, g in enumerate(kept):
         r = _vec_reduce(dict(g.vec), kept[:i] + kept[i + 1:], ring)
         if r != g.vec:
-            kept[i] = _BasisElt(g.pos, g.mono, r)
+            kept[i] = _BasisElt(r)
     kept.sort(key=lambda b: (-b.pos, okey(b.mono)), reverse=True)
     return kept
 
@@ -306,20 +318,14 @@ def groebner_basis(polys, ring):
     return tuple(v[0] for v in basis)
 
 
-def _entries(basis_vectors, ring):
-    out = []
-    okey = ring.order.key
-    for v in basis_vectors:
-        vec = _vec_from_polys(v)
-        lead = _vec_lead(okey, vec)
-        out.append(_BasisElt(lead[0], lead[1], vec))
-    return out
+def _entries(basis_vectors):
+    return [_BasisElt(_vec_from_polys(v)) for v in basis_vectors]
 
 
 def module_normal_form(vec, basis_vectors, ring):
     """Normal form of a module element against a (Groebner) basis."""
     rank = len(vec)
-    entries = _entries(basis_vectors, ring)
+    entries = _entries(basis_vectors)
     r = _vec_reduce(_vec_from_polys(tuple(vec)), entries, ring)
     return _vec_to_polys(ring, rank, r)
 
@@ -331,10 +337,11 @@ def module_normal_form(vec, basis_vectors, ring):
 class IdealHandle:
     """An ideal of A = k[x]/J0: generators plus a cached reduced basis.
 
-    The cached basis is computed once per handle (the ring's order is
-    fixed); concurrent readers are safe because the computation is
-    deterministic and the single assignment is atomic, so a duplicated
-    computation writes the identical value.
+    The cached basis, with its reduction entries, is computed once per
+    handle (the ring's order is fixed); concurrent readers are safe
+    because the computation is deterministic, the entries are stored
+    before the basis and each assignment is atomic, so a duplicated
+    computation writes identical values.
     """
 
     def __init__(self, ring: RingSpec, gens):
@@ -348,6 +355,7 @@ class IdealHandle:
             coerced.append(g)
         self.gens = tuple(coerced)
         self._gb = None
+        self._entries = None
 
     def __repr__(self):
         return f"<Ideal ({', '.join(str(g) for g in self.gens)}) of {self.ring.describe()}>"
@@ -358,14 +366,13 @@ class IdealHandle:
     def groebner(self):
         if self._gb is None:
             basis = groebner_basis(self.working_gens(), self.ring)
-            if basis:
-                # self-check: every input generator must reduce to zero
-                entries = _entries([(g,) for g in basis], self.ring)
-                for g in self.working_gens():
-                    r = _vec_reduce(_vec_from_polys((g,)), entries, self.ring)
-                    if r:
-                        raise AssertionError(
-                            f"generator {g} does not reduce against its own basis")
+            entries = _entries([(g,) for g in basis])
+            # self-check: every input generator must reduce to zero
+            for g in self.working_gens():
+                if _vec_reduce(_vec_from_polys((g,)), entries, self.ring):
+                    raise AssertionError(
+                        f"generator {g} does not reduce against its own basis")
+            self._entries = entries
             self._gb = basis
         return self._gb
 
@@ -375,8 +382,7 @@ class IdealHandle:
         basis = self.groebner()
         if not basis:
             return f
-        entries = _entries([(g,) for g in basis], self.ring)
-        r = _vec_reduce(_vec_from_polys((f,)), entries, self.ring)
+        r = _vec_reduce(_vec_from_polys((f,)), self._entries, self.ring)
         return _vec_to_polys(self.ring, 1, r)[0]
 
     def contains(self, f: Polynomial) -> bool:
@@ -545,7 +551,7 @@ class ExtendedGB:
             ] + [
                 (self.ring.zero,) + row for row in self.full_syzygies
             ]
-            self._entries = _entries(vecs, self.ring)
+            self._entries = _entries(vecs)
         return self._entries
 
     def express(self, f: Polynomial):

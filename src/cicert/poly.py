@@ -11,6 +11,7 @@ Arithmetic is always exact: Fraction coefficients for QQ, residues in
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -233,6 +234,14 @@ def _plain_key(kind, m):
     raise ValueError(f"unknown order kind {kind!r}")
 
 
+def _plain_neg_key(kind, m):
+    if kind == "lex":
+        return tuple(-e for e in m)
+    if kind == "grevlex":
+        return (-sum(m), m[::-1])
+    raise ValueError(f"unknown order kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """Total multiplicative well-order on exponent tuples.
@@ -263,8 +272,15 @@ class MonomialOrder:
                     _plain_key(self.tail_kind, mono[self.block:]))
         return _plain_key(self.kind, mono)
 
-    def greater(self, a, b) -> bool:
-        return self.key(a) > self.key(b)
+    def neg_key(self, mono):
+        """A key whose ascending order is this order's descending one, so
+        a min-heap of neg_keys pops the largest monomial first."""
+        if self.permutation is not None:
+            mono = tuple(mono[i] for i in self.permutation)
+        if self.kind == "block":
+            return (_plain_neg_key("grevlex", mono[: self.block]),
+                    _plain_neg_key(self.tail_kind, mono[self.block:]))
+        return _plain_neg_key(self.kind, mono)
 
     def describe(self) -> str:
         if self.kind == "block":
@@ -645,27 +661,31 @@ def reduce(f: Polynomial, divisors) -> tuple[Polynomial, list]:
             raise RingMismatchError("divisor from a different ring")
         if not g:
             raise ValueError("zero divisor polynomial")
-    order_key = ring.order.key
+    neg_key = ring.order.neg_key
+    zero = field.zero
+    # a cancelled term stays in `work` as a zero, so each is queued once
     work = dict(f.terms)
+    heap = [(neg_key(m), m) for m in work]
+    heapq.heapify(heap)
     remainder = {}
     quotients = [dict() for _ in divisors]
     leads = [(g.lead_monomial, g.lead_coeff) for g in divisors]
-    while work:
-        mono = max(work, key=order_key)
+    while heap:
+        mono = heapq.heappop(heap)[1]
         coeff = work.pop(mono)
+        if coeff == zero:
+            continue
         for i, (lm, lc) in enumerate(leads):
             if mono_divides(lm, mono):
                 shift = mono_div(mono, lm)
                 factor = field.div(coeff, lc)
                 q = quotients[i]
-                q[shift] = field.add(q.get(shift, field.zero), factor)
+                q[shift] = field.add(q.get(shift, zero), factor)
                 for m2, c2 in divisors[i].terms[1:]:
                     m = mono_mul(m2, shift)
-                    val = field.sub(work.get(m, field.zero), field.mul(c2, factor))
-                    if val == field.zero:
-                        work.pop(m, None)
-                    else:
-                        work[m] = val
+                    if m not in work:
+                        heapq.heappush(heap, (neg_key(m), m))
+                    work[m] = field.sub(work.get(m, zero), field.mul(c2, factor))
                 break
         else:
             remainder[mono] = coeff

@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,9 @@ from cicert.groebner import (
     Budget,
     BudgetExceededError,
     IdealHandle,
+    _module_buchberger_dicts,
+    _reduced_basis,
+    _vec_from_polys,
     extended_groebner,
     gb_hash,
     groebner_basis,
@@ -107,6 +111,57 @@ def test_innermost_meter_is_charged():
     # with no meter open, a computation gets a fresh one of its own
     groebner_basis(gens, R)
     assert outer.used == inner.used
+
+
+def _katsura(R, n):
+    u = R.gens()
+
+    def U(i):
+        return u[abs(i)] if abs(i) <= n else R.zero
+    eqs = [sum((U(i) for i in range(-n, n + 1)), R.zero) - 1]
+    for m in range(n):
+        eqs.append(sum((U(i) * U(m - i) for i in range(-n, n + 1)), R.zero) - U(m))
+    return eqs
+
+
+def _cyclic(R, n):
+    x = R.gens()
+    eqs = [sum((prod(x[(i + j) % n] for j in range(d)) for i in range(n)), R.zero)
+           for d in range(1, n)]
+    return eqs + [prod(x) - 1]
+
+
+@pytest.mark.parametrize("family, n, field, order, steps, size", [
+    (_katsura, 4, GF(32003), "grevlex", 28, 13),
+    (_cyclic, 5, GF(32003), "grevlex", 107, 20),
+    (_katsura, 3, QQ, "lex", 52, 4),
+], ids=["katsura4-F32003-grevlex", "cyclic5-F32003-grevlex", "katsura3-QQ-lex"])
+def test_spair_counts_pinned(family, n, field, order, steps, size):
+    # The pair order decides which pairs the criteria drop, and so every
+    # step count a budget-bound verdict depends on.
+    nvars = n + 1 if family is _katsura else n
+    R = RingSpec(tuple(f"x{i}" for i in range(nvars)), field, MonomialOrder(order))
+    with Budget() as b:
+        basis = groebner_basis(family(R, n), R)
+    assert (b.used, len(basis)) == (steps, size)
+
+
+def test_basis_vectors_lead_with_first_key(R3):
+    lex = RingSpec(tuple(f"x{i}" for i in range(4)), QQ, MonomialOrder("lex"))
+    block = RingSpec(("x", "y", "z"), GF(7),
+                     MonomialOrder("block", block=1, tail_kind="lex", permutation=(2, 0, 1)))
+    cases = [
+        (lex, [(f,) for f in _katsura(lex, 3)]),
+        (R3, [(R3.parse("x^2 - y"), R3.parse("x*y"), R3.one, R3.zero),
+              (R3.parse("y^2 + z"), R3.parse("x*z - 1"), R3.zero, R3.one)]),
+        (block, [(block.parse(t),) for t in ("x*y - z^2", "y^3 - x", "x*z + y")]),
+    ]
+    for ring, vectors in cases:
+        G = _module_buchberger_dicts([_vec_from_polys(v) for v in vectors], ring)
+        for b in G + _reduced_basis(G, ring):
+            keys = [(-pos, ring.order.key(m)) for pos, m in b.vec]
+            assert keys == sorted(keys, reverse=True)
+            assert (b.pos, b.mono) == next(iter(b.vec))
 
 
 def test_gb_hash_stable(R3, skew_lines):

@@ -108,7 +108,9 @@ orders = st.sampled_from([
     MonomialOrder("lex"),
     MonomialOrder("grevlex"),
     MonomialOrder("block", block=1, tail_kind="grevlex"),
+    MonomialOrder("block", block=2, tail_kind="lex"),
     MonomialOrder("grevlex", permutation=(2, 0, 1)),
+    MonomialOrder("block", block=1, tail_kind="lex", permutation=(1, 2, 0)),
 ])
 
 
@@ -119,6 +121,14 @@ def test_order_total_and_multiplicative(order, a, b, c):
     assert (ka == kb) == (a == b)
     if ka < kb:
         assert order.key(mono_mul(a, c)) < order.key(mono_mul(b, c))
+
+
+@given(order=orders, a=monos, b=monos)
+@settings(max_examples=300, deadline=None)
+def test_neg_key_reverses_key(order, a, b):
+    # reduction pops the lead term as the least neg_key of a heap
+    assert (order.key(a) < order.key(b)) == (order.neg_key(a) > order.neg_key(b))
+    assert (order.neg_key(a) == order.neg_key(b)) == (a == b)
 
 
 @given(order=orders, a=monos)
