@@ -23,6 +23,7 @@ from .homology import ext_module, free_resolution, koszul2_exactness
 from .ideals import (
     RadicalEqualityCertificate,
     dimension_height,
+    radical_equal,
     radical_member,
 )
 from .pipeline import (
@@ -112,8 +113,6 @@ def _dispatch(session: Session, command, options: RunOptions):
         return ("verified" if w.member else "refuted"), w.payload(), hashes
 
     if command.name == "radical-equal":
-        from .ideals import radical_equal
-
         left, right = session.ideals[args["left"]], session.ideals[args["right"]]
         outcome = radical_equal(left, right, e_max=budgets.e_max)
         hashes["left"] = left.gb_hash()
@@ -182,8 +181,6 @@ def _dispatch(session: Session, command, options: RunOptions):
         return verdict, outcome.payload(), hashes
 
     if command.name == "resolution":
-        if not 1 <= args["length"] <= 4:
-            raise InputError("resolution length must be between 1 and 4")
         res = free_resolution(ideal(), args["length"])
         ok = res.verify()
         payload = {

@@ -28,15 +28,24 @@ with no meter open gets a fresh one of DEFAULT_GB_STEPS.  Exhausting the
 meter raises BudgetExceededError with the partial basis attached so
 callers can report "inconclusive" instead of guessing.
 
+Every cached basis lives in one holder, `ModuleBasis`, which builds its
+reduction entries once, when it is made; `IdealHandle` and `ExtendedGB`
+reduce through one.  A cached `IdealHandle` basis records the steps it
+cost and the meter that last paid for it; its first use under another
+open meter charges that cost once, so a check is charged what it would
+be charged in a fresh session, which is what a replay runs.
+
 Quotient rings A = k[x]/J0 are handled uniformly: ideal computations
 append the J0 generators, module computations append J0 multiples of
-the free-module basis vectors (`_base_rows`).
+the free-module basis vectors (`_base_rows`).  Each ring object has one
+zero ideal, `zero_ideal(ring)`, so J0's basis is computed once per ring.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+from contextlib import nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
@@ -55,6 +64,7 @@ __all__ = [
     "BudgetExceededError",
     "DEFAULT_GB_STEPS",
     "IdealHandle",
+    "zero_ideal",
     "ModuleBasis",
     "ExtendedGB",
     "groebner_basis",
@@ -81,16 +91,19 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass
 class Budget:
-    """Step meter, one step per S-pair reduction.  `with Budget(limit):`
-    makes it the meter every Groebner computation in the block charges,
-    until an inner block opens another."""
+    """Step meter: one step per S-pair reduction, plus the recorded cost
+    of each cached basis reused under it.  `with Budget(limit):` makes it
+    the meter the block charges, until an inner block opens another."""
 
     limit: int = DEFAULT_GB_STEPS
     used: int = 0
     _token: object = field(default=None, init=False, repr=False, compare=False)
 
-    def charge(self, partial=None):
-        self.used += 1
+    def charge(self, partial=None):  # one S-pair reduction
+        self.spend(1, partial)
+
+    def spend(self, steps, partial=None):
+        self.used += steps
         if self.used > self.limit:
             raise BudgetExceededError(self.limit, partial)
 
@@ -318,16 +331,9 @@ def groebner_basis(polys, ring):
     return tuple(v[0] for v in basis)
 
 
-def _entries(basis_vectors):
-    return [_BasisElt(_vec_from_polys(v)) for v in basis_vectors]
-
-
 def module_normal_form(vec, basis_vectors, ring):
     """Normal form of a module element against a (Groebner) basis."""
-    rank = len(vec)
-    entries = _entries(basis_vectors)
-    r = _vec_reduce(_vec_from_polys(tuple(vec)), entries, ring)
-    return _vec_to_polys(ring, rank, r)
+    return ModuleBasis(ring, len(vec), basis_vectors).reduce(vec)
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +343,10 @@ def module_normal_form(vec, basis_vectors, ring):
 class IdealHandle:
     """An ideal of A = k[x]/J0: generators plus a cached reduced basis.
 
-    The cached basis, with its reduction entries, is computed once per
-    handle (the ring's order is fixed); concurrent readers are safe
-    because the computation is deterministic, the entries are stored
-    before the basis and each assignment is atomic, so a duplicated
+    The basis is computed once per handle (the ring's order is fixed),
+    kept in a rank-1 `ModuleBasis` and charged once to each meter that
+    uses it.  Concurrent readers are safe: the computation is
+    deterministic and `_gb` is assigned last, so a duplicated
     computation writes identical values.
     """
 
@@ -355,7 +361,9 @@ class IdealHandle:
             coerced.append(g)
         self.gens = tuple(coerced)
         self._gb = None
-        self._entries = None
+        self._basis = None  # the ModuleBasis of _gb
+        self._cost = None  # the steps that computing _gb took
+        self._payer = None  # the meter that last paid _cost
 
     def __repr__(self):
         return f"<Ideal ({', '.join(str(g) for g in self.gens)}) of {self.ring.describe()}>"
@@ -364,26 +372,32 @@ class IdealHandle:
         return tuple(g for g in self.gens if g) + self.ring.base_ideal
 
     def groebner(self):
+        meter = _METER.get()
         if self._gb is None:
-            basis = groebner_basis(self.working_gens(), self.ring)
-            entries = _entries([(g,) for g in basis])
+            with nullcontext(meter) if meter else Budget() as meter:
+                start = meter.used
+                gb = groebner_basis(self.working_gens(), self.ring)
+            basis = ModuleBasis(self.ring, 1, [(g,) for g in gb])
             # self-check: every input generator must reduce to zero
             for g in self.working_gens():
-                if _vec_reduce(_vec_from_polys((g,)), entries, self.ring):
+                if not basis.reduce((g,))[0].is_zero:
                     raise AssertionError(
                         f"generator {g} does not reduce against its own basis")
-            self._entries = entries
-            self._gb = basis
+            self._basis = basis
+            self._cost = meter.used - start
+            self._payer = meter
+            self._gb = gb
+        elif meter is not None and meter is not self._payer:
+            meter.spend(self._cost)
+            self._payer = meter
         return self._gb
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
             raise RingMismatchError("element from a different ring")
-        basis = self.groebner()
-        if not basis:
+        if not self.groebner():
             return f
-        r = _vec_reduce(_vec_from_polys((f,)), self._entries, self.ring)
-        return _vec_to_polys(self.ring, 1, r)[0]
+        return self._basis.reduce((f,))[0]
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero
@@ -402,14 +416,18 @@ class IdealHandle:
 
     def is_zero_ideal(self) -> bool:
         """True if the ideal of A is zero, i.e. every generator lies in J0."""
-        live = [g for g in self.gens if g]
-        if not live:
-            return True
-        base = IdealHandle(self.ring, [])
-        return all(base.contains(g) for g in live)
+        return zero_ideal(self.ring).contains_ideal(self)
 
     def gb_hash(self) -> str:
         return gb_hash(self.ring, self.groebner())
+
+
+def zero_ideal(ring: RingSpec) -> IdealHandle:
+    """The zero ideal of A = k[x]/J0, made once per ring object and kept
+    on it; its basis is the reduced basis of J0."""
+    if ring._zero_ideal is None:
+        ring._zero_ideal = IdealHandle(ring, ())
+    return ring._zero_ideal
 
 
 def gb_hash(ring: RingSpec, basis) -> str:
@@ -459,16 +477,22 @@ def _augmented(rows, ring, tagged):
 # module membership over the quotient ring
 
 
-@dataclass
 class ModuleBasis:
-    """Reduced basis of a submodule of A^rank, J0 multiples included."""
+    """A reduced basis of a submodule of A^rank, and the one holder of
+    reduction entries: they are built once, when the holder is made, and
+    every normal form against a cached basis goes through `reduce`."""
 
-    ring: RingSpec
-    rank: int
-    vectors: tuple
+    __slots__ = ("ring", "rank", "vectors", "_elts")
+
+    def __init__(self, ring: RingSpec, rank: int, vectors):
+        self.ring = ring
+        self.rank = rank
+        self.vectors = tuple(vectors)
+        self._elts = [_BasisElt(_vec_from_polys(v)) for v in self.vectors]
 
     def reduce(self, vec):
-        return module_normal_form(vec, self.vectors, self.ring) if self.vectors else tuple(vec)
+        r = _vec_reduce(_vec_from_polys(vec), self._elts, self.ring)
+        return _vec_to_polys(self.ring, self.rank, r)
 
     def contains(self, vec) -> bool:
         return all(f.is_zero for f in self.reduce(vec))
@@ -513,7 +537,7 @@ def syzygies(targets):
         raise ValueError("syzygies of an empty tuple")
     ring = targets[0].ring
     rows = module_syzygies([(f,) for f in targets], ring)
-    zero_mod = IdealHandle(ring, [])
+    zero_mod = zero_ideal(ring)
     for row in rows:
         total = ring.zero
         for r, f in zip(row, targets):
@@ -534,7 +558,8 @@ class ExtendedGB:
     Every basis element b satisfies b = sum(cofactors * inputs) exactly
     in the free ring, where inputs = user generators followed by the
     base ideal generators.  express() writes any ring element as
-    normal form plus such a combination.
+    normal form plus such a combination, reducing through one
+    `ModuleBasis` of the vectors (b | cofactors) and (0 | syzygy).
     """
 
     ring: RingSpec
@@ -542,24 +567,16 @@ class ExtendedGB:
     basis: tuple
     cofactors: tuple
     full_syzygies: tuple
-    _entries: list = field(default=None, repr=False)
+    augmented: ModuleBasis = field(init=False, repr=False, compare=False)
 
-    def _augmented_entries(self):
-        if self._entries is None:
-            vecs = [
-                (b,) + cof for b, cof in zip(self.basis, self.cofactors)
-            ] + [
-                (self.ring.zero,) + row for row in self.full_syzygies
-            ]
-            self._entries = _entries(vecs)
-        return self._entries
+    def __post_init__(self):
+        vecs = [(b,) + cof for b, cof in zip(self.basis, self.cofactors)]
+        vecs += [(self.ring.zero,) + row for row in self.full_syzygies]
+        self.augmented = ModuleBasis(self.ring, 1 + len(self.inputs), vecs)
 
     def express(self, f: Polynomial):
         """Return (remainder, coeffs) with f = remainder + sum(coeffs*inputs)."""
-        n = len(self.inputs)
-        work = {(0, m): c for m, c in f.terms}
-        r = _vec_reduce(work, self._augmented_entries(), self.ring)
-        out = _vec_to_polys(self.ring, 1 + n, r)
+        out = self.augmented.reduce((f,))
         remainder = out[0]
         coeffs = tuple(-c for c in out[1:])
         check = remainder

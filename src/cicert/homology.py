@@ -24,6 +24,7 @@ from .groebner import (
     module_gb,
     module_syzygies,
     syzygies,
+    zero_ideal,
 )
 from .poly import Polynomial, RingMismatchError, RingSpec
 
@@ -170,9 +171,6 @@ class ContractionMap:
     def n(self):
         return len(self.values)
 
-    def apply(self, form: ExteriorForm) -> ExteriorForm:
-        return koszul_contraction(self, form)
-
 
 def koszul_contraction(u: ContractionMap, form: ExteriorForm) -> ExteriorForm:
     """d_u(e_{s1}^...^e_{sp}) = sum_i (-1)^(i+1) u(e_{si}) e_S-without-si."""
@@ -302,7 +300,7 @@ def koszul2_exactness(x: Polynomial, y: Polynomial) -> Koszul2Verdict:
     ring = x.ring
     if y.ring != ring:
         raise RingMismatchError("pair from different rings")
-    mod_base = IdealHandle(ring, [])
+    mod_base = zero_ideal(ring)
     ann_rows = syzygies((x,))
     for row in ann_rows:
         witness = mod_base.normal_form(row[0])
@@ -352,7 +350,7 @@ class Resolution:
         return tuple([1] + [len(m) for m in self.matrices])
 
     def verify(self, completeness=False) -> bool:
-        mod_base = IdealHandle(self.ring, [])
+        mod_base = zero_ideal(self.ring)
         for k in range(1, len(self.matrices)):
             prod = matrix_product(self.matrices[k], self.matrices[k - 1], self.ring)
             for row in prod:
@@ -399,7 +397,7 @@ class PresentationMatrix:
 
     @classmethod
     def of(cls, ring, ngens, rows):
-        mod_base = IdealHandle(ring, [])
+        mod_base = zero_ideal(ring)
         clean = []
         for row in rows:
             if len(row) != ngens:
@@ -458,13 +456,6 @@ class FittingIdealSet:
     presentation: PresentationMatrix
     ideals: tuple  # index k -> IdealHandle
 
-    def chain_verified(self) -> bool:
-        for k in range(len(self.ideals) - 1):
-            bigger = self.ideals[k + 1]
-            if not all(bigger.contains(g) for g in self.ideals[k].gens):
-                return False
-        return True
-
     def payload(self):
         return {
             f"fitt_{k}": [str(g) for g in handle.gens]
@@ -475,7 +466,7 @@ class FittingIdealSet:
 def fitting_ideals(P: PresentationMatrix) -> FittingIdealSet:
     ring = P.ring
     nrows = len(P.rows)
-    mod_base = IdealHandle(ring, [])
+    mod_base = zero_ideal(ring)
     handles = []
     for k in range(P.ngens + 1):
         size = P.ngens - k
@@ -483,7 +474,7 @@ def fitting_ideals(P: PresentationMatrix) -> FittingIdealSet:
             handles.append(IdealHandle(ring, [ring.one]))
             continue
         if size > nrows:
-            handles.append(IdealHandle(ring, []))
+            handles.append(mod_base)
             continue
         minors = []
         seen = set()
@@ -543,9 +534,7 @@ def projective_rank_certificate(P: PresentationMatrix,
                                          None, None, None)
     low = fitts.ideals[rank - 1] if rank >= 1 else None
     if low is not None and not low.is_zero_ideal():
-        mod_base = IdealHandle(P.ring, [])
-        witness = next(mod_base.normal_form(g) for g in low.gens
-                       if not mod_base.contains(g))
+        witness = next(w for w in map(zero_ideal(P.ring).normal_form, low.gens) if w)
         return ProjectiveRankCertificate(
             P, rank, False, f"fitt_{rank - 1} is nonzero", witness, None, None)
     high = fitts.ideals[rank]

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 
 from .certificates import Replayable
-from .groebner import IdealHandle, _augmented, gb_hash, groebner_basis
+from .groebner import IdealHandle, _augmented, gb_hash, groebner_basis, zero_ideal
 from .poly import (
     MonomialOrder,
     Polynomial,
@@ -311,8 +311,7 @@ def dimension_height(I: IdealHandle) -> DimensionReport:
     ring = I.ring
     basis = I.groebner()
     dim_q, combo = _dimension_of_basis(ring, basis)
-    ambient_basis = groebner_basis(ring.base_ideal, ring)
-    dim_a, _ = _dimension_of_basis(ring, ambient_basis)
+    dim_a, _ = _dimension_of_basis(ring, zero_ideal(ring).groebner())
     unit = dim_q == -1
     height = None if unit else dim_a - dim_q
     return DimensionReport(

@@ -74,6 +74,11 @@ class Budgets:
     degree_bound: int | None = None
     e_max: int = 30
 
+    def degree_cap(self, gens) -> int:
+        """degree_bound, or default_degree_bound(gens) when it is None."""
+        bound = self.degree_bound
+        return default_degree_bound(gens) if bound is None else bound
+
 
 DEFAULT_BUDGETS = Budgets()
 
@@ -81,6 +86,11 @@ DEFAULT_BUDGETS = Budgets()
 def default_degree_bound(gens) -> int:
     degs = [g.total_degree() for g in gens if g]
     return (max(degs) if degs else 0) + 2
+
+
+def _square_gens(live):
+    """Generators of the square of the ideal that `live` generates."""
+    return [a * b for a, b in itertools.combinations_with_replacement(live, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +306,7 @@ def regularize_generators(I: IdealHandle, generators, seed=0,
     if not given.equals(I):
         raise InputError("the supplied generators do not generate the ideal")
     rng = random.Random(seed)
-    degree_cap = budgets.degree_bound
-    if degree_cap is None:
-        degree_cap = default_degree_bound(generators)
+    degree_cap = budgets.degree_cap(generators)
     sequence: list[Polynomial] = []
     perturbations = []
     log = []
@@ -375,9 +383,7 @@ def mod_square_generation(I: IdealHandle, candidates) -> ModSquareResult:
         if not I.contains(c):
             raise InputError(f"candidate {c} does not lie in the ideal")
     live = [g for g in I.gens if g]
-    square = [a * b for a, b in
-              itertools.combinations_with_replacement(live, 2)]
-    K = IdealHandle(ring, list(candidates) + square)
+    K = IdealHandle(ring, list(candidates) + _square_gens(live))
     for g in live:
         if not K.contains(g):
             return ModSquareResult(False, g)
@@ -505,11 +511,9 @@ def ci_from_free_conormal(I: IdealHandle, pair, seed=0,
     if hit is not None:
         return hit
     rng = random.Random(seed)
-    degree_cap = budgets.degree_bound
-    if degree_cap is None:
-        degree_cap = default_degree_bound(I.gens)
+    degree_cap = budgets.degree_cap(I.gens)
     live = [g for g in I.gens if g]
-    square = [a * b for a, b in itertools.combinations_with_replacement(live, 2)]
+    square = _square_gens(live)
     for trial in range(budgets.trials):
         if trial < budgets.trials // 2:
             delta1 = _random_combination(square, rng, 0)
@@ -612,6 +616,7 @@ def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS, pair=None,
     lci = lci_certificate(I)
     lci_ok = isinstance(lci, LCIProxyCertificate) and lci.height == 2
     trials_used = 0
+    live = [g for g in I.gens if g]
 
     if pair is not None:
         candidates = [tuple(pair)]
@@ -619,7 +624,6 @@ def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS, pair=None,
         # pair pool: the generators plus their pairwise sums and
         # differences; enough to expose conormal bases hidden in a
         # redundant generating set, and every candidate is verified
-        live = [g for g in I.gens if g]
         pool = list(live)
         for a, b in itertools.combinations(live, 2):
             pool.append(a - b)
@@ -646,10 +650,7 @@ def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS, pair=None,
                                 ring=I.ring)
 
     rng = random.Random(seed)
-    degree_cap = budgets.degree_bound
-    if degree_cap is None:
-        degree_cap = default_degree_bound(I.gens)
-    live = [g for g in I.gens if g]
+    degree_cap = budgets.degree_cap(I.gens)
     for trial in range(budgets.trials):
         trials_used += 1
         coeff_deg = 0 if trial % 2 == 0 else rng.randint(1, degree_cap)

@@ -471,7 +471,7 @@ class RingSpec:
     """
 
     __slots__ = ("variables", "field", "order", "_base_terms", "_var_index",
-                 "_key", "_hash", "_base_cache")
+                 "_key", "_hash", "_base_cache", "_zero_ideal")
 
     def __init__(self, variables, field, order=None, base=()):
         variables = tuple(variables)
@@ -496,6 +496,7 @@ class RingSpec:
         self._key = (self.variables, self.field, self.order, self._base_terms)
         self._hash = hash(self._key)
         self._base_cache = None
+        self._zero_ideal = None  # set by groebner.zero_ideal
 
     # -- identity
 
@@ -578,11 +579,6 @@ class RingSpec:
         return bool(self._base_terms)
 
     # -- derived rings
-
-    def with_order(self, order) -> "RingSpec":
-        spec = RingSpec(self.variables, self.field, order)
-        rehomed = tuple(spec.poly_from_dict(dict(t)) for t in self._base_terms)
-        return RingSpec(self.variables, self.field, order, rehomed)
 
     def quotient(self, extra_gens) -> "RingSpec":
         """Spec for A/(extra); base generators accumulate."""

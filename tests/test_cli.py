@@ -101,6 +101,28 @@ def test_each_check_gets_a_fresh_meter():
         ["inconclusive", "verified", "inconclusive"]
 
 
+REUSE_SESSION = """\
+ring R = QQ[x,y,z];
+ideal J = (x*z - y^2, x^3 - y*z, z^2 - x^2*y);
+check member x in J;
+check radical-member x^2*y*z in J;
+"""
+
+
+def test_reused_basis_is_charged_to_each_check():
+    """J's basis, computed by the first check and reused by the later
+    ones, is charged to each of them, so every certificate replays
+    alone under the same step limit."""
+    payloads, _ = run_session(REUSE_SESSION,
+                              RunOptions(budgets=Budgets(gb_steps=3)))
+    assert [replay_payload(p)[1] for p in payloads] == [True, True]
+    for steps in range(1, 41):
+        payloads, _ = run_session(REUSE_SESSION + "check lci J;\n",
+                                  RunOptions(budgets=Budgets(gb_steps=steps)))
+        for p in payloads:
+            assert replay_payload(p)[1], (steps, p["command"])
+
+
 def test_skew_session_verifies():
     payloads, code = run_session(SKEW_SESSION)
     assert code == EXIT_VERIFIED

@@ -18,6 +18,7 @@ from cicert.groebner import (
     module_normal_form,
     module_syzygies,
     syzygies,
+    zero_ideal,
 )
 from cicert.poly import GF, QQ, MonomialOrder, RingSpec
 
@@ -111,6 +112,30 @@ def test_innermost_meter_is_charged():
     # with no meter open, a computation gets a fresh one of its own
     groebner_basis(gens, R)
     assert outer.used == inner.used
+
+
+def test_zero_ideal_is_kept_per_ring(quotient_dim3):
+    A = quotient_dim3
+    assert zero_ideal(A) is zero_ideal(A)
+    assert zero_ideal(A).groebner() == groebner_basis(A.base_ideal, A)
+    assert zero_ideal(A).contains(A.gen("w"))
+    assert not zero_ideal(A).contains(A.gen("x"))
+
+
+def test_cached_basis_charged_once_per_meter():
+    R = RingSpec(("x", "y", "z"), QQ)
+    I = IdealHandle(R, ["x^3*y - z^2", "y^4 - x*z", "z^3 - x^2*y^2"])
+    with Budget() as first:
+        I.groebner()
+        cost = first.used
+        I.groebner()
+        I.normal_form(R.gen("x"))
+    assert cost > 0 and first.used == cost
+    # a later meter pays what a fresh handle would cost it, once
+    with Budget() as second:
+        I.groebner()
+        I.groebner()
+    assert second.used == cost
 
 
 def _katsura(R, n):
