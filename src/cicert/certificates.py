@@ -16,7 +16,6 @@ detected, because the producer recomputes all of them.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 
@@ -47,10 +46,8 @@ def canonical_json(payload: dict) -> str:
 
 
 def core_payload(payload: dict) -> dict:
-    core = copy.deepcopy(payload)
-    for key in VOLATILE_KEYS:
-        core.pop(key, None)
-    return core
+    """The payload without its volatile keys; shares the values."""
+    return {k: v for k, v in payload.items() if k not in VOLATILE_KEYS}
 
 
 def replay_hash(payload: dict) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import certificates
@@ -53,12 +53,8 @@ EXIT_INPUT_ERROR = 3
 @dataclass
 class RunOptions:
     seed: int = 0
-    budgets: Budgets = None
+    budgets: Budgets = field(default_factory=Budgets)
     field_text: str | None = None
-
-    def __post_init__(self):
-        if self.budgets is None:
-            self.budgets = Budgets()
 
 
 def parse_field(text):
@@ -213,12 +209,7 @@ def run_command(session: Session, index: int, options: RunOptions) -> dict:
         "ring": _ring_for(session, command).payload(),
         "field_override": options.field_text,
         "seed": options.seed,
-        "budgets": {
-            "gb_steps": options.budgets.gb_steps,
-            "trials": options.budgets.trials,
-            "degree_bound": options.budgets.degree_bound,
-            "e_max": options.budgets.e_max,
-        },
+        "budgets": asdict(options.budgets),
         "verdict": verdict,
         "witnesses": witnesses,
         "gb_hashes": hashes,

@@ -111,7 +111,6 @@ class Session:
     polys: dict = field(default_factory=dict)
     pairs: dict = field(default_factory=dict)
     commands: list = field(default_factory=list)
-    ring_of: dict = field(default_factory=dict)  # object name -> ring name
 
 
 class _Parser:
@@ -291,7 +290,6 @@ class _Parser:
         gens = self.parse_paren_exprs(ring)
         self.expect("op", ";")
         self.session.ideals[name_tok.value] = IdealHandle(ring, gens)
-        self.session.ring_of[name_tok.value] = self.current_ring_name
 
     def parse_poly_decl(self):
         name_tok = self.expect_name()
@@ -304,7 +302,6 @@ class _Parser:
         value = self.parse_expr(ring)
         self.expect("op", ";")
         self.session.polys[name_tok.value] = value
-        self.session.ring_of[name_tok.value] = self.current_ring_name
 
     def parse_pair_decl(self):
         name_tok = self.expect_name()
@@ -317,7 +314,6 @@ class _Parser:
                                 name_tok.line, name_tok.col)
         self.expect("op", ";")
         self.session.pairs[name_tok.value] = tuple(items)
-        self.session.ring_of[name_tok.value] = self.current_ring_name
 
     # -- check commands
 

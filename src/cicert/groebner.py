@@ -39,6 +39,9 @@ Quotient rings A = k[x]/J0 are handled uniformly: ideal computations
 append the J0 generators, module computations append J0 multiples of
 the free-module basis vectors (`_base_rows`).  Each ring object has one
 zero ideal, `zero_ideal(ring)`, so J0's basis is computed once per ring.
+The zero ideal of A/I, made by `quotient_ring(I)`, is I itself: the
+reduced basis of J0 + I is unique, so the new ring takes over I's basis
+and its recorded cost instead of computing it again.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ __all__ = [
     "DEFAULT_GB_STEPS",
     "IdealHandle",
     "zero_ideal",
+    "quotient_ring",
     "ModuleBasis",
     "ExtendedGB",
     "groebner_basis",
@@ -383,14 +387,17 @@ class IdealHandle:
                 if not basis.reduce((g,))[0].is_zero:
                     raise AssertionError(
                         f"generator {g} does not reduce against its own basis")
-            self._basis = basis
-            self._cost = meter.used - start
-            self._payer = meter
-            self._gb = gb
+            self._keep(basis, meter.used - start, meter)
         elif meter is not None and meter is not self._payer:
             meter.spend(self._cost)
             self._payer = meter
         return self._gb
+
+    def _keep(self, basis: "ModuleBasis", cost, payer):
+        self._basis = basis
+        self._cost = cost
+        self._payer = payer
+        self._gb = tuple(v[0] for v in basis.vectors)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
@@ -428,6 +435,17 @@ def zero_ideal(ring: RingSpec) -> IdealHandle:
     if ring._zero_ideal is None:
         ring._zero_ideal = IdealHandle(ring, ())
     return ring._zero_ideal
+
+
+def quotient_ring(I: IdealHandle) -> RingSpec:
+    """The ring A/I.  Its zero ideal takes over I's basis, rehomed, with
+    the cost recorded for it and the meter that last paid: the reduced
+    basis of J0 + I is unique, so it is never computed again."""
+    gb = I.groebner()
+    ring = I.ring.quotient(I.gens)
+    basis = ModuleBasis(ring, 1, [(ring.rehome(g),) for g in gb])
+    zero_ideal(ring)._keep(basis, I._cost, I._payer)
+    return ring
 
 
 def gb_hash(ring: RingSpec, basis) -> str:

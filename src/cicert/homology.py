@@ -23,6 +23,7 @@ from .groebner import (
     extended_groebner,
     module_gb,
     module_syzygies,
+    quotient_ring,
     syzygies,
     zero_ideal,
 )
@@ -417,13 +418,13 @@ class PresentationMatrix:
 
 def conormal_presentation(I: IdealHandle) -> PresentationMatrix:
     """I/I^2 over A/I: generators are the images of the generators of I,
-    relations are their syzygies reduced modulo I."""
-    ring = I.ring
+    relations are their syzygies reduced modulo I.  A/I comes from
+    `quotient_ring`, so the reduction uses I's cached basis."""
     gens = tuple(g for g in I.gens if g)
     if not gens:
         raise ValueError("conormal module of the zero ideal")
-    quotient_spec = ring.quotient(gens)
     rows = syzygies(gens)
+    quotient_spec = quotient_ring(I)
     rehomed = [tuple(quotient_spec.rehome(f) for f in row) for row in rows]
     return PresentationMatrix.of(quotient_spec, len(gens), rehomed)
 
@@ -581,36 +582,28 @@ def ext_module(I: IdealHandle, r: int) -> ExtModule:
     """Cohomology of the dualized resolution at slot r, over A/I.
 
     Locally cyclic means Fitt_1 of the presentation is the unit ideal
-    of A/I; a global generator is not searched for.
+    of A/I; a global generator is not searched for.  A/I comes from
+    `quotient_ring`, so its zero ideal is I's cached basis.
     """
     if r < 1:
         raise ValueError("degree must be at least 1")
     ring = I.ring
-    gens = tuple(g for g in I.gens if g)
-    if not gens:
+    if not any(I.gens):
         raise ValueError("ext module of the zero ideal")
-    quotient_spec = ring.quotient(gens)
-    res = free_resolution(I, min(r + 1, 4))
-    matrices = res.matrices
-    if r > len(matrices):
-        pres = PresentationMatrix.of(quotient_spec, 0, [])
-        return ExtModule(I, r, pres, True)
-    b_r = len(matrices[r - 1])
+    matrices = free_resolution(I, min(r + 1, 4)).matrices
+    kernel, relations = [], []
     if r < len(matrices):
-        kernel = module_syzygies(matrix_transpose(matrices[r]), ring)
-        kernel = _prune_rows(kernel, ring) if kernel else []
-    else:
+        kernel = _prune_rows(module_syzygies(matrix_transpose(matrices[r]), ring), ring)
+    elif r == len(matrices):
+        b_r = len(matrices[r - 1])
         kernel = [tuple(ring.one if j == i else ring.zero for j in range(b_r))
                   for i in range(b_r)]
-    if not kernel:
-        pres = PresentationMatrix.of(quotient_spec, 0, [])
-        return ExtModule(I, r, pres, True)
-    image = matrix_transpose(matrices[r - 1]) if r >= 1 else []
-    combined = list(kernel) + list(image)
-    relations = module_syzygies(combined, ring)
-    proj = [row[: len(kernel)] for row in relations]
-    rehomed = [tuple(quotient_spec.rehome(f) for f in row) for row in proj]
+    if kernel:
+        combined = kernel + matrix_transpose(matrices[r - 1])
+        relations = [row[: len(kernel)] for row in module_syzygies(combined, ring)]
+    quotient_spec = quotient_ring(I)
+    rehomed = [tuple(quotient_spec.rehome(f) for f in row) for row in relations]
     pres = PresentationMatrix.of(quotient_spec, len(kernel), rehomed)
-    fitts = fitting_ideals(pres)
-    cyclic = fitts.ideals[1].is_unit() if len(fitts.ideals) > 1 else True
-    return ExtModule(I, r, pres, cyclic)
+    if not kernel:
+        return ExtModule(I, r, pres, True)
+    return ExtModule(I, r, pres, fitting_ideals(pres).ideals[1].is_unit())

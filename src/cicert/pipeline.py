@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificates import Replayable
-from .groebner import DEFAULT_GB_STEPS, IdealHandle
+from .groebner import DEFAULT_GB_STEPS, IdealHandle, zero_ideal
 from .homology import conormal_presentation, projective_rank_certificate
 from .ideals import (
     DimensionReport,
@@ -102,7 +102,6 @@ class NzdResult:
     """(B : f) = B comparison with the witness on failure."""
 
     element: Polynomial
-    base_gens: tuple
     nzd: bool
     witness: Polynomial | None
     base_hash: str
@@ -126,9 +125,9 @@ def is_nzd(f: Polynomial, base: IdealHandle) -> NzdResult:
     base_hash = base.gb_hash()
     colon_hash = colon.gb_hash()
     if base_hash == colon_hash:
-        return NzdResult(f, base.gens, True, None, base_hash, colon_hash)
+        return NzdResult(f, True, None, base_hash, colon_hash)
     witness = next(g for g in colon.groebner() if not base.contains(g))
-    return NzdResult(f, base.gens, False, witness, base_hash, colon_hash)
+    return NzdResult(f, False, witness, base_hash, colon_hash)
 
 
 @dataclass
@@ -162,21 +161,23 @@ class RegSeqFailure:
 
 
 def is_regular_sequence(sequence, base: IdealHandle | None = None):
-    """Iterated non-zerodivisor test; certificate or first failure."""
+    """Iterated non-zerodivisor test; certificate or first failure.  The
+    first step runs against `base` itself, the zero ideal when none is
+    given, so a basis it already holds is not computed again."""
     sequence = tuple(sequence)
     if not sequence:
         raise InputError("empty sequence")
     ring = sequence[0].ring
-    base_gens = base.gens if base is not None else ()
-    prefix = list(base_gens)
+    prefix = base if base is not None else zero_ideal(ring)
+    base_gens = prefix.gens
     steps = []
     for k, g in enumerate(sequence):
-        step = is_nzd(g, IdealHandle(ring, prefix))
+        step = is_nzd(g, prefix)
         if not step.nzd:
             return RegSeqFailure(k + 1, step.witness)
         steps.append(step)
-        prefix.append(g)
-    return RegSeqCertificate(ring, tuple(base_gens), sequence, tuple(steps))
+        prefix = IdealHandle(ring, prefix.gens + (g,))
+    return RegSeqCertificate(ring, base_gens, sequence, tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +298,10 @@ def regularize_generators(I: IdealHandle, generators, seed=0,
     Each candidate g_k+1 = f_k+1 + lambda keeps the ideal unchanged
     because lambda lies in (f_k+2, ..., f_n); the non-zerodivisor
     condition is tested outright, so a bad draw is discarded and the
-    output is always verified.  Returns Inconclusive when the trial
-    budget runs out, never an unverified sequence.
+    output is always verified: the certificate holds the test of each
+    accepted step, the first against the zero ideal.  Returns
+    Inconclusive when the trial budget runs out, never an unverified
+    sequence.
     """
     generators = tuple(generators)
     ring = I.ring
@@ -308,14 +311,17 @@ def regularize_generators(I: IdealHandle, generators, seed=0,
     rng = random.Random(seed)
     degree_cap = budgets.degree_cap(generators)
     sequence: list[Polynomial] = []
+    steps = []
     perturbations = []
     log = []
     trials_per_step = max(1, budgets.trials)
     for k, candidate in enumerate(generators):
         tail = generators[k + 1:]
-        base = IdealHandle(ring, sequence)
-        if is_nzd(candidate, base).nzd:
+        base = IdealHandle(ring, sequence) if sequence else zero_ideal(ring)
+        step = is_nzd(candidate, base)
+        if step.nzd:
             sequence.append(candidate)
+            steps.append(step)
             continue
         if not tail:
             log.append(f"step {k + 1}: zerodivisor and no trailing generators")
@@ -337,20 +343,20 @@ def regularize_generators(I: IdealHandle, generators, seed=0,
             shifted = candidate + lam
             if not shifted:
                 continue
-            if is_nzd(shifted, base).nzd:
+            step = is_nzd(shifted, base)
+            if step.nzd:
                 perturbations.append(PerturbationElement(
                     k + 1, lam, tuple((g, c) for g, c in coeffs if c),
                     seed, trial))
                 sequence.append(shifted)
+                steps.append(step)
                 found = True
                 break
             log.append(f"step {k + 1} trial {trial}: zerodivisor")
         if not found:
             return Inconclusive(f"no regularizing perturbation at step {k + 1}",
                                 len(log), tuple(log))
-    cert = is_regular_sequence(sequence)
-    if isinstance(cert, RegSeqFailure):
-        raise AssertionError("verified steps did not assemble into a sequence")
+    cert = RegSeqCertificate(ring, (), tuple(sequence), tuple(steps))
     out = IdealHandle(ring, sequence)
     if not out.equals(I):
         raise AssertionError("perturbation changed the ideal")
@@ -492,21 +498,27 @@ def _try_ci_pair(I, c, d):
 
 
 def ci_from_free_conormal(I: IdealHandle, pair, seed=0,
-                          budgets=DEFAULT_BUDGETS, _lci=None):
+                          budgets=DEFAULT_BUDGETS):
     """Upgrade a conormal basis (c, d) to an exact equality I = (c', d').
 
+    Checks the preconditions (I certified lci of height 2, the pair
+    generating I modulo I^2), then searches with `_ci_search`.
     Existence is guaranteed under the preconditions, so failure is
     always reported as inconclusive-with-budget, never as a refutation.
-    First the pair itself, then perturbations by elements of I^2, then
-    general random pairs from I.
     """
-    c, d = pair
-    ring = I.ring
-    lci = _lci if _lci is not None else lci_certificate(I)
+    lci = lci_certificate(I)
     if not isinstance(lci, LCIProxyCertificate) or lci.height != 2:
         raise InputError("ideal is not certified lci of height 2")
-    if not mod_square_generation(I, (c, d)).holds:
+    if not mod_square_generation(I, pair).holds:
         raise InputError("pair does not generate the ideal modulo its square")
+    return _ci_search(I, pair, seed, budgets)
+
+
+def _ci_search(I, pair, seed, budgets):
+    """The search of ci_from_free_conormal, its preconditions taken as
+    checked: first the pair itself, then perturbations by elements of
+    I^2, then general random pairs from I."""
+    c, d = pair
     hit = _try_ci_pair(I, c, d)
     if hit is not None:
         return hit
@@ -585,7 +597,6 @@ class SearchResult:
     via: str
     trials: int
     extension: int | None = None
-    ring: RingSpec | None = None
 
     @property
     def certificate(self):
@@ -635,19 +646,18 @@ def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS, pair=None,
             try:
                 if not mod_square_generation(I, cand).holds:
                     continue
-                hit = ci_from_free_conormal(I, cand, seed, budgets, _lci=lci)
+                hit = _ci_search(I, cand, seed, budgets)
             except InputError:
                 continue
             if isinstance(hit, CICertificate):
                 return SearchResult(_stci_from_ci(I, hit, budgets),
-                                    "conormal-basis", trials_used, ring=I.ring)
+                                    "conormal-basis", trials_used)
     if pair is not None:
         # an explicit pair can still certify set-theoretically even when
         # the exact-equality upgrade fails
         outcome = stci_verify(I, tuple(pair), budgets)
         if isinstance(outcome, STCICertificate):
-            return SearchResult(outcome, "supplied-pair", trials_used,
-                                ring=I.ring)
+            return SearchResult(outcome, "supplied-pair", trials_used)
 
     rng = random.Random(seed)
     degree_cap = budgets.degree_cap(I.gens)
@@ -663,7 +673,7 @@ def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS, pair=None,
         except InputError:
             continue
         if isinstance(outcome, STCICertificate):
-            return SearchResult(outcome, "random-pairs", trials_used, ring=I.ring)
+            return SearchResult(outcome, "random-pairs", trials_used)
 
     if isinstance(I.ring.field, PrimeField) and extension_degrees:
         for k in extension_degrees:
@@ -673,12 +683,11 @@ def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS, pair=None,
                               extension_degrees=())
             trials_used += sub.trials
             if sub.certificate is not None:
-                return SearchResult(sub.outcome, sub.via, trials_used,
-                                    extension=k, ring=ext_ring)
+                return SearchResult(sub.outcome, sub.via, trials_used, extension=k)
 
     return SearchResult(
         Inconclusive("no certified pair within the trial budget", trials_used),
-        "exhausted", trials_used, ring=I.ring)
+        "exhausted", trials_used)
 
 
 # ---------------------------------------------------------------------------

@@ -443,12 +443,6 @@ class Polynomial:
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
 
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
     def __hash__(self):
         return hash((self.ring, self.terms))
 

@@ -123,6 +123,32 @@ def test_reused_basis_is_charged_to_each_check():
             assert replay_payload(p)[1], (steps, p["command"])
 
 
+QUOTIENT_SESSION = """\
+ring A = QQ[x,y,z,w] / (w^2 - y);
+ideal J = (y - x^2, z - x^3);
+check regular-sequence (x + 1, y) mod J;
+check lci J;
+check ext-cyclic J at 2;
+check regularize J;
+"""
+
+
+def test_quotient_ring_checks_replay_under_every_step_limit():
+    """Over a quotient ring, a sequence mod J starts from J's own handle,
+    A/J takes over J's basis and regularize starts from the zero ideal;
+    each check is still charged what a replay of it alone is charged.
+    All four checks are decided from 35 steps on."""
+    verdicts = []
+    for steps in range(1, 61):
+        payloads, _ = run_session(QUOTIENT_SESSION,
+                                  RunOptions(budgets=Budgets(gb_steps=steps)))
+        for p in payloads:
+            assert replay_payload(p)[1], (steps, p["command"])
+        verdicts.append([p["verdict"] for p in payloads])
+    assert verdicts[0] == ["inconclusive"] * 4
+    assert verdicts[-1] == ["verified"] * 4
+
+
 def test_skew_session_verifies():
     payloads, code = run_session(SKEW_SESSION)
     assert code == EXIT_VERIFIED

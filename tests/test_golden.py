@@ -5,7 +5,9 @@ list of its certificates (one per check, timings left out) as the
 engine produced them when the corpus was recorded.  Reduced bases,
 syzygy generators and normal forms are unique, so a refactor of the
 engine must reproduce every core payload byte for byte, and every
-stored certificate must still replay.
+stored certificate must still replay.  The work of each session, in
+S-pair reductions (`Budget.charge` calls), is pinned too, so a refactor
+that adds hidden work fails here.
 """
 
 import json
@@ -13,12 +15,17 @@ from pathlib import Path
 
 import pytest
 
-from cicert import certificates
+from cicert import certificates, groebner
 from cicert.cli import RunOptions, replay_payload, run_session
 from cicert.pipeline import Budgets
 
 GOLDEN = Path(__file__).parent / "golden"
 SESSIONS = sorted(p.stem for p in GOLDEN.glob("*.ck"))
+
+
+# Budget.charge calls of one run of each session with its recorded options
+CHARGES = {"budget-2": 3, "c345": 68, "f5-cylinder": 257, "readme-skew": 319,
+           "skew-quotient": 350, "twisted-cubic": 95}
 
 
 def _load(name):
@@ -57,3 +64,18 @@ def test_golden_certificates_replay(name):
     for cert in _load(name):
         _verdict, ok = replay_payload(cert)
         assert ok, cert["command"]
+
+
+@pytest.mark.parametrize("name", SESSIONS)
+def test_golden_work_pinned(name, monkeypatch):
+    calls = []
+    charge = groebner.Budget.charge
+
+    def counted(self, partial=None):
+        calls.append(None)
+        charge(self, partial)
+
+    monkeypatch.setattr(groebner.Budget, "charge", counted)
+    text = (GOLDEN / f"{name}.ck").read_text(encoding="utf-8")
+    run_session(text, _options(_load(name)))
+    assert len(calls) == CHARGES[name]

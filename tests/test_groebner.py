@@ -17,6 +17,7 @@ from cicert.groebner import (
     module_gb,
     module_normal_form,
     module_syzygies,
+    quotient_ring,
     syzygies,
     zero_ideal,
 )
@@ -136,6 +137,38 @@ def test_cached_basis_charged_once_per_meter():
         I.groebner()
         I.groebner()
     assert second.used == cost
+
+
+@pytest.mark.parametrize("base", [(), ("w^2 - x*z",)])
+def test_quotient_ring_zero_ideal_is_the_ideal(base):
+    bare = RingSpec(("x", "y", "z", "w"), QQ)
+    R = bare.quotient([bare.parse(g) for g in base])
+    I = IdealHandle(R, ["y - x^2", "z - x^3", R.zero])
+    A = quotient_ring(I)
+    assert A == R.quotient(I.gens)
+    assert zero_ideal(A).groebner() == tuple(A.rehome(g) for g in I.groebner())
+    assert zero_ideal(A).groebner() == groebner_basis(A.base_ideal, A)
+    assert zero_ideal(A).contains(A.parse("x*z - y^2"))
+    assert not zero_ideal(A).contains(A.gen("x"))
+
+
+def test_quotient_ring_takes_over_the_cost():
+    R = RingSpec(("x", "y", "z"), QQ)
+    gens = ["x^3*y - z^2", "y^4 - x*z", "z^3 - x^2*y^2"]
+    with Budget() as fresh:
+        IdealHandle(R, gens).groebner()
+    I = IdealHandle(R, gens)
+    with Budget() as b:
+        A = quotient_ring(I)
+        assert b.used == fresh.used > 0
+        zero_ideal(A).groebner()
+        zero_ideal(A).normal_form(A.gen("x"))
+    assert b.used == fresh.used
+    # a later meter is charged the basis once, as for I itself
+    with Budget() as later:
+        zero_ideal(A).groebner()
+        zero_ideal(A).groebner()
+    assert later.used == fresh.used
 
 
 def _katsura(R, n):
