@@ -11,15 +11,20 @@ declarations and checks.  Example:
 
 Names must be declared before use; each ideal, polynomial and pair
 belongs to the most recently declared ring.
+
+A session is tokenized once, by `poly.tokenize`, and every expression is
+parsed from those tokens by `poly.parse_expression`, with the declared
+polys as its name table: an expression ends at the first token that
+cannot continue it, so `check member x*y in I;` needs no stop word.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from .groebner import IdealHandle
-from .poly import GF, QQ, MonomialOrder, PolyParseError, RingSpec
+from .poly import (GF, QQ, MonomialOrder, PolyParseError, RingSpec,
+                   parse_expression, tokenize)
 
 __all__ = ["Session", "Command", "DslParseError", "parse_session", "COMMANDS"]
 
@@ -30,14 +35,6 @@ class DslParseError(ValueError):
         self.line = line
         self.col = col
 
-
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<comment>#[^\n]*)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<int>\d+)"
-    r"|(?P<op>[-+*/^()\[\],;=])"
-)
 
 # command name -> argument shape, handled in cli.run_command
 COMMANDS = {
@@ -59,48 +56,10 @@ COMMANDS = {
 
 
 @dataclass
-class Token:
-    kind: str
-    value: object
-    line: int
-    col: int
-    start: int
-    end: int
-
-
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            col = pos - line_start + 1
-            raise DslParseError(f"unexpected character {text[pos]!r}", line, col)
-        if m.lastgroup in ("ws", "comment"):
-            chunk = m.group()
-            nl = chunk.count("\n")
-            if nl:
-                line += nl
-                line_start = m.start() + chunk.rfind("\n") + 1
-        else:
-            kind = m.lastgroup
-            value = m.group()
-            if kind == "int":
-                value = int(value)
-            tokens.append(Token(kind, value, line, m.start() - line_start + 1,
-                                m.start(), m.end()))
-        pos = m.end()
-    return tokens
-
-
-@dataclass
 class Command:
     name: str
     args: dict
     text: str
-    line: int
 
 
 @dataclass
@@ -116,7 +75,10 @@ class Session:
 class _Parser:
     def __init__(self, text, field_override=None):
         self.text = text
-        self.tokens = _tokenize(text)
+        try:
+            self.tokens = tokenize(text)
+        except PolyParseError as exc:
+            raise self.error(exc.message, exc.pos) from exc
         self.i = 0
         self.session = Session(text)
         self.current_ring_name = None
@@ -124,9 +86,11 @@ class _Parser:
 
     # -- token helpers
 
-    def _eof_error(self):
-        line = self.tokens[-1].line if self.tokens else 1
-        raise DslParseError("unexpected end of input", line, 1)
+    def error(self, message, pos) -> DslParseError:
+        """The error at text offset `pos`, with its line and column."""
+        line = self.text.count("\n", 0, pos) + 1
+        col = pos - self.text.rfind("\n", 0, pos)
+        return DslParseError(message, line, col)
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -134,7 +98,7 @@ class _Parser:
     def take(self):
         tok = self.peek()
         if tok is None:
-            self._eof_error()
+            raise self.error("unexpected end of input", len(self.text))
         self.i += 1
         return tok
 
@@ -142,8 +106,7 @@ class _Parser:
         tok = self.take()
         if tok.kind != kind or (value is not None and tok.value != value):
             want = value if value is not None else kind
-            raise DslParseError(f"expected {want!r}, found {tok.value!r}",
-                                tok.line, tok.col)
+            raise self.error(f"expected {want!r}, found {tok.value!r}", tok.start)
         return tok
 
     def expect_name(self, value=None):
@@ -159,62 +122,34 @@ class _Parser:
     def declare(self, name, tok):
         s = self.session
         if name in s.rings or name in s.ideals or name in s.polys or name in s.pairs:
-            raise DslParseError(f"name {name!r} already declared", tok.line, tok.col)
+            raise self.error(f"name {name!r} already declared", tok.start)
 
     def current_ring(self, tok):
         if self.current_ring_name is None:
-            raise DslParseError("no ring declared yet", tok.line, tok.col)
+            raise self.error("no ring declared yet", tok.start)
         return self.session.rings[self.current_ring_name]
 
     def ideal_arg(self):
         tok = self.expect_name()
         if tok.value not in self.session.ideals:
-            raise DslParseError(f"undeclared ideal {tok.value!r}", tok.line, tok.col)
+            raise self.error(f"undeclared ideal {tok.value!r}", tok.start)
         return tok.value
 
-    # -- expression parsing (delegates to the polynomial parser)
+    # -- expressions, parsed from the session's own tokens
 
-    def _expr_env(self, ring):
-        env = {}
-        for name, f in self.session.polys.items():
-            if f.ring == ring:
-                env[name] = f
-        return env
-
-    def parse_expr(self, ring, stop_words=()):
-        start_tok = self.peek()
-        if start_tok is None:
-            self._eof_error()
-        depth = 0
-        j = self.i
-        while j < len(self.tokens):
-            tok = self.tokens[j]
-            if tok.kind == "op" and tok.value == "(":
-                depth += 1
-            elif tok.kind == "op" and tok.value == ")":
-                if depth == 0:
-                    break
-                depth -= 1
-            elif depth == 0 and tok.kind == "op" and tok.value in (",", ";"):
-                break
-            elif depth == 0 and tok.kind == "name" and tok.value in stop_words:
-                break
-            j += 1
-        if j == self.i:
-            raise DslParseError("expected an expression", start_tok.line, start_tok.col)
-        chunk = self.text[self.tokens[self.i].start:self.tokens[j - 1].end]
+    def parse_expr(self, ring):
         try:
-            value = ring.parse(chunk, names=self._expr_env(ring))
+            value, self.i = parse_expression(ring, self.tokens, self.i,
+                                             self.session.polys)
         except PolyParseError as exc:
-            raise DslParseError(str(exc), start_tok.line, start_tok.col) from exc
-        self.i = j
+            raise self.error(exc.message, exc.pos) from exc
         return value
 
-    def parse_expr_list(self, ring, stop_words=()):
-        items = [self.parse_expr(ring, stop_words)]
+    def parse_expr_list(self, ring):
+        items = [self.parse_expr(ring)]
         while self.at("op", ","):
             self.take()
-            items.append(self.parse_expr(ring, stop_words))
+            items.append(self.parse_expr(ring))
         return items
 
     def parse_paren_exprs(self, ring):
@@ -242,17 +177,21 @@ class _Parser:
             try:
                 fld = GF(p_tok.value)
             except ValueError as exc:
-                raise DslParseError(str(exc), p_tok.line, p_tok.col) from exc
+                raise self.error(str(exc), p_tok.start) from exc
         else:
-            raise DslParseError(f"unknown field {field_tok.value!r}",
-                                field_tok.line, field_tok.col)
+            raise self.error(f"unknown field {field_tok.value!r}", field_tok.start)
         if self.field_override is not None:
             fld = self.field_override
         self.expect("op", "[")
-        variables = [self.expect_name().value]
-        while self.at("op", ","):
+        variables = []
+        while True:
+            var_tok = self.expect_name()
+            if var_tok.value in variables:
+                raise self.error(f"repeated variable {var_tok.value!r}", var_tok.start)
+            variables.append(var_tok.value)
+            if not self.at("op", ","):
+                break
             self.take()
-            variables.append(self.expect_name().value)
         self.expect("op", "]")
         base_chunks = []
         order_kind = "grevlex"
@@ -265,20 +204,19 @@ class _Parser:
                 self.take()
                 kind_tok = self.expect_name()
                 if kind_tok.value not in ("lex", "grevlex"):
-                    raise DslParseError(f"unknown order {kind_tok.value!r}",
-                                        kind_tok.line, kind_tok.col)
+                    raise self.error(f"unknown order {kind_tok.value!r}",
+                                     kind_tok.start)
                 order_kind = kind_tok.value
             else:
                 tok = self.take()
-                raise DslParseError(f"unexpected token {tok.value!r}",
-                                    tok.line, tok.col)
+                raise self.error(f"unexpected token {tok.value!r}", tok.start)
         self.expect("op", ";")
         try:
             spec = RingSpec(variables, fld, MonomialOrder(order_kind))
             if base_chunks:
                 spec = spec.quotient([spec.rehome(g) for g in base_chunks])
         except ValueError as exc:
-            raise DslParseError(str(exc), name_tok.line, name_tok.col) from exc
+            raise self.error(str(exc), name_tok.start) from exc
         self.session.rings[name_tok.value] = spec
         self.current_ring_name = name_tok.value
 
@@ -296,8 +234,7 @@ class _Parser:
         self.declare(name_tok.value, name_tok)
         ring = self.current_ring(name_tok)
         if name_tok.value in ring.variables:
-            raise DslParseError(f"{name_tok.value!r} is a ring variable",
-                                name_tok.line, name_tok.col)
+            raise self.error(f"{name_tok.value!r} is a ring variable", name_tok.start)
         self.expect("op", "=")
         value = self.parse_expr(ring)
         self.expect("op", ";")
@@ -310,8 +247,7 @@ class _Parser:
         self.expect("op", "=")
         items = self.parse_paren_exprs(ring)
         if len(items) != 2:
-            raise DslParseError("a pair needs exactly two entries",
-                                name_tok.line, name_tok.col)
+            raise self.error("a pair needs exactly two entries", name_tok.start)
         self.expect("op", ";")
         self.session.pairs[name_tok.value] = tuple(items)
 
@@ -324,20 +260,17 @@ class _Parser:
             self.take()
             word += "-" + self.expect_name().value
         if word not in COMMANDS:
-            raise DslParseError(f"unknown command {word!r}", tok.line, tok.col)
+            raise self.error(f"unknown command {word!r}", tok.start)
         return word, tok
 
     def pair_arg(self, ring):
-        tok = self.peek()
-        if tok is None:
-            self._eof_error()
-        if tok.kind == "name" and tok.value in self.session.pairs:
-            self.take()
-            return self.session.pairs[tok.value]
+        if self.at("name") and self.peek().value in self.session.pairs:
+            return self.session.pairs[self.take().value]
+        start = self.i
         items = self.parse_paren_exprs(ring)
         if len(items) != 2:
-            raise DslParseError("expected a pair of two expressions",
-                                tok.line, tok.col)
+            raise self.error("expected a pair of two expressions",
+                             self.tokens[start].start)
         return tuple(items)
 
     def ring_for_ideal(self, ideal_name):
@@ -348,12 +281,11 @@ class _Parser:
         args = {}
         if word in ("member", "radical-member"):
             ring = self.current_ring(tok)
-            args["element"] = self.parse_expr(ring, stop_words=("in",))
+            args["element"] = self.parse_expr(ring)
             self.expect_name("in")
             args["ideal"] = self.ideal_arg()
             if args["element"].ring != self.ring_for_ideal(args["ideal"]):
-                raise DslParseError("element and ideal live in different rings",
-                                    tok.line, tok.col)
+                raise self.error("element and ideal live in different rings", tok.start)
         elif word == "radical-equal":
             args["left"] = self.ideal_arg()
             args["right"] = self.ideal_arg()
@@ -387,8 +319,7 @@ class _Parser:
             args["length"] = self.expect("int").value
         end_tok = self.expect("op", ";")
         text = self.text[start_tok.start:end_tok.end]
-        self.session.commands.append(
-            Command(word, args, " ".join(text.split()), start_tok.line))
+        self.session.commands.append(Command(word, args, " ".join(text.split())))
 
     # -- top level
 
@@ -396,8 +327,8 @@ class _Parser:
         while self.peek() is not None:
             tok = self.take()
             if tok.kind != "name":
-                raise DslParseError(f"expected a declaration, found {tok.value!r}",
-                                    tok.line, tok.col)
+                raise self.error(f"expected a declaration, found {tok.value!r}",
+                                 tok.start)
             if tok.value == "ring":
                 self.parse_ring_decl()
             elif tok.value == "ideal":
@@ -409,9 +340,9 @@ class _Parser:
             elif tok.value == "check":
                 self.parse_check(tok)
             else:
-                raise DslParseError(
+                raise self.error(
                     f"expected ring/ideal/poly/pair/check, found {tok.value!r}",
-                    tok.line, tok.col)
+                    tok.start)
         return self.session
 
 

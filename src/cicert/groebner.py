@@ -5,12 +5,12 @@ sparse dicts keyed by (position, monomial) and compared position over
 term, position 0 strongest.  Scalar polynomials are rank-1 vectors.
 
 Every vector dict is kept in descending order, so its lead term is its
-first key: `_vec_from_polys` reads sorted polynomials, and reduction
-takes terms largest first from a heap keyed by the order's `neg_key`,
-computed once per term, and cancels each with the first basis element
-in list order whose lead divides it.  S-pairs wait in a heap ordered by
-(order key of the lcm, i, j); the smallest is reduced next unless the
-product or chain criterion drops it.
+first key.  Reduction is the one division loop of `cicert.poly`,
+`poly._vec_reduce`: it takes terms largest first from a heap keyed by
+the order's `neg_key`, computed once per term, and cancels each with the
+first basis element in list order whose lead divides it.  S-pairs wait
+in a heap ordered by (order key of the lcm, i, j); the smallest is
+reduced next unless the product or chain criterion drops it.
 
 One augmented-module primitive, `_augmented`, serves every construction
 that needs more than a basis: it appends unit-vector tails to the
@@ -56,6 +56,11 @@ from .poly import (
     Polynomial,
     RingMismatchError,
     RingSpec,
+    _BasisElt,
+    _make_monic,
+    _vec_from_polys,
+    _vec_reduce,
+    _vec_to_polys,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -123,81 +128,7 @@ _METER: ContextVar[Budget | None] = ContextVar("cicert_gb_meter", default=None)
 
 
 # ---------------------------------------------------------------------------
-# vector plumbing: sparse dicts keyed by (position, monomial)
-
-
-def _vec_from_polys(vec) -> dict:
-    out = {}
-    for pos, f in enumerate(vec):
-        for m, c in f.terms:
-            out[(pos, m)] = c
-    return out
-
-
-def _vec_to_polys(ring, rank, vec: dict):
-    buckets = [dict() for _ in range(rank)]
-    for (pos, m), c in vec.items():
-        buckets[pos][m] = c
-    return tuple(ring.poly_from_dict(b) for b in buckets)
-
-
-class _BasisElt:
-    """A basis vector; its lead is the first key of its dict."""
-
-    __slots__ = ("pos", "mono", "vec", "tail")
-
-    def __init__(self, vec):
-        terms = iter(vec.items())
-        (self.pos, self.mono), _lc = next(terms)
-        self.vec = vec
-        self.tail = list(terms)
-
-
-def _make_monic(field, vec: dict) -> dict:
-    inv = field.inv(next(iter(vec.values())))
-    if inv == field.one:
-        return vec
-    return {k: field.mul(c, inv) for k, c in vec.items()}
-
-
-def _vec_reduce(work: dict, basis, ring) -> dict:
-    """Full normal form of a vector dict against monic basis elements.
-
-    Every term divisible by some basis lead (same position) is
-    cancelled; irreducible terms migrate to the remainder, which comes
-    out in descending order.  The first dividing basis element in list
-    order is used, which keeps the result deterministic.  A cancelled
-    term stays in `work` as a zero, skipped when popped, so each term is
-    queued once.
-    """
-    fieldops = ring.field
-    nkey = ring.order.neg_key
-    zero = fieldops.zero
-    heap = [(pos, nkey(m), (pos, m)) for pos, m in work]
-    heapq.heapify(heap)
-    remainder = {}
-    while heap:
-        key = heapq.heappop(heap)[2]
-        coeff = work.pop(key)
-        if coeff == zero:
-            continue
-        pos, mono = key
-        hit = None
-        for b in basis:
-            if b.pos == pos and mono_divides(b.mono, mono):
-                hit = b
-                break
-        if hit is None:
-            remainder[key] = coeff
-            continue
-        shift = mono_div(mono, hit.mono)
-        for (p2, m2), c2 in hit.tail:
-            m = mono_mul(m2, shift)
-            k2 = (p2, m)
-            if k2 not in work:
-                heapq.heappush(heap, (p2, nkey(m), k2))
-            work[k2] = fieldops.sub(work.get(k2, zero), fieldops.mul(c2, coeff))
-    return remainder
+# Buchberger core
 
 
 def _spair(b1: _BasisElt, b2: _BasisElt, field) -> dict:
@@ -216,10 +147,6 @@ def _spair(b1: _BasisElt, b2: _BasisElt, field) -> dict:
         else:
             out[k] = val
     return out
-
-
-# ---------------------------------------------------------------------------
-# Buchberger core
 
 
 def _module_buchberger_dicts(vecdicts, ring) -> list[_BasisElt]:

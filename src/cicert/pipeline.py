@@ -147,8 +147,8 @@ class RegSeqCertificate(Replayable):
         }
 
     def _rerun(self):
-        return is_regular_sequence(self.sequence,
-                                   IdealHandle(self.ring, self.base_gens))
+        base = IdealHandle(self.ring, self.base_gens) if self.base_gens else None
+        return is_regular_sequence(self.sequence, base)
 
 
 @dataclass
@@ -305,8 +305,7 @@ def regularize_generators(I: IdealHandle, generators, seed=0,
     """
     generators = tuple(generators)
     ring = I.ring
-    given = IdealHandle(ring, generators)
-    if not given.equals(I):
+    if generators != I.gens and not IdealHandle(ring, generators).equals(I):
         raise InputError("the supplied generators do not generate the ideal")
     rng = random.Random(seed)
     degree_cap = budgets.degree_cap(generators)

@@ -3,10 +3,17 @@
 A polynomial is an immutable list of (monomial, coefficient) terms kept
 strictly descending in the ring's monomial order, with no zero
 coefficients.  A ring may carry a base ideal J0, in which case its
-elements are representatives in the free polynomial ring k[x1..xn] and
-reduction modulo J0 is performed by the Groebner layer, never here.
+elements are representatives in the free polynomial ring k[x1..xn];
+reduction modulo J0 needs J0's basis, which the Groebner layer keeps.
 Arithmetic is always exact: Fraction coefficients for QQ, residues in
 [0, p) for GF(p).
+
+This module owns the three kernels the other layers share: the tokens
+of the session language (`tokenize`), the expression grammar
+(`parse_expression`, which parses from any token list and stops at the
+first token that cannot continue the expression) and the division loop
+(`_vec_reduce`), which reduces vectors for the Groebner layer and is
+what `reduce` runs.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
     "RationalField",
@@ -27,6 +35,9 @@ __all__ = [
     "RingMismatchError",
     "PolyParseError",
     "extend_ring",
+    "Token",
+    "tokenize",
+    "parse_expression",
     "reduce",
     "mono_mul",
     "mono_div",
@@ -45,6 +56,7 @@ class PolyParseError(ValueError):
 
     def __init__(self, message, pos):
         super().__init__(f"{message} (at offset {pos})")
+        self.message = message
         self.pos = pos
 
 
@@ -629,11 +641,94 @@ class RingSpec:
         return "".join(chunks)
 
     def parse(self, text: str, names: dict | None = None) -> Polynomial:
-        return _ExprParser(self, text, names or {}).run()
+        tokens = tokenize(text)
+        value, i = parse_expression(self, tokens, 0, names or {})
+        if i != len(tokens):
+            raise PolyParseError(f"unexpected token {tokens[i].value!r}",
+                                 tokens[i].start)
+        return value
 
 
 # ---------------------------------------------------------------------------
-# division
+# division: one reduction loop for polynomials and vectors
+#
+# A vector of R^m is a dict keyed by (position, monomial), kept in
+# descending order, position over term with position 0 strongest; a
+# polynomial is a rank-1 vector.
+
+
+def _vec_from_polys(vec) -> dict:
+    out = {}
+    for pos, f in enumerate(vec):
+        for m, c in f.terms:
+            out[(pos, m)] = c
+    return out
+
+
+def _vec_to_polys(ring, rank, vec: dict):
+    buckets = [dict() for _ in range(rank)]
+    for (pos, m), c in vec.items():
+        buckets[pos][m] = c
+    return tuple(ring.poly_from_dict(b) for b in buckets)
+
+
+class _BasisElt:
+    """A basis vector; its lead is the first key of its dict."""
+
+    __slots__ = ("pos", "mono", "vec", "tail")
+
+    def __init__(self, vec):
+        terms = iter(vec.items())
+        (self.pos, self.mono), _lc = next(terms)
+        self.vec = vec
+        self.tail = list(terms)
+
+
+def _make_monic(field, vec: dict) -> dict:
+    inv = field.inv(next(iter(vec.values())))
+    if inv == field.one:
+        return vec
+    return {k: field.mul(c, inv) for k, c in vec.items()}
+
+
+def _vec_reduce(work: dict, basis, ring) -> dict:
+    """Full normal form of a vector dict against monic basis elements.
+
+    Every term divisible by some basis lead (same position) is
+    cancelled; irreducible terms migrate to the remainder, which comes
+    out in descending order.  The first dividing basis element in list
+    order is used, which keeps the result deterministic.  A cancelled
+    term stays in `work` as a zero, skipped when popped, so each term is
+    queued once.
+    """
+    fieldops = ring.field
+    nkey = ring.order.neg_key
+    zero = fieldops.zero
+    heap = [(pos, nkey(m), (pos, m)) for pos, m in work]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        key = heapq.heappop(heap)[2]
+        coeff = work.pop(key)
+        if coeff == zero:
+            continue
+        pos, mono = key
+        hit = None
+        for b in basis:
+            if b.pos == pos and mono_divides(b.mono, mono):
+                hit = b
+                break
+        if hit is None:
+            remainder[key] = coeff
+            continue
+        shift = mono_div(mono, hit.mono)
+        for (p2, m2), c2 in hit.tail:
+            m = mono_mul(m2, shift)
+            k2 = (p2, m)
+            if k2 not in work:
+                heapq.heappush(heap, (p2, nkey(m), k2))
+            work[k2] = fieldops.sub(work.get(k2, zero), fieldops.mul(c2, coeff))
+    return remainder
 
 
 def reduce(f: Polynomial, divisors) -> tuple[Polynomial, list]:
@@ -641,47 +736,25 @@ def reduce(f: Polynomial, divisors) -> tuple[Polynomial, list]:
 
     No monomial of r is divisible by the leading monomial of any divisor.
     Deterministic: at each step the first dividing g_i in list order is
-    used.  Returns (remainder, quotients).
+    used.  Returns (remainder, quotients).  This is the vector (f | 0)
+    reduced against the monic vectors (g_i | e_i) / lc(g_i): the
+    remainder is position 0 and the quotients are the negated tail.
     """
     ring = f.ring
-    field = ring.field
     divisors = list(divisors)
     for g in divisors:
         if not isinstance(g, Polynomial) or g.ring != ring:
             raise RingMismatchError("divisor from a different ring")
         if not g:
             raise ValueError("zero divisor polynomial")
-    neg_key = ring.order.neg_key
-    zero = field.zero
-    # a cancelled term stays in `work` as a zero, so each is queued once
-    work = dict(f.terms)
-    heap = [(neg_key(m), m) for m in work]
-    heapq.heapify(heap)
-    remainder = {}
-    quotients = [dict() for _ in divisors]
-    leads = [(g.lead_monomial, g.lead_coeff) for g in divisors]
-    while heap:
-        mono = heapq.heappop(heap)[1]
-        coeff = work.pop(mono)
-        if coeff == zero:
-            continue
-        for i, (lm, lc) in enumerate(leads):
-            if mono_divides(lm, mono):
-                shift = mono_div(mono, lm)
-                factor = field.div(coeff, lc)
-                q = quotients[i]
-                q[shift] = field.add(q.get(shift, zero), factor)
-                for m2, c2 in divisors[i].terms[1:]:
-                    m = mono_mul(m2, shift)
-                    if m not in work:
-                        heapq.heappush(heap, (neg_key(m), m))
-                    work[m] = field.sub(work.get(m, zero), field.mul(c2, factor))
-                break
-        else:
-            remainder[mono] = coeff
-    r = ring.poly_from_dict(remainder)
-    qs = [ring.poly_from_dict(q) for q in quotients]
-    return r, qs
+    n = len(divisors)
+    basis = []
+    for i, g in enumerate(divisors):
+        unit = tuple(ring.one if j == i else ring.zero for j in range(n))
+        basis.append(_BasisElt(_make_monic(ring.field, _vec_from_polys((g,) + unit))))
+    out = _vec_reduce(_vec_from_polys((f,)), basis, ring)
+    remainder, *quotients = _vec_to_polys(ring, 1 + n, out)
+    return remainder, [-q for q in quotients]
 
 
 # ---------------------------------------------------------------------------
@@ -745,33 +818,47 @@ def extend_ring(ring: RingSpec, new_vars) -> RingExtension:
 
 
 # ---------------------------------------------------------------------------
-# expression parser
+# tokens and the expression grammar
+
+
+class Token(NamedTuple):
+    kind: str  # "name", "int" or "op"
+    value: object
+    start: int  # offset of the token in the tokenized text
+    end: int
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<int>\d+)|(?P<op>[-+*/^()]))"
+    r"(?P<skip>\s+|#[^\n]*)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<int>\d+)"
+    r"|(?P<op>[-+*/^()\[\],;=])"
 )
 
 
-def tokenize_expression(text: str):
-    """Yield (kind, value, offset) tokens; raises PolyParseError."""
-    pos = 0
+def tokenize(text: str) -> list[Token]:
+    """Tokens of `text`, whitespace and `#` comments skipped; raises
+    PolyParseError at a character that starts no token."""
     tokens = []
+    pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise PolyParseError(f"unexpected character {stripped[0]!r}", pos)
-        if m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name")))
-        elif m.group("int") is not None:
-            tokens.append(("int", int(m.group("int")), m.start("int")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        if m is None:
+            raise PolyParseError(f"unexpected character {text[pos]!r}", pos)
+        kind = m.lastgroup
+        if kind != "skip":
+            value = int(m.group()) if kind == "int" else m.group()
+            tokens.append(Token(kind, value, pos, m.end()))
         pos = m.end()
     return tokens
+
+
+def parse_expression(ring, tokens, i, names) -> tuple[Polynomial, int]:
+    """Parse one expression of `ring` from tokens[i]: it ends at the
+    first token that cannot continue it, whose index is returned with
+    the value."""
+    parser = _ExprParser(ring, tokens, i, names)
+    return parser.expr(), parser.i
 
 
 class _ExprParser:
@@ -782,86 +869,64 @@ class _ExprParser:
     entries of the supplied name table.
     """
 
-    def __init__(self, ring, text, names):
+    def __init__(self, ring, tokens, i, names):
         self.ring = ring
-        self.text = text
+        self.tokens = tokens
+        self.i = i
         self.names = names
-        self.tokens = tokenize_expression(text)
-        self.i = 0
 
-    def run(self) -> Polynomial:
-        if not self.tokens:
-            raise PolyParseError("empty expression", 0)
-        value = self.expr()
-        if self.i != len(self.tokens):
-            kind, val, pos = self.tokens[self.i]
-            raise PolyParseError(f"unexpected token {val!r}", pos)
-        return value
+    def peek(self) -> Token:
+        if self.i < len(self.tokens):
+            return self.tokens[self.i]
+        end = self.tokens[-1].end if self.tokens else 0
+        return Token(None, None, end, end)
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
-
-    def take(self):
+    def take(self) -> Token:
         tok = self.peek()
         self.i += 1
         return tok
 
+    def at_op(self, ops) -> bool:
+        tok = self.peek()
+        return tok.kind == "op" and tok.value in ops
+
     def expr(self) -> Polynomial:
-        kind, val, _ = self.peek()
-        negate = False
-        if kind == "op" and val in "+-":
-            self.take()
-            negate = val == "-"
-        value = self.term()
-        if negate:
-            value = -value
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                value = value - rhs if val == "-" else value + rhs
-            else:
-                return value
+        value = self.term()  # a leading sign is a factor's
+        while self.at_op("+-"):
+            op = self.take().value
+            rhs = self.term()
+            value = value - rhs if op == "-" else value + rhs
+        return value
 
     def term(self) -> Polynomial:
         value = self.factor()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                value = value * self.factor()
-            elif kind == "op" and val == "/":
-                self.take()
-                rhs = self.factor()
-                if not rhs.is_constant() or rhs.is_zero:
-                    raise PolyParseError("division only by a nonzero constant", pos)
-                value = value.scale(self.ring.field.inv(rhs.constant_value()))
+        while self.at_op("*/"):
+            op = self.take()
+            rhs = self.factor()
+            if op.value == "*":
+                value = value * rhs
+            elif not rhs.is_constant() or rhs.is_zero:
+                raise PolyParseError("division only by a nonzero constant", op.start)
             else:
-                return value
+                value = value.scale(self.ring.field.inv(rhs.constant_value()))
+        return value
 
     def factor(self) -> Polynomial:
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "-":
-            self.take()
-            return -self.factor()
-        if kind == "op" and val == "+":
-            self.take()
-            return self.factor()
+        if self.at_op("+-"):
+            sign = self.take().value
+            value = self.factor()
+            return -value if sign == "-" else value
         value = self.primary()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val == "^":
-                self.take()
-                kind, exp, epos = self.take()
-                if kind != "int":
-                    raise PolyParseError("exponent must be an integer", epos)
-                value = value**exp
-            else:
-                return value
+        while self.at_op("^"):
+            self.take()
+            exp = self.take()
+            if exp.kind != "int":
+                raise PolyParseError("exponent must be an integer", exp.start)
+            value = value**exp.value
+        return value
 
     def primary(self) -> Polynomial:
-        kind, val, pos = self.take()
+        kind, val, pos, _ = self.take()
         if kind == "int":
             return self.ring.constant(val)
         if kind == "name":
@@ -870,13 +935,14 @@ class _ExprParser:
             if val in self.names:
                 f = self.names[val]
                 if f.ring != self.ring:
-                    raise PolyParseError(f"name {val!r} belongs to a different ring", pos)
+                    raise PolyParseError(
+                        f"name {val!r} belongs to a different ring", pos)
                 return f
             raise PolyParseError(f"unknown name {val!r}", pos)
         if kind == "op" and val == "(":
             value = self.expr()
-            kind, val, pos = self.take()
-            if not (kind == "op" and val == ")"):
-                raise PolyParseError("expected ')'", pos)
+            close = self.take()
+            if not (close.kind == "op" and close.value == ")"):
+                raise PolyParseError("expected ')'", close.start)
             return value
         raise PolyParseError("expected a value", pos)

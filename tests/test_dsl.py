@@ -129,11 +129,25 @@ def test_print_parse_round_trip():
         assert ring.parse(str(g)) == g
 
 
+def test_expression_error_names_the_offending_token():
+    with pytest.raises(DslParseError) as err:
+        parse_session("ring R = QQ[x];\nideal I = (x + q);")
+    assert (err.value.line, err.value.col) == (2, 16)
+
+
+def test_member_element_ends_where_the_grammar_ends():
+    """`in` is no stop word: a variable named `in` is an expression."""
+    s = parse_session("ring R = QQ[in, x]; ideal I = (in); check member in*x in I;")
+    ring = s.rings["R"]
+    assert s.commands[0].args["element"] == ring.gen("in") * ring.gen("x")
+
+
 MALFORMED = [
     "ring",
     "ring R",
     "ring R = ZZ[x];",
     "ring R = QQ[x,x];",
+    "ring R = QQ[x,x] / (x);",
     "ring R = QQ[x] order weird;",
     "ring R = Fp(4)[x];",
     "ring R = QQ[x]; ideal I = x;",
@@ -164,7 +178,10 @@ def test_random_mutations_never_crash():
             "ideal I = (x^2 - x, x*y - y, x*z, y*z);\n"
             "poly c = x^2 - x;\n"
             "pair P = (c, (1 - x)*y + x*z);\n"
-            "check stci I with P;\n")
+            "check stci I with P;\n"
+            "ring S = Fp(7)[a,b] / (a^2 - b);\n"
+            "ideal J = (a*b, b^2);\n"
+            "check member a^3 - a*b in J;\n")
     rng = random.Random(99)
     alphabet = "abcxyz019+-*/^()[],;= \n#"
     for _ in range(300):

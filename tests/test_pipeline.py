@@ -217,6 +217,27 @@ def test_regularize_rejects_wrong_generators(R3):
         regularize_generators(H(R3, "x", "y"), (R3.gen("x"),), seed=0)
 
 
+def test_regularize_certificate_replays_on_the_rings_zero_ideal(monkeypatch):
+    """A regular-sequence certificate without a base replays from the
+    ring's zero ideal, whose basis of J0 is already held."""
+    from cicert import groebner
+
+    A = RingSpec(["x", "y", "z", "w"], QQ)
+    A = A.quotient([A.parse("w^2 - y")])
+    I = H(A, "x", "z")
+    out = regularize_generators(I, I.gens)
+    calls = []
+    real = groebner.groebner_basis
+
+    def recording(polys, ring):
+        calls.append(tuple(polys))
+        return real(polys, ring)
+
+    monkeypatch.setattr(groebner, "groebner_basis", recording)
+    assert out.certificate.verify()
+    assert A.base_ideal not in calls
+
+
 def test_regularize_deterministic(R3):
     I = H(R3, "x", "y", "z")
     fs = tuple(R3.parse(t) for t in FIXTURE_BAD_ORDER)
