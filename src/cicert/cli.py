@@ -18,7 +18,7 @@ from pathlib import Path
 from . import certificates
 from .certificates import SchemaError
 from .dsl import DslParseError, Session, parse_session
-from .groebner import Budget, BudgetExceededError, IdealHandle
+from .groebner import Budget, BudgetExceededError
 from .homology import ext_module, free_resolution, koszul2_exactness
 from .ideals import (
     RadicalEqualityCertificate,
@@ -29,6 +29,7 @@ from .ideals import (
 from .pipeline import (
     Budgets,
     CICertificate,
+    Inconclusive,
     InputError,
     LCIProxyCertificate,
     RegSeqCertificate,
@@ -69,126 +70,95 @@ def parse_field(text):
 # command execution
 
 
-def _ring_for(session: Session, command) -> object:
-    if "ideal" in command.args:
-        return session.ideals[command.args["ideal"]].ring
-    if "left" in command.args:
-        return session.ideals[command.args["left"]].ring
-    if "sequence" in command.args:
-        return command.args["sequence"][0].ring
-    if "pair" in command.args:
-        return command.args["pair"][0].ring
-    if "element" in command.args:
-        return command.args["element"].ring
-    raise InputError("command without a ring context")
+# the outcomes that certify their check; `Inconclusive` means a search
+# ran out, and any other outcome refutes
+_CERTIFICATES = (RegSeqCertificate, RadicalEqualityCertificate,
+                 LCIProxyCertificate, CICertificate, STCICertificate,
+                 RegularizationResult)
+
+
+def _verdict(outcome) -> str:
+    if isinstance(outcome, _CERTIFICATES):
+        return "verified"
+    return "inconclusive" if isinstance(outcome, Inconclusive) else "refuted"
 
 
 def _dispatch(session: Session, command, options: RunOptions):
-    """Returns (verdict, witnesses, gb_hashes)."""
+    """Returns (verdict, witnesses, gb_hashes).
+
+    Each check is one producer call.  The flag-returning producers decide
+    their check by their flag; every other outcome goes through
+    `_verdict`.  Producers are looked up by module-level name when they
+    are called, so a wrapper installed on this module sees every call.
+    """
     args = command.args
     budgets = options.budgets
-    seed = options.seed
-    hashes = {}
-
-    def ideal(key="ideal") -> IdealHandle:
-        return session.ideals[args[key]]
-
-    if command.name == "member":
-        handle = ideal()
-        nf = handle.normal_form(args["element"])
-        hashes["ideal"] = handle.gb_hash()
-        verdict = "verified" if nf.is_zero else "refuted"
-        return verdict, {"element": str(args["element"]),
-                         "normal_form": str(nf)}, hashes
-
-    if command.name == "radical-member":
-        handle = ideal()
-        w = radical_member(args["element"], handle, want_exponent=True,
-                           e_max=budgets.e_max)
-        hashes["ideal"] = handle.gb_hash()
-        return ("verified" if w.member else "refuted"), w.payload(), hashes
-
-    if command.name == "radical-equal":
-        left, right = session.ideals[args["left"]], session.ideals[args["right"]]
-        outcome = radical_equal(left, right, e_max=budgets.e_max)
-        hashes["left"] = left.gb_hash()
-        hashes["right"] = right.gb_hash()
-        if isinstance(outcome, RadicalEqualityCertificate):
-            return "verified", outcome.payload(), hashes
-        return "refuted", outcome.payload(), hashes
-
-    if command.name == "dimension":
-        handle = ideal()
-        report = dimension_height(handle)
-        hashes["ideal"] = handle.gb_hash()
-        return "verified", report.payload(), hashes
-
-    if command.name == "regular-sequence":
-        base = session.ideals[args["mod"]] if "mod" in args else None
-        outcome = is_regular_sequence(args["sequence"], base)
-        if isinstance(outcome, RegSeqCertificate):
-            return "verified", outcome.payload(), hashes
-        return "refuted", outcome.payload(), hashes
-
-    if command.name == "koszul-exact":
-        x, y = args["pair"]
-        verdict = koszul2_exactness(x, y)
-        return ("verified" if verdict.exact else "refuted"), verdict.payload(), hashes
-
-    if command.name == "lci":
-        outcome = lci_certificate(ideal())
-        ok = isinstance(outcome, LCIProxyCertificate)
-        return ("verified" if ok else "refuted"), outcome.payload(), hashes
-
-    if command.name == "mod-square":
-        outcome = mod_square_generation(ideal(), args["candidates"])
-        return ("verified" if outcome.holds else "refuted"), outcome.payload(), hashes
-
-    if command.name == "ci":
-        outcome = ci_from_free_conormal(ideal(), args["pair"], seed, budgets)
-        if isinstance(outcome, CICertificate):
-            return "verified", outcome.payload(), hashes
-        return "inconclusive", outcome.payload(), hashes
-
-    if command.name == "stci":
-        outcome = stci_verify(ideal(), args["pair"], budgets)
-        if isinstance(outcome, STCICertificate):
-            return "verified", outcome.payload(), hashes
-        return "refuted", outcome.payload(), hashes
-
-    if command.name == "stci-search":
-        result = stci_search(ideal(), seed, budgets)
-        info = {"via": result.via, "trials": result.trials,
-                "field_extension": result.extension}
-        if result.certificate is not None:
-            return "verified", {**info, **result.outcome.payload()}, hashes
-        return "inconclusive", {**info, **result.outcome.payload()}, hashes
-
-    if command.name == "regularize":
-        handle = ideal()
-        outcome = regularize_generators(handle, handle.gens, seed, budgets)
-        if isinstance(outcome, RegularizationResult):
-            return "verified", outcome.payload(), hashes
-        return "inconclusive", outcome.payload(), hashes
-
-    if command.name == "ext-cyclic":
-        outcome = ext_module(ideal(), args["degree"])
-        verdict = "verified" if outcome.locally_cyclic else "refuted"
-        return verdict, outcome.payload(), hashes
-
-    if command.name == "resolution":
-        res = free_resolution(ideal(), args["length"])
-        ok = res.verify()
-        payload = {
+    name = command.name
+    I = session.ideals.get(args.get("ideal"))
+    flag = witnesses = None
+    if name == "member":
+        nf = I.normal_form(args["element"])
+        flag = nf.is_zero
+        witnesses = {"element": str(args["element"]), "normal_form": str(nf)}
+    elif name == "radical-member":
+        outcome = radical_member(args["element"], I, want_exponent=True,
+                                 e_max=budgets.e_max)
+        flag = outcome.member
+    elif name == "dimension":
+        outcome = dimension_height(I)
+        flag = True
+    elif name == "koszul-exact":
+        outcome = koszul2_exactness(*args["pair"])
+        flag = outcome.exact
+    elif name == "mod-square":
+        outcome = mod_square_generation(I, args["candidates"])
+        flag = outcome.holds
+    elif name == "ext-cyclic":
+        outcome = ext_module(I, args["degree"])
+        flag = outcome.locally_cyclic
+    elif name == "resolution":
+        res = free_resolution(I, args["length"])
+        flag = res.verify()
+        witnesses = {
             "betti": list(res.betti),
             "matrices": [[[str(e) for e in row] for row in m]
                          for m in res.matrices],
-            "composition_zero": ok,
+            "composition_zero": flag,
             "minimized": res.minimized,
         }
-        return ("verified" if ok else "refuted"), payload, hashes
-
-    raise InputError(f"unknown command {command.name!r}")
+    elif name == "radical-equal":
+        outcome = radical_equal(session.ideals[args["left"]],
+                                session.ideals[args["right"]], e_max=budgets.e_max)
+    elif name == "regular-sequence":
+        base = session.ideals[args["mod"]] if "mod" in args else None
+        outcome = is_regular_sequence(args["sequence"], base)
+    elif name == "lci":
+        outcome = lci_certificate(I)
+    elif name == "ci":
+        outcome = ci_from_free_conormal(I, args["pair"], options.seed, budgets)
+    elif name == "stci":
+        outcome = stci_verify(I, args["pair"], budgets)
+    elif name == "stci-search":
+        result = stci_search(I, options.seed, budgets)
+        outcome = result.outcome
+        witnesses = {"via": result.via, "trials": result.trials,
+                     "field_extension": result.extension, **outcome.payload()}
+    elif name == "regularize":
+        outcome = regularize_generators(I, I.gens, options.seed, budgets)
+    else:
+        raise InputError(f"unknown command {name!r}")
+    if witnesses is None:
+        witnesses = outcome.payload()
+    if name in ("member", "radical-member", "dimension"):
+        hashes = {"ideal": I.gb_hash()}
+    elif name == "radical-equal":
+        hashes = {side: session.ideals[args[side]].gb_hash()
+                  for side in ("left", "right")}
+    else:
+        hashes = {}
+    if flag is None:
+        return _verdict(outcome), witnesses, hashes
+    return ("verified" if flag else "refuted"), witnesses, hashes
 
 
 def run_command(session: Session, index: int, options: RunOptions) -> dict:
@@ -206,7 +176,7 @@ def run_command(session: Session, index: int, options: RunOptions) -> dict:
         "session": session.text,
         "command": command.text,
         "command_index": index,
-        "ring": _ring_for(session, command).payload(),
+        "ring": command.ring.payload(),
         "field_override": options.field_text,
         "seed": options.seed,
         "budgets": asdict(options.budgets),

@@ -60,6 +60,7 @@ class Command:
     name: str
     args: dict
     text: str
+    ring: RingSpec  # the ring the check runs in, recorded in its certificate
 
 
 @dataclass
@@ -265,7 +266,12 @@ class _Parser:
 
     def pair_arg(self, ring):
         if self.at("name") and self.peek().value in self.session.pairs:
-            return self.session.pairs[self.take().value]
+            tok = self.take()
+            pair = self.session.pairs[tok.value]
+            if pair[0].ring != ring:
+                raise self.error(f"pair {tok.value!r} belongs to a different ring",
+                                 tok.start)
+            return pair
         start = self.i
         items = self.parse_paren_exprs(ring)
         if len(items) != 2:
@@ -284,13 +290,12 @@ class _Parser:
             args["element"] = self.parse_expr(ring)
             self.expect_name("in")
             args["ideal"] = self.ideal_arg()
-            if args["element"].ring != self.ring_for_ideal(args["ideal"]):
+            if ring != self.ring_for_ideal(args["ideal"]):
                 raise self.error("element and ideal live in different rings", tok.start)
         elif word == "radical-equal":
             args["left"] = self.ideal_arg()
             args["right"] = self.ideal_arg()
-        elif word in ("dimension", "stci-search", "regularize", "lci"):
-            args["ideal"] = self.ideal_arg()
+            ring = self.ring_for_ideal(args["left"])
         elif word == "regular-sequence":
             ring = self.current_ring(tok)
             args["sequence"] = tuple(self.parse_paren_exprs(ring))
@@ -300,26 +305,25 @@ class _Parser:
         elif word == "koszul-exact":
             ring = self.current_ring(tok)
             args["pair"] = self.pair_arg(ring)
-        elif word == "mod-square":
+        else:  # every other check starts with the ideal it runs on
             args["ideal"] = self.ideal_arg()
-            self.expect_name("with")
             ring = self.ring_for_ideal(args["ideal"])
-            args["candidates"] = tuple(self.parse_paren_exprs(ring))
-        elif word in ("ci", "stci"):
-            args["ideal"] = self.ideal_arg()
-            self.expect_name("with")
-            args["pair"] = self.pair_arg(self.ring_for_ideal(args["ideal"]))
-        elif word == "ext-cyclic":
-            args["ideal"] = self.ideal_arg()
-            self.expect_name("at")
-            args["degree"] = self.expect("int").value
-        elif word == "resolution":
-            args["ideal"] = self.ideal_arg()
-            self.expect_name("length")
-            args["length"] = self.expect("int").value
+            if word == "mod-square":
+                self.expect_name("with")
+                args["candidates"] = tuple(self.parse_paren_exprs(ring))
+            elif word in ("ci", "stci"):
+                self.expect_name("with")
+                args["pair"] = self.pair_arg(ring)
+            elif word == "ext-cyclic":
+                self.expect_name("at")
+                args["degree"] = self.expect("int").value
+            elif word == "resolution":
+                self.expect_name("length")
+                args["length"] = self.expect("int").value
         end_tok = self.expect("op", ";")
         text = self.text[start_tok.start:end_tok.end]
-        self.session.commands.append(Command(word, args, " ".join(text.split())))
+        self.session.commands.append(
+            Command(word, args, " ".join(text.split()), ring))
 
     # -- top level
 

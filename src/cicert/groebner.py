@@ -127,6 +127,16 @@ class Budget:
 _METER: ContextVar[Budget | None] = ContextVar("cicert_gb_meter", default=None)
 
 
+def _metered(compute):
+    """compute() under the open meter, or a fresh one when none is open;
+    returns its result, the steps it took and the meter that paid."""
+    meter = _METER.get()
+    with nullcontext(meter) if meter else Budget() as meter:
+        start = meter.used
+        result = compute()
+    return result, meter.used - start, meter
+
+
 # ---------------------------------------------------------------------------
 # Buchberger core
 
@@ -305,16 +315,15 @@ class IdealHandle:
     def groebner(self):
         meter = _METER.get()
         if self._gb is None:
-            with nullcontext(meter) if meter else Budget() as meter:
-                start = meter.used
-                gb = groebner_basis(self.working_gens(), self.ring)
+            gb, cost, payer = _metered(
+                lambda: groebner_basis(self.working_gens(), self.ring))
             basis = ModuleBasis(self.ring, 1, [(g,) for g in gb])
             # self-check: every input generator must reduce to zero
             for g in self.working_gens():
                 if not basis.reduce((g,))[0].is_zero:
                     raise AssertionError(
                         f"generator {g} does not reduce against its own basis")
-            self._keep(basis, meter.used - start, meter)
+            self._keep(basis, cost, payer)
         elif meter is not None and meter is not self._payer:
             meter.spend(self._cost)
             self._payer = meter

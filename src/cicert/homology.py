@@ -408,6 +408,13 @@ class PresentationMatrix:
                 clean.append(nf)
         return cls(ring, ngens, tuple(clean))
 
+    @classmethod
+    def modulo(cls, I: IdealHandle, ngens, rows):
+        """The presentation over A/I of rows over A.  A/I comes from
+        `quotient_ring`, so the reduction uses I's cached basis."""
+        ring = quotient_ring(I)
+        return cls.of(ring, ngens, [tuple(ring.rehome(f) for f in row) for row in rows])
+
     def payload(self):
         return {
             "ring": self.ring.payload(),
@@ -418,15 +425,11 @@ class PresentationMatrix:
 
 def conormal_presentation(I: IdealHandle) -> PresentationMatrix:
     """I/I^2 over A/I: generators are the images of the generators of I,
-    relations are their syzygies reduced modulo I.  A/I comes from
-    `quotient_ring`, so the reduction uses I's cached basis."""
+    relations are their syzygies reduced modulo I."""
     gens = tuple(g for g in I.gens if g)
     if not gens:
         raise ValueError("conormal module of the zero ideal")
-    rows = syzygies(gens)
-    quotient_spec = quotient_ring(I)
-    rehomed = [tuple(quotient_spec.rehome(f) for f in row) for row in rows]
-    return PresentationMatrix.of(quotient_spec, len(gens), rehomed)
+    return PresentationMatrix.modulo(I, len(gens), syzygies(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +585,9 @@ def ext_module(I: IdealHandle, r: int) -> ExtModule:
     """Cohomology of the dualized resolution at slot r, over A/I.
 
     Locally cyclic means Fitt_1 of the presentation is the unit ideal
-    of A/I; a global generator is not searched for.  A/I comes from
-    `quotient_ring`, so its zero ideal is I's cached basis.
+    of A/I; a global generator is not searched for.  The resolution is
+    cut at 4 maps, so for r >= 4 it must end there: if the last map has
+    syzygies, Ext^r is out of reach and a ValueError says so.
     """
     if r < 1:
         raise ValueError("degree must be at least 1")
@@ -591,6 +595,9 @@ def ext_module(I: IdealHandle, r: int) -> ExtModule:
     if not any(I.gens):
         raise ValueError("ext module of the zero ideal")
     matrices = free_resolution(I, min(r + 1, 4)).matrices
+    if r >= 4 and len(matrices) == 4 and module_syzygies(matrices[-1], ring):
+        raise ValueError(f"ext-cyclic at degree {r} needs a free resolution "
+                         f"longer than its limit of 4 maps")
     kernel, relations = [], []
     if r < len(matrices):
         kernel = _prune_rows(module_syzygies(matrix_transpose(matrices[r]), ring), ring)
@@ -601,9 +608,7 @@ def ext_module(I: IdealHandle, r: int) -> ExtModule:
     if kernel:
         combined = kernel + matrix_transpose(matrices[r - 1])
         relations = [row[: len(kernel)] for row in module_syzygies(combined, ring)]
-    quotient_spec = quotient_ring(I)
-    rehomed = [tuple(quotient_spec.rehome(f) for f in row) for row in relations]
-    pres = PresentationMatrix.of(quotient_spec, len(kernel), rehomed)
+    pres = PresentationMatrix.modulo(I, len(kernel), relations)
     if not kernel:
         return ExtModule(I, r, pres, True)
     return ExtModule(I, r, pres, fitting_ideals(pres).ideals[1].is_unit())

@@ -18,7 +18,8 @@ import itertools
 from dataclasses import dataclass
 
 from .certificates import Replayable
-from .groebner import IdealHandle, _augmented, gb_hash, groebner_basis, zero_ideal
+from .groebner import (IdealHandle, ModuleBasis, _augmented, _metered, gb_hash,
+                       groebner_basis, zero_ideal)
 from .poly import (
     MonomialOrder,
     Polynomial,
@@ -53,8 +54,17 @@ def fresh_name(ring: RingSpec, stem: str = "t") -> str:
 def _first_syzygy_entries(rows, ring):
     """Ideal of the first-row coefficients a with a*rows[0] in the span
     of rows[1:]: the first entries of the syzygies of the rows, with
-    only the first row tagged."""
-    return IdealHandle(ring, tuple(s[0] for s in _augmented(rows, ring, 1)[2]))
+    only the first row tagged.
+
+    The row block is strongest, so the basis elements whose row block
+    vanishes are a basis of the syzygies (the elimination property of a
+    position-over-term order, Greuel-Pfister 2.8), and their one-entry
+    tails are the reduced basis of the ideal.  The handle keeps that
+    basis with the steps it cost, so it is never computed again."""
+    syz, cost, payer = _metered(lambda: _augmented(rows, ring, 1)[2])
+    handle = IdealHandle(ring, tuple(s[0] for s in syz))
+    handle._keep(ModuleBasis(ring, 1, syz), cost, payer)
+    return handle
 
 
 def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:

@@ -24,6 +24,7 @@ from .ideals import (
     DimensionReport,
     RadicalEqualityCertificate,
     dimension_height,
+    fresh_name,
     quotient,
     radical_equal,
 )
@@ -742,15 +743,14 @@ def _find_irreducible(p, k):
     raise AssertionError(f"no irreducible of degree {k} over F_{p}")
 
 
-def extend_scalars(ring: RingSpec, k: int, name: str = "a"):
+def extend_scalars(ring: RingSpec, k: int):
     """A tensor F_{p^k}, realized as one extra variable modulo an
     irreducible polynomial.  Returns (new_ring, embed)."""
     if not isinstance(ring.field, PrimeField):
         raise InputError("scalar extension only applies over a prime field")
     if ring.order.kind == "block" or ring.order.permutation is not None:
         raise InputError("scalar extension needs a plain lex/grevlex order")
-    while name in ring.variables:
-        name += "_"
+    name = fresh_name(ring, "a")
     p = ring.field.p
     variables = ring.variables + (name,)
     bare = RingSpec(variables, ring.field, MonomialOrder(ring.order.kind))

@@ -13,6 +13,7 @@ from cicert.cli import (
     replay_payload,
     run_session,
 )
+from cicert.dsl import parse_session
 from cicert.pipeline import Budgets
 
 SKEW_SESSION = """\
@@ -239,6 +240,30 @@ def test_refuting_commands_dispatch():
     assert code == EXIT_REFUTED
 
 
+def test_certificates_carry_the_ring_of_their_ideal():
+    """A check on an ideal runs in the ideal's ring, which need not be
+    the ring declared last."""
+    payloads, code = run_session("""
+        ring R = QQ[x,y,z];
+        ideal I = (y - x^2, z - x^3);
+        ideal J = (y - x^2, z - x*y);
+        ring S = Fp(7)[u,v];
+        check dimension I;
+        check lci I;
+        check radical-equal I J;
+        check mod-square I with (y - x^2, z - x^3);
+        check ci I with (y - x^2, z - x^3);
+        check stci I with (y - x^2, z - x^3);
+        check stci-search I;
+        check regularize I;
+        check ext-cyclic I at 2;
+        check resolution I length 2;
+    """)
+    assert code == EXIT_VERIFIED
+    ring = parse_session("ring R = QQ[x,y,z];").rings["R"].payload()
+    assert [p["ring"] for p in payloads] == [ring] * 10
+
+
 # -- entry point
 
 
@@ -277,6 +302,14 @@ def test_main_bad_session_is_input_error(tmp_path):
     session = tmp_path / "bad.ck"
     session.write_text("ideal I = (x);")
     assert main([str(session)]) == EXIT_INPUT_ERROR
+
+
+def test_main_ext_past_the_resolution_limit_is_input_error(tmp_path, capsys):
+    session = tmp_path / "ext.ck"
+    session.write_text("ring R = QQ[a,b,c,d,e]; ideal I = (a, b, c, d, e);"
+                       "check ext-cyclic I at 4;")
+    assert main([str(session)]) == EXIT_INPUT_ERROR
+    assert "limit of 4 maps" in capsys.readouterr().err
 
 
 def test_main_missing_file_is_input_error(tmp_path):

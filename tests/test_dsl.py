@@ -103,6 +103,30 @@ def test_pair_by_name_in_check():
     assert [str(p) for p in s.commands[0].args["pair"]] == ["x", "y"]
 
 
+def test_check_records_the_ring_it_runs_in():
+    """The ideal's ring for a check on an ideal, the left ideal's for
+    radical-equal, the current ring for sequences and pairs."""
+    s = parse_session("""
+        ring R = QQ[x,y];
+        ideal I = (x, y);
+        ring S = QQ[u,v];
+        ideal K = (u);
+        check dimension I;
+        check resolution I length 2;
+        check radical-equal I I;
+        check regular-sequence (u, v) mod K;
+        check koszul-exact (u, v);
+    """)
+    R, S = s.rings["R"], s.rings["S"]
+    assert [c.ring for c in s.commands] == [R, R, R, S, S]
+
+
+def test_pair_from_another_ring_fails():
+    with pytest.raises(DslParseError, match="'P' belongs to a different ring"):
+        parse_session("ring R = QQ[x,y]; pair P = (x, y);"
+                      "ring S = QQ[u,v]; check koszul-exact P;")
+
+
 def test_field_override():
     s = parse_session("ring R = QQ[x]; ideal I = (x + 6);",
                       field_override=GF(5))

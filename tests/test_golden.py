@@ -24,8 +24,8 @@ SESSIONS = sorted(p.stem for p in GOLDEN.glob("*.ck"))
 
 
 # Budget.charge calls of one run of each session with its recorded options
-CHARGES = {"budget-2": 3, "c345": 68, "f5-cylinder": 257, "readme-skew": 319,
-           "skew-quotient": 350, "twisted-cubic": 92}
+CHARGES = {"budget-2": 3, "c345": 66, "f5-cylinder": 257, "readme-skew": 319,
+           "skew-quotient": 346, "twisted-cubic": 92}
 
 
 def _load(name):

@@ -214,6 +214,31 @@ def test_ext_degree_validation(R2):
         ext_module(H(R2, "x"), 0)
 
 
+R5 = RingSpec(("a", "b", "c", "d", "e"), QQ)
+
+
+@pytest.mark.parametrize("gens,r", [
+    (("a", "b", "c", "d", "e"), 4),
+    (("a", "b", "c", "d^2", "d*e", "e^2"), 4),
+    (("a", "b", "c", "d^2", "d*e", "e^2"), 5),
+])
+def test_ext_past_the_resolution_limit_gives_no_verdict(gens, r):
+    """Both resolutions have 5 maps, but only 4 are computed.  Ext^4 is 0
+    for both ideals, and Ext^5 of the second is the canonical module of
+    a ring of type 2, which needs two generators at the origin: reading
+    the cut resolution as finished got all three wrong."""
+    with pytest.raises(ValueError, match="limit of 4 maps"):
+        ext_module(H(R5, *gens), r)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_ext_of_a_resolution_that_ends_at_the_limit(r):
+    """The Koszul complex of 4 variables has exactly 4 maps: Ext^4 is
+    the cyclic A/I and Ext^5 is 0."""
+    R = RingSpec(("a", "b", "c", "d"), QQ)
+    assert ext_module(H(R, "a", "b", "c", "d"), r).locally_cyclic
+
+
 # -- conormal presentations
 
 

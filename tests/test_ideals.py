@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cicert.groebner import IdealHandle
+from cicert.groebner import IdealHandle, groebner_basis
 from cicert.ideals import (
     RadicalEqualityCertificate,
     RadicalRefutation,
@@ -143,6 +143,31 @@ def test_intersection_sandwich(ring, left, right):
     product = IdealHandle(ring, [g * h for g in I.gens for h in J.gens])
     assert meet.contains_ideal(product)
     assert I.contains_ideal(meet) and J.contains_ideal(meet)
+
+
+def _random_poly(rng, ring):
+    terms = {}
+    while len(terms) < rng.randint(2, 3):
+        exps = [0] * ring.nvars
+        for _ in range(rng.randint(1, 2)):
+            exps[rng.randrange(ring.nvars)] += 1
+        terms[tuple(exps)] = ring.field.coerce(rng.choice([-3, -2, -1, 1, 2, 3]))
+    return ring.poly_from_dict(terms)
+
+
+@pytest.mark.parametrize("ring", [RingSpec(("x", "y", "z"), QQ),
+                                  RingSpec(("x", "y", "z"), GF(7)),
+                                  xy_quotient(QQ)], ids=["QQ", "F7", "quotient"])
+def test_colon_and_intersection_handles_keep_their_reduced_basis(ring):
+    """The basis a colon or intersection handle is given, read off its
+    syzygies, is the reduced basis of its generators plus J0."""
+    rng = random.Random(f"kept-basis-{ring.describe()}")
+    for _ in range(4):
+        I = IdealHandle(ring, [_random_poly(rng, ring) for _ in range(2)])
+        J = IdealHandle(ring, [_random_poly(rng, ring) for _ in range(2)])
+        for handle in (quotient(I, J.gens[0]), quotient(I, J), intersect(I, J)):
+            assert handle._gb is not None
+            assert handle._gb == groebner_basis(handle.working_gens(), ring)
 
 
 # -- elimination
