@@ -1,16 +1,28 @@
 """Reduced Groebner bases for ideals and submodules of free modules.
 
 One Buchberger core handles both cases: elements of R^m are held as
-sparse dicts keyed by (position, monomial) and compared position over
-term, position 0 strongest.  Scalar polynomials are rank-1 vectors.
+sparse dicts keyed by packed term keys and compared position over term,
+position 0 strongest.  Scalar polynomials are rank-1 vectors.
+
+A term key is one int made by the ring's `poly.MonomialPacker`: 32-bit
+fields for the linear forms the order compares (lex: the exponents;
+grevlex: the degree, then partial sums of the exponents; a block order:
+its block's forms, then its tail's), then one for each exponent no form
+holds alone, and the position above them all.  The integer order is
+position over term, a monomial product is one `+` and a divisibility
+test one subtract and mask.  The top bit of each field is a guard: a
+field holds at most 2^31 - 1, and a term past it, whether packed or
+formed by an S-pair or a reduction step, raises
+`poly.ExponentOverflowError`.  Exponent tuples exist only at the
+boundary, where `_vec_from_polys` packs and `_vec_to_polys` unpacks.
 
 Every vector dict is kept in descending order, so its lead term is its
 first key.  Reduction is the one division loop of `cicert.poly`,
-`poly._vec_reduce`: it takes terms largest first from a heap keyed by
-the order's `neg_key`, computed once per term, and cancels each with the
-first basis element in list order whose lead divides it.  S-pairs wait
-in a heap ordered by (order key of the lcm, i, j); the smallest is
-reduced next unless the product or chain criterion drops it.
+`poly._vec_reduce`: it takes terms largest first from a heap of keys
+and cancels each with the first basis element in list order whose lead
+divides it.  S-pairs wait in a heap of (packed lcm, i, j), the lcm's
+position left out; the smallest is reduced next unless the product or
+chain criterion drops it.
 
 One augmented-module primitive, `_augmented`, serves every construction
 that needs more than a basis: it appends unit-vector tails to the
@@ -51,8 +63,10 @@ import heapq
 from contextlib import nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .poly import (
+    ExponentOverflowError,
     Polynomial,
     RingMismatchError,
     RingSpec,
@@ -61,10 +75,6 @@ from .poly import (
     _vec_from_polys,
     _vec_reduce,
     _vec_to_polys,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
 )
 
 __all__ = [
@@ -141,42 +151,47 @@ def _metered(compute):
 # Buchberger core
 
 
-def _spair(b1: _BasisElt, b2: _BasisElt, field) -> dict:
-    lcm = mono_lcm(b1.mono, b2.mono)
-    s1 = mono_div(lcm, b1.mono)
-    s2 = mono_div(lcm, b2.mono)
-    out = {}
+def _spair(b1: _BasisElt, b2: _BasisElt, lcm: int, ring) -> dict:
+    """The S-vector of two elements whose leads divide the key `lcm`."""
+    field = ring.field
+    guards = ring.packer.guards
+    s1 = lcm - b1.lead
+    s2 = lcm - b2.lead
+    out = {k + s1: c for k, c in b1.vec.items()}
     zero = field.zero
-    for (p, m), c in b1.vec.items():
-        out[(p, mono_mul(m, s1))] = c
-    for (p, m), c in b2.vec.items():
-        k = (p, mono_mul(m, s2))
+    for k, c in b2.vec.items():
+        k += s2
         val = field.sub(out.get(k, zero), c)
         if val == zero:
             out.pop(k, None)
         else:
             out[k] = val
+    # a field pushed into its guard bit still holds its exact value, so a
+    # cancelled term needs no check
+    if any(k & guards for k in out):
+        raise ExponentOverflowError()
     return out
 
 
 def _module_buchberger_dicts(vecdicts, ring) -> list[_BasisElt]:
     meter = _METER.get() or Budget()  # none open: a fresh default meter
     field = ring.field
-    okey = ring.order.key
-    scalar = all(pos == 0 for v in vecdicts for (pos, _m) in v)
+    packer = ring.packer
+    size, guards, divmask = packer.size, packer.guards, packer.divmask
+    scalar = all(k >= 0 for v in vecdicts for k in v)
 
     G: list[_BasisElt] = []
-    queue: list[tuple] = []  # heap of (okey(lcm), i, j, lcm)
+    queue: list[tuple] = []  # heap of (packed lcm, i, j)
     P: set[tuple[int, int]] = set()  # pairs still queued
 
     def add_element(vec):
         elt = _BasisElt(_make_monic(field, vec))
         t = len(G)
+        top = elt.lead >> size
         G.append(elt)
         for i in range(t):
-            if G[i].pos == elt.pos:
-                lcm = mono_lcm(G[i].mono, elt.mono)
-                heapq.heappush(queue, (okey(lcm), i, t, lcm))
+            if G[i].lead >> size == top:
+                heapq.heappush(queue, (packer.lcm(G[i].lead, elt.lead), i, t))
                 P.add((i, t))
 
     for v in vecdicts:
@@ -184,22 +199,24 @@ def _module_buchberger_dicts(vecdicts, ring) -> list[_BasisElt]:
             add_element(dict(v))
 
     def partial():
-        return tuple(_vec_to_polys(ring, _rank_of(G), b.vec) for b in G)
+        return tuple(_vec_to_polys(ring, _rank_of(G, size), b.vec) for b in G)
 
     while queue:
-        _, i, j, lcm = heapq.heappop(queue)
+        lcm, i, j = heapq.heappop(queue)
         P.remove((i, j))
         bi, bj = G[i], G[j]
         # product criterion is only valid in the rank-1 (ideal) case
-        if scalar and lcm == mono_mul(bi.mono, bj.mono):
+        if scalar and lcm == bi.lead + bj.lead:
             continue
+        lcm += (bi.lead >> size) << size  # the pair's position
         # chain criterion: some k with lt(k) | lcm whose pairs with i and j
         # were both handled already
+        probe = lcm | guards
         skip = False
         for k in range(len(G)):
-            if k in (i, j) or G[k].pos != bi.pos:
+            if k in (i, j):
                 continue
-            if mono_divides(G[k].mono, lcm):
+            if (probe - G[k].lead) & divmask == guards:
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
                 if a not in P and b not in P:
@@ -208,29 +225,25 @@ def _module_buchberger_dicts(vecdicts, ring) -> list[_BasisElt]:
         if skip:
             continue
         meter.charge(partial)
-        s = _spair(bi, bj, field)
+        s = _spair(bi, bj, lcm, ring)
         r = _vec_reduce(s, G, ring)
         if r:
             add_element(r)
     return G
 
 
-def _rank_of(G) -> int:
-    rank = 0
-    for b in G:
-        for (pos, _m) in b.vec:
-            rank = max(rank, pos + 1)
-    return rank
+def _rank_of(G, size) -> int:
+    return max((-(k >> size) for b in G for k in b.vec), default=-1) + 1
 
 
 def _reduced_basis(G: list[_BasisElt], ring) -> list[_BasisElt]:
-    okey = ring.order.key
+    guards, divmask = ring.packer.guards, ring.packer.divmask
+    lead = attrgetter("lead")
     # minimal: drop elements whose lead another kept lead divides
-    order = sorted(range(len(G)), key=lambda i: (-G[i].pos, okey(G[i].mono)))
     kept: list[_BasisElt] = []
-    for i in order:
-        g = G[i]
-        if any(h.pos == g.pos and mono_divides(h.mono, g.mono) for h in kept):
+    for g in sorted(G, key=lead):
+        probe = g.lead | guards
+        if any((probe - h.lead) & divmask == guards for h in kept):
             continue
         kept.append(g)
     # interreduce tails: the leads are pairwise non-dividing and reduction
@@ -239,7 +252,7 @@ def _reduced_basis(G: list[_BasisElt], ring) -> list[_BasisElt]:
         r = _vec_reduce(dict(g.vec), kept[:i] + kept[i + 1:], ring)
         if r != g.vec:
             kept[i] = _BasisElt(r)
-    kept.sort(key=lambda b: (-b.pos, okey(b.mono)), reverse=True)
+    kept.sort(key=lead, reverse=True)
     return kept
 
 
@@ -260,7 +273,7 @@ def module_groebner(vectors, ring):
         for f in v:
             if f.ring != ring:
                 raise RingMismatchError("module element from a different ring")
-    G = _module_buchberger_dicts([_vec_from_polys(v) for v in vectors], ring)
+    G = _module_buchberger_dicts([_vec_from_polys(ring, v) for v in vectors], ring)
     G = _reduced_basis(G, ring)
     return tuple(_vec_to_polys(ring, rank, b.vec) for b in G)
 
@@ -442,10 +455,10 @@ class ModuleBasis:
         self.ring = ring
         self.rank = rank
         self.vectors = tuple(vectors)
-        self._elts = [_BasisElt(_vec_from_polys(v)) for v in self.vectors]
+        self._elts = [_BasisElt(_vec_from_polys(ring, v)) for v in self.vectors]
 
     def reduce(self, vec):
-        r = _vec_reduce(_vec_from_polys(vec), self._elts, self.ring)
+        r = _vec_reduce(_vec_from_polys(self.ring, vec), self._elts, self.ring)
         return _vec_to_polys(self.ring, self.rank, r)
 
     def contains(self, vec) -> bool:

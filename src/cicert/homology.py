@@ -455,30 +455,33 @@ def _determinant(rows, ring):
 
 @dataclass
 class FittingIdealSet:
-    """Fitt_0 <= Fitt_1 <= ... <= Fitt_b, Fitt_k from the (b-k)-minors."""
+    """Fitt_k for the asked indices k, from the (b-k)-minors of a
+    presentation with b generators (Fitt_0 <= Fitt_1 <= ... <= Fitt_b)."""
 
     presentation: PresentationMatrix
-    ideals: tuple  # index k -> IdealHandle
+    ideals: dict  # index k -> IdealHandle
 
     def payload(self):
         return {
             f"fitt_{k}": [str(g) for g in handle.gens]
-            for k, handle in enumerate(self.ideals)
+            for k, handle in self.ideals.items()
         }
 
 
-def fitting_ideals(P: PresentationMatrix) -> FittingIdealSet:
+def fitting_ideals(P: PresentationMatrix, ks) -> FittingIdealSet:
+    """Fitt_k of the module P presents, for each k in `ks` (k >= 0); only
+    those ideals' minors are formed."""
     ring = P.ring
     nrows = len(P.rows)
     mod_base = zero_ideal(ring)
-    handles = []
-    for k in range(P.ngens + 1):
+    handles = {}
+    for k in ks:
         size = P.ngens - k
         if size <= 0:
-            handles.append(IdealHandle(ring, [ring.one]))
+            handles[k] = IdealHandle(ring, [ring.one])
             continue
         if size > nrows:
-            handles.append(mod_base)
+            handles[k] = mod_base
             continue
         minors = []
         seen = set()
@@ -489,8 +492,8 @@ def fitting_ideals(P: PresentationMatrix) -> FittingIdealSet:
                 if det and det.terms not in seen:
                     seen.add(det.terms)
                     minors.append(det)
-        handles.append(IdealHandle(ring, minors))
-    return FittingIdealSet(P, tuple(handles))
+        handles[k] = IdealHandle(ring, minors)
+    return FittingIdealSet(P, handles)
 
 
 @dataclass
@@ -531,11 +534,11 @@ def projective_rank_certificate(P: PresentationMatrix,
                                 rank: int) -> ProjectiveRankCertificate:
     if rank < 0:
         raise ValueError("rank must be non-negative")
-    fitts = fitting_ideals(P)
     if rank > P.ngens:
         return ProjectiveRankCertificate(P, rank, False,
                                          f"rank {rank} exceeds generator count",
                                          None, None, None)
+    fitts = fitting_ideals(P, (rank - 1, rank) if rank >= 1 else (rank,))
     low = fitts.ideals[rank - 1] if rank >= 1 else None
     if low is not None and not low.is_zero_ideal():
         witness = next(w for w in map(zero_ideal(P.ring).normal_form, low.gens) if w)
@@ -611,4 +614,4 @@ def ext_module(I: IdealHandle, r: int) -> ExtModule:
     pres = PresentationMatrix.modulo(I, len(kernel), relations)
     if not kernel:
         return ExtModule(I, r, pres, True)
-    return ExtModule(I, r, pres, fitting_ideals(pres).ideals[1].is_unit())
+    return ExtModule(I, r, pres, fitting_ideals(pres, (1,)).ideals[1].is_unit())

@@ -5,8 +5,8 @@ strictly descending in the ring's monomial order, with no zero
 coefficients.  A ring may carry a base ideal J0, in which case its
 elements are representatives in the free polynomial ring k[x1..xn];
 reduction modulo J0 needs J0's basis, which the Groebner layer keeps.
-Arithmetic is always exact: Fraction coefficients for QQ, residues in
-[0, p) for GF(p).
+Arithmetic is always exact: ints and Fractions for QQ (a result with
+denominator 1 is an int), residues in [0, p) for GF(p).
 
 This module owns the three kernels the other layers share: the tokens
 of the session language (`tokenize`), the expression grammar
@@ -14,11 +14,31 @@ of the session language (`tokenize`), the expression grammar
 first token that cannot continue the expression) and the division loop
 (`_vec_reduce`), which reduces vectors for the Groebner layer and is
 what `reduce` runs.
+
+Polynomials hold exponent tuples; the division loop and the Groebner
+core hold packed monomials, one int per term (Bachmann and Schoenemann,
+ISSAC 1998).  Every order here compares linear forms with 0/1 weights
+lexicographically: lex the single exponents, grevlex on y1..yk the
+degree and then the partial sums y1+..+y(k-1), ..., y1, a block order
+the grevlex forms of its block and then those of its tail kind, all
+after the order's permutation.  A ring's `MonomialPacker` puts those
+forms in 32-bit fields, most significant first, and below them one
+field for each exponent that no form holds alone.  So the integer order
+of packed ints is the monomial order, a product is one `+`, and since
+every exponent has a field, `a | b` is `((b | G) - a) & G == G` for the
+mask G of the fields' top bits.  That top bit is a guard: a field holds
+at most EXPONENT_LIMIT = 2^31 - 1, which packing checks and the guard
+test checks on each term a reduction or an S-pair forms; past it the
+kernel raises ExponentOverflowError (a ValueError) and never wraps.  A
+vector term subtracts its position times 2^(fields * 32), so position 0
+is strongest and a weaker position gives a smaller key.  Exponent
+tuples are packed by `_vec_from_polys` and unpacked by `_vec_to_polys`.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,10 +59,10 @@ __all__ = [
     "tokenize",
     "parse_expression",
     "reduce",
+    "MonomialPacker",
+    "ExponentOverflowError",
+    "EXPONENT_LIMIT",
     "mono_mul",
-    "mono_div",
-    "mono_divides",
-    "mono_lcm",
     "mono_deg",
 ]
 
@@ -87,31 +107,41 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _integral(q):
+    """q, or its numerator when q is a Fraction with denominator 1."""
+    if q.__class__ is Fraction and q.denominator == 1:
+        return q.numerator
+    return q
+
+
 @dataclass(frozen=True)
 class RationalField:
-    """The rationals; scalars are Fraction values in lowest terms."""
+    """The rationals; a scalar is an int, or a Fraction in lowest terms
+    whose denominator is not 1.  Both compare, hash and print alike, and
+    int arithmetic is the cheaper; division goes through Fraction, so no
+    result is ever a float."""
 
     name = "QQ"
 
     @property
     def zero(self):
-        return Fraction(0)
+        return 0
 
     @property
     def one(self):
-        return Fraction(1)
+        return 1
 
-    def coerce(self, value) -> Fraction:
-        return Fraction(value)
+    def coerce(self, value):
+        return _integral(Fraction(value))
 
     def add(self, a, b):
-        return a + b
+        return _integral(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _integral(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _integral(a * b)
 
     def neg(self, a):
         return -a
@@ -119,10 +149,10 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return _integral(1 / Fraction(a))
 
     def div(self, a, b):
-        return a / b
+        return _integral(Fraction(a) / b)
 
     def format(self, a) -> str:
         return str(a)
@@ -216,20 +246,6 @@ def mono_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_div(a, b):
-    """a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_divides(a, b) -> bool:
-    """True if a divides b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def mono_deg(a) -> int:
     return sum(a)
 
@@ -243,14 +259,6 @@ def _plain_key(kind, m):
         return m
     if kind == "grevlex":
         return _grevlex_key(m)
-    raise ValueError(f"unknown order kind {kind!r}")
-
-
-def _plain_neg_key(kind, m):
-    if kind == "lex":
-        return tuple(-e for e in m)
-    if kind == "grevlex":
-        return (-sum(m), m[::-1])
     raise ValueError(f"unknown order kind {kind!r}")
 
 
@@ -284,16 +292,6 @@ class MonomialOrder:
                     _plain_key(self.tail_kind, mono[self.block:]))
         return _plain_key(self.kind, mono)
 
-    def neg_key(self, mono):
-        """A key whose ascending order is this order's descending one, so
-        a min-heap of neg_keys pops the largest monomial first."""
-        if self.permutation is not None:
-            mono = tuple(mono[i] for i in self.permutation)
-        if self.kind == "block":
-            return (_plain_neg_key("grevlex", mono[: self.block]),
-                    _plain_neg_key(self.tail_kind, mono[self.block:]))
-        return _plain_neg_key(self.kind, mono)
-
     def describe(self) -> str:
         if self.kind == "block":
             text = f"block({self.block},{self.tail_kind})"
@@ -302,6 +300,86 @@ class MonomialOrder:
         if self.permutation is not None:
             text += "@" + ",".join(str(i) for i in self.permutation)
         return text
+
+
+# ---------------------------------------------------------------------------
+# packed monomials: the keys of the division loop and the Groebner core
+
+_FIELD_BITS = 32
+EXPONENT_LIMIT = (1 << (_FIELD_BITS - 1)) - 1  # the largest value of a field
+
+
+class ExponentOverflowError(ValueError):
+    """A monomial has a packed field past EXPONENT_LIMIT."""
+
+    def __init__(self):
+        super().__init__(
+            "monomial too large to pack: every exponent, and every degree the "
+            f"monomial order compares, must be at most 2^31 - 1 = {EXPONENT_LIMIT}")
+
+
+def _order_forms(order: MonomialOrder, nvars: int) -> list[tuple[int, ...]]:
+    """The order as linear forms with 0/1 weights, each the tuple of the
+    variables it sums, compared lexicographically."""
+    perm = tuple(order.permutation if order.permutation is not None else range(nvars))
+
+    def forms(kind, ys):
+        if kind == "lex":
+            return [(y,) for y in ys]
+        if kind == "grevlex":  # the degree, then y1+..+y(k-1), ..., y1
+            return [ys[:j] for j in range(len(ys), 0, -1)]
+        raise ValueError(f"unknown order kind {kind!r}")
+
+    if order.kind == "block":
+        return (forms("grevlex", perm[:order.block])
+                + forms(order.tail_kind, perm[order.block:]))
+    return forms(order.kind, perm)
+
+
+class MonomialPacker:
+    """Packs the exponent tuples of one ring into ints whose integer order
+    is the ring's monomial order; see the module docstring for the layout.
+
+    `size` is the bit length of the monomial part, `guards` the mask of
+    the fields' guard bits, and `divmask` that mask with every bit from
+    `size` up set, so that for a term key k and a lead key b,
+    `((k | guards) - b) & divmask == guards` holds exactly when b is at
+    k's position and its monomial divides k's.
+    """
+
+    __slots__ = ("size", "mask", "guards", "divmask", "_fields", "_units", "_shifts")
+
+    def __init__(self, order: MonomialOrder, nvars: int):
+        forms = _order_forms(order, nvars)
+        alone = {f[0] for f in forms if len(f) == 1}
+        fields = forms + [(i,) for i in range(nvars) if i not in alone]
+        shifts = [(len(fields) - 1 - j) * _FIELD_BITS for j in range(len(fields))]
+        self.size = len(fields) * _FIELD_BITS
+        self.mask = (1 << self.size) - 1
+        self.guards = sum(1 << (s + _FIELD_BITS - 1) for s in shifts)
+        self.divmask = self.guards - (1 << self.size)
+        self._fields = tuple(fields)
+        # the packed variable x_i, and the shift of the field holding e_i alone
+        self._units = tuple(sum(1 << s for s, f in zip(shifts, fields) if i in f)
+                            for i in range(nvars))
+        self._shifts = tuple(shifts[fields.index((i,))] for i in range(nvars))
+
+    def pack(self, mono, pos: int = 0) -> int:
+        # no field exceeds the total degree, so fields are summed only past it
+        if sum(mono) > EXPONENT_LIMIT and any(
+                sum(mono[i] for i in f) > EXPONENT_LIMIT for f in self._fields):
+            raise ExponentOverflowError()
+        return sum(map(operator.mul, mono, self._units)) - (pos << self.size)
+
+    def unpack(self, key: int) -> tuple[int, tuple[int, ...]]:
+        """(position, exponent tuple) of a key."""
+        mono = key & self.mask
+        return (mono - key) >> self.size, tuple(
+            (mono >> s) & EXPONENT_LIMIT for s in self._shifts)
+
+    def lcm(self, a: int, b: int) -> int:
+        """The packed lcm of the monomials of two keys, position dropped."""
+        return self.pack(tuple(map(max, self.unpack(a)[1], self.unpack(b)[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +555,7 @@ class RingSpec:
     """
 
     __slots__ = ("variables", "field", "order", "_base_terms", "_var_index",
-                 "_key", "_hash", "_base_cache", "_zero_ideal")
+                 "_key", "_hash", "_base_cache", "_zero_ideal", "_packer")
 
     def __init__(self, variables, field, order=None, base=()):
         variables = tuple(variables)
@@ -503,6 +581,7 @@ class RingSpec:
         self._hash = hash(self._key)
         self._base_cache = None
         self._zero_ideal = None  # set by groebner.zero_ideal
+        self._packer = None
 
     # -- identity
 
@@ -534,6 +613,13 @@ class RingSpec:
     @property
     def nvars(self) -> int:
         return len(self.variables)
+
+    @property
+    def packer(self) -> MonomialPacker:
+        """The packer of this ring's monomials, made once per ring object."""
+        if self._packer is None:
+            self._packer = MonomialPacker(self.order, self.nvars)
+        return self._packer
 
     @property
     def zero(self) -> Polynomial:
@@ -652,34 +738,35 @@ class RingSpec:
 # ---------------------------------------------------------------------------
 # division: one reduction loop for polynomials and vectors
 #
-# A vector of R^m is a dict keyed by (position, monomial), kept in
-# descending order, position over term with position 0 strongest; a
-# polynomial is a rank-1 vector.
+# A vector of R^m is a dict keyed by packed term keys, position over term
+# with position 0 strongest, kept in descending order; a polynomial is a
+# rank-1 vector.
 
 
-def _vec_from_polys(vec) -> dict:
-    out = {}
-    for pos, f in enumerate(vec):
-        for m, c in f.terms:
-            out[(pos, m)] = c
-    return out
+def _vec_from_polys(ring, vec) -> dict:
+    pack = ring.packer.pack
+    return {pack(m, pos): c for pos, f in enumerate(vec) for m, c in f.terms}
 
 
 def _vec_to_polys(ring, rank, vec: dict):
-    buckets = [dict() for _ in range(rank)]
-    for (pos, m), c in vec.items():
-        buckets[pos][m] = c
-    return tuple(ring.poly_from_dict(b) for b in buckets)
+    """The polynomials of a vector dict, which is descending and holds no
+    zero coefficient, so each position's terms come out in order."""
+    unpack = ring.packer.unpack
+    buckets = [[] for _ in range(rank)]
+    for key, c in vec.items():
+        pos, mono = unpack(key)
+        buckets[pos].append((mono, c))
+    return tuple(Polynomial(ring, tuple(b)) for b in buckets)
 
 
 class _BasisElt:
     """A basis vector; its lead is the first key of its dict."""
 
-    __slots__ = ("pos", "mono", "vec", "tail")
+    __slots__ = ("lead", "vec", "tail")
 
     def __init__(self, vec):
         terms = iter(vec.items())
-        (self.pos, self.mono), _lc = next(terms)
+        self.lead, _lc = next(terms)
         self.vec = vec
         self.tail = list(terms)
 
@@ -699,34 +786,34 @@ def _vec_reduce(work: dict, basis, ring) -> dict:
     out in descending order.  The first dividing basis element in list
     order is used, which keeps the result deterministic.  A cancelled
     term stays in `work` as a zero, skipped when popped, so each term is
-    queued once.
+    queued once, and its key is checked for overflow then.
     """
     fieldops = ring.field
-    nkey = ring.order.neg_key
+    packer = ring.packer
+    guards, divmask = packer.guards, packer.divmask
     zero = fieldops.zero
-    heap = [(pos, nkey(m), (pos, m)) for pos, m in work]
+    heap = [-k for k in work]  # a min-heap of negated keys pops the largest
     heapq.heapify(heap)
     remainder = {}
     while heap:
-        key = heapq.heappop(heap)[2]
+        key = -heapq.heappop(heap)
         coeff = work.pop(key)
         if coeff == zero:
             continue
-        pos, mono = key
-        hit = None
-        for b in basis:
-            if b.pos == pos and mono_divides(b.mono, mono):
-                hit = b
+        probe = key | guards
+        for hit in basis:
+            if (probe - hit.lead) & divmask == guards:
                 break
-        if hit is None:
+        else:
             remainder[key] = coeff
             continue
-        shift = mono_div(mono, hit.mono)
-        for (p2, m2), c2 in hit.tail:
-            m = mono_mul(m2, shift)
-            k2 = (p2, m)
+        shift = key - hit.lead
+        for k2, c2 in hit.tail:
+            k2 += shift
             if k2 not in work:
-                heapq.heappush(heap, (p2, nkey(m), k2))
+                if k2 & guards:
+                    raise ExponentOverflowError()
+                heapq.heappush(heap, -k2)
             work[k2] = fieldops.sub(work.get(k2, zero), fieldops.mul(c2, coeff))
     return remainder
 
@@ -751,8 +838,8 @@ def reduce(f: Polynomial, divisors) -> tuple[Polynomial, list]:
     basis = []
     for i, g in enumerate(divisors):
         unit = tuple(ring.one if j == i else ring.zero for j in range(n))
-        basis.append(_BasisElt(_make_monic(ring.field, _vec_from_polys((g,) + unit))))
-    out = _vec_reduce(_vec_from_polys((f,)), basis, ring)
+        basis.append(_BasisElt(_make_monic(ring.field, _vec_from_polys(ring, (g,) + unit))))
+    out = _vec_reduce(_vec_from_polys(ring, (f,)), basis, ring)
     remainder, *quotients = _vec_to_polys(ring, 1 + n, out)
     return remainder, [-q for q in quotients]
 

@@ -312,6 +312,20 @@ def test_main_ext_past_the_resolution_limit_is_input_error(tmp_path, capsys):
     assert "limit of 4 maps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("element", [
+    "x^2147483648",  # past the limit when packed
+    "x*y^2147483647",  # reduces by x - y to y^2147483648
+])
+def test_main_exponent_past_the_limit_is_input_error(tmp_path, capsys, element):
+    session = tmp_path / "big.ck"
+    session.write_text(f"ring R = QQ[x,y] order lex; ideal I = (x - y);"
+                       f"check member {element} in I;")
+    assert main([str(session)]) == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert "2^31 - 1 = 2147483647" in err
+    assert out == ""  # no verdict is printed
+
+
 def test_main_missing_file_is_input_error(tmp_path):
     assert main([str(tmp_path / "nope.ck")]) == EXIT_INPUT_ERROR
 

@@ -215,11 +215,15 @@ def test_basis_vectors_lead_with_first_key(R3):
         (block, [(block.parse(t),) for t in ("x*y - z^2", "y^3 - x", "x*z + y")]),
     ]
     for ring, vectors in cases:
-        G = _module_buchberger_dicts([_vec_from_polys(v) for v in vectors], ring)
+        G = _module_buchberger_dicts([_vec_from_polys(ring, v) for v in vectors], ring)
         for b in G + _reduced_basis(G, ring):
-            keys = [(-pos, ring.order.key(m)) for pos, m in b.vec]
+            keys = list(b.vec)
             assert keys == sorted(keys, reverse=True)
-            assert (b.pos, b.mono) == next(iter(b.vec))
+            assert b.lead == keys[0]
+            # the int order is position over term in the ring's order
+            terms = [ring.packer.unpack(k) for k in keys]
+            tuple_keys = [(-pos, ring.order.key(m)) for pos, m in terms]
+            assert tuple_keys == sorted(tuple_keys, reverse=True)
 
 
 def test_gb_hash_stable(R3, skew_lines):

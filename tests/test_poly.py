@@ -3,10 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cicert.groebner import groebner_basis
 from cicert.poly import (
+    EXPONENT_LIMIT,
     GF,
     QQ,
+    ExponentOverflowError,
     MonomialOrder,
+    MonomialPacker,
     PolyParseError,
     RingMismatchError,
     RingSpec,
@@ -123,12 +127,60 @@ def test_order_total_and_multiplicative(order, a, b, c):
         assert order.key(mono_mul(a, c)) < order.key(mono_mul(b, c))
 
 
-@given(order=orders, a=monos, b=monos)
+# exponents up to 2^28, so a product of two stays inside every field
+wide_monos = st.one_of(monos, st.tuples(
+    *(st.integers(min_value=0, max_value=2**28) for _ in range(3))))
+
+
+@given(order=orders, a=wide_monos, b=wide_monos)
 @settings(max_examples=300, deadline=None)
-def test_neg_key_reverses_key(order, a, b):
-    # reduction pops the lead term as the least neg_key of a heap
-    assert (order.key(a) < order.key(b)) == (order.neg_key(a) > order.neg_key(b))
-    assert (order.neg_key(a) == order.neg_key(b)) == (a == b)
+def test_packed_monomials_agree_with_tuples(order, a, b):
+    packer = MonomialPacker(order, 3)
+    pa, pb = packer.pack(a), packer.pack(b)
+    assert (pa < pb) == (order.key(a) < order.key(b))
+    assert (pa == pb) == (a == b)
+    assert pa + pb == packer.pack(mono_mul(a, b))
+    divides = all(x <= y for x, y in zip(a, b))
+    guards = packer.guards
+    assert (((pb | guards) - pa) & guards == guards) == divides
+    assert packer.unpack(packer.lcm(pa, pb)) == (0, tuple(map(max, a, b)))
+
+
+@given(order=orders, a=monos, b=monos,
+       i=st.integers(min_value=0, max_value=3), j=st.integers(min_value=0, max_value=3))
+@settings(max_examples=300, deadline=None)
+def test_packed_vector_keys_are_position_over_term(order, a, b, i, j):
+    packer = MonomialPacker(order, 3)
+    ka, kb = packer.pack(a, i), packer.pack(b, j)
+    assert packer.unpack(ka) == (i, a)
+    assert (ka < kb) == ((-i, order.key(a)) < (-j, order.key(b)))
+    divides = i == j and all(x <= y for x, y in zip(a, b))
+    guards = packer.guards
+    assert (((kb | guards) - ka) & packer.divmask == guards) == divides
+
+
+def test_pack_checks_every_field_at_the_limit():
+    lex = MonomialPacker(MonomialOrder("lex"), 2)
+    grevlex = MonomialPacker(MonomialOrder("grevlex"), 2)
+    half = 2**30
+    # lex holds each exponent alone; grevlex also holds the degree
+    assert lex.unpack(lex.pack((half, half))) == (0, (half, half))
+    assert grevlex.unpack(grevlex.pack((EXPONENT_LIMIT, 0))) == (0, (EXPONENT_LIMIT, 0))
+    with pytest.raises(ExponentOverflowError, match="2147483647"):
+        grevlex.pack((half, half))
+    with pytest.raises(ExponentOverflowError):
+        lex.pack((EXPONENT_LIMIT + 1, 0))
+
+
+def test_overflow_in_reduction_and_spairs_raises():
+    R = RingSpec(("x", "y"), QQ, MonomialOrder("lex"))
+    top = f"y^{EXPONENT_LIMIT}"
+    # x*y^L reduces by x - y to y^(L+1), past the y field
+    with pytest.raises(ExponentOverflowError):
+        reduce(R.parse(f"x*{top}"), [R.parse("x - y")])
+    # the S-polynomial of x*y - y^L and y^2 holds y^(L+1)
+    with pytest.raises(ExponentOverflowError):
+        groebner_basis([R.parse(f"x*y - {top}"), R.parse("y^2")], R)
 
 
 @given(order=orders, a=monos)
@@ -188,6 +240,29 @@ def test_parse_errors(R):
 def test_parse_env_names(R):
     f = R.parse("x^2 - x")
     assert R.parse("c + y", names={"c": f}) == f + R.gen("y")
+
+
+def test_qq_results_are_ints_or_fractions():
+    one_half = Fraction(1, 2)
+    results = [QQ.zero, QQ.one, QQ.coerce(4), QQ.coerce(Fraction(6, 3)),
+               QQ.add(one_half, one_half), QQ.sub(Fraction(3, 2), one_half),
+               QQ.mul(Fraction(2, 3), 3), QQ.inv(Fraction(1, 5)), QQ.div(6, 3),
+               QQ.div(Fraction(1, 2), Fraction(1, 4)), QQ.neg(QQ.coerce(2))]
+    assert all(type(r) is int for r in results)
+    assert QQ.div(1, 2) == one_half and type(QQ.div(1, 2)) is Fraction
+    assert QQ.inv(3) == Fraction(1, 3) and type(QQ.inv(3)) is Fraction
+    for r in results + [QQ.div(1, 2), QQ.inv(3), QQ.mul(one_half, 3)]:
+        assert not isinstance(r, float)
+        assert r == Fraction(r)
+        assert hash(r) == hash(Fraction(r))
+        assert QQ.format(r) == str(Fraction(r))
+
+
+def test_qq_int_and_fraction_coefficients_are_one_polynomial(R):
+    f = R.parse("x/2 + x/2 + 3")
+    assert [type(c) for _, c in f.terms] == [int, int]
+    g = R.poly_from_dict({m: Fraction(c) for m, c in f.terms})
+    assert f == g and hash(f) == hash(g) and str(f) == str(g) == "x + 3"
 
 
 def test_fp_print_no_negatives():
