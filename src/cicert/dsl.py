@@ -199,7 +199,9 @@ class _Parser:
         while not self.at("op", ";"):
             if self.at("op", "/"):
                 self.take()
-                bare = RingSpec(variables, fld, MonomialOrder("grevlex"))
+                # lex packs no degree, so it holds every monomial any
+                # order can; the order named later repacks them
+                bare = RingSpec(variables, fld, MonomialOrder("lex"))
                 base_chunks = self.parse_paren_exprs(bare)
             elif self.at("name", "order"):
                 self.take()

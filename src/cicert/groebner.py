@@ -13,8 +13,9 @@ position over term, a monomial product is one `+` and a divisibility
 test one subtract and mask.  The top bit of each field is a guard: a
 field holds at most 2^31 - 1, and a term past it, whether packed or
 formed by an S-pair or a reduction step, raises
-`poly.ExponentOverflowError`.  Exponent tuples exist only at the
-boundary, where `_vec_from_polys` packs and `_vec_to_polys` unpacks.
+`poly.ExponentOverflowError`.  A polynomial already holds packed keys,
+the vector at position 0, so `_vec_from_polys` and `_vec_to_polys` only
+shift terms between positions.
 
 Every vector dict is kept in descending order, so its lead term is its
 first key.  Reduction is the one division loop of `cicert.poly`,
@@ -318,6 +319,7 @@ class IdealHandle:
         self._basis = None  # the ModuleBasis of _gb
         self._cost = None  # the steps that computing _gb took
         self._payer = None  # the meter that last paid _cost
+        self._gb_hash = None  # gb_hash of _gb, which never changes once set
 
     def __repr__(self):
         return f"<Ideal ({', '.join(str(g) for g in self.gens)}) of {self.ring.describe()}>"
@@ -375,7 +377,10 @@ class IdealHandle:
         return zero_ideal(self.ring).contains_ideal(self)
 
     def gb_hash(self) -> str:
-        return gb_hash(self.ring, self.groebner())
+        basis = self.groebner()  # charges the open meter, as every use does
+        if self._gb_hash is None:
+            self._gb_hash = gb_hash(self.ring, basis)
+        return self._gb_hash
 
 
 def zero_ideal(ring: RingSpec) -> IdealHandle:

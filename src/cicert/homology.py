@@ -350,20 +350,13 @@ class Resolution:
     def betti(self):
         return tuple([1] + [len(m) for m in self.matrices])
 
-    def verify(self, completeness=False) -> bool:
+    def verify(self) -> bool:
         mod_base = zero_ideal(self.ring)
         for k in range(1, len(self.matrices)):
             prod = matrix_product(self.matrices[k], self.matrices[k - 1], self.ring)
             for row in prod:
                 for entry in row:
                     if not mod_base.normal_form(entry).is_zero:
-                        return False
-        if completeness:
-            for k in range(1, len(self.matrices)):
-                rows = module_syzygies(self.matrices[k - 1], self.ring)
-                if rows:
-                    span = module_gb(self.matrices[k], self.ring)
-                    if not all(span.contains(r) for r in rows):
                         return False
         return True
 
@@ -489,8 +482,8 @@ def fitting_ideals(P: PresentationMatrix, ks) -> FittingIdealSet:
             for csel in itertools.combinations(range(P.ngens), size):
                 sub = [tuple(P.rows[i][j] for j in csel) for i in rsel]
                 det = mod_base.normal_form(_determinant(sub, ring))
-                if det and det.terms not in seen:
-                    seen.add(det.terms)
+                if det and det not in seen:
+                    seen.add(det)
                     minors.append(det)
         handles[k] = IdealHandle(ring, minors)
     return FittingIdealSet(P, handles)

@@ -611,16 +611,41 @@ def _stci_from_ci(I, ci: CICertificate, budgets) -> STCICertificate:
     return STCICertificate(I.gens, ci.pair, report, ci.regseq, rad)
 
 
-def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS, pair=None,
-                extension_degrees=(2, 3)) -> SearchResult:
+EXTENSION_DEGREES = (2, 3)  # the fields F_{p^k} a stalled search over F_p retries
+
+
+def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS, pair=None) -> SearchResult:
     """Find a regular pair with the same radical as I.
 
-    Pipeline: a supplied conormal basis, else generator pairs that
-    generate modulo the square (each upgraded through the exact
-    complete-intersection search), else random pairs of combinations of
-    the generators.  Over a prime field a stalled search is retried
-    over small extension fields represented as F_p[a]/(m(a)).
+    One pass searches the ring's field (`_search_field`).  Over a prime
+    field a stalled pass is retried over F_{p^k} for each k in
+    EXTENSION_DEGREES, represented as F_p[a]/(m(a)).
     """
+    result = _search_field(I, seed, budgets, pair)
+    if result.certificate is not None or not isinstance(I.ring.field, PrimeField):
+        return result
+    trials_used = result.trials
+    for k in EXTENSION_DEGREES:
+        ext_ring, embed = extend_scalars(I.ring, k)
+        ext_ideal = IdealHandle(ext_ring, [embed(g) for g in I.gens])
+        sub = _search_field(ext_ideal, seed, budgets)
+        trials_used += sub.trials
+        if sub.certificate is not None:
+            return SearchResult(sub.outcome, sub.via, trials_used, extension=k)
+    return _exhausted(trials_used)
+
+
+def _exhausted(trials_used) -> SearchResult:
+    return SearchResult(
+        Inconclusive("no certified pair within the trial budget", trials_used),
+        "exhausted", trials_used)
+
+
+def _search_field(I: IdealHandle, seed, budgets, pair=None) -> SearchResult:
+    """One search pass over the field of I's ring: a supplied conormal
+    basis, else generator pairs that generate modulo the square (each
+    upgraded through the exact complete-intersection search), else
+    random pairs of combinations of the generators."""
     report = dimension_height(I)
     if report.height != 2:
         raise InputError(f"height is {report.height}, need 2")
@@ -675,19 +700,7 @@ def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS, pair=None,
         if isinstance(outcome, STCICertificate):
             return SearchResult(outcome, "random-pairs", trials_used)
 
-    if isinstance(I.ring.field, PrimeField) and extension_degrees:
-        for k in extension_degrees:
-            ext_ring, embed = extend_scalars(I.ring, k)
-            ext_ideal = IdealHandle(ext_ring, [embed(g) for g in I.gens])
-            sub = stci_search(ext_ideal, seed, budgets, pair=None,
-                              extension_degrees=())
-            trials_used += sub.trials
-            if sub.certificate is not None:
-                return SearchResult(sub.outcome, sub.via, trials_used, extension=k)
-
-    return SearchResult(
-        Inconclusive("no certified pair within the trial budget", trials_used),
-        "exhausted", trials_used)
+    return _exhausted(trials_used)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Exact sparse multivariate polynomials over QQ or a prime field.
 
-A polynomial is an immutable list of (monomial, coefficient) terms kept
+A polynomial is immutable: a dict of (monomial, coefficient) terms kept
 strictly descending in the ring's monomial order, with no zero
 coefficients.  A ring may carry a base ideal J0, in which case its
 elements are representatives in the free polynomial ring k[x1..xn];
@@ -15,9 +15,8 @@ first token that cannot continue the expression) and the division loop
 (`_vec_reduce`), which reduces vectors for the Groebner layer and is
 what `reduce` runs.
 
-Polynomials hold exponent tuples; the division loop and the Groebner
-core hold packed monomials, one int per term (Bachmann and Schoenemann,
-ISSAC 1998).  Every order here compares linear forms with 0/1 weights
+A monomial is one int, its packed key (Bachmann and Schoenemann, ISSAC
+1998).  Every order here compares linear forms with 0/1 weights
 lexicographically: lex the single exponents, grevlex on y1..yk the
 degree and then the partial sums y1+..+y(k-1), ..., y1, a block order
 the grevlex forms of its block and then those of its tail kind, all
@@ -28,11 +27,14 @@ of packed ints is the monomial order, a product is one `+`, and since
 every exponent has a field, `a | b` is `((b | G) - a) & G == G` for the
 mask G of the fields' top bits.  That top bit is a guard: a field holds
 at most EXPONENT_LIMIT = 2^31 - 1, which packing checks and the guard
-test checks on each term a reduction or an S-pair forms; past it the
-kernel raises ExponentOverflowError (a ValueError) and never wraps.  A
-vector term subtracts its position times 2^(fields * 32), so position 0
-is strongest and a weaker position gives a smaller key.  Exponent
-tuples are packed by `_vec_from_polys` and unpacked by `_vec_to_polys`.
+test checks on each term a product, a reduction or an S-pair forms;
+past it the kernel raises ExponentOverflowError (a ValueError) and
+never wraps.  A vector term subtracts its position times
+2^(fields * 32), so position 0 is strongest and a weaker position gives
+a smaller key; a polynomial's dict is the vector at position 0.
+Exponent tuples are packed where they come in (`gen`, `monomial`,
+`poly_from_dict`, `rehome` into another order) and unpacked where they
+go out (`terms`, `lead_monomial`, printing).
 """
 
 from __future__ import annotations
@@ -62,8 +64,6 @@ __all__ = [
     "MonomialPacker",
     "ExponentOverflowError",
     "EXPONENT_LIMIT",
-    "mono_mul",
-    "mono_deg",
 ]
 
 
@@ -239,32 +239,13 @@ def GF(p: int) -> PrimeField:
 
 
 # ---------------------------------------------------------------------------
-# monomials: plain exponent tuples
-
-
-def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_deg(a) -> int:
-    return sum(a)
-
-
-def _grevlex_key(m):
-    return (sum(m), tuple(-e for e in reversed(m)))
-
-
-def _plain_key(kind, m):
-    if kind == "lex":
-        return m
-    if kind == "grevlex":
-        return _grevlex_key(m)
-    raise ValueError(f"unknown order kind {kind!r}")
+# monomial orders and packed monomials
 
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Total multiplicative well-order on exponent tuples.
+    """Total multiplicative well-order on monomials; `_order_forms`
+    gives its definition, as the linear forms it compares.
 
     kind "block" compares a leading block of `block` variables first
     (grevlex within the block), which makes the block an elimination
@@ -284,14 +265,6 @@ class MonomialOrder:
         if self.kind == "block" and self.block < 1:
             raise ValueError("block order needs a positive block size")
 
-    def key(self, mono):
-        if self.permutation is not None:
-            mono = tuple(mono[i] for i in self.permutation)
-        if self.kind == "block":
-            return (_grevlex_key(mono[: self.block]),
-                    _plain_key(self.tail_kind, mono[self.block:]))
-        return _plain_key(self.kind, mono)
-
     def describe(self) -> str:
         if self.kind == "block":
             text = f"block({self.block},{self.tail_kind})"
@@ -301,9 +274,6 @@ class MonomialOrder:
             text += "@" + ",".join(str(i) for i in self.permutation)
         return text
 
-
-# ---------------------------------------------------------------------------
-# packed monomials: the keys of the division loop and the Groebner core
 
 _FIELD_BITS = 32
 EXPONENT_LIMIT = (1 << (_FIELD_BITS - 1)) - 1  # the largest value of a field
@@ -387,52 +357,54 @@ class MonomialPacker:
 
 
 class Polynomial:
-    """Immutable sparse polynomial; terms strictly descending, no zeros."""
+    """Immutable sparse polynomial.  `vec` is the dict {packed key:
+    coefficient}, strictly descending, with no zero coefficient; it is
+    never mutated, so polynomials of one packing may share it."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "vec")
 
-    def __init__(self, ring, terms):
+    def __init__(self, ring, vec: dict):
         self.ring = ring
-        self.terms = terms
+        self.vec = vec
 
     # -- basic queries
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.vec
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.vec)
+
+    @property
+    def terms(self) -> tuple:
+        """The (exponent tuple, coefficient) pairs, descending."""
+        unpack = self.ring.packer.unpack
+        return tuple((unpack(k)[1], c) for k, c in self.vec.items())
+
+    def _lead(self):
+        if not self.vec:
+            raise ValueError("zero polynomial has no leading term")
+        return next(iter(self.vec.items()))
 
     @property
     def lead_monomial(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return self.terms[0][0]
+        return self.ring.packer.unpack(self._lead()[0])[1]
 
     @property
     def lead_coeff(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return self.terms[0][1]
+        return self._lead()[1]
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(mono_deg(m) for m, _ in self.terms)
-
-    def coefficient(self, mono):
-        for m, c in self.terms:
-            if m == mono:
-                return c
-        return self.ring.field.zero
+        return max((sum(m) for m, _ in self.terms), default=-1)
 
     def constant_value(self):
-        """Coefficient of the constant monomial."""
-        return self.coefficient((0,) * len(self.ring.variables))
+        """Coefficient of the constant monomial, whose key is 0."""
+        return self.vec.get(0, self.ring.field.zero)
 
     def is_constant(self) -> bool:
-        return all(mono_deg(m) == 0 for m, _ in self.terms)
+        # every other monomial has a larger key than the constant's 0
+        return not self.vec or next(iter(self.vec)) == 0
 
     # -- arithmetic
 
@@ -450,17 +422,18 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        acc = dict(self.terms)
+        acc = dict(self.vec)
         field = self.ring.field
-        for m, c in other.terms:
-            acc[m] = field.add(acc.get(m, field.zero), c)
-        return self.ring.poly_from_dict(acc)
+        zero = field.zero
+        for k, c in other.vec.items():
+            acc[k] = field.add(acc.get(k, zero), c)
+        return self.ring._from_keys(acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        field = self.ring.field
-        return Polynomial(self.ring, tuple((m, field.neg(c)) for m, c in self.terms))
+        neg = self.ring.field.neg
+        return Polynomial(self.ring, {k: neg(c) for k, c in self.vec.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -478,12 +451,19 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         field = self.ring.field
+        add, mul, zero = field.add, field.mul, field.zero
         acc = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = mono_mul(m1, m2)
-                acc[m] = field.add(acc.get(m, field.zero), field.mul(c1, c2))
-        return self.ring.poly_from_dict(acc)
+        for k1, c1 in self.vec.items():
+            for k2, c2 in other.vec.items():
+                k = k1 + k2
+                acc[k] = add(acc.get(k, zero), mul(c1, c2))
+        product = self.ring._from_keys(acc)
+        # a field's largest value over the terms is taken at a vertex of
+        # the Newton polytope, whose term never cancels
+        guards = self.ring.packer.guards
+        if any(k & guards for k in product.vec):
+            raise ExponentOverflowError()
+        return product
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -507,22 +487,12 @@ class Polynomial:
         c = field.coerce(c)
         if c == field.zero:
             return self.ring.zero
-        return Polynomial(self.ring, tuple((m, field.mul(k, c)) for m, k in self.terms))
+        return Polynomial(self.ring, {k: field.mul(a, c) for k, a in self.vec.items()})
 
     def monic(self):
-        if not self.terms:
+        if not self.vec:
             return self
         return self.scale(self.ring.field.inv(self.lead_coeff))
-
-    def monomial_mul(self, mono, coeff=None):
-        """Multiply by a single term (monomial, optional coefficient)."""
-        field = self.ring.field
-        if coeff is None:
-            coeff = field.one
-        return Polynomial(
-            self.ring,
-            tuple((mono_mul(m, mono), field.mul(c, coeff)) for m, c in self.terms),
-        )
 
     # -- comparison / hashing
 
@@ -531,10 +501,11 @@ class Polynomial:
             other = self.ring.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        # equal dicts of one ring hold the same terms in the same order
+        return self.ring == other.ring and self.vec == other.vec
 
     def __hash__(self):
-        return hash((self.ring, self.terms))
+        return hash((self.ring, tuple(self.vec.items())))
 
     def __str__(self):
         return self.ring.format_poly(self)
@@ -554,8 +525,8 @@ class RingSpec:
     polynomials are still free-ring representatives.
     """
 
-    __slots__ = ("variables", "field", "order", "_base_terms", "_var_index",
-                 "_key", "_hash", "_base_cache", "_zero_ideal", "_packer")
+    __slots__ = ("variables", "field", "order", "base_ideal", "_var_index",
+                 "_key", "_hash", "_zero_ideal", "_packer")
 
     def __init__(self, variables, field, order=None, base=()):
         variables = tuple(variables)
@@ -567,21 +538,13 @@ class RingSpec:
         self.variables = variables
         self.field = field
         self.order = order if order is not None else MonomialOrder("grevlex")
-        base_terms = []
-        for g in base:
-            if isinstance(g, Polynomial):
-                if (g.ring.variables != variables or g.ring.field != field):
-                    raise RingMismatchError("base generator from an incompatible ring")
-                base_terms.append(g.terms)
-            else:
-                base_terms.append(tuple(g))
-        self._base_terms = tuple(base_terms)
-        self._var_index = {v: i for i, v in enumerate(variables)}
-        self._key = (self.variables, self.field, self.order, self._base_terms)
-        self._hash = hash(self._key)
-        self._base_cache = None
-        self._zero_ideal = None  # set by groebner.zero_ideal
         self._packer = None
+        self.base_ideal = tuple(self.rehome(g) for g in base)
+        self._var_index = {v: i for i, v in enumerate(variables)}
+        self._key = (self.variables, self.field, self.order,
+                     tuple(tuple(g.vec.items()) for g in self.base_ideal))
+        self._hash = hash(self._key)
+        self._zero_ideal = None  # set by groebner.zero_ideal
 
     # -- identity
 
@@ -593,7 +556,7 @@ class RingSpec:
 
     def describe(self) -> str:
         text = f"{self.field.name}[{','.join(self.variables)}]"
-        if self._base_terms:
+        if self.base_ideal:
             text += " / (" + ", ".join(str(g) for g in self.base_ideal) + ")"
         return text + f" order {self.order.describe()}"
 
@@ -623,7 +586,7 @@ class RingSpec:
 
     @property
     def zero(self) -> Polynomial:
-        return Polynomial(self, ())
+        return Polynomial(self, {})
 
     @property
     def one(self) -> Polynomial:
@@ -631,16 +594,14 @@ class RingSpec:
 
     def constant(self, value) -> Polynomial:
         c = self.field.coerce(value)
-        if c == self.field.zero:
-            return Polynomial(self, ())
-        return Polynomial(self, (((0,) * self.nvars, c),))
+        return Polynomial(self, {0: c} if c != self.field.zero else {})  # 1 packs to 0
 
     def gen(self, name) -> Polynomial:
         i = self._var_index.get(name)
         if i is None:
             raise KeyError(f"no variable {name!r} in {self.describe()}")
         mono = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, ((mono, self.field.one),))
+        return Polynomial(self, {self.packer.pack(mono): self.field.one})
 
     def gens(self):
         return tuple(self.gen(v) for v in self.variables)
@@ -652,23 +613,23 @@ class RingSpec:
         c = self.field.coerce(coeff)
         if c == self.field.zero:
             return self.zero
-        return Polynomial(self, ((exponents, c),))
+        return Polynomial(self, {self.packer.pack(exponents): c})
 
     def poly_from_dict(self, acc: dict) -> Polynomial:
-        zero = self.field.zero
-        items = [(m, c) for m, c in acc.items() if c != zero]
-        items.sort(key=lambda t: self.order.key(t[0]), reverse=True)
-        return Polynomial(self, tuple(items))
+        """The polynomial of a dict {exponent tuple: coefficient}."""
+        pack = self.packer.pack
+        return self._from_keys({pack(m): c for m, c in acc.items()})
 
-    @property
-    def base_ideal(self) -> tuple:
-        if self._base_cache is None:
-            self._base_cache = tuple(Polynomial(self, t) for t in self._base_terms)
-        return self._base_cache
+    def _from_keys(self, acc: dict) -> Polynomial:
+        """The polynomial of a dict {packed key: coefficient}: zero
+        coefficients dropped, keys sorted descending."""
+        zero = self.field.zero
+        keys = sorted((k for k, c in acc.items() if c != zero), reverse=True)
+        return Polynomial(self, {k: acc[k] for k in keys})
 
     @property
     def is_quotient(self) -> bool:
-        return bool(self._base_terms)
+        return bool(self.base_ideal)
 
     # -- derived rings
 
@@ -684,14 +645,17 @@ class RingSpec:
 
     def poly_ring(self) -> "RingSpec":
         """The same spec with the base ideal dropped."""
-        if not self._base_terms:
+        if not self.base_ideal:
             return self
         return RingSpec(self.variables, self.field, self.order)
 
     def rehome(self, f: Polynomial) -> Polynomial:
-        """Adopt a polynomial from a spec with the same variables/field."""
+        """Adopt a polynomial from a spec with the same variables/field;
+        its keys are packed again only when the order differs."""
         if f.ring.variables != self.variables or f.ring.field != self.field:
             raise RingMismatchError("cannot rehome across different variables or fields")
+        if f.ring.order == self.order:
+            return Polynomial(self, f.vec)
         return self.poly_from_dict(dict(f.terms))
 
     # -- text form
@@ -706,7 +670,7 @@ class RingSpec:
         return "*".join(parts)
 
     def format_poly(self, f: Polynomial) -> str:
-        if not f.terms:
+        if not f.vec:
             return "0"
         field = self.field
         chunks = []
@@ -739,24 +703,25 @@ class RingSpec:
 # division: one reduction loop for polynomials and vectors
 #
 # A vector of R^m is a dict keyed by packed term keys, position over term
-# with position 0 strongest, kept in descending order; a polynomial is a
-# rank-1 vector.
+# with position 0 strongest, kept in descending order; a polynomial's dict
+# is a vector at position 0, and a vector's polynomials are its positions
+# shifted to 0.
 
 
 def _vec_from_polys(ring, vec) -> dict:
-    pack = ring.packer.pack
-    return {pack(m, pos): c for pos, f in enumerate(vec) for m, c in f.terms}
+    size = ring.packer.size
+    return {k - (pos << size): c for pos, f in enumerate(vec) for k, c in f.vec.items()}
 
 
 def _vec_to_polys(ring, rank, vec: dict):
     """The polynomials of a vector dict, which is descending and holds no
     zero coefficient, so each position's terms come out in order."""
-    unpack = ring.packer.unpack
-    buckets = [[] for _ in range(rank)]
+    size = ring.packer.size
+    buckets = [{} for _ in range(rank)]
     for key, c in vec.items():
-        pos, mono = unpack(key)
-        buckets[pos].append((mono, c))
-    return tuple(Polynomial(ring, tuple(b)) for b in buckets)
+        pos = -(key >> size)
+        buckets[pos][key + (pos << size)] = c
+    return tuple(Polynomial(ring, b) for b in buckets)
 
 
 class _BasisElt:

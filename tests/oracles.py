@@ -3,12 +3,104 @@
 Everything here is plain linear algebra over the coefficient field:
 membership and syzygies are decided by exact Gaussian elimination on
 monomial-indexed vectors, never through the division/Buchberger code
-paths they are checking.
+paths they are checking.  Monomials here are exponent tuples, ordered by
+`tuple_key`, the definition of each monomial order on tuples that the
+packed keys of `cicert.poly` are tested against; polynomials are dicts
+{exponent tuple: coefficient}.
 """
 
 from __future__ import annotations
 
 import itertools
+
+
+# ---------------------------------------------------------------------------
+# monomial orders and polynomial arithmetic on exponent tuples
+
+
+def mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _grevlex_key(m):
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+def _plain_key(kind, m):
+    if kind == "lex":
+        return m
+    if kind == "grevlex":
+        return _grevlex_key(m)
+    raise ValueError(f"unknown order kind {kind!r}")
+
+
+def tuple_key(order):
+    """The sort key of exponent tuples under a `MonomialOrder`."""
+    def key(mono):
+        if order.permutation is not None:
+            mono = tuple(mono[i] for i in order.permutation)
+        if order.kind == "block":
+            return (_grevlex_key(mono[:order.block]),
+                    _plain_key(order.tail_kind, mono[order.block:]))
+        return _plain_key(order.kind, mono)
+    return key
+
+
+def dict_add(field, f, g):
+    out = dict(f)
+    for m, c in g.items():
+        out[m] = field.add(out.get(m, field.zero), c)
+    return {m: c for m, c in out.items() if c != field.zero}
+
+
+def dict_neg(field, f):
+    return {m: field.neg(c) for m, c in f.items()}
+
+
+def dict_mul(field, f, g):
+    out = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = mono_mul(m1, m2)
+            out[m] = field.add(out.get(m, field.zero), field.mul(c1, c2))
+    return {m: c for m, c in out.items() if c != field.zero}
+
+
+def dict_pow(field, f, n, nvars):
+    out = {(0,) * nvars: field.one}
+    for _ in range(n):
+        out = dict_mul(field, out, f)
+    return out
+
+
+def dict_terms(order, f):
+    """The terms of a dict polynomial, descending under `order`."""
+    return tuple(sorted(f.items(), key=lambda t: tuple_key(order)(t[0]),
+                        reverse=True))
+
+
+def dict_str(variables, field, order, f):
+    """The text of a dict polynomial, written as cicert prints one."""
+    chunks = []
+    for m, c in dict_terms(order, f):
+        mono = "*".join(v if e == 1 else f"{v}^{e}"
+                        for v, e in zip(variables, m) if e)
+        mag = field.abs(c)
+        if not mono:
+            body = field.format(mag)
+        elif mag == field.one:
+            body = mono
+        else:
+            body = f"{field.format(mag)}*{mono}"
+        if not chunks:
+            chunks.append(f"-{body}" if field.is_negative(c) else body)
+        else:
+            chunks.append(f" - {body}" if field.is_negative(c) else f" + {body}")
+    return "".join(chunks) or "0"
+
+
+# ---------------------------------------------------------------------------
+# linear algebra
 
 
 def monomials_up_to(nvars, deg):
@@ -81,12 +173,12 @@ def membership_oracle(f, gens, cap):
     the generators; independent of any Groebner machinery.
     """
     ring = f.ring
-    span = LinearSpan(ring.field, ring.order.key)
+    span = LinearSpan(ring.field, tuple_key(ring.order))
     for g in gens:
         if not g:
             continue
         for mono in monomials_up_to(ring.nvars, cap):
-            span.insert(_poly_vec(g.monomial_mul(mono)))
+            span.insert(_poly_vec(g * ring.monomial(mono)))
     return span.contains(_poly_vec(f))
 
 
@@ -99,7 +191,7 @@ def syzygy_oracle(targets, cap):
     """
     ring = targets[0].ring
     field = ring.field
-    key = ring.order.key
+    key = tuple_key(ring.order)
     span = LinearSpan(field, key)
     tracked = {}  # pivot -> (vector, combination)
     null = []
@@ -129,7 +221,7 @@ def syzygy_oracle(targets, cap):
 
     for i, f in enumerate(targets):
         for mono in monomials_up_to(ring.nvars, cap):
-            vec = _poly_vec(f.monomial_mul(mono)) if f else {}
+            vec = _poly_vec(f * ring.monomial(mono)) if f else {}
             combo = {(i, mono): field.one}
             r, rc = reduce_tracked(vec, combo)
             if not r:
@@ -178,17 +270,17 @@ def bounded_zerodivisor_witness(g, base_gens, ring, deg_h, cap):
     Returns None if no witness exists up to the bound (supports, but
     does not prove, that g is a non-zerodivisor).
     """
-    span_base = LinearSpan(ring.field, ring.order.key)
+    span_base = LinearSpan(ring.field, tuple_key(ring.order))
     for b in base_gens:
         if not b:
             continue
         for mono in monomials_up_to(ring.nvars, cap):
-            span_base.insert(_poly_vec(b.monomial_mul(mono)))
+            span_base.insert(_poly_vec(b * ring.monomial(mono)))
     candidates = []
-    span = LinearSpan(ring.field, ring.order.key)
+    span = LinearSpan(ring.field, tuple_key(ring.order))
     tracked = []
     for mono in monomials_up_to(ring.nvars, deg_h):
-        shifted = span_base._reduce(_poly_vec(g.monomial_mul(mono)))
+        shifted = span_base._reduce(_poly_vec(g * ring.monomial(mono)))
         if not shifted:
             candidates.append(ring.monomial(mono))
             continue

@@ -312,14 +312,17 @@ def test_main_ext_past_the_resolution_limit_is_input_error(tmp_path, capsys):
     assert "limit of 4 maps" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("element", [
-    "x^2147483648",  # past the limit when packed
-    "x*y^2147483647",  # reduces by x - y to y^2147483648
+@pytest.mark.parametrize("statements", [
+    # past the limit when packed
+    pytest.param("check member x^2147483648 in I;", id="x^2147483648"),
+    # reduces by x - y to y^2147483648
+    pytest.param("check member x*y^2147483647 in I;", id="x*y^2147483647"),
+    # a polynomial holds packed monomials, so even an unused one is checked
+    pytest.param("poly f = x^2147483648; check member x in I;", id="unused-poly"),
 ])
-def test_main_exponent_past_the_limit_is_input_error(tmp_path, capsys, element):
+def test_main_exponent_past_the_limit_is_input_error(tmp_path, capsys, statements):
     session = tmp_path / "big.ck"
-    session.write_text(f"ring R = QQ[x,y] order lex; ideal I = (x - y);"
-                       f"check member {element} in I;")
+    session.write_text(f"ring R = QQ[x,y] order lex; ideal I = (x - y);{statements}")
     assert main([str(session)]) == EXIT_INPUT_ERROR
     out, err = capsys.readouterr()
     assert "2^31 - 1 = 2147483647" in err

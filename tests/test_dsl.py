@@ -18,6 +18,15 @@ def test_quotient_ring_declaration():
     assert [str(g) for g in ring.base_ideal] == ["x*y"]
 
 
+def test_quotient_base_is_packed_in_the_declared_order():
+    # the degree 4*10^9 passes the limit, which lex does not compare
+    big = "x^2000000000*y^2000000000"
+    s = parse_session(f"ring R = QQ[x,y] / ({big} - x) order lex;")
+    assert [str(g) for g in s.rings["R"].base_ideal] == [f"{big} - x"]
+    with pytest.raises(ValueError, match="2147483647"):
+        parse_session(f"ring R = QQ[x,y] / ({big} - x);")
+
+
 def test_default_order_is_grevlex():
     s = parse_session("ring R = QQ[x,y];")
     assert s.rings["R"].order.kind == "grevlex"

@@ -23,7 +23,7 @@ from cicert.groebner import (
 )
 from cicert.poly import GF, QQ, MonomialOrder, RingSpec
 
-from oracles import membership_oracle, syzygy_oracle
+from oracles import membership_oracle, syzygy_oracle, tuple_key
 
 
 def test_principal_ideal(R3):
@@ -222,8 +222,23 @@ def test_basis_vectors_lead_with_first_key(R3):
             assert b.lead == keys[0]
             # the int order is position over term in the ring's order
             terms = [ring.packer.unpack(k) for k in keys]
-            tuple_keys = [(-pos, ring.order.key(m)) for pos, m in terms]
+            tuple_keys = [(-pos, tuple_key(ring.order)(m)) for pos, m in terms]
             assert tuple_keys == sorted(tuple_keys, reverse=True)
+
+
+def test_basis_terms_are_descending_exponent_tuples(R3):
+    # perfbench's reference reads `terms` of reduced bases
+    A = R3.quotient([R3.parse("x*y")])
+    basis = IdealHandle(A, ["x^2 + y*z - 1", "y^2 - 2*z"]).groebner()
+    key = tuple_key(A.order)
+    assert len(basis) == 5  # x*y from the base ideal among them
+    for g in basis:
+        terms = g.terms
+        assert all(type(m) is tuple and len(m) == 3 and all(type(e) is int for e in m)
+                   for m, _ in terms)
+        assert all(c != 0 for _, c in terms)
+        keys = [key(m) for m, _ in terms]
+        assert all(k1 > k2 for k1, k2 in zip(keys, keys[1:]))
 
 
 def test_gb_hash_stable(R3, skew_lines):

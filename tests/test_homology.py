@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cicert.groebner import IdealHandle, module_gb
+from cicert.groebner import IdealHandle, module_gb, module_syzygies
 from cicert.homology import (
     ContractionMap,
     ExteriorForm,
@@ -156,7 +156,12 @@ def test_koszul2_annihilator_in_quotient():
 def test_resolution_koszul_shape(R2):
     res = free_resolution(H(R2, "x", "y"), 4)
     assert res.betti == (1, 2, 1)
-    assert res.verify(completeness=True)
+    assert res.verify()
+    # complete: each map's image holds every syzygy of the map before it
+    for k in range(1, len(res.matrices)):
+        span = module_gb(res.matrices[k], R2)
+        assert all(span.contains(r)
+                   for r in module_syzygies(res.matrices[k - 1], R2))
 
 
 def test_resolution_principal(R2):

@@ -28,7 +28,7 @@ from cicert.pipeline import (
     stci_search,
     stci_verify,
 )
-from cicert.pipeline import _find_irreducible
+from cicert.pipeline import _find_irreducible, _search_field
 from cicert.poly import GF, QQ, RingSpec
 
 from oracles import bounded_zerodivisor_witness
@@ -410,8 +410,7 @@ def test_stci_search_deterministic(skew_lines):
 
 def test_stci_search_inconclusive_with_zero_trials(R2):
     I = H(R2, "x^2", "x*y", "y^2")
-    res = stci_search(I, seed=0, budgets=Budgets(trials=0),
-                      extension_degrees=())
+    res = stci_search(I, seed=0, budgets=Budgets(trials=0))
     assert isinstance(res.outcome, Inconclusive)
 
 
@@ -470,7 +469,7 @@ def test_find_irreducible_cubic_over_f32003():
 def test_stci_search_works_over_extension(f5_cylinder):
     ext, embed = extend_scalars(f5_cylinder.ring, 2)
     lifted = IdealHandle(ext, [embed(g) for g in f5_cylinder.gens])
-    res = stci_search(lifted, seed=0, extension_degrees=())
+    res = _search_field(lifted, 0, Budgets())
     assert res.certificate is not None
 
 

@@ -15,9 +15,11 @@ from cicert.poly import (
     RingMismatchError,
     RingSpec,
     extend_ring,
-    mono_mul,
     reduce,
 )
+
+from oracles import (dict_add, dict_mul, dict_neg, dict_pow, dict_str, dict_terms,
+                     mono_mul, tuple_key)
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +45,7 @@ def test_f5_coefficient_wrap():
 def test_terms_canonical(R):
     f = R.parse("x + y + x^2 - x")
     assert all(c != 0 for _, c in f.terms)
-    keys = [R.order.key(m) for m, _ in f.terms]
+    keys = [tuple_key(R.order)(m) for m, _ in f.terms]
     assert keys == sorted(keys, reverse=True)
 
 
@@ -121,10 +123,11 @@ orders = st.sampled_from([
 @given(order=orders, a=monos, b=monos, c=monos)
 @settings(max_examples=200, deadline=None)
 def test_order_total_and_multiplicative(order, a, b, c):
-    ka, kb = order.key(a), order.key(b)
+    key = tuple_key(order)
+    ka, kb = key(a), key(b)
     assert (ka == kb) == (a == b)
     if ka < kb:
-        assert order.key(mono_mul(a, c)) < order.key(mono_mul(b, c))
+        assert key(mono_mul(a, c)) < key(mono_mul(b, c))
 
 
 # exponents up to 2^28, so a product of two stays inside every field
@@ -137,7 +140,7 @@ wide_monos = st.one_of(monos, st.tuples(
 def test_packed_monomials_agree_with_tuples(order, a, b):
     packer = MonomialPacker(order, 3)
     pa, pb = packer.pack(a), packer.pack(b)
-    assert (pa < pb) == (order.key(a) < order.key(b))
+    assert (pa < pb) == (tuple_key(order)(a) < tuple_key(order)(b))
     assert (pa == pb) == (a == b)
     assert pa + pb == packer.pack(mono_mul(a, b))
     divides = all(x <= y for x, y in zip(a, b))
@@ -153,7 +156,8 @@ def test_packed_vector_keys_are_position_over_term(order, a, b, i, j):
     packer = MonomialPacker(order, 3)
     ka, kb = packer.pack(a, i), packer.pack(b, j)
     assert packer.unpack(ka) == (i, a)
-    assert (ka < kb) == ((-i, order.key(a)) < (-j, order.key(b)))
+    key = tuple_key(order)
+    assert (ka < kb) == ((-i, key(a)) < (-j, key(b)))
     divides = i == j and all(x <= y for x, y in zip(a, b))
     guards = packer.guards
     assert (((kb | guards) - ka) & packer.divmask == guards) == divides
@@ -183,13 +187,23 @@ def test_overflow_in_reduction_and_spairs_raises():
         groebner_basis([R.parse(f"x*y - {top}"), R.parse("y^2")], R)
 
 
+def test_products_past_the_limit_raise():
+    R = RingSpec(("x", "y"), QQ, MonomialOrder("lex"))
+    top = f"x^{EXPONENT_LIMIT}"
+    assert str(R.parse(top)) == top
+    assert str(R.parse(f"{top}*y - {top}")) == f"{top}*y - {top}"
+    for past in (f"{top}*x", f"x^{EXPONENT_LIMIT + 1}", f"({top} + y)^2"):
+        with pytest.raises(ExponentOverflowError):
+            R.parse(past)
+
+
 @given(order=orders, a=monos)
 @settings(max_examples=100, deadline=None)
 def test_order_wellfoundedness_floor(order, a):
     # 1 is the minimum: a well-order on monomials needs a least element
     zero = (0, 0, 0)
     if a != zero:
-        assert order.key(a) > order.key(zero)
+        assert tuple_key(order)(a) > tuple_key(order)(zero)
 
 
 small_polys = st.lists(
@@ -214,6 +228,64 @@ def test_ring_axioms_exact(a, b, c):
     assert (f * g) * h == f * (g * h)
     assert f * g == g * f
     assert f * (g + h) == f * g + f * h
+
+
+# -- differential: Polynomial against dicts of exponent tuples (oracles.py)
+
+
+diff_orders = st.sampled_from([
+    MonomialOrder("lex"),
+    MonomialOrder("grevlex"),
+    MonomialOrder("block", block=1, tail_kind="lex", permutation=(1, 2, 0)),
+])
+diff_fields = st.sampled_from([QQ, GF(7)])
+dict_polys = st.dictionaries(
+    monos, st.fractions(min_value=-4, max_value=4, max_denominator=3), max_size=4)
+
+
+def _oracle(field, raw):
+    coerced = {m: field.coerce(c) for m, c in raw.items()}
+    return {m: c for m, c in coerced.items() if c != field.zero}
+
+
+@given(order=diff_orders, field=diff_fields, a=dict_polys, b=dict_polys,
+       n=st.integers(min_value=0, max_value=3))
+@settings(max_examples=200, deadline=None)
+def test_arithmetic_matches_tuple_oracle(order, field, a, b, n):
+    R = RingSpec(("x", "y", "z"), field, order)
+    a, b = _oracle(field, a), _oracle(field, b)
+    f, g = R.poly_from_dict(a), R.poly_from_dict(b)
+
+    def agrees(poly, want):
+        assert poly.terms == dict_terms(order, want)
+        assert str(poly) == dict_str(R.variables, field, order, want)
+
+    agrees(f, a)
+    agrees(f + g, dict_add(field, a, b))
+    agrees(f - g, dict_add(field, a, dict_neg(field, b)))
+    agrees(f * g, dict_mul(field, a, b))
+    agrees(f ** n, dict_pow(field, a, n, R.nvars))
+    assert (f == g) == (a == b)
+    same = R.poly_from_dict(dict(reversed(list(a.items()))))
+    assert same == f and hash(same) == hash(f)
+
+
+@given(field=diff_fields, a=dict_polys)
+@settings(max_examples=100, deadline=None)
+def test_rehome_and_embed_match_tuple_oracle(field, a):
+    R = RingSpec(("x", "y", "z"), field)
+    elim = RingSpec(R.variables, field, MonomialOrder(
+        "block", block=1, tail_kind="grevlex", permutation=(2, 0, 1)))
+    a = _oracle(field, a)
+    f = R.poly_from_dict(a)
+    moved = elim.rehome(f)
+    assert moved.terms == dict_terms(elim.order, a)
+    back = R.rehome(moved)
+    assert back == f and str(back) == str(f) and hash(back) == hash(f)
+    ext = extend_ring(R, ("t",))
+    inside = ext.embed(f)
+    assert inside.terms == dict_terms(ext.ring.order, {(0,) + m: c for m, c in a.items()})
+    assert ext.contract(inside) == f
 
 
 # -- parsing and printing
@@ -285,7 +357,8 @@ def test_extend_elimination_block_dominates(R):
     ext = extend_ring(R, ("t",))
     t = ext.ring.gen("t")
     big = ext.embed(R.parse("x^5 * y^5"))
-    assert ext.ring.order.key(t.lead_monomial) > ext.ring.order.key(big.lead_monomial)
+    key = tuple_key(ext.ring.order)
+    assert key(t.lead_monomial) > key(big.lead_monomial)
 
 
 def test_extend_name_clash(R):
