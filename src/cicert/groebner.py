@@ -25,6 +25,16 @@ divides it.  S-pairs wait in a heap of (packed lcm, i, j), the lcm's
 position left out; the smallest is reduced next unless the product or
 chain criterion drops it.
 
+Over QQ a basis entry is a primitive int vector with a positive lead
+coefficient (`poly._primitive`), over GF(p) a monic one, so every
+S-vector and every reduction step multiplies and subtracts ints; a
+remainder comes back as a nonzero multiple of the normal form and is
+normalised in turn.  Only what is handed out is made monic: the reduced
+basis and the partial basis of a BudgetExceededError.  Each entry is a
+nonzero multiple of the monic one, so every step picks the same divisor
+as monic arithmetic would, and the S-pairs, the reduced basis and every
+text printed from it are those of monic arithmetic.
+
 One augmented-module primitive, `_augmented`, serves every construction
 that needs more than a basis: it appends unit-vector tails to the
 generators, computes one basis, and splits it into the basis proper, the
@@ -64,6 +74,7 @@ import heapq
 from contextlib import nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from math import gcd
 from operator import attrgetter
 
 from .poly import (
@@ -72,7 +83,7 @@ from .poly import (
     RingMismatchError,
     RingSpec,
     _BasisElt,
-    _make_monic,
+    _primitive,
     _vec_from_polys,
     _vec_reduce,
     _vec_to_polys,
@@ -153,20 +164,23 @@ def _metered(compute):
 
 
 def _spair(b1: _BasisElt, b2: _BasisElt, lcm: int, ring) -> dict:
-    """The S-vector of two elements whose leads divide the key `lcm`."""
-    field = ring.field
+    """The S-vector (lc2/g)*x^s1*b1 - (lc1/g)*x^s2*b2 of two elements
+    whose leads divide the key `lcm`, with g = gcd(lc1, lc2).  Over GF(p)
+    both entries are monic and the ints are left unreduced: the division
+    loop reduces each coefficient mod p when it pops it."""
     guards = ring.packer.guards
+    g = gcd(b1.lc, b2.lc)
+    m1, m2 = b2.lc // g, b1.lc // g
     s1 = lcm - b1.lead
     s2 = lcm - b2.lead
-    out = {k + s1: c for k, c in b1.vec.items()}
-    zero = field.zero
+    out = {k + s1: m1 * c for k, c in b1.vec.items()}
     for k, c in b2.vec.items():
         k += s2
-        val = field.sub(out.get(k, zero), c)
-        if val == zero:
-            out.pop(k, None)
-        else:
+        val = out.get(k, 0) - m2 * c
+        if val:
             out[k] = val
+        else:
+            out.pop(k, None)
     # a field pushed into its guard bit still holds its exact value, so a
     # cancelled term needs no check
     if any(k & guards for k in out):
@@ -186,7 +200,7 @@ def _module_buchberger_dicts(vecdicts, ring) -> list[_BasisElt]:
     P: set[tuple[int, int]] = set()  # pairs still queued
 
     def add_element(vec):
-        elt = _BasisElt(_make_monic(field, vec))
+        elt = _BasisElt(_primitive(field, vec))
         t = len(G)
         top = elt.lead >> size
         G.append(elt)
@@ -200,7 +214,7 @@ def _module_buchberger_dicts(vecdicts, ring) -> list[_BasisElt]:
             add_element(dict(v))
 
     def partial():
-        return tuple(_vec_to_polys(ring, _rank_of(G, size), b.vec) for b in G)
+        return tuple(_vec_to_polys(ring, _rank_of(G, size), b.monic()) for b in G)
 
     while queue:
         lcm, i, j = heapq.heappop(queue)
@@ -237,7 +251,9 @@ def _rank_of(G, size) -> int:
     return max((-(k >> size) for b in G for k in b.vec), default=-1) + 1
 
 
-def _reduced_basis(G: list[_BasisElt], ring) -> list[_BasisElt]:
+def _reduced_basis(G: list[_BasisElt], ring) -> list[dict]:
+    """The reduced basis of the entries G, as monic vector dicts, leads
+    descending."""
     guards, divmask = ring.packer.guards, ring.packer.divmask
     lead = attrgetter("lead")
     # minimal: drop elements whose lead another kept lead divides
@@ -252,9 +268,9 @@ def _reduced_basis(G: list[_BasisElt], ring) -> list[_BasisElt]:
     for i, g in enumerate(kept):
         r = _vec_reduce(dict(g.vec), kept[:i] + kept[i + 1:], ring)
         if r != g.vec:
-            kept[i] = _BasisElt(r)
+            kept[i] = _BasisElt(_primitive(ring.field, r))
     kept.sort(key=lead, reverse=True)
-    return kept
+    return [g.monic() for g in kept]
 
 
 def module_groebner(vectors, ring):
@@ -275,8 +291,7 @@ def module_groebner(vectors, ring):
             if f.ring != ring:
                 raise RingMismatchError("module element from a different ring")
     G = _module_buchberger_dicts([_vec_from_polys(ring, v) for v in vectors], ring)
-    G = _reduced_basis(G, ring)
-    return tuple(_vec_to_polys(ring, rank, b.vec) for b in G)
+    return tuple(_vec_to_polys(ring, rank, v) for v in _reduced_basis(G, ring))
 
 
 def groebner_basis(polys, ring):
@@ -460,10 +475,11 @@ class ModuleBasis:
         self.ring = ring
         self.rank = rank
         self.vectors = tuple(vectors)
-        self._elts = [_BasisElt(_vec_from_polys(ring, v)) for v in self.vectors]
+        self._elts = [_BasisElt(_primitive(ring.field, _vec_from_polys(ring, v)))
+                      for v in self.vectors]
 
     def reduce(self, vec):
-        r = _vec_reduce(_vec_from_polys(self.ring, vec), self._elts, self.ring)
+        r = _vec_reduce(_vec_from_polys(self.ring, vec), self._elts, self.ring, exact=True)
         return _vec_to_polys(self.ring, self.rank, r)
 
     def contains(self, vec) -> bool:

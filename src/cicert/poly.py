@@ -13,7 +13,9 @@ of the session language (`tokenize`), the expression grammar
 (`parse_expression`, which parses from any token list and stops at the
 first token that cannot continue the expression) and the division loop
 (`_vec_reduce`), which reduces vectors for the Groebner layer and is
-what `reduce` runs.
+what `reduce` runs.  The loop is fraction-free for both fields: it
+multiplies and subtracts plain ints against basis entries that are
+primitive int vectors over QQ and monic residue vectors over GF(p).
 
 A monomial is one int, its packed key (Bachmann and Schoenemann, ISSAC
 1998).  Every order here compares linear forms with 0/1 weights
@@ -44,6 +46,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import NamedTuple
 
 __all__ = [
@@ -117,11 +120,14 @@ def _integral(q):
 @dataclass(frozen=True)
 class RationalField:
     """The rationals; a scalar is an int, or a Fraction in lowest terms
-    whose denominator is not 1.  Both compare, hash and print alike, and
-    int arithmetic is the cheaper; division goes through Fraction, so no
-    result is ever a float."""
+    whose denominator is not 1.  Both compare, hash and print alike;
+    division goes through Fraction, so no result is ever a float.  These
+    methods serve `Polynomial` arithmetic.  The division loop and the
+    Groebner core call none of them: they clear denominators once and
+    work on int vectors (see `_vec_reduce`)."""
 
     name = "QQ"
+    characteristic = 0
 
     @property
     def zero(self):
@@ -182,6 +188,10 @@ class PrimeField:
     @property
     def name(self):
         return f"Fp({self.p})"
+
+    @property
+    def characteristic(self):
+        return self.p
 
     @property
     def zero(self):
@@ -725,26 +735,61 @@ def _vec_to_polys(ring, rank, vec: dict):
 
 
 class _BasisElt:
-    """A basis vector; its lead is the first key of its dict."""
+    """A basis entry, made from a vector in `_primitive` form: over QQ a
+    primitive int vector with positive lead coefficient `lc`, over GF(p)
+    a monic one (`lc == 1`).  Its lead is the first key of its dict."""
 
-    __slots__ = ("lead", "vec", "tail")
+    __slots__ = ("lead", "lc", "vec", "tail")
 
     def __init__(self, vec):
         terms = iter(vec.items())
-        self.lead, _lc = next(terms)
+        self.lead, self.lc = next(terms)
         self.vec = vec
         self.tail = list(terms)
 
+    def monic(self) -> dict:
+        """The vector divided by its lead coefficient, as `Polynomial`
+        holds it: over QQ an int or a Fraction, over GF(p) the vector."""
+        lc = self.lc
+        if lc == 1:
+            return self.vec
+        return {k: _integral(Fraction(c, lc)) for k, c in self.vec.items()}
 
-def _make_monic(field, vec: dict) -> dict:
-    inv = field.inv(next(iter(vec.values())))
-    if inv == field.one:
+
+def _cleared(vec: dict) -> tuple[dict, int]:
+    """(d * vec, d) for the least d > 0 that makes every coefficient an int."""
+    d = lcm(*{c.denominator for c in vec.values()})
+    if d == 1:
+        return vec, 1
+    return {k: c.numerator * (d // c.denominator) for k, c in vec.items()}, d
+
+
+def _primitive(field, vec: dict) -> dict:
+    """The basis-entry form of a nonzero vector dict, a nonzero multiple
+    of it: over GF(p) the monic vector; over QQ the int vector with
+    coprime coefficients and a positive lead coefficient."""
+    lc = next(iter(vec.values()))
+    if field.characteristic:
+        inv = field.inv(lc)
+        if inv == 1:
+            return vec
+        return {k: field.mul(c, inv) for k, c in vec.items()}
+    vec, _ = _cleared(vec)
+    g = 0
+    for c in vec.values():
+        g = gcd(g, c)
+        if g == 1:
+            break
+    if lc < 0:
+        g = -g
+    if g == 1:
         return vec
-    return {k: field.mul(c, inv) for k, c in vec.items()}
+    return {k: c // g for k, c in vec.items()}
 
 
-def _vec_reduce(work: dict, basis, ring) -> dict:
-    """Full normal form of a vector dict against monic basis elements.
+def _vec_reduce(work: dict, basis, ring, exact: bool = False) -> dict:
+    """Full normal form of a vector dict against `_BasisElt` entries,
+    fraction-free: only ints are multiplied and subtracted.
 
     Every term divisible by some basis lead (same position) is
     cancelled; irreducible terms migrate to the remainder, which comes
@@ -752,18 +797,29 @@ def _vec_reduce(work: dict, basis, ring) -> dict:
     order is used, which keeps the result deterministic.  A cancelled
     term stays in `work` as a zero, skipped when popped, so each term is
     queued once, and its key is checked for overflow then.
+
+    The input's denominators are cleared once.  A popped coefficient c
+    is cancelled by an entry with lead coefficient lc as
+    m * work - (c / g) * shift * tail, with g = gcd(lc, c) and
+    m = lc / g; m multiplies the remainder emitted so far too, so the
+    result is the normal form times the product of the denominator and
+    every m.  `exact` divides that scale out again; the Groebner core,
+    which normalises each remainder, keeps it.  Over GF(p) every entry
+    is monic, so m is 1, and coefficients are reduced mod p when popped.
     """
-    fieldops = ring.field
+    p = ring.field.characteristic
     packer = ring.packer
     guards, divmask = packer.guards, packer.divmask
-    zero = fieldops.zero
+    work, scale = _cleared(work)
     heap = [-k for k in work]  # a min-heap of negated keys pops the largest
     heapq.heapify(heap)
     remainder = {}
     while heap:
         key = -heapq.heappop(heap)
         coeff = work.pop(key)
-        if coeff == zero:
+        if p:
+            coeff %= p
+        if not coeff:
             continue
         probe = key | guards
         for hit in basis:
@@ -772,6 +828,17 @@ def _vec_reduce(work: dict, basis, ring) -> dict:
         else:
             remainder[key] = coeff
             continue
+        lc = hit.lc
+        if lc != 1:
+            g = gcd(lc, coeff)
+            coeff //= g
+            m = lc // g
+            if m != 1:
+                scale *= m
+                for k in work:
+                    work[k] *= m
+                for k in remainder:
+                    remainder[k] *= m
         shift = key - hit.lead
         for k2, c2 in hit.tail:
             k2 += shift
@@ -779,7 +846,11 @@ def _vec_reduce(work: dict, basis, ring) -> dict:
                 if k2 & guards:
                     raise ExponentOverflowError()
                 heapq.heappush(heap, -k2)
-            work[k2] = fieldops.sub(work.get(k2, zero), fieldops.mul(c2, coeff))
+                work[k2] = -coeff * c2
+            else:
+                work[k2] -= coeff * c2
+    if exact and scale != 1:
+        return {k: _integral(Fraction(c, scale)) for k, c in remainder.items()}
     return remainder
 
 
@@ -789,8 +860,8 @@ def reduce(f: Polynomial, divisors) -> tuple[Polynomial, list]:
     No monomial of r is divisible by the leading monomial of any divisor.
     Deterministic: at each step the first dividing g_i in list order is
     used.  Returns (remainder, quotients).  This is the vector (f | 0)
-    reduced against the monic vectors (g_i | e_i) / lc(g_i): the
-    remainder is position 0 and the quotients are the negated tail.
+    reduced against the basis entries of the vectors (g_i | e_i): the
+    exact remainder is position 0 and the quotients are the negated tail.
     """
     ring = f.ring
     divisors = list(divisors)
@@ -803,8 +874,8 @@ def reduce(f: Polynomial, divisors) -> tuple[Polynomial, list]:
     basis = []
     for i, g in enumerate(divisors):
         unit = tuple(ring.one if j == i else ring.zero for j in range(n))
-        basis.append(_BasisElt(_make_monic(ring.field, _vec_from_polys(ring, (g,) + unit))))
-    out = _vec_reduce(_vec_from_polys(ring, (f,)), basis, ring)
+        basis.append(_BasisElt(_primitive(ring.field, _vec_from_polys(ring, (g,) + unit))))
+    out = _vec_reduce(_vec_from_polys(ring, (f,)), basis, ring, exact=True)
     remainder, *quotients = _vec_to_polys(ring, 1 + n, out)
     return remainder, [-q for q in quotients]
 

@@ -6,11 +6,14 @@ monomial-indexed vectors, never through the division/Buchberger code
 paths they are checking.  Monomials here are exponent tuples, ordered by
 `tuple_key`, the definition of each monomial order on tuples that the
 packed keys of `cicert.poly` are tested against; polynomials are dicts
-{exponent tuple: coefficient}.
+{exponent tuple: coefficient}.  The one exception is `monic_vec_reduce`,
+the earlier monic form of the division loop, kept on packed keys as the
+reference for the fraction-free loop that replaced it.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 
 
@@ -97,6 +100,52 @@ def dict_str(variables, field, order, f):
         else:
             chunks.append(f" - {body}" if field.is_negative(c) else f" + {body}")
     return "".join(chunks) or "0"
+
+
+# ---------------------------------------------------------------------------
+# the monic division loop
+
+
+def monic_vec(field, vec):
+    """A vector dict {packed key: coefficient} divided by its lead
+    coefficient, with the field's own operations."""
+    inv = field.inv(next(iter(vec.values())))
+    return {k: field.mul(c, inv) for k, c in vec.items()}
+
+
+def monic_vec_reduce(work, basis, ring):
+    """The division loop of `cicert.poly` in its earlier, monic form: the
+    normal form of a vector dict against monic vector dicts, the first
+    dividing basis vector in list order taken at each step, every
+    coefficient formed by the field's `sub` and `mul`.  The reference
+    the fraction-free `_vec_reduce` is tested against."""
+    field = ring.field
+    guards, divmask = ring.packer.guards, ring.packer.divmask
+    zero = field.zero
+    work = dict(work)
+    heap = [-k for k in work]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        key = -heapq.heappop(heap)
+        coeff = work.pop(key)
+        if coeff == zero:
+            continue
+        probe = key | guards
+        for hit in basis:
+            lead = next(iter(hit))
+            if (probe - lead) & divmask == guards:
+                break
+        else:
+            remainder[key] = coeff
+            continue
+        shift = key - lead
+        for k2, c2 in list(hit.items())[1:]:
+            k2 += shift
+            if k2 not in work:
+                heapq.heappush(heap, -k2)
+            work[k2] = field.sub(work.get(k2, zero), field.mul(c2, coeff))
+    return remainder
 
 
 # ---------------------------------------------------------------------------

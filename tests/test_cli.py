@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cicert
 from cicert import certificates, groebner
 from cicert.cli import (
     EXIT_INCONCLUSIVE,
@@ -274,6 +279,19 @@ def test_main_run_and_replay(tmp_path):
     assert main([str(session), "--out", str(out)]) == EXIT_VERIFIED
     assert out.exists()
     assert main(["--replay", str(out)]) == EXIT_VERIFIED
+
+
+def test_python_dash_m_runs_a_session(tmp_path):
+    session = tmp_path / "s.ck"
+    session.write_text("ring R = QQ[x];\nideal I = (x); check member x^2 in I;\n")
+    src = str(Path(cicert.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-m", "cicert", str(session)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_VERIFIED
+    assert done.stdout == "[verified] check member x^2 in I;\n"
+    assert done.stderr == ""
 
 
 def test_main_replay_tampered(tmp_path):

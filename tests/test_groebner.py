@@ -1,5 +1,6 @@
 import random
-from math import prod
+from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from cicert.groebner import (
     gb_hash,
     groebner_basis,
     module_gb,
+    module_groebner,
     module_normal_form,
     module_syzygies,
     quotient_ring,
@@ -216,14 +218,57 @@ def test_basis_vectors_lead_with_first_key(R3):
     ]
     for ring, vectors in cases:
         G = _module_buchberger_dicts([_vec_from_polys(ring, v) for v in vectors], ring)
-        for b in G + _reduced_basis(G, ring):
-            keys = list(b.vec)
+        assert all(b.lead == next(iter(b.vec)) for b in G)
+        for vec in [b.vec for b in G] + _reduced_basis(G, ring):
+            keys = list(vec)
             assert keys == sorted(keys, reverse=True)
-            assert b.lead == keys[0]
             # the int order is position over term in the ring's order
             terms = [ring.packer.unpack(k) for k in keys]
             tuple_keys = [(-pos, tuple_key(ring.order)(m)) for pos, m in terms]
             assert tuple_keys == sorted(tuple_keys, reverse=True)
+
+
+def _assert_entry(field, b):
+    coeffs = list(b.vec.values())
+    assert b.lead == next(iter(b.vec)) and b.lc == coeffs[0]
+    assert all(type(c) is int for c in coeffs)
+    if field.characteristic:
+        assert b.lc == 1 and all(0 < c < field.characteristic for c in coeffs)
+    else:
+        assert b.lc > 0 and gcd(*coeffs) == 1
+
+
+def _assert_monic(field, vector):
+    coeffs = [c for f in vector for c in f.vec.values()]
+    assert coeffs[0] == 1
+    for c in coeffs:
+        if field.characteristic:
+            assert type(c) is int and 0 < c < field.characteristic
+        else:
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(32003)], ids=str)
+def test_basis_entries_are_primitive_and_outputs_monic(field):
+    # Over QQ a basis entry is a primitive int vector with a positive
+    # lead, over GF(p) a monic one; every basis handed out is monic.
+    R = RingSpec(("x", "y", "z"), field)
+    ideal = [R.parse(t) for t in ("3*x^3*y - z^2/2", "-2*y^4 + 5*x*z/3", "z^3/4 - x^2*y^2")]
+    module = [(R.parse("2*x^2 - y/3"), R.parse("x*y/2")),
+              (R.parse("-3*y^2 + z"), R.parse("4*x*z - 1"))]
+    for vectors in ([(f,) for f in ideal], module):
+        for b in _module_buchberger_dicts([_vec_from_polys(R, v) for v in vectors], R):
+            _assert_entry(field, b)
+        for v in module_groebner(vectors, R):
+            _assert_monic(field, v)
+        for b in module_gb(vectors, R)._elts:
+            _assert_entry(field, b)
+    for g in groebner_basis(ideal, R):
+        _assert_monic(field, (g,))
+    with pytest.raises(BudgetExceededError) as err, Budget(limit=2):
+        groebner_basis(ideal, R)
+    for v in err.value.partial():
+        _assert_monic(field, v)
 
 
 def test_basis_terms_are_descending_exponent_tuples(R3):

@@ -12,14 +12,20 @@ from cicert.poly import (
     MonomialOrder,
     MonomialPacker,
     PolyParseError,
+    Polynomial,
     RingMismatchError,
     RingSpec,
+    _BasisElt,
+    _primitive,
+    _vec_from_polys,
+    _vec_reduce,
+    _vec_to_polys,
     extend_ring,
     reduce,
 )
 
 from oracles import (dict_add, dict_mul, dict_neg, dict_pow, dict_str, dict_terms,
-                     mono_mul, tuple_key)
+                     mono_mul, monic_vec, monic_vec_reduce, tuple_key)
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +292,65 @@ def test_rehome_and_embed_match_tuple_oracle(field, a):
     inside = ext.embed(f)
     assert inside.terms == dict_terms(ext.ring.order, {(0,) + m: c for m, c in a.items()})
     assert ext.contract(inside) == f
+
+
+# -- differential: the fraction-free division loop against the monic one
+
+
+reduce_fields = st.sampled_from([QQ, GF(7), GF(32003)])
+
+
+def _coeffs(field):
+    dens = [d for d in (1, 2, 3, 7) if not field.characteristic or d % field.characteristic]
+    return st.builds(Fraction, st.integers(min_value=-9, max_value=9), st.sampled_from(dens))
+
+
+def _vec(data, field, ring, rank, top):
+    """A vector dict of `ring` drawn from `data`, exponents at most `top`:
+    packed keys descending, coefficients coerced, zeros dropped."""
+    mono = st.tuples(*(st.integers(min_value=0, max_value=top) for _ in range(3)))
+    raw = data.draw(st.dictionaries(
+        st.tuples(st.integers(min_value=0, max_value=rank - 1), mono),
+        _coeffs(field), max_size=5))
+    acc = {ring.packer.pack(m, pos): field.coerce(c) for (pos, m), c in raw.items()}
+    return {k: acc[k] for k in sorted(acc, reverse=True) if acc[k] != 0}
+
+
+@given(data=st.data(), field=reduce_fields, order=diff_orders)
+@settings(max_examples=200, deadline=None)
+def test_fraction_free_reduction_matches_monic_oracle(data, field, order):
+    R = RingSpec(("x", "y", "z"), field, order)
+    # low-degree divisors, so that most terms of the input reduce
+    divisors = [v for v in (_vec(data, field, R, 2, 2) for _ in range(data.draw(
+        st.integers(min_value=1, max_value=3)))) if v]
+    work = _vec(data, field, R, 2, 4)
+    basis = [_BasisElt(_primitive(field, v)) for v in divisors]
+    got = _vec_reduce(dict(work), basis, R, exact=True)
+    want = monic_vec_reduce(work, [monic_vec(field, v) for v in divisors], R)
+    assert list(got.items()) == list(want.items())
+    # coefficients have the types Polynomial holds
+    for c in got.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+@given(data=st.data(), field=reduce_fields, order=diff_orders)
+@settings(max_examples=100, deadline=None)
+def test_reduce_matches_monic_oracle(data, field, order):
+    R = RingSpec(("x", "y", "z"), field, order)
+    f = Polynomial(R, _vec(data, field, R, 1, 4))
+    divisors = [Polynomial(R, v) for v in (_vec(data, field, R, 1, 2) for _ in range(
+        data.draw(st.integers(min_value=1, max_value=3)))) if v]
+    r, qs = reduce(f, divisors)
+    total = r
+    for q, g in zip(qs, divisors):
+        total = total + q * g
+    assert total == f
+    n = len(divisors)
+    oracle_basis = [monic_vec(field, _vec_from_polys(
+        R, (g,) + tuple(R.one if j == i else R.zero for j in range(n))))
+        for i, g in enumerate(divisors)]
+    want = _vec_to_polys(R, 1 + n, monic_vec_reduce(_vec_from_polys(R, (f,)), oracle_basis, R))
+    assert r == want[0] and qs == [-q for q in want[1:]]
 
 
 # -- parsing and printing
