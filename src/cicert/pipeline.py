@@ -15,7 +15,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .certificates import Replayable
 from .groebner import DEFAULT_GB_STEPS, IdealHandle, zero_ideal
@@ -28,7 +27,7 @@ from .ideals import (
     quotient,
     radical_equal,
 )
-from .poly import MonomialOrder, Polynomial, PrimeField, RingSpec
+from .poly import MonomialOrder, Polynomial, RingSpec
 
 __all__ = [
     "Budgets",
@@ -186,11 +185,10 @@ def is_regular_sequence(sequence, base: IdealHandle | None = None):
 
 
 def _random_scalar(field, rng, nonzero=False):
-    if isinstance(field, PrimeField):
-        lo = 1 if nonzero else 0
-        return field.coerce(rng.randrange(lo, field.p))
+    if field.characteristic:
+        return rng.randrange(1 if nonzero else 0, field.characteristic)
     while True:
-        v = Fraction(rng.randint(-3, 3))
+        v = rng.randint(-3, 3)
         if v or not nonzero:
             return v
 
@@ -622,7 +620,7 @@ def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS, pair=None) -> S
     EXTENSION_DEGREES, represented as F_p[a]/(m(a)).
     """
     result = _search_field(I, seed, budgets, pair)
-    if result.certificate is not None or not isinstance(I.ring.field, PrimeField):
+    if result.certificate is not None or not I.ring.field.characteristic:
         return result
     trials_used = result.trials
     for k in EXTENSION_DEGREES:
@@ -759,12 +757,12 @@ def _find_irreducible(p, k):
 def extend_scalars(ring: RingSpec, k: int):
     """A tensor F_{p^k}, realized as one extra variable modulo an
     irreducible polynomial.  Returns (new_ring, embed)."""
-    if not isinstance(ring.field, PrimeField):
+    p = ring.field.characteristic
+    if not p:
         raise InputError("scalar extension only applies over a prime field")
     if ring.order.kind == "block" or ring.order.permutation is not None:
         raise InputError("scalar extension needs a plain lex/grevlex order")
     name = fresh_name(ring, "a")
-    p = ring.field.p
     variables = ring.variables + (name,)
     bare = RingSpec(variables, ring.field, MonomialOrder(ring.order.kind))
 

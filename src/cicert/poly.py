@@ -5,8 +5,11 @@ strictly descending in the ring's monomial order, with no zero
 coefficients.  A ring may carry a base ideal J0, in which case its
 elements are representatives in the free polynomial ring k[x1..xn];
 reduction modulo J0 needs J0's basis, which the Groebner layer keeps.
-Arithmetic is always exact: ints and Fractions for QQ (a result with
-denominator 1 is an int), residues in [0, p) for GF(p).
+Arithmetic is always exact.  A field is its characteristic (`Field`), and
+a coefficient is a plain Python number: an int, or a Fraction whose
+denominator is not 1, over QQ; a residue in [0, p) over GF(p).  Sums and
+products work on raw numbers, and `RingSpec._from_keys` is the one place
+that normalises them (mod p, or a Fraction with denominator 1 to an int).
 
 This module owns the three kernels the other layers share: the tokens
 of the session language (`tokenize`), the expression grammar
@@ -50,8 +53,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 __all__ = [
-    "RationalField",
-    "PrimeField",
+    "Field",
     "QQ",
     "GF",
     "MonomialOrder",
@@ -67,6 +69,7 @@ __all__ = [
     "MonomialPacker",
     "ExponentOverflowError",
     "EXPONENT_LIMIT",
+    "PAREN_DEPTH_LIMIT",
 ]
 
 
@@ -118,134 +121,54 @@ def _integral(q):
 
 
 @dataclass(frozen=True)
-class RationalField:
-    """The rationals; a scalar is an int, or a Fraction in lowest terms
-    whose denominator is not 1.  Both compare, hash and print alike;
-    division goes through Fraction, so no result is ever a float.  These
-    methods serve `Polynomial` arithmetic.  The division loop and the
-    Groebner core call none of them: they clear denominators once and
-    work on int vectors (see `_vec_reduce`)."""
+class Field:
+    """QQ when `characteristic` is 0, else GF(p) for the prime p.  A field
+    is its characteristic: a scalar is a plain Python number, an int or a
+    Fraction in lowest terms with denominator not 1 over QQ, an int in
+    [0, p) over GF(p).  Arithmetic adds and multiplies these numbers
+    directly, and `RingSpec._from_keys` normalises its results in one
+    place.  No scalar is ever a float: `coerce` takes only ints and
+    Fractions.  A field is made as `QQ` or by `GF(p)`, which checks p."""
 
-    name = "QQ"
-    characteristic = 0
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-    def coerce(self, value):
-        return _integral(Fraction(value))
-
-    def add(self, a, b):
-        return _integral(a + b)
-
-    def sub(self, a, b):
-        return _integral(a - b)
-
-    def mul(self, a, b):
-        return _integral(a * b)
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return _integral(1 / Fraction(a))
-
-    def div(self, a, b):
-        return _integral(Fraction(a) / b)
-
-    def format(self, a) -> str:
-        return str(a)
-
-    def is_negative(self, a) -> bool:
-        return a < 0
-
-    def abs(self, a):
-        return abs(a)
-
-    def __repr__(self):
-        return "QQ"
-
-
-@dataclass(frozen=True)
-class PrimeField:
-    """GF(p) for a prime p; scalars are ints in [0, p)."""
-
-    p: int
-
-    def __post_init__(self):
-        if not (2 <= self.p < 2**63):
-            raise ValueError(f"prime must satisfy 2 <= p < 2^63, got {self.p}")
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+    characteristic: int
 
     @property
     def name(self):
-        return f"Fp({self.p})"
+        p = self.characteristic
+        return f"Fp({p})" if p else "QQ"
 
-    @property
-    def characteristic(self):
-        return self.p
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
-
-    def coerce(self, value) -> int:
-        if isinstance(value, Fraction):
-            if value.denominator % self.p == 0:
-                raise ZeroDivisionError("denominator divisible by p")
-            return value.numerator * pow(value.denominator, -1, self.p) % self.p
-        return int(value) % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
+    def coerce(self, value):
+        p = self.characteristic
+        if isinstance(value, int):
+            return value % p if p else value
+        if not isinstance(value, Fraction):
+            raise TypeError(f"a scalar must be an int or a Fraction, got {value!r}")
+        if not p:
+            return _integral(value)
+        if value.denominator % p == 0:
+            raise ZeroDivisionError("denominator divisible by p")
+        return value.numerator * pow(value.denominator, -1, p) % p
 
     def inv(self, a):
-        if a % self.p == 0:
+        p = self.characteristic
+        if (a % p if p else a) == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
-
-    def format(self, a) -> str:
-        return str(a)
-
-    def is_negative(self, a) -> bool:
-        return False
-
-    def abs(self, a):
-        return a
+        return pow(a, -1, p) if p else _integral(1 / Fraction(a))
 
     def __repr__(self):
-        return f"GF({self.p})"
+        p = self.characteristic
+        return f"GF({p})" if p else "QQ"
 
 
-QQ = RationalField()
+QQ = Field(0)
 
 
-def GF(p: int) -> PrimeField:
-    return PrimeField(p)
+def GF(p: int) -> Field:
+    if not (2 <= p < 2**63):
+        raise ValueError(f"prime must satisfy 2 <= p < 2^63, got {p}")
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return Field(p)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +333,7 @@ class Polynomial:
 
     def constant_value(self):
         """Coefficient of the constant monomial, whose key is 0."""
-        return self.vec.get(0, self.ring.field.zero)
+        return self.vec.get(0, 0)
 
     def is_constant(self) -> bool:
         # every other monomial has a larger key than the constant's 0
@@ -433,17 +356,18 @@ class Polynomial:
         if other is NotImplemented:
             return NotImplemented
         acc = dict(self.vec)
-        field = self.ring.field
-        zero = field.zero
         for k, c in other.vec.items():
-            acc[k] = field.add(acc.get(k, zero), c)
+            acc[k] = acc.get(k, 0) + c
         return self.ring._from_keys(acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        neg = self.ring.field.neg
-        return Polynomial(self.ring, {k: neg(c) for k, c in self.vec.items()})
+        # negation keeps the order and the nonzero terms
+        p = self.ring.field.characteristic
+        if p:
+            return Polynomial(self.ring, {k: -c % p for k, c in self.vec.items()})
+        return Polynomial(self.ring, {k: -c for k, c in self.vec.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -460,13 +384,12 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        field = self.ring.field
-        add, mul, zero = field.add, field.mul, field.zero
         acc = {}
+        get = acc.get
         for k1, c1 in self.vec.items():
             for k2, c2 in other.vec.items():
                 k = k1 + k2
-                acc[k] = add(acc.get(k, zero), mul(c1, c2))
+                acc[k] = get(k, 0) + c1 * c2
         product = self.ring._from_keys(acc)
         # a field's largest value over the terms is taken at a vertex of
         # the Newton polytope, whose term never cancels
@@ -495,9 +418,13 @@ class Polynomial:
     def scale(self, c):
         field = self.ring.field
         c = field.coerce(c)
-        if c == field.zero:
+        if not c:
             return self.ring.zero
-        return Polynomial(self.ring, {k: field.mul(a, c) for k, a in self.vec.items()})
+        # a nonzero scalar keeps the order and the nonzero terms
+        p = field.characteristic
+        if p:
+            return Polynomial(self.ring, {k: a * c % p for k, a in self.vec.items()})
+        return Polynomial(self.ring, {k: _integral(a * c) for k, a in self.vec.items()})
 
     def monic(self):
         if not self.vec:
@@ -604,14 +531,14 @@ class RingSpec:
 
     def constant(self, value) -> Polynomial:
         c = self.field.coerce(value)
-        return Polynomial(self, {0: c} if c != self.field.zero else {})  # 1 packs to 0
+        return Polynomial(self, {0: c} if c else {})  # 1 packs to 0
 
     def gen(self, name) -> Polynomial:
         i = self._var_index.get(name)
         if i is None:
             raise KeyError(f"no variable {name!r} in {self.describe()}")
         mono = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, {self.packer.pack(mono): self.field.one})
+        return Polynomial(self, {self.packer.pack(mono): 1})
 
     def gens(self):
         return tuple(self.gen(v) for v in self.variables)
@@ -621,7 +548,7 @@ class RingSpec:
         if len(exponents) != self.nvars or any(e < 0 for e in exponents):
             raise ValueError("bad exponent vector")
         c = self.field.coerce(coeff)
-        if c == self.field.zero:
+        if not c:
             return self.zero
         return Polynomial(self, {self.packer.pack(exponents): c})
 
@@ -631,11 +558,22 @@ class RingSpec:
         return self._from_keys({pack(m): c for m, c in acc.items()})
 
     def _from_keys(self, acc: dict) -> Polynomial:
-        """The polynomial of a dict {packed key: coefficient}: zero
-        coefficients dropped, keys sorted descending."""
-        zero = self.field.zero
-        keys = sorted((k for k, c in acc.items() if c != zero), reverse=True)
-        return Polynomial(self, {k: acc[k] for k in keys})
+        """The polynomial of a dict {packed key: raw coefficient}, where a
+        raw coefficient is any int over GF(p) and an int or a Fraction
+        over QQ.  The one place that normalises sums and products:
+        residues taken mod p, a Fraction with denominator 1 made an int,
+        zero coefficients dropped, keys sorted descending.  Negation and
+        scaling by a nonzero scalar keep the order and the nonzero terms,
+        so they normalise each value in place instead."""
+        p = self.field.characteristic
+        if p:
+            return Polynomial(self, {k: c for k in sorted(acc, reverse=True)
+                                     if (c := acc[k] % p)})
+        vec = {k: acc[k] for k in sorted((k for k, c in acc.items() if c), reverse=True)}
+        for k, c in vec.items():
+            if c.__class__ is Fraction and c.denominator == 1:
+                vec[k] = c.numerator
+        return Polynomial(self, vec)
 
     @property
     def is_quotient(self) -> bool:
@@ -682,18 +620,17 @@ class RingSpec:
     def format_poly(self, f: Polynomial) -> str:
         if not f.vec:
             return "0"
-        field = self.field
         chunks = []
         for i, (m, c) in enumerate(f.terms):
-            negative = field.is_negative(c)
-            mag = field.abs(c)
+            negative = c < 0  # only over QQ
+            mag = abs(c)
             mono_text = self.format_monomial(m)
             if not mono_text:
-                body = field.format(mag)
-            elif mag == field.one:
+                body = str(mag)
+            elif mag == 1:
                 body = mono_text
             else:
-                body = f"{field.format(mag)}*{mono_text}"
+                body = f"{mag}*{mono_text}"
             if i == 0:
                 chunks.append(f"-{body}" if negative else body)
             else:
@@ -769,11 +706,12 @@ def _primitive(field, vec: dict) -> dict:
     of it: over GF(p) the monic vector; over QQ the int vector with
     coprime coefficients and a positive lead coefficient."""
     lc = next(iter(vec.values()))
-    if field.characteristic:
+    p = field.characteristic
+    if p:
         inv = field.inv(lc)
         if inv == 1:
             return vec
-        return {k: field.mul(c, inv) for k, c in vec.items()}
+        return {k: c * inv % p for k, c in vec.items()}
     vec, _ = _cleared(vec)
     g = 0
     for c in vec.values():
@@ -984,12 +922,19 @@ def parse_expression(ring, tokens, i, names) -> tuple[Polynomial, int]:
     return parser.expr(), parser.i
 
 
+# Each level of parentheses costs the parser a few stack frames, so the
+# depth is capped well inside the interpreter's recursion limit.
+PAREN_DEPTH_LIMIT = 100
+
+
 class _ExprParser:
     """Recursive-descent parser for +, -, *, /, ^ and parentheses.
 
     '/' is division by a nonzero constant; '^' takes a non-negative
     integer exponent.  Names resolve to ring variables first, then to
-    entries of the supplied name table.
+    entries of the supplied name table.  Parentheses nest at most
+    PAREN_DEPTH_LIMIT deep; a run of signs is folded in a loop, so no
+    input recurses deeper than that.
     """
 
     def __init__(self, ring, tokens, i, names):
@@ -997,6 +942,7 @@ class _ExprParser:
         self.tokens = tokens
         self.i = i
         self.names = names
+        self.depth = 0  # parentheses open around the current token
 
     def peek(self) -> Token:
         if self.i < len(self.tokens):
@@ -1035,10 +981,9 @@ class _ExprParser:
         return value
 
     def factor(self) -> Polynomial:
-        if self.at_op("+-"):
-            sign = self.take().value
-            value = self.factor()
-            return -value if sign == "-" else value
+        negate = False
+        while self.at_op("+-"):  # a run of signs, folded without recursion
+            negate ^= self.take().value == "-"
         value = self.primary()
         while self.at_op("^"):
             self.take()
@@ -1046,7 +991,7 @@ class _ExprParser:
             if exp.kind != "int":
                 raise PolyParseError("exponent must be an integer", exp.start)
             value = value**exp.value
-        return value
+        return -value if negate else value
 
     def primary(self) -> Polynomial:
         kind, val, pos, _ = self.take()
@@ -1063,7 +1008,12 @@ class _ExprParser:
                 return f
             raise PolyParseError(f"unknown name {val!r}", pos)
         if kind == "op" and val == "(":
+            if self.depth == PAREN_DEPTH_LIMIT:
+                raise PolyParseError(
+                    f"parentheses nested deeper than {PAREN_DEPTH_LIMIT}", pos)
+            self.depth += 1
             value = self.expr()
+            self.depth -= 1
             close = self.take()
             if not (close.kind == "op" and close.value == ")"):
                 raise PolyParseError("expected ')'", close.start)

@@ -3,18 +3,58 @@
 Everything here is plain linear algebra over the coefficient field:
 membership and syzygies are decided by exact Gaussian elimination on
 monomial-indexed vectors, never through the division/Buchberger code
-paths they are checking.  Monomials here are exponent tuples, ordered by
-`tuple_key`, the definition of each monomial order on tuples that the
-packed keys of `cicert.poly` are tested against; polynomials are dicts
-{exponent tuple: coefficient}.  The one exception is `monic_vec_reduce`,
-the earlier monic form of the division loop, kept on packed keys as the
-reference for the fraction-free loop that replaced it.
+paths they are checking.  Scalars have their own arithmetic here, keyed
+on the field's characteristic p (`s_coerce`, `s_add`, `s_sub`, `s_mul`,
+`s_neg`, `s_inv`): exact rationals when p is 0, residues mod p
+otherwise; of a `cicert.poly` field only `characteristic` is read.
+Monomials here are exponent tuples, ordered by `tuple_key`, the
+definition of each monomial order on tuples that the packed keys of
+`cicert.poly` are tested against; polynomials are dicts {exponent tuple:
+coefficient}.  The one exception is `monic_vec_reduce`, the earlier
+monic form of the division loop, kept on packed keys as the reference
+for the fraction-free loop that replaced it.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from fractions import Fraction
+
+
+# ---------------------------------------------------------------------------
+# scalars over the field of characteristic p: ints and Fractions when p is
+# 0, residues in [0, p) otherwise
+
+
+def s_coerce(p, c):
+    """The scalar of an int or a Fraction c."""
+    if not p:
+        return c
+    c = Fraction(c)
+    return c.numerator * pow(c.denominator, -1, p) % p
+
+
+def s_add(p, a, b):
+    return (a + b) % p if p else a + b
+
+
+def s_sub(p, a, b):
+    return (a - b) % p if p else a - b
+
+
+def s_mul(p, a, b):
+    return a * b % p if p else a * b
+
+
+def s_neg(p, a):
+    return -a % p if p else -a
+
+
+def s_inv(p, a):
+    if a == 0:
+        raise ZeroDivisionError("inverse of zero")
+    return pow(a, -1, p) if p else 1 / Fraction(a)
 
 
 # ---------------------------------------------------------------------------
@@ -50,27 +90,29 @@ def tuple_key(order):
 
 
 def dict_add(field, f, g):
+    p = field.characteristic
     out = dict(f)
     for m, c in g.items():
-        out[m] = field.add(out.get(m, field.zero), c)
-    return {m: c for m, c in out.items() if c != field.zero}
+        out[m] = s_add(p, out.get(m, 0), c)
+    return {m: c for m, c in out.items() if c != 0}
 
 
 def dict_neg(field, f):
-    return {m: field.neg(c) for m, c in f.items()}
+    return {m: s_neg(field.characteristic, c) for m, c in f.items()}
 
 
 def dict_mul(field, f, g):
+    p = field.characteristic
     out = {}
     for m1, c1 in f.items():
         for m2, c2 in g.items():
             m = mono_mul(m1, m2)
-            out[m] = field.add(out.get(m, field.zero), field.mul(c1, c2))
-    return {m: c for m, c in out.items() if c != field.zero}
+            out[m] = s_add(p, out.get(m, 0), s_mul(p, c1, c2))
+    return {m: c for m, c in out.items() if c != 0}
 
 
 def dict_pow(field, f, n, nvars):
-    out = {(0,) * nvars: field.one}
+    out = {(0,) * nvars: 1}
     for _ in range(n):
         out = dict_mul(field, out, f)
     return out
@@ -82,23 +124,24 @@ def dict_terms(order, f):
                         reverse=True))
 
 
-def dict_str(variables, field, order, f):
-    """The text of a dict polynomial, written as cicert prints one."""
+def dict_str(variables, order, f):
+    """The text of a dict polynomial, written as cicert prints one: a
+    coefficient is printed as its Fraction, with its sign in front."""
     chunks = []
     for m, c in dict_terms(order, f):
         mono = "*".join(v if e == 1 else f"{v}^{e}"
                         for v, e in zip(variables, m) if e)
-        mag = field.abs(c)
+        mag = abs(Fraction(c))
         if not mono:
-            body = field.format(mag)
-        elif mag == field.one:
+            body = str(mag)
+        elif mag == 1:
             body = mono
         else:
-            body = f"{field.format(mag)}*{mono}"
+            body = f"{mag}*{mono}"
         if not chunks:
-            chunks.append(f"-{body}" if field.is_negative(c) else body)
+            chunks.append(f"-{body}" if c < 0 else body)
         else:
-            chunks.append(f" - {body}" if field.is_negative(c) else f" + {body}")
+            chunks.append(f" - {body}" if c < 0 else f" + {body}")
     return "".join(chunks) or "0"
 
 
@@ -108,20 +151,20 @@ def dict_str(variables, field, order, f):
 
 def monic_vec(field, vec):
     """A vector dict {packed key: coefficient} divided by its lead
-    coefficient, with the field's own operations."""
-    inv = field.inv(next(iter(vec.values())))
-    return {k: field.mul(c, inv) for k, c in vec.items()}
+    coefficient."""
+    p = field.characteristic
+    inv = s_inv(p, next(iter(vec.values())))
+    return {k: s_mul(p, c, inv) for k, c in vec.items()}
 
 
 def monic_vec_reduce(work, basis, ring):
     """The division loop of `cicert.poly` in its earlier, monic form: the
     normal form of a vector dict against monic vector dicts, the first
     dividing basis vector in list order taken at each step, every
-    coefficient formed by the field's `sub` and `mul`.  The reference
-    the fraction-free `_vec_reduce` is tested against."""
-    field = ring.field
+    coefficient formed by `s_sub` and `s_mul`.  The reference the
+    fraction-free `_vec_reduce` is tested against."""
+    p = ring.field.characteristic
     guards, divmask = ring.packer.guards, ring.packer.divmask
-    zero = field.zero
     work = dict(work)
     heap = [-k for k in work]
     heapq.heapify(heap)
@@ -129,7 +172,7 @@ def monic_vec_reduce(work, basis, ring):
     while heap:
         key = -heapq.heappop(heap)
         coeff = work.pop(key)
-        if coeff == zero:
+        if coeff == 0:
             continue
         probe = key | guards
         for hit in basis:
@@ -144,7 +187,7 @@ def monic_vec_reduce(work, basis, ring):
             k2 += shift
             if k2 not in work:
                 heapq.heappush(heap, -k2)
-            work[k2] = field.sub(work.get(k2, zero), field.mul(c2, coeff))
+            work[k2] = s_sub(p, work.get(k2, 0), s_mul(p, c2, coeff))
     return remainder
 
 
@@ -176,13 +219,13 @@ class LinearSpan:
     """
 
     def __init__(self, field, key):
-        self.field = field
+        self.p = field.characteristic
         self.key = key
         self.rows = {}  # pivot mono -> reduced vector with coefficient 1
 
     def _reduce(self, vec):
         vec = dict(vec)
-        field = self.field
+        p = self.p
         while vec:
             pivot = max(vec, key=self.key)
             row = self.rows.get(pivot)
@@ -190,8 +233,8 @@ class LinearSpan:
                 return vec
             factor = vec[pivot]
             for m, c in row.items():
-                val = field.sub(vec.get(m, field.zero), field.mul(factor, c))
-                if val == field.zero:
+                val = s_sub(p, vec.get(m, 0), s_mul(p, factor, c))
+                if val == 0:
                     vec.pop(m, None)
                 else:
                     vec[m] = val
@@ -206,8 +249,8 @@ class LinearSpan:
         if not r:
             return False
         pivot = max(r, key=self.key)
-        inv = self.field.inv(r[pivot])
-        self.rows[pivot] = {m: self.field.mul(c, inv) for m, c in r.items()}
+        inv = s_inv(self.p, r[pivot])
+        self.rows[pivot] = {m: s_mul(self.p, c, inv) for m, c in r.items()}
         return True
 
 
@@ -239,9 +282,8 @@ def syzygy_oracle(targets, cap):
     one nullspace generator via its tracked combination.
     """
     ring = targets[0].ring
-    field = ring.field
+    p = ring.field.characteristic
     key = tuple_key(ring.order)
-    span = LinearSpan(field, key)
     tracked = {}  # pivot -> (vector, combination)
     null = []
 
@@ -255,14 +297,14 @@ def syzygy_oracle(targets, cap):
             row, row_combo = tracked[pivot]
             factor = vec[pivot]
             for m, c in row.items():
-                val = field.sub(vec.get(m, field.zero), field.mul(factor, c))
-                if val == field.zero:
+                val = s_sub(p, vec.get(m, 0), s_mul(p, factor, c))
+                if val == 0:
                     vec.pop(m, None)
                 else:
                     vec[m] = val
             for k, c in row_combo.items():
-                val = field.sub(combo.get(k, field.zero), field.mul(factor, c))
-                if val == field.zero:
+                val = s_sub(p, combo.get(k, 0), s_mul(p, factor, c))
+                if val == 0:
                     combo.pop(k, None)
                 else:
                     combo[k] = val
@@ -271,16 +313,16 @@ def syzygy_oracle(targets, cap):
     for i, f in enumerate(targets):
         for mono in monomials_up_to(ring.nvars, cap):
             vec = _poly_vec(f * ring.monomial(mono)) if f else {}
-            combo = {(i, mono): field.one}
+            combo = {(i, mono): 1}
             r, rc = reduce_tracked(vec, combo)
             if not r:
                 null.append(rc)
                 continue
             pivot = max(r, key=key)
-            inv = field.inv(r[pivot])
+            inv = s_inv(p, r[pivot])
             tracked[pivot] = (
-                {m: field.mul(c, inv) for m, c in r.items()},
-                {k: field.mul(c, inv) for k, c in rc.items()},
+                {m: s_mul(p, c, inv) for m, c in r.items()},
+                {k: s_mul(p, c, inv) for k, c in rc.items()},
             )
     rows = []
     for combo in null:
@@ -293,12 +335,12 @@ def syzygy_oracle(targets, cap):
 
 def fp_points(ring):
     """All points of the affine space over a prime field."""
-    p = ring.field.p
+    p = ring.field.characteristic
     return itertools.product(range(p), repeat=ring.nvars)
 
 
 def eval_at(f, point):
-    p = f.ring.field.p
+    p = f.ring.field.characteristic
     total = 0
     for mono, c in f.terms:
         term = c

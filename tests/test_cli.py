@@ -347,6 +347,19 @@ def test_main_exponent_past_the_limit_is_input_error(tmp_path, capsys, statement
     assert out == ""  # no verdict is printed
 
 
+@pytest.mark.parametrize("expr", [
+    pytest.param("(" * 300 + "x" + ")" * 300, id="300-parentheses"),
+    pytest.param("-" * 5000, id="5000-signs"),
+])
+def test_main_deep_nesting_is_input_error(tmp_path, capsys, expr):
+    session = tmp_path / "deep.ck"
+    session.write_text(f"ring R = QQ[x]; ideal I = ({expr}); check member x in I;")
+    assert main([str(session)]) == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert "line 1, column" in err and "Recursion" not in err
+    assert out == ""
+
+
 def test_main_missing_file_is_input_error(tmp_path):
     assert main([str(tmp_path / "nope.ck")]) == EXIT_INPUT_ERROR
 
@@ -372,8 +385,9 @@ def _rehashed(**edits):
     _rehashed(budgets=None),
     _rehashed(budgets={"gb_steps": "many", "trials": 1, "degree_bound": None}),
     _rehashed(field_override="Fp:seven"),
+    _rehashed(field_override="Fp:0"),
     lambda payload: [payload],
-], ids=["command-index", "null-budgets", "budget-type", "field", "list"])
+], ids=["command-index", "null-budgets", "budget-type", "field", "field-zero", "list"])
 def test_main_replay_malformed_is_input_error(tmp_path, edit):
     payloads, _ = run_session("ring R = QQ[x]; ideal I = (x); check member x in I;")
     bad = tmp_path / "x.json"

@@ -1,7 +1,7 @@
 import pytest
 
 from cicert.dsl import DslParseError, parse_session
-from cicert.poly import GF
+from cicert.poly import GF, PAREN_DEPTH_LIMIT
 
 
 def test_minimal_session():
@@ -183,6 +183,7 @@ MALFORMED = [
     "ring R = QQ[x,x] / (x);",
     "ring R = QQ[x] order weird;",
     "ring R = Fp(4)[x];",
+    "ring R = Fp(0)[x];",
     "ring R = QQ[x]; ideal I = x;",
     "ring R = QQ[x]; ideal I = (x;",
     "ring R = QQ[x]; check member x;",
@@ -193,6 +194,12 @@ MALFORMED = [
     "ring R = QQ[x]; poly x = x;",
     "ring R = QQ[x]; ideal I = (x); check stci I with (x);",
     "ring R = QQ[x]; $",
+    # deep nesting is a parse error, not a RecursionError
+    pytest.param("ring R = QQ[x]; ideal I = (" + "(" * 300 + "x" + ")" * 300 + ");",
+                 id="300-parentheses"),
+    pytest.param("ring R = QQ[x] / (" + "(" * 300 + "x" + ")" * 300 + "); ideal I = (x);",
+                 id="300-parentheses-in-a-quotient-base"),
+    pytest.param("ring R = QQ[x]; ideal I = (" + "-" * 5000 + ");", id="5000-signs"),
 ]
 
 
@@ -200,6 +207,14 @@ MALFORMED = [
 def test_malformed_sessions_rejected(text):
     with pytest.raises(DslParseError):
         parse_session(text)
+
+
+def test_nesting_up_to_the_limit_parses():
+    deep = "(" * PAREN_DEPTH_LIMIT + "x" + ")" * PAREN_DEPTH_LIMIT
+    s = parse_session(f"ring R = QQ[x]; ideal I = ({deep}, {'-' * 5000}x, {'-' * 4999}x);")
+    assert [str(g) for g in s.ideals["I"].gens] == ["x", "x", "-x"]
+    with pytest.raises(DslParseError, match=f"nested deeper than {PAREN_DEPTH_LIMIT}"):
+        parse_session(f"ring R = QQ[x]; ideal I = (({deep}));")
 
 
 def test_random_mutations_never_crash():

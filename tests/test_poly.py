@@ -25,7 +25,7 @@ from cicert.poly import (
 )
 
 from oracles import (dict_add, dict_mul, dict_neg, dict_pow, dict_str, dict_terms,
-                     mono_mul, monic_vec, monic_vec_reduce, tuple_key)
+                     mono_mul, monic_vec, monic_vec_reduce, s_coerce, tuple_key)
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +66,32 @@ def test_scalar_coercion(R):
     assert 2 * x - x == x
     assert (x + 1) - 1 == x
     assert x * Fraction(1, 2) == R.parse("x/2")
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+@pytest.mark.parametrize("value", [2.5, 0.5, 0.1, 1.0, "1", None])
+def test_coerce_accepts_only_ints_and_fractions(field, value):
+    """A float is never rounded or expanded into a scalar: over GF(7)
+    2.5 would give 2 and 0.5 the zero polynomial, over QQ 0.1 would give
+    3602879701896397/36028797018963968."""
+    R = RingSpec(("x", "y"), field)
+    with pytest.raises(TypeError):
+        field.coerce(value)
+    with pytest.raises(TypeError):
+        R.constant(value)
+    with pytest.raises(TypeError):
+        R.monomial((1, 0), value)
+    with pytest.raises(TypeError):
+        R.gen("x") * value
+
+
+def test_a_field_is_its_characteristic():
+    assert QQ.characteristic == 0 and QQ.name == "QQ" and repr(QQ) == "QQ"
+    assert GF(7).characteristic == 7 and GF(7).name == "Fp(7)" and repr(GF(7)) == "GF(7)"
+    assert GF(7) == GF(7) and GF(7) != GF(11) and GF(7) != QQ
+    for bad in (0, 1, 4, -7, 2**63 + 29):
+        with pytest.raises(ValueError):
+            GF(bad)
 
 
 def test_power(R):
@@ -244,31 +270,43 @@ diff_orders = st.sampled_from([
     MonomialOrder("grevlex"),
     MonomialOrder("block", block=1, tail_kind="lex", permutation=(1, 2, 0)),
 ])
-diff_fields = st.sampled_from([QQ, GF(7)])
+diff_fields = st.sampled_from([QQ, GF(7), GF(2**61 - 1)])
 dict_polys = st.dictionaries(
     monos, st.fractions(min_value=-4, max_value=4, max_denominator=3), max_size=4)
 
 
 def _oracle(field, raw):
-    coerced = {m: field.coerce(c) for m, c in raw.items()}
-    return {m: c for m, c in coerced.items() if c != field.zero}
+    coerced = {m: s_coerce(field.characteristic, c) for m, c in raw.items()}
+    return {m: c for m, c in coerced.items() if c != 0}
 
 
 @given(order=diff_orders, field=diff_fields, a=dict_polys, b=dict_polys,
-       n=st.integers(min_value=0, max_value=3))
+       n=st.integers(min_value=0, max_value=3),
+       c=st.fractions(min_value=-4, max_value=4, max_denominator=3))
 @settings(max_examples=200, deadline=None)
-def test_arithmetic_matches_tuple_oracle(order, field, a, b, n):
+def test_arithmetic_matches_tuple_oracle(order, field, a, b, n, c):
     R = RingSpec(("x", "y", "z"), field, order)
     a, b = _oracle(field, a), _oracle(field, b)
     f, g = R.poly_from_dict(a), R.poly_from_dict(b)
 
+    p = field.characteristic
+
     def agrees(poly, want):
         assert poly.terms == dict_terms(order, want)
-        assert str(poly) == dict_str(R.variables, field, order, want)
+        assert str(poly) == dict_str(R.variables, order, want)
+        # coefficients are normalised: over QQ an int, or a Fraction that
+        # is not one; over GF(p) an int in [0, p)
+        for _, c in poly.terms:
+            if p:
+                assert type(c) is int and 0 <= c < p
+            else:
+                assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
 
     agrees(f, a)
     agrees(f + g, dict_add(field, a, b))
+    agrees(-f, dict_neg(field, a))
     agrees(f - g, dict_add(field, a, dict_neg(field, b)))
+    agrees(f * c, dict_mul(field, a, _oracle(field, {(0, 0, 0): c})))
     agrees(f * g, dict_mul(field, a, b))
     agrees(f ** n, dict_pow(field, a, n, R.nvars))
     assert (f == g) == (a == b)
@@ -379,20 +417,28 @@ def test_parse_env_names(R):
     assert R.parse("c + y", names={"c": f}) == f + R.gen("y")
 
 
-def test_qq_results_are_ints_or_fractions():
-    one_half = Fraction(1, 2)
-    results = [QQ.zero, QQ.one, QQ.coerce(4), QQ.coerce(Fraction(6, 3)),
-               QQ.add(one_half, one_half), QQ.sub(Fraction(3, 2), one_half),
-               QQ.mul(Fraction(2, 3), 3), QQ.inv(Fraction(1, 5)), QQ.div(6, 3),
-               QQ.div(Fraction(1, 2), Fraction(1, 4)), QQ.neg(QQ.coerce(2))]
-    assert all(type(r) is int for r in results)
-    assert QQ.div(1, 2) == one_half and type(QQ.div(1, 2)) is Fraction
-    assert QQ.inv(3) == Fraction(1, 3) and type(QQ.inv(3)) is Fraction
-    for r in results + [QQ.div(1, 2), QQ.inv(3), QQ.mul(one_half, 3)]:
-        assert not isinstance(r, float)
-        assert r == Fraction(r)
-        assert hash(r) == hash(Fraction(r))
-        assert QQ.format(r) == str(Fraction(r))
+def test_qq_results_are_ints_or_fractions(R):
+    """Over QQ every sum, difference, product, scaling and quotient holds
+    an int where its value is integral and a Fraction elsewhere, never a
+    float; each compares, hashes and prints as its Fraction."""
+    half, x = R.constant(Fraction(1, 2)), R.gen("x")
+    integral = [R.one, R.constant(4), R.constant(Fraction(6, 3)), half + half,
+                R.constant(Fraction(3, 2)) - half, R.constant(Fraction(2, 3)) * 3,
+                R.constant(QQ.inv(Fraction(1, 5))), R.parse("6/3"),
+                R.parse("(1/2)/(1/4)"), -R.constant(2), (x * half) * 2,
+                (x + half) * (x - half) + R.constant(Fraction(1, 4)),
+                (x * Fraction(2, 3) + 2).monic(), R.parse("x/3 + x/3 + x/3")]
+    fractional = [R.parse("1/2"), R.constant(QQ.inv(3)), half * 3, x * half,
+                  (2 * x + 1).monic(), (x + half) * (x - half)]
+    assert (half - half).is_zero and (x * half - R.parse("x/2")).is_zero
+    assert all(type(c) is int for f in integral for _, c in f.terms)
+    assert all(any(type(c) is Fraction for _, c in f.terms) for f in fractional)
+    for f in integral + fractional:
+        for _, c in f.terms:
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+            assert c == Fraction(c) and hash(c) == hash(Fraction(c))
+        if f.is_constant():
+            assert str(f) == str(Fraction(f.constant_value()))
 
 
 def test_qq_int_and_fraction_coefficients_are_one_polynomial(R):
