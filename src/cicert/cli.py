@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import weakref
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import certificates
 from .certificates import SchemaError
 from .dsl import DslParseError, Session, parse_session
-from .groebner import Budget, BudgetExceededError
+from .groebner import BasisStore, Budget, BudgetExceededError
 from .homology import ext_module, free_resolution, koszul2_exactness
 from .ideals import (
     RadicalEqualityCertificate,
@@ -161,12 +162,34 @@ def _dispatch(session: Session, command, options: RunOptions):
     return ("verified" if flag else "refuted"), witnesses, hashes
 
 
+# [weak reference to a session, the basis store of its checks]: one slot,
+# held by the session whose checks ran last and emptied when it is dropped
+_STORE_SLOT: list = [None, None]
+
+
+def _basis_store(session: Session) -> BasisStore:
+    """The basis store shared by the checks of `session`; a check of
+    another session starts a fresh one."""
+    ref, store = _STORE_SLOT
+    if ref is None or ref() is not session:
+        store = BasisStore()
+        _STORE_SLOT[:] = weakref.ref(session, _drop_store), store
+    return store
+
+
+def _drop_store(ref):
+    if _STORE_SLOT[0] is ref:
+        _STORE_SLOT[:] = None, None
+
+
 def run_command(session: Session, index: int, options: RunOptions) -> dict:
-    """Execute one check and produce its certificate payload."""
+    """Execute one check and produce its certificate payload.  Every basis
+    an earlier check of the session computed is reused, charged at the
+    steps it cost, so the check is charged what it would be alone."""
     command = session.commands[index]
     started = time.perf_counter()
     try:
-        with Budget(options.budgets.gb_steps):
+        with Budget(options.budgets.gb_steps, store=_basis_store(session)):
             verdict, witnesses, hashes = _dispatch(session, command, options)
     except BudgetExceededError as exc:
         verdict = "inconclusive"

@@ -51,12 +51,28 @@ with no meter open gets a fresh one of DEFAULT_GB_STEPS.  Exhausting the
 meter raises BudgetExceededError with the partial basis attached so
 callers can report "inconclusive" instead of guessing.
 
-Every cached basis lives in one holder, `ModuleBasis`, which builds its
-reduction entries once, when it is made; `IdealHandle` and `ExtendedGB`
-reduce through one.  A cached `IdealHandle` basis records the steps it
-cost and the meter that last paid for it; its first use under another
-open meter charges that cost once, so a check is charged what it would
-be charged in a fresh session, which is what a replay runs.
+A check reuses every basis an earlier check of its session computed.
+A meter may carry a `BasisStore`, and while it is the open meter
+`module_groebner`, the one entry behind groebner_basis, `_augmented`,
+module_gb, syzygies, colon and intersection, looks up its key (ring,
+vectors) there; rings compare by value, so equal rings made apart, such
+as two `ring.quotient(gens)` calls, share an entry.  A hit is charged
+the steps the first computation took (`Budget.spend`), so after every
+call the meter reads what a recomputation would, and each certificate
+replays alone.  The command line gives each check's meter the store of
+its session.  There is one store at a time: it belongs to the session
+whose checks ran last and goes when that session is dropped or a check
+of another session runs, and a meter lets go of it when its block ends.
+With no store open, as in direct library calls, every basis is computed
+afresh.
+
+A reduced basis kept for reduction lives in one holder, `ModuleBasis`,
+which builds its reduction entries once, when it is made; `IdealHandle`
+and `ExtendedGB` reduce through one.  A cached `IdealHandle` basis
+records the steps it cost and the meter that last paid for it; its first
+use under another open meter charges that cost once, so a check is
+charged what it would be charged in a fresh session, which is what a
+replay runs.
 
 Quotient rings A = k[x]/J0 are handled uniformly: ideal computations
 append the J0 generators, module computations append J0 multiples of
@@ -90,6 +106,7 @@ from .poly import (
 )
 
 __all__ = [
+    "BasisStore",
     "Budget",
     "BudgetExceededError",
     "DEFAULT_GB_STEPS",
@@ -120,14 +137,24 @@ class BudgetExceededError(RuntimeError):
         self.partial = partial
 
 
+class BasisStore(dict):
+    """Bases computed under the meters that carry this store:
+    (ring, vectors) -> (the ring object, the reduced basis, the steps its
+    computation took).  Rings are keys by equality, so equal rings made
+    apart share their entries."""
+
+
 @dataclass
 class Budget:
     """Step meter: one step per S-pair reduction, plus the recorded cost
     of each cached basis reused under it.  `with Budget(limit):` makes it
-    the meter the block charges, until an inner block opens another."""
+    the meter the block charges, until an inner block opens another.
+    `store` is the basis store `module_groebner` looks up while this is
+    the open meter; the meter lets go of it when its block ends."""
 
     limit: int = DEFAULT_GB_STEPS
     used: int = 0
+    store: BasisStore | None = field(default=None, repr=False, compare=False)
     _token: object = field(default=None, init=False, repr=False, compare=False)
 
     def charge(self, partial=None):  # one S-pair reduction
@@ -144,6 +171,7 @@ class Budget:
 
     def __exit__(self, *exc):
         _METER.reset(self._token)
+        self.store = None
 
 
 _METER: ContextVar[Budget | None] = ContextVar("cicert_gb_meter", default=None)
@@ -193,9 +221,11 @@ def _module_buchberger_dicts(vecdicts, ring) -> list[_BasisElt]:
     field = ring.field
     packer = ring.packer
     size, guards, divmask = packer.size, packer.guards, packer.divmask
+    pack, unpack = packer.pack, packer.unpack
     scalar = all(k >= 0 for v in vecdicts for k in v)
 
     G: list[_BasisElt] = []
+    exps: list[tuple] = []  # the exponents of each element's lead
     queue: list[tuple] = []  # heap of (packed lcm, i, j)
     P: set[tuple[int, int]] = set()  # pairs still queued
 
@@ -203,10 +233,12 @@ def _module_buchberger_dicts(vecdicts, ring) -> list[_BasisElt]:
         elt = _BasisElt(_primitive(field, vec))
         t = len(G)
         top = elt.lead >> size
+        e = unpack(elt.lead)[1]
         G.append(elt)
+        exps.append(e)
         for i in range(t):
             if G[i].lead >> size == top:
-                heapq.heappush(queue, (packer.lcm(G[i].lead, elt.lead), i, t))
+                heapq.heappush(queue, (pack(tuple(map(max, exps[i], e))), i, t))
                 P.add((i, t))
 
     for v in vecdicts:
@@ -279,8 +311,12 @@ def module_groebner(vectors, ring):
     Vectors are tuples of polynomials of one fixed length; position over
     term order, position 0 strongest.  The base ideal is NOT appended
     here; use module_gb for quotient-ring module membership.
+
+    When the open meter carries a basis store, a basis already stored for
+    an equal ring and the same vectors is returned and charged the steps
+    its computation took, and a basis computed here is stored.
     """
-    vectors = [tuple(v) for v in vectors]
+    vectors = tuple(tuple(v) for v in vectors)
     if not vectors:
         return ()
     rank = len(vectors[0])
@@ -290,6 +326,25 @@ def module_groebner(vectors, ring):
         for f in v:
             if f.ring != ring:
                 raise RingMismatchError("module element from a different ring")
+    meter = _METER.get()
+    store = meter.store if meter is not None else None
+    if store is None:
+        return _module_groebner(vectors, ring, rank)
+    key = (ring, vectors)
+    hit = store.get(key)
+    if hit is not None:
+        owner, basis, cost = hit
+        meter.spend(cost)
+        if owner is not ring:  # an equal ring: hand out this ring's polynomials
+            basis = tuple(tuple(Polynomial(ring, f.vec) for f in v) for v in basis)
+        return basis
+    start = meter.used
+    basis = _module_groebner(vectors, ring, rank)
+    store[key] = ring, basis, meter.used - start
+    return basis
+
+
+def _module_groebner(vectors, ring, rank):
     G = _module_buchberger_dicts([_vec_from_polys(ring, v) for v in vectors], ring)
     return tuple(_vec_to_polys(ring, rank, v) for v in _reduced_basis(G, ring))
 

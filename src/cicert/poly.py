@@ -280,10 +280,6 @@ class MonomialPacker:
         return (mono - key) >> self.size, tuple(
             (mono >> s) & EXPONENT_LIMIT for s in self._shifts)
 
-    def lcm(self, a: int, b: int) -> int:
-        """The packed lcm of the monomials of two keys, position dropped."""
-        return self.pack(tuple(map(max, self.unpack(a)[1], self.unpack(b)[1])))
-
 
 # ---------------------------------------------------------------------------
 # polynomials

@@ -1,13 +1,15 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import cicert
-from cicert import certificates, groebner
+from cicert import certificates, cli, groebner
 from cicert.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT_ERROR,
@@ -16,6 +18,7 @@ from cicert.cli import (
     RunOptions,
     main,
     replay_payload,
+    run_command,
     run_session,
 )
 from cicert.dsl import parse_session
@@ -153,6 +156,74 @@ def test_quotient_ring_checks_replay_under_every_step_limit():
         verdicts.append([p["verdict"] for p in payloads])
     assert verdicts[0] == ["inconclusive"] * 4
     assert verdicts[-1] == ["verified"] * 4
+
+
+STORE_SESSION = """\
+ring R = QQ[x,y,z];
+ideal I = (y - x^2, z - x^3);
+pair P = (y - x^2, z - x^3);
+check regular-sequence (y - x^2, z - x^3);
+check koszul-exact (y - x^2, z - x^3);
+check ci I with P;
+check stci I with P;
+"""
+
+
+def test_store_hits_are_charged_exactly(monkeypatch):
+    """The later checks of STORE_SESSION take bases from the session's
+    store.  Under every step limit up to the whole session's cost, each
+    check's certificate is the one it gets alone in a fresh session, and
+    it replays."""
+    calls = []
+    charge = groebner.Budget.charge
+
+    def counted(meter, partial=None):
+        calls.append(None)
+        return charge(meter, partial)
+
+    monkeypatch.setattr(groebner.Budget, "charge", counted)
+    run_session(STORE_SESSION)
+    in_session = len(calls)
+    for i in range(4):
+        run_command(parse_session(STORE_SESSION), i, RunOptions())
+    assert in_session < len(calls) - in_session  # some bases were reused
+    for steps in range(1, in_session + 1):
+        options = RunOptions(budgets=Budgets(gb_steps=steps))
+        payloads, _ = run_session(STORE_SESSION, options)
+        for i, p in enumerate(payloads):
+            alone = run_command(parse_session(STORE_SESSION), i, options)
+            assert p["verdict"] == alone["verdict"], (steps, p["command"])
+            assert certificates.core_payload(p) == \
+                certificates.core_payload(alone), (steps, p["command"])
+            assert replay_payload(p)[1], (steps, p["command"])
+    assert [p["verdict"] for p in payloads] == ["verified"] * 4
+
+
+def test_store_lives_with_its_session(monkeypatch):
+    """A session's store goes when the session is dropped or a check of
+    another session runs, and no closed meter holds one."""
+    meters = []
+
+    class Recorded(groebner.Budget):
+        def __enter__(self):
+            meters.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(cli, "Budget", Recorded)
+    first = parse_session(STORE_SESSION)
+    run_command(first, 0, RunOptions())
+    store = weakref.ref(cli._STORE_SLOT[1])
+    run_command(first, 1, RunOptions())
+    assert store() is cli._STORE_SLOT[1] and len(store()) > 0
+    second = parse_session(STORE_SESSION)
+    run_command(second, 0, RunOptions())
+    gc.collect()
+    assert store() is None  # the first session is still alive
+    store = weakref.ref(cli._STORE_SLOT[1])
+    del second
+    gc.collect()
+    assert store() is None and cli._STORE_SLOT == [None, None]
+    assert len(meters) == 3 and all(m.store is None for m in meters)
 
 
 def test_skew_session_verifies():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cicert.groebner import (
+    BasisStore,
     Budget,
     BudgetExceededError,
     IdealHandle,
@@ -101,6 +102,49 @@ def test_budget_exceeded_carries_partial():
         groebner_basis(gens, R)
     assert err.value.limit == 2
     assert err.value.partial is not None and len(err.value.partial()) >= 3
+
+
+def test_store_reuses_a_basis_at_its_cost():
+    bare = RingSpec(("x", "y", "z"), QQ)
+    A, B = (bare.quotient([bare.parse("x*z - y^2")]) for _ in range(2))
+    gens = ("x^3 - y*z", "z^2 - x^2*y")
+    with Budget(store=BasisStore()) as meter:
+        first = groebner_basis([A.parse(g) for g in gens], A)
+        cost = meter.used
+        # an equal ring made apart hits the entry and gets its own polynomials
+        again = groebner_basis([B.parse(g) for g in gens], B)
+        assert meter.used == 2 * cost > 0 and len(meter.store) == 1
+    assert again == first and all(g.ring is B for g in again)
+    assert meter.store is None  # a closed meter holds no store
+    # with a store open a hit past the limit runs out as a recomputation does
+    store = BasisStore()
+    with Budget(store=store):
+        groebner_basis([A.parse(g) for g in gens], A)
+    with pytest.raises(BudgetExceededError), Budget(cost - 1, store=store):
+        groebner_basis([A.parse(g) for g in gens], A)
+
+
+def test_no_store_open_computes_afresh(monkeypatch):
+    """Only the open meter's store is looked up: under a meter without
+    one, or with no meter open, a basis is computed again."""
+    calls = []
+    charge = Budget.charge
+
+    def counted(meter, partial=None):
+        calls.append(None)
+        return charge(meter, partial)
+
+    monkeypatch.setattr(Budget, "charge", counted)
+    R = RingSpec(("x", "y", "z"), QQ)
+    gens = [R.parse(t) for t in ("x^3*y - z^2", "y^4 - x*z", "z^3 - x^2*y^2")]
+    store = BasisStore()
+    with Budget(store=store):
+        groebner_basis(gens, R)
+    cost = len(calls)
+    with Budget():
+        groebner_basis(gens, R)
+    groebner_basis(gens, R)
+    assert len(calls) == 3 * cost > 0 and len(store) == 1
 
 
 def test_innermost_meter_is_charged():
