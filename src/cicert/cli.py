@@ -267,8 +267,17 @@ def _out_path(base: Path, index: int, total: int) -> Path:
     return base.with_name(f"{base.stem}.{index + 1}{base.suffix}")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with EXIT_INPUT_ERROR:
+    argparse's own status, 2, is EXIT_INCONCLUSIVE here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="cicert",
         description="Groebner-backed complete-intersection certificates")
     parser.add_argument("session", nargs="?", help="session file (.ck)")
@@ -283,6 +292,15 @@ def main(argv=None) -> int:
     parser.add_argument("--field", default=None,
                         help="override every ring's field: QQ or Fp:<p>")
     args = parser.parse_args(argv)
+
+    # a search draws degrees from 1 to the degree bound, and no check
+    # can spend a negative budget
+    for flag, value, least in (("--degree-bound", args.degree_bound, 1),
+                               ("--budget-gb-steps", args.budget_gb_steps, 0),
+                               ("--budget-trials", args.budget_trials, 0)):
+        if value is not None and value < least:
+            print(f"cicert: {flag} must be at least {least}, got {value}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
 
     if (args.replay is None) == (args.session is None):
         parser.print_usage(sys.stderr)

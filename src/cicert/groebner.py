@@ -21,9 +21,16 @@ Every vector dict is kept in descending order, so its lead term is its
 first key.  Reduction is the one division loop of `cicert.poly`,
 `poly._vec_reduce`: it takes terms largest first from a heap of keys
 and cancels each with the first basis element in list order whose lead
-divides it.  S-pairs wait in a heap of (packed lcm, i, j), the lcm's
-position left out; the smallest is reduced next unless the product or
-chain criterion drops it.
+divides it.  The elements it divides by are the list of a
+`poly._Reducers`, whose memo maps a term key to the index of its first
+divisor, or to the count of elements scanned when none divided it, so a
+key seen before tests one lead or only the elements added since.  Each
+list has its own memo, and it stays exact because no list is changed in
+any other way than these: the Buchberger basis is only appended to,
+`_reduced_basis` replaces an element by one with the same lead, and the
+entries of a `ModuleBasis` never change.  S-pairs wait in a heap of
+(packed lcm, i, j), the lcm's position left out; the smallest is
+reduced next unless the product or chain criterion drops it.
 
 Over QQ a basis entry is a primitive int vector with a positive lead
 coefficient (`poly._primitive`), over GF(p) a monic one, so every
@@ -100,6 +107,7 @@ from .poly import (
     RingSpec,
     _BasisElt,
     _primitive,
+    _Reducers,
     _vec_from_polys,
     _vec_reduce,
     _vec_to_polys,
@@ -224,7 +232,8 @@ def _module_buchberger_dicts(vecdicts, ring) -> list[_BasisElt]:
     pack, unpack = packer.pack, packer.unpack
     scalar = all(k >= 0 for v in vecdicts for k in v)
 
-    G: list[_BasisElt] = []
+    reducers = _Reducers()
+    G = reducers.elts  # only appended to, so the memo stays exact
     exps: list[tuple] = []  # the exponents of each element's lead
     queue: list[tuple] = []  # heap of (packed lcm, i, j)
     P: set[tuple[int, int]] = set()  # pairs still queued
@@ -273,7 +282,7 @@ def _module_buchberger_dicts(vecdicts, ring) -> list[_BasisElt]:
             continue
         meter.charge(partial)
         s = _spair(bi, bj, lcm, ring)
-        r = _vec_reduce(s, G, ring)
+        r = _vec_reduce(s, reducers, ring)
         if r:
             add_element(r)
     return G
@@ -285,11 +294,19 @@ def _rank_of(G, size) -> int:
 
 def _reduced_basis(G: list[_BasisElt], ring) -> list[dict]:
     """The reduced basis of the entries G, as monic vector dicts, leads
-    descending."""
+    descending.
+
+    Every tail is reduced, exactly, against the one list `kept`, the
+    element's own entry included: a lead divides no term below it, so the
+    divisors chosen are those of the other entries, and the lead term
+    goes back in front of the tail's normal form.  A reduced element
+    keeps its lead, so it replaces its entry and the list's memo stays
+    exact."""
     guards, divmask = ring.packer.guards, ring.packer.divmask
     lead = attrgetter("lead")
     # minimal: drop elements whose lead another kept lead divides
-    kept: list[_BasisElt] = []
+    reducers = _Reducers()
+    kept = reducers.elts
     for g in sorted(G, key=lead):
         probe = g.lead | guards
         if any((probe - h.lead) & divmask == guards for h in kept):
@@ -298,11 +315,10 @@ def _reduced_basis(G: list[_BasisElt], ring) -> list[dict]:
     # interreduce tails: the leads are pairwise non-dividing and reduction
     # never changes them, so a tail reduced once stays reduced
     for i, g in enumerate(kept):
-        r = _vec_reduce(dict(g.vec), kept[:i] + kept[i + 1:], ring)
-        if r != g.vec:
-            kept[i] = _BasisElt(_primitive(ring.field, r))
-    kept.sort(key=lead, reverse=True)
-    return [g.monic() for g in kept]
+        r = _vec_reduce(dict(g.tail), reducers, ring, exact=True)
+        if list(r.items()) != g.tail:
+            kept[i] = _BasisElt(_primitive(ring.field, {g.lead: g.lc, **r}))
+    return [g.monic() for g in sorted(kept, key=lead, reverse=True)]
 
 
 def module_groebner(vectors, ring):
@@ -522,19 +538,23 @@ def _augmented(rows, ring, tagged):
 class ModuleBasis:
     """A reduced basis of a submodule of A^rank, and the one holder of
     reduction entries: they are built once, when the holder is made, and
-    every normal form against a cached basis goes through `reduce`."""
+    every normal form against a cached basis goes through `reduce`.  The
+    entries never change, so the memo of their `_Reducers` list stays
+    exact and lives as long as the holder: a handle that reduces many
+    elements looks up each term's divisor once.  Each key has one value
+    there, so concurrent reductions may share the memo."""
 
-    __slots__ = ("ring", "rank", "vectors", "_elts")
+    __slots__ = ("ring", "rank", "vectors", "_reducers")
 
     def __init__(self, ring: RingSpec, rank: int, vectors):
         self.ring = ring
         self.rank = rank
         self.vectors = tuple(vectors)
-        self._elts = [_BasisElt(_primitive(ring.field, _vec_from_polys(ring, v)))
-                      for v in self.vectors]
+        self._reducers = _Reducers(
+            _BasisElt(_primitive(ring.field, _vec_from_polys(ring, v))) for v in self.vectors)
 
     def reduce(self, vec):
-        r = _vec_reduce(_vec_from_polys(self.ring, vec), self._elts, self.ring, exact=True)
+        r = _vec_reduce(_vec_from_polys(self.ring, vec), self._reducers, self.ring, exact=True)
         return _vec_to_polys(self.ring, self.rank, r)
 
     def contains(self, vec) -> bool:

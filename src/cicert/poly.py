@@ -18,7 +18,10 @@ first token that cannot continue the expression) and the division loop
 (`_vec_reduce`), which reduces vectors for the Groebner layer and is
 what `reduce` runs.  The loop is fraction-free for both fields: it
 multiplies and subtracts plain ints against basis entries that are
-primitive int vectors over QQ and monic residue vectors over GF(p).
+primitive int vectors over QQ and monic residue vectors over GF(p).  It
+divides by the entries of a `_Reducers`, which remembers for each term
+key where the key's first divisor is, so a term that comes back costs
+one lead test.
 
 A monomial is one int, its packed key (Bachmann and Schoenemann, ISSAC
 1998).  Every order here compares linear forms with 0/1 weights
@@ -689,6 +692,23 @@ class _BasisElt:
         return {k: _integral(Fraction(c, lc)) for k, c in self.vec.items()}
 
 
+class _Reducers:
+    """The list `elts` of `_BasisElt` entries that `_vec_reduce` divides
+    by, with its memo: term key -> the index of the first entry whose
+    lead divides the key, or the number of entries scanned when none did.
+
+    The memo stays exact while `elts` is only appended to, or has an
+    entry replaced by one with the same lead: the entries before a
+    memoised index still divide nothing of the key, and a miss needs only
+    the entries appended since.  Nothing else may change the list."""
+
+    __slots__ = ("elts", "memo")
+
+    def __init__(self, elts=()):
+        self.elts = list(elts)
+        self.memo = {}
+
+
 def _cleared(vec: dict) -> tuple[dict, int]:
     """(d * vec, d) for the least d > 0 that makes every coefficient an int."""
     d = lcm(*{c.denominator for c in vec.values()})
@@ -721,15 +741,18 @@ def _primitive(field, vec: dict) -> dict:
     return {k: c // g for k, c in vec.items()}
 
 
-def _vec_reduce(work: dict, basis, ring, exact: bool = False) -> dict:
-    """Full normal form of a vector dict against `_BasisElt` entries,
+def _vec_reduce(work: dict, basis: _Reducers, ring, exact: bool = False) -> dict:
+    """Full normal form of a vector dict against the entries of `basis`,
     fraction-free: only ints are multiplied and subtracted.
 
     Every term divisible by some basis lead (same position) is
     cancelled; irreducible terms migrate to the remainder, which comes
     out in descending order.  The first dividing basis element in list
-    order is used, which keeps the result deterministic.  A cancelled
-    term stays in `work` as a zero, skipped when popped, so each term is
+    order is used, which keeps the result deterministic.  `basis.memo`
+    says where to look: a term seen before tests the entry that divided
+    it, or scans only the entries appended since it last found none, and
+    the memo is written only when that index moves.  A cancelled term
+    stays in `work` as a zero, skipped when popped, so each term is
     queued once, and its key is checked for overflow then.
 
     The input's denominators are cleared once.  A popped coefficient c
@@ -744,24 +767,35 @@ def _vec_reduce(work: dict, basis, ring, exact: bool = False) -> dict:
     p = ring.field.characteristic
     packer = ring.packer
     guards, divmask = packer.guards, packer.divmask
+    heappush, heappop = heapq.heappush, heapq.heappop
+    elts, memo = basis.elts, basis.memo
+    memo_get = memo.get
+    n = len(elts)
     work, scale = _cleared(work)
     heap = [-k for k in work]  # a min-heap of negated keys pops the largest
     heapq.heapify(heap)
     remainder = {}
     while heap:
-        key = -heapq.heappop(heap)
+        key = -heappop(heap)
         coeff = work.pop(key)
         if p:
             coeff %= p
         if not coeff:
             continue
         probe = key | guards
-        for hit in basis:
+        i = start = memo_get(key, 0)
+        while i < n:
+            hit = elts[i]
             if (probe - hit.lead) & divmask == guards:
                 break
+            i += 1
         else:
+            if start != n:
+                memo[key] = n
             remainder[key] = coeff
             continue
+        if i != start:
+            memo[key] = i
         lc = hit.lc
         if lc != 1:
             g = gcd(lc, coeff)
@@ -779,7 +813,7 @@ def _vec_reduce(work: dict, basis, ring, exact: bool = False) -> dict:
             if k2 not in work:
                 if k2 & guards:
                     raise ExponentOverflowError()
-                heapq.heappush(heap, -k2)
+                heappush(heap, -k2)
                 work[k2] = -coeff * c2
             else:
                 work[k2] -= coeff * c2
@@ -805,10 +839,10 @@ def reduce(f: Polynomial, divisors) -> tuple[Polynomial, list]:
         if not g:
             raise ValueError("zero divisor polynomial")
     n = len(divisors)
-    basis = []
+    basis = _Reducers()
     for i, g in enumerate(divisors):
         unit = tuple(ring.one if j == i else ring.zero for j in range(n))
-        basis.append(_BasisElt(_primitive(ring.field, _vec_from_polys(ring, (g,) + unit))))
+        basis.elts.append(_BasisElt(_primitive(ring.field, _vec_from_polys(ring, (g,) + unit))))
     out = _vec_reduce(_vec_from_polys(ring, (f,)), basis, ring, exact=True)
     remainder, *quotients = _vec_to_polys(ring, 1 + n, out)
     return remainder, [-q for q in quotients]

@@ -10,9 +10,10 @@ otherwise; of a `cicert.poly` field only `characteristic` is read.
 Monomials here are exponent tuples, ordered by `tuple_key`, the
 definition of each monomial order on tuples that the packed keys of
 `cicert.poly` are tested against; polynomials are dicts {exponent tuple:
-coefficient}.  The one exception is `monic_vec_reduce`, the earlier
-monic form of the division loop, kept on packed keys as the reference
-for the fraction-free loop that replaced it.
+coefficient}.  The exceptions are `monic_vec_reduce`, the earlier
+monic form of the division loop, and its plain scan for the first
+divisor, `first_divisor`, kept on packed keys as the reference for the
+fraction-free, memoised loop that replaced them.
 """
 
 from __future__ import annotations
@@ -157,14 +158,25 @@ def monic_vec(field, vec):
     return {k: s_mul(p, c, inv) for k, c in vec.items()}
 
 
+def first_divisor(key, basis, ring):
+    """The first vector dict of `basis`, in list order, whose lead (its
+    first key) divides the packed key `key`, or None: a plain scan of the
+    whole list, the reference for the memo of `_vec_reduce`."""
+    guards, divmask = ring.packer.guards, ring.packer.divmask
+    probe = key | guards
+    for vec in basis:
+        if (probe - next(iter(vec))) & divmask == guards:
+            return vec
+    return None
+
+
 def monic_vec_reduce(work, basis, ring):
     """The division loop of `cicert.poly` in its earlier, monic form: the
     normal form of a vector dict against monic vector dicts, the first
-    dividing basis vector in list order taken at each step, every
-    coefficient formed by `s_sub` and `s_mul`.  The reference the
-    fraction-free `_vec_reduce` is tested against."""
+    dividing basis vector in list order (`first_divisor`) taken at each
+    step, every coefficient formed by `s_sub` and `s_mul`.  The reference
+    the fraction-free, memoised `_vec_reduce` is tested against."""
     p = ring.field.characteristic
-    guards, divmask = ring.packer.guards, ring.packer.divmask
     work = dict(work)
     heap = [-k for k in work]
     heapq.heapify(heap)
@@ -174,15 +186,11 @@ def monic_vec_reduce(work, basis, ring):
         coeff = work.pop(key)
         if coeff == 0:
             continue
-        probe = key | guards
-        for hit in basis:
-            lead = next(iter(hit))
-            if (probe - lead) & divmask == guards:
-                break
-        else:
+        hit = first_divisor(key, basis, ring)
+        if hit is None:
             remainder[key] = coeff
             continue
-        shift = key - lead
+        shift = key - next(iter(hit))
         for k2, c2 in list(hit.items())[1:]:
             k2 += shift
             if k2 not in work:

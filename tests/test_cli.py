@@ -474,3 +474,32 @@ def test_budget_flags_respected(tmp_path):
         "check dimension I;")
     assert main([str(session), "--budget-gb-steps", "2"]) == EXIT_INCONCLUSIVE
     assert main([str(session)]) == EXIT_VERIFIED
+
+
+@pytest.mark.parametrize("flag, value, least", [
+    ("--degree-bound", "0", 1),
+    ("--degree-bound", "-2", 1),
+    ("--budget-gb-steps", "-1", 0),
+    ("--budget-trials", "-1", 0),
+])
+def test_budget_flags_out_of_range_are_input_errors(tmp_path, capsys, flag, value, least):
+    # --degree-bound 0 used to reach the search's degree draw and leak
+    # "empty range for randrange()"; a negative trial count ran no trial
+    # and printed inconclusive
+    session = tmp_path / "s.ck"
+    session.write_text("ring R = QQ[x,y,z];"
+                       "ideal I = (x*z - y^2, y*z - x^3, z^2 - x^2*y);"
+                       "check stci-search I;")
+    assert main([str(session), flag, value]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"cicert: {flag} must be at least {least}, got {value}\n"
+
+
+@pytest.mark.parametrize("flag", ["--degree-bound", "--budget-gb-steps", "--budget-trials"])
+def test_budget_flags_not_ints_are_input_errors(tmp_path, capsys, flag):
+    # argparse's own exit status, 2, would read as "inconclusive"
+    session = tmp_path / "s.ck"
+    session.write_text("ring R = QQ[x]; ideal I = (x); check member x in I;")
+    with pytest.raises(SystemExit) as stop:
+        main([str(session), flag, "2.5"])
+    assert stop.value.code == EXIT_INPUT_ERROR
+    assert f"argument {flag}: invalid int value: '2.5'" in capsys.readouterr().err

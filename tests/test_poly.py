@@ -17,6 +17,7 @@ from cicert.poly import (
     RingSpec,
     _BasisElt,
     _primitive,
+    _Reducers,
     _vec_from_polys,
     _vec_reduce,
     _vec_to_polys,
@@ -362,13 +363,50 @@ def test_fraction_free_reduction_matches_monic_oracle(data, field, order):
     divisors = [v for v in (_vec(data, field, R, 2, 2) for _ in range(data.draw(
         st.integers(min_value=1, max_value=3)))) if v]
     work = _vec(data, field, R, 2, 4)
-    basis = [_BasisElt(_primitive(field, v)) for v in divisors]
+    basis = _Reducers(_BasisElt(_primitive(field, v)) for v in divisors)
     got = _vec_reduce(dict(work), basis, R, exact=True)
     want = monic_vec_reduce(work, [monic_vec(field, v) for v in divisors], R)
     assert list(got.items()) == list(want.items())
     # coefficients have the types Polynomial holds
     for c in got.values():
         assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+@given(data=st.data(), field=reduce_fields, order=diff_orders)
+@settings(max_examples=100, deadline=None)
+def test_memoised_reduction_matches_plain_scan(data, field, order):
+    # A reducer list keeps its memo while it grows and while an entry is
+    # replaced by one with the same lead; another list has a memo of its
+    # own.  The same inputs are reduced again after each change, so their
+    # keys come back to the memo.
+    R = RingSpec(("x", "y", "z"), field, order)
+
+    def entries(count):
+        return [_BasisElt(_primitive(field, v))
+                for v in (_vec(data, field, R, 2, 2) for _ in range(count)) if v]
+
+    works = [_vec(data, field, R, 2, 4) for _ in range(3)]
+
+    def check(reducers):
+        oracle = [monic_vec(field, b.vec) for b in reducers.elts]
+        for work in works:
+            got = _vec_reduce(dict(work), reducers, R, exact=True)
+            want = monic_vec_reduce(work, oracle, R)
+            assert list(got.items()) == list(want.items())
+
+    grown = _Reducers(entries(2))
+    check(grown)
+    other = _Reducers(entries(2) + grown.elts[::-1])
+    check(other)
+    grown.elts.extend(entries(2))
+    check(grown)
+    check(other)
+    if grown.elts:
+        i = data.draw(st.integers(min_value=0, max_value=len(grown.elts) - 1))
+        old = grown.elts[i]
+        tail = {k: c for k, c in _vec(data, field, R, 2, 4).items() if k < old.lead}
+        grown.elts[i] = _BasisElt(_primitive(field, {old.lead: old.lc, **tail}))
+        check(grown)
 
 
 @given(data=st.data(), field=reduce_fields, order=diff_orders)
