@@ -102,8 +102,7 @@ def _dispatch(session: Session, command, options: RunOptions):
         flag = nf.is_zero
         witnesses = {"element": str(args["element"]), "normal_form": str(nf)}
     elif name == "radical-member":
-        outcome = radical_member(args["element"], I, want_exponent=True,
-                                 e_max=budgets.e_max)
+        outcome = radical_member(args["element"], I, e_max=budgets.e_max)
         flag = outcome.member
     elif name == "dimension":
         outcome = dimension_height(I)

@@ -44,7 +44,6 @@ __all__ = [
     "conormal_presentation",
     "ExtModule",
     "ext_module",
-    "FittingIdealSet",
     "fitting_ideals",
     "ProjectiveRankCertificate",
     "projective_rank_certificate",
@@ -446,24 +445,10 @@ def _determinant(rows, ring):
     return total
 
 
-@dataclass
-class FittingIdealSet:
-    """Fitt_k for the asked indices k, from the (b-k)-minors of a
-    presentation with b generators (Fitt_0 <= Fitt_1 <= ... <= Fitt_b)."""
-
-    presentation: PresentationMatrix
-    ideals: dict  # index k -> IdealHandle
-
-    def payload(self):
-        return {
-            f"fitt_{k}": [str(g) for g in handle.gens]
-            for k, handle in self.ideals.items()
-        }
-
-
-def fitting_ideals(P: PresentationMatrix, ks) -> FittingIdealSet:
-    """Fitt_k of the module P presents, for each k in `ks` (k >= 0); only
-    those ideals' minors are formed."""
+def fitting_ideals(P: PresentationMatrix, ks) -> dict:
+    """{k: Fitt_k} of the module P presents, for each k in `ks` (k >= 0),
+    from the (b-k)-minors of P's b generators (Fitt_0 <= Fitt_1 <= ...);
+    only those ideals' minors are formed."""
     ring = P.ring
     nrows = len(P.rows)
     mod_base = zero_ideal(ring)
@@ -486,7 +471,7 @@ def fitting_ideals(P: PresentationMatrix, ks) -> FittingIdealSet:
                     seen.add(det)
                     minors.append(det)
         handles[k] = IdealHandle(ring, minors)
-    return FittingIdealSet(P, handles)
+    return handles
 
 
 @dataclass
@@ -532,12 +517,12 @@ def projective_rank_certificate(P: PresentationMatrix,
                                          f"rank {rank} exceeds generator count",
                                          None, None, None)
     fitts = fitting_ideals(P, (rank - 1, rank) if rank >= 1 else (rank,))
-    low = fitts.ideals[rank - 1] if rank >= 1 else None
+    low = fitts[rank - 1] if rank >= 1 else None
     if low is not None and not low.is_zero_ideal():
         witness = next(w for w in map(zero_ideal(P.ring).normal_form, low.gens) if w)
         return ProjectiveRankCertificate(
             P, rank, False, f"fitt_{rank - 1} is nonzero", witness, None, None)
-    high = fitts.ideals[rank]
+    high = fitts[rank]
     if not high.is_unit():
         return ProjectiveRankCertificate(
             P, rank, False, f"fitt_{rank} is not the unit ideal", None, None, None)
@@ -607,4 +592,4 @@ def ext_module(I: IdealHandle, r: int) -> ExtModule:
     pres = PresentationMatrix.modulo(I, len(kernel), relations)
     if not kernel:
         return ExtModule(I, r, pres, True)
-    return ExtModule(I, r, pres, fitting_ideals(pres, (1,)).ideals[1].is_unit())
+    return ExtModule(I, r, pres, fitting_ideals(pres, (1,))[1].is_unit())

@@ -181,16 +181,16 @@ class RadicalMembership:
         }
 
 
-def radical_member(f: Polynomial, I: IdealHandle, want_exponent=False,
-                   e_max=30) -> RadicalMembership:
-    """Is f in the radical of I?  Exponent search is optional."""
+def radical_member(f: Polynomial, I: IdealHandle, e_max=30) -> RadicalMembership:
+    """Is f in the radical of I?  For a member, the exponent is the
+    least e <= e_max with f^e in I, or None when there is none."""
     ring = I.ring
     if f.ring != ring:
         raise RingMismatchError("element from a different ring")
     ext, basis = _inverted(I, f)
     member = len(basis) == 1 and basis[0].is_constant()
     exponent = None
-    if member and want_exponent:
+    if member:
         power = ring.one
         for e in range(1, e_max + 1):
             power = power * f
@@ -247,7 +247,7 @@ def radical_equal(I: IdealHandle, J: IdealHandle, e_max=30):
     witnesses = []
     for direction, src, dst in (("left_in_right", I, J), ("right_in_left", J, I)):
         for g in src.gens:
-            w = radical_member(g, dst, want_exponent=True, e_max=e_max)
+            w = radical_member(g, dst, e_max=e_max)
             if not w.member:
                 return RadicalRefutation(direction, g, w.aux_gb_hash)
             witnesses.append((direction, w))

@@ -163,7 +163,12 @@ class RegSeqFailure:
 def is_regular_sequence(sequence, base: IdealHandle | None = None):
     """Iterated non-zerodivisor test; certificate or first failure.  The
     first step runs against `base` itself, the zero ideal when none is
-    given, so a basis it already holds is not computed again."""
+    given, so a basis it already holds is not computed again.
+
+    A regular sequence is proper: A/(base, g_1, ..., g_k) != 0 (Matsumura).
+    When base + (g_1, ..., g_k) is the unit ideal the failure has index k
+    and witness 1.  Each prefix's basis is the one the next step's colon
+    needs, so only the full ideal's basis is extra work."""
     sequence = tuple(sequence)
     if not sequence:
         raise InputError("empty sequence")
@@ -177,6 +182,8 @@ def is_regular_sequence(sequence, base: IdealHandle | None = None):
             return RegSeqFailure(k + 1, step.witness)
         steps.append(step)
         prefix = IdealHandle(ring, prefix.gens + (g,))
+        if prefix.is_unit():
+            return RegSeqFailure(k + 1, ring.one)
     return RegSeqCertificate(ring, base_gens, sequence, tuple(steps))
 
 
@@ -300,7 +307,9 @@ def regularize_generators(I: IdealHandle, generators, seed=0,
     output is always verified: the certificate holds the test of each
     accepted step, the first against the zero ideal.  Returns
     Inconclusive when the trial budget runs out, never an unverified
-    sequence.
+    sequence.  No regular sequence generates the unit ideal, so there
+    the result is the RegSeqFailure of the accepted sequence: index k
+    when its first k elements generate the unit ideal, and witness 1.
     """
     generators = tuple(generators)
     ring = I.ring
@@ -358,6 +367,8 @@ def regularize_generators(I: IdealHandle, generators, seed=0,
     out = IdealHandle(ring, sequence)
     if not out.equals(I):
         raise AssertionError("perturbation changed the ideal")
+    if out.is_unit():
+        return is_regular_sequence(sequence)  # its failure at the first unit prefix
     return RegularizationResult(I.gens, tuple(sequence), cert,
                                 tuple(perturbations), I.gb_hash(), out.gb_hash(),
                                 generators, seed, budgets)
@@ -601,104 +612,73 @@ class SearchResult:
         return self.outcome if isinstance(self.outcome, STCICertificate) else None
 
 
-def _stci_from_ci(I, ci: CICertificate, budgets) -> STCICertificate:
-    report = dimension_height(I)
-    rad = radical_equal(I, IdealHandle(I.ring, list(ci.pair)), e_max=budgets.e_max)
-    if not isinstance(rad, RadicalEqualityCertificate):
-        raise AssertionError("equal ideals with unequal radicals")
-    return STCICertificate(I.gens, ci.pair, report, ci.regseq, rad)
+EXTENSION_DEGREES = (2, 3)  # the fields F_{p^k} of a stalled search's random pairs
 
 
-EXTENSION_DEGREES = (2, 3)  # the fields F_{p^k} a stalled search over F_p retries
-
-
-def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS, pair=None) -> SearchResult:
+def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS) -> SearchResult:
     """Find a regular pair with the same radical as I.
 
-    One pass searches the ring's field (`_search_field`).  Over a prime
-    field a stalled pass is retried over F_{p^k} for each k in
-    EXTENSION_DEGREES, represented as F_p[a]/(m(a)).
+    The height check, the lci certificate and the conormal-basis stage
+    run once, over the ring's own field: their exact answers do not
+    change under a scalar extension, which is free and so faithfully
+    flat.  The conormal-basis stage tries generator pairs that generate
+    I modulo its square, each upgraded through the exact
+    complete-intersection search.  Then come random pairs of
+    combinations of the generators.  Over a prime field, when they
+    stall, the random pairs are drawn again over F_{p^k} for each k in
+    EXTENSION_DEGREES, represented as F_p[a]/(m(a)); each field draws
+    from its own Random(seed), and the trials are summed.
     """
-    result = _search_field(I, seed, budgets, pair)
-    if result.certificate is not None or not I.ring.field.characteristic:
-        return result
-    trials_used = result.trials
-    for k in EXTENSION_DEGREES:
-        ext_ring, embed = extend_scalars(I.ring, k)
-        ext_ideal = IdealHandle(ext_ring, [embed(g) for g in I.gens])
-        sub = _search_field(ext_ideal, seed, budgets)
-        trials_used += sub.trials
-        if sub.certificate is not None:
-            return SearchResult(sub.outcome, sub.via, trials_used, extension=k)
-    return _exhausted(trials_used)
-
-
-def _exhausted(trials_used) -> SearchResult:
-    return SearchResult(
-        Inconclusive("no certified pair within the trial budget", trials_used),
-        "exhausted", trials_used)
-
-
-def _search_field(I: IdealHandle, seed, budgets, pair=None) -> SearchResult:
-    """One search pass over the field of I's ring: a supplied conormal
-    basis, else generator pairs that generate modulo the square (each
-    upgraded through the exact complete-intersection search), else
-    random pairs of combinations of the generators."""
     report = dimension_height(I)
     if report.height != 2:
         raise InputError(f"height is {report.height}, need 2")
     lci = lci_certificate(I)
-    lci_ok = isinstance(lci, LCIProxyCertificate) and lci.height == 2
-    trials_used = 0
-    live = [g for g in I.gens if g]
-
-    if pair is not None:
-        candidates = [tuple(pair)]
-    else:
+    if isinstance(lci, LCIProxyCertificate) and lci.height == 2:
         # pair pool: the generators plus their pairwise sums and
         # differences; enough to expose conormal bases hidden in a
         # redundant generating set, and every candidate is verified
+        live = [g for g in I.gens if g]
         pool = list(live)
         for a, b in itertools.combinations(live, 2):
             pool.append(a - b)
             pool.append(a + b)
         candidates = [p for p in itertools.combinations(pool, 2)
                       if p[0] and p[1] and p[0] != p[1]]
-    if lci_ok:
         for cand in candidates[:400]:
-            try:
-                if not mod_square_generation(I, cand).holds:
-                    continue
-                hit = _ci_search(I, cand, seed, budgets)
-            except InputError:
+            if not mod_square_generation(I, cand).holds:
                 continue
+            hit = _ci_search(I, cand, seed, budgets)
             if isinstance(hit, CICertificate):
-                return SearchResult(_stci_from_ci(I, hit, budgets),
-                                    "conormal-basis", trials_used)
-    if pair is not None:
-        # an explicit pair can still certify set-theoretically even when
-        # the exact-equality upgrade fails
-        outcome = stci_verify(I, tuple(pair), budgets)
-        if isinstance(outcome, STCICertificate):
-            return SearchResult(outcome, "supplied-pair", trials_used)
+                rad = radical_equal(I, IdealHandle(I.ring, list(hit.pair)),
+                                    e_max=budgets.e_max)
+                if not isinstance(rad, RadicalEqualityCertificate):
+                    raise AssertionError("equal ideals with unequal radicals")
+                outcome = STCICertificate(I.gens, hit.pair, report, hit.regseq, rad)
+                return SearchResult(outcome, "conormal-basis", 0)
 
-    rng = random.Random(seed)
     degree_cap = budgets.degree_cap(I.gens)
-    for trial in range(budgets.trials):
-        trials_used += 1
-        coeff_deg = 0 if trial % 2 == 0 else rng.randint(1, degree_cap)
-        f = _random_combination(live, rng, coeff_deg)
-        g = _random_combination(live, rng, coeff_deg)
-        if not f or not g or f == g:
-            continue
-        try:
-            outcome = stci_verify(I, (f, g), budgets)
-        except InputError:
-            continue
-        if isinstance(outcome, STCICertificate):
-            return SearchResult(outcome, "random-pairs", trials_used)
-
-    return _exhausted(trials_used)
+    trials_used = 0
+    extensions = EXTENSION_DEGREES if I.ring.field.characteristic else ()
+    for k in (None, *extensions):
+        J = I
+        if k is not None:
+            ring, embed = extend_scalars(I.ring, k)
+            J = IdealHandle(ring, [embed(g) for g in I.gens])
+        live = [g for g in J.gens if g]
+        rng = random.Random(seed)
+        for trial in range(budgets.trials):
+            trials_used += 1
+            coeff_deg = 0 if trial % 2 == 0 else rng.randint(1, degree_cap)
+            f = _random_combination(live, rng, coeff_deg)
+            g = _random_combination(live, rng, coeff_deg)
+            if not f or not g or f == g:
+                continue
+            outcome = stci_verify(J, (f, g), budgets)
+            if isinstance(outcome, STCICertificate):
+                return SearchResult(outcome, "random-pairs", trials_used, k)
+    return SearchResult(
+        Inconclusive("no certified pair within the trial budget", trials_used),
+        "exhausted", trials_used)
 
 
 # ---------------------------------------------------------------------------

@@ -147,8 +147,10 @@ def test_criterion_03_koszul_exactness_iff_regular(R3, skew_pair):
     regular_count = 0
     for x, y in pairs + fixtures:
         verdict = koszul2_exactness(x, y)
+        # a regular sequence is also proper: (x, y) is not the unit ideal
+        proper = not IdealHandle(x.ring, [x, y]).is_unit()
         regular = isinstance(is_regular_sequence((x, y), None), RegSeqCertificate)
-        assert verdict.exact == regular, f"disagreement on ({x}, {y})"
+        assert (verdict.exact and proper) == regular, f"disagreement on ({x}, {y})"
         if regular:
             regular_count += 1
             ring = x.ring

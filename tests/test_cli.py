@@ -146,7 +146,8 @@ def test_quotient_ring_checks_replay_under_every_step_limit():
     """Over a quotient ring, a sequence mod J starts from J's own handle,
     A/J takes over J's basis and regularize starts from the zero ideal;
     each check is still charged what a replay of it alone is charged.
-    All four checks are decided from 35 steps on."""
+    All four checks are decided from 33 steps on; the sequence refutes,
+    since J + (x + 1, y) is the unit ideal."""
     verdicts = []
     for steps in range(1, 61):
         payloads, _ = run_session(QUOTIENT_SESSION,
@@ -155,7 +156,7 @@ def test_quotient_ring_checks_replay_under_every_step_limit():
             assert replay_payload(p)[1], (steps, p["command"])
         verdicts.append([p["verdict"] for p in payloads])
     assert verdicts[0] == ["inconclusive"] * 4
-    assert verdicts[-1] == ["verified"] * 4
+    assert verdicts[-1] == ["refuted"] + ["verified"] * 3
 
 
 STORE_SESSION = """\
@@ -171,9 +172,9 @@ check stci I with P;
 
 def test_store_hits_are_charged_exactly(monkeypatch):
     """The later checks of STORE_SESSION take bases from the session's
-    store.  Under every step limit up to the whole session's cost, each
-    check's certificate is the one it gets alone in a fresh session, and
-    it replays."""
+    store.  Under every step limit up to the S-pair reductions of its
+    checks run alone, each check's certificate is the one it gets alone
+    in a fresh session, and it replays."""
     calls = []
     charge = groebner.Budget.charge
 
@@ -186,8 +187,9 @@ def test_store_hits_are_charged_exactly(monkeypatch):
     in_session = len(calls)
     for i in range(4):
         run_command(parse_session(STORE_SESSION), i, RunOptions())
-    assert in_session < len(calls) - in_session  # some bases were reused
-    for steps in range(1, in_session + 1):
+    alone = len(calls) - in_session
+    assert in_session < alone  # some bases were reused
+    for steps in range(1, alone + 1):
         options = RunOptions(budgets=Budgets(gb_steps=steps))
         payloads, _ = run_session(STORE_SESSION, options)
         for i, p in enumerate(payloads):
@@ -314,6 +316,26 @@ def test_refuting_commands_dispatch():
     """)
     assert [p["verdict"] for p in payloads] == ["refuted"] * len(payloads)
     assert code == EXIT_REFUTED
+
+
+def test_regular_sequences_are_proper():
+    """A regular sequence has A/(seq) != 0: both checks used to print
+    verified, although each ideal is the unit ideal."""
+    payloads, code = run_session("""
+        ring R = QQ[x];
+        ideal I = (x);
+        ideal U = (x, x - 1);
+        check regular-sequence (x, x - 1);
+        check regular-sequence (x - 1) mod I;
+        check regularize U;
+        check regular-sequence (x - 1);
+    """)
+    assert [p["verdict"] for p in payloads] == ["refuted"] * 3 + ["verified"]
+    assert [p["witnesses"] for p in payloads[:3]] == [
+        {"index": 2, "witness": "1"}, {"index": 1, "witness": "1"},
+        {"index": 2, "witness": "1"}]
+    assert code == EXIT_REFUTED
+    assert all(replay_payload(p)[1] for p in payloads)
 
 
 def test_certificates_carry_the_ring_of_their_ideal():

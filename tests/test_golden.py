@@ -27,7 +27,7 @@ SESSIONS = sorted(p.stem for p in GOLDEN.glob("*.ck"))
 # the S-pair reductions that run; a basis reused from the session's store
 # is charged by one Budget.spend of its recorded cost instead
 CHARGES = {"budget-2": 3, "c345": 58, "f5-cylinder": 222, "readme-skew": 270,
-           "skew-quotient": 286, "twisted-cubic": 43}
+           "skew-quotient": 286, "stalled-searches": 476, "twisted-cubic": 43}
 
 
 def _load(name):
@@ -46,8 +46,12 @@ def _options(stored):
 
 def test_corpus_covers_the_required_sessions():
     assert set(SESSIONS) >= {"readme-skew", "twisted-cubic", "c345",
-                             "f5-cylinder", "skew-quotient", "budget-2"}
+                             "f5-cylinder", "skew-quotient", "budget-2",
+                             "stalled-searches"}
     assert [c["verdict"] for c in _load("budget-2")] == ["inconclusive"]
+    stalled = _load("stalled-searches")
+    assert [(c["verdict"], c["witnesses"]["trials"]) for c in stalled] == \
+        [("inconclusive", 6), ("inconclusive", 2)]
 
 
 @pytest.mark.parametrize("name", SESSIONS)

@@ -271,26 +271,26 @@ def test_conormal_skew_lines_free_rank_two(R3, skew_lines):
 def test_fitting_free_rank_two(R2):
     pres = PresentationMatrix.of(R2, 2, [])
     fit = fitting_ideals(pres, range(3))
-    assert fit.ideals[0].is_zero_ideal()
-    assert fit.ideals[1].is_zero_ideal()
-    assert fit.ideals[2].is_unit()
-    for k in range(len(fit.ideals) - 1):
-        assert fit.ideals[k + 1].contains_ideal(fit.ideals[k])
+    assert fit[0].is_zero_ideal()
+    assert fit[1].is_zero_ideal()
+    assert fit[2].is_unit()
+    for k in range(len(fit) - 1):
+        assert fit[k + 1].contains_ideal(fit[k])
 
 
 def test_fitting_cyclic_torsion():
     R = RingSpec(("x",), QQ)
     pres = PresentationMatrix.of(R, 1, [(R.gen("x"),)])
     fit = fitting_ideals(pres, (0, 1))
-    assert fit.ideals[0].equals(H(R, "x"))
-    assert fit.ideals[1].is_unit()
+    assert fit[0].equals(H(R, "x"))
+    assert fit[1].is_unit()
 
 
 def test_fitting_conormal_x2_y(R2):
     pres = conormal_presentation(H(R2, "x^2", "y"))
     fit = fitting_ideals(pres, (1, 2))
-    assert fit.ideals[1].is_zero_ideal()
-    assert fit.ideals[2].is_unit()
+    assert fit[1].is_zero_ideal()
+    assert fit[2].is_unit()
 
 
 def test_fitting_invariant_under_presentation_change(R3, skew_lines):
@@ -304,9 +304,9 @@ def test_fitting_invariant_under_presentation_change(R3, skew_lines):
     # same module, so corresponding fitting ideals agree as radicals
     # (exact equality as ideals of the respective presentation rings)
     for k in ks:
-        a = fit1.ideals[k]
+        a = fit1[k]
         # rehome the second presentation's ideal into the first ring
-        b = IdealHandle(a.ring, [a.ring.rehome(g) for g in fit2.ideals[k].gens])
+        b = IdealHandle(a.ring, [a.ring.rehome(g) for g in fit2[k].gens])
         eq = radical_equal(a, b)
         assert not hasattr(eq, "direction"), f"fitt_{k} differs"
         assert a.equals(b)

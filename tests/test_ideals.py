@@ -193,10 +193,10 @@ def test_eliminate_no_relation():
 
 
 def test_radical_member_examples(R3):
-    w = radical_member(R3.gen("x"), H(R3, "x^2"), want_exponent=True)
+    w = radical_member(R3.gen("x"), H(R3, "x^2"))
     assert w.member and w.exponent == 2
     assert not radical_member(R3.gen("y"), H(R3, "x")).member
-    w3 = radical_member(R3.parse("x + y"), H(R3, "(x + y)^3"), want_exponent=True)
+    w3 = radical_member(R3.parse("x + y"), H(R3, "(x + y)^3"))
     assert w3.member and w3.exponent == 3
 
 

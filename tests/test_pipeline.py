@@ -28,7 +28,7 @@ from cicert.pipeline import (
     stci_search,
     stci_verify,
 )
-from cicert.pipeline import _find_irreducible, _search_field
+from cicert.pipeline import _find_irreducible
 from cicert.poly import GF, QQ, RingSpec
 
 from oracles import bounded_zerodivisor_witness
@@ -70,6 +70,32 @@ def test_regseq_certificate_and_replay(R3):
 def test_regseq_failure_index(R3):
     out = is_regular_sequence((R3.gen("x"), R3.parse("x*y")), None)
     assert isinstance(out, RegSeqFailure) and out.index == 2
+
+
+def test_regseq_must_be_proper():
+    """The failure names the element after which base + sequence is the
+    unit ideal, with witness 1."""
+    R = RingSpec(("x", "y"), QQ)
+    x, y = R.gen("x"), R.gen("y")
+    cases = [((x, x - 1), None, 2), ((x - 1,), H(R, "x"), 1),
+             ((R.one, y), None, 1), ((y, x - 1), H(R, "x"), 2)]
+    for sequence, base, index in cases:
+        out = is_regular_sequence(sequence, base)
+        assert isinstance(out, RegSeqFailure)
+        assert (out.index, str(out.witness)) == (index, "1")
+    assert isinstance(is_regular_sequence((y, x - 1), None), RegSeqCertificate)
+
+
+def test_regularize_refutes_the_unit_ideal():
+    """No regular sequence generates the unit ideal; the failure names
+    the first accepted element that completes it."""
+    R = RingSpec(("x", "y"), QQ)
+    for gens, index in ((("x", "x - 1"), 2), (("1", "x", "y"), 1),
+                        (("x", "y", "x - 1"), 3)):
+        I = H(R, *gens)
+        out = regularize_generators(I, I.gens)
+        assert isinstance(out, RegSeqFailure)
+        assert (out.index, str(out.witness)) == (index, "1")
 
 
 def test_regseq_skew_pair(R3, skew_pair):
@@ -142,8 +168,10 @@ def test_koszul2_matches_regular_sequence_on_random_pairs():
         if not x or not y:
             continue
         exact = koszul2_exactness(x, y).exact
+        proper = not H(ring, x, y).is_unit()
         regular = isinstance(is_regular_sequence((x, y), None), RegSeqCertificate)
-        assert exact == regular, f"disagreement on ({x}, {y}) in {ring.describe()}"
+        assert (exact and proper) == regular, \
+            f"disagreement on ({x}, {y}) in {ring.describe()}"
         checked += 1
     assert checked >= 30
 
@@ -379,11 +407,6 @@ def test_stci_search_skew_lines(skew_lines, skew_pair):
     assert res.certificate.verify()
 
 
-def test_stci_search_supplied_pair(skew_lines, skew_pair):
-    res = stci_search(skew_lines, seed=0, pair=skew_pair)
-    assert res.certificate is not None
-
-
 def test_stci_search_already_ci(R2):
     res = stci_search(H(R2, "x^2", "y^3"), seed=0)
     assert res.certificate is not None
@@ -469,7 +492,7 @@ def test_find_irreducible_cubic_over_f32003():
 def test_stci_search_works_over_extension(f5_cylinder):
     ext, embed = extend_scalars(f5_cylinder.ring, 2)
     lifted = IdealHandle(ext, [embed(g) for g in f5_cylinder.gens])
-    res = _search_field(lifted, 0, Budgets())
+    res = stci_search(lifted, 0, Budgets())
     assert res.certificate is not None
 
 
