@@ -28,9 +28,22 @@ key seen before tests one lead or only the elements added since.  Each
 list has its own memo, and it stays exact because no list is changed in
 any other way than these: the Buchberger basis is only appended to,
 `_reduced_basis` replaces an element by one with the same lead, and the
-entries of a `ModuleBasis` never change.  S-pairs wait in a heap of
-(packed lcm, i, j), the lcm's position left out; the smallest is
-reduced next unless the product or chain criterion drops it.
+entries of a `ModuleBasis` never change.
+
+S-pairs are pruned by the Gebauer-Moeller update when an element joins
+the basis, never when one is popped (J. Symb. Comput. 6, 1988): of the
+new pairs, one is kept per lcm, the one of least sugar, and none whose
+lcm another's strictly divides (M and F), and in rank 1 none with
+coprime leads (the product criterion); a queued pair whose lcm the new
+lead divides goes when the new lead gives it two other lcms (B_k); and
+an element whose lead the new lead divides forms no more pairs, though
+it stays a reducer.  The pairs wait in a heap of
+(sugar, packed lcm, i, j), the lcm's position left out, and the least is
+reduced next (Giovini et al., ISSAC 1991): an input's sugar is its
+degree, a pair's is the larger of sugar + deg lcm - deg lead over its
+two elements, and a remainder takes its pair's.  Every order gets the
+same selection; in lex and elimination orders it is what keeps the pair
+count down.
 
 Over QQ a basis entry is a primitive int vector with a positive lead
 coefficient (`poly._primitive`), over GF(p) a monic one, so every
@@ -225,66 +238,99 @@ def _spair(b1: _BasisElt, b2: _BasisElt, lcm: int, ring) -> dict:
 
 
 def _module_buchberger_dicts(vecdicts, ring) -> list[_BasisElt]:
+    """Buchberger's algorithm with the Gebauer-Moeller pair update and
+    sugar selection, as the module docstring sets out; returns the
+    entries, a Groebner basis but not a reduced one.
+
+    An element whose lead a later lead divides is retired: it forms no
+    new pairs, but it stays in the reducer list, which is only appended
+    to, so the memo of `poly._Reducers` stays exact and every reduction
+    picks the divisor it would pick in a list that never drops one."""
     meter = _METER.get() or Budget()  # none open: a fresh default meter
     field = ring.field
     packer = ring.packer
-    size, guards, divmask = packer.size, packer.guards, packer.divmask
+    size, mask, guards, divmask = packer.size, packer.mask, packer.guards, packer.divmask
     pack, unpack = packer.pack, packer.unpack
     scalar = all(k >= 0 for v in vecdicts for k in v)
 
     reducers = _Reducers()
     G = reducers.elts  # only appended to, so the memo stays exact
     exps: list[tuple] = []  # the exponents of each element's lead
-    queue: list[tuple] = []  # heap of (packed lcm, i, j)
-    P: set[tuple[int, int]] = set()  # pairs still queued
+    excess: list[int] = []  # each element's sugar less its lead's degree
+    peers: dict[int, list[int]] = {}  # position -> the elements whose lead is there
+    retired: set[int] = set()  # elements whose lead a later lead divides: no new pairs
+    pairs: dict[tuple[int, int], int] = {}  # queued pair -> its lcm, position left out
+    queue: list[tuple] = []  # heap of (sugar, lcm, i, j); a dropped pair is skipped
 
-    def add_element(vec):
+    def add_element(vec, sugar):
         elt = _BasisElt(_primitive(field, vec))
         t = len(G)
         top = elt.lead >> size
+        mono = elt.lead & mask
         e = unpack(elt.lead)[1]
+        ex = sugar - sum(e)
         G.append(elt)
         exps.append(e)
-        for i in range(t):
-            if G[i].lead >> size == top:
-                heapq.heappush(queue, (pack(tuple(map(max, exps[i], e))), i, t))
-                P.add((i, t))
+        excess.append(ex)
+        same = peers.setdefault(top, [])
+        # the lcm with every element at t's position, and the candidate
+        # pairs (lcm, not coprime, sugar, i) with those not retired
+        lcms = {}
+        cands = []
+        for i in same:
+            m = tuple(map(max, exps[i], e))
+            lcms[i] = lcm = pack(m)
+            if i not in retired:
+                lead = G[i].lead & mask
+                if lcm == lead:  # t divides it
+                    retired.add(i)
+                cands.append((lcm, not (scalar and lcm == lead + mono),
+                              sum(m) + max(excess[i], ex), i))
+        same.append(t)
+        if not lcms:  # the first lead at its position
+            return
+        # B_k: the pairs (i, t) and (j, t) stand in for (i, j)
+        for (i, j), lcm in list(pairs.items()):
+            if (i in lcms and ((lcm | guards) - mono) & divmask == guards
+                    and lcms[i] != lcm and lcms[j] != lcm):
+                del pairs[i, j]
+        # M and F: a strict divisor of a candidate's lcm is the lcm of a kept
+        # or coprime candidate, and divisors sort first
+        cands.sort()
+        kept: list[int] = []  # the lcms kept, coprime ones included
+        prev = None
+        for lcm, plain, sug, i in cands:
+            if lcm == prev:
+                continue
+            prev = lcm
+            probe = lcm | guards
+            for k in kept:
+                if (probe - k) & divmask == guards:
+                    break
+            else:
+                kept.append(lcm)
+                if plain:
+                    pairs[i, t] = lcm
+                    heapq.heappush(queue, (sug, lcm, i, t))
 
+    degree = packer.degree
     for v in vecdicts:
         if v:
-            add_element(dict(v))
+            add_element(dict(v), max(map(degree, v)))
 
     def partial():
         return tuple(_vec_to_polys(ring, _rank_of(G, size), b.monic()) for b in G)
 
     while queue:
-        lcm, i, j = heapq.heappop(queue)
-        P.remove((i, j))
+        sugar, lcm, i, j = heapq.heappop(queue)
+        if pairs.pop((i, j), None) is None:
+            continue  # dropped by B_k after it was queued
         bi, bj = G[i], G[j]
-        # product criterion is only valid in the rank-1 (ideal) case
-        if scalar and lcm == bi.lead + bj.lead:
-            continue
-        lcm += (bi.lead >> size) << size  # the pair's position
-        # chain criterion: some k with lt(k) | lcm whose pairs with i and j
-        # were both handled already
-        probe = lcm | guards
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            if (probe - G[k].lead) & divmask == guards:
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a not in P and b not in P:
-                    skip = True
-                    break
-        if skip:
-            continue
         meter.charge(partial)
-        s = _spair(bi, bj, lcm, ring)
+        s = _spair(bi, bj, lcm + ((bi.lead >> size) << size), ring)
         r = _vec_reduce(s, reducers, ring)
         if r:
-            add_element(r)
+            add_element(r, sugar)
     return G
 
 

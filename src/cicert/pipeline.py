@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .certificates import Replayable
 from .groebner import DEFAULT_GB_STEPS, IdealHandle, zero_ideal
@@ -132,12 +132,16 @@ def is_nzd(f: Polynomial, base: IdealHandle) -> NzdResult:
 
 @dataclass
 class RegSeqCertificate(Replayable):
-    """One colon-equality hash pair per element of the sequence."""
+    """One colon-equality hash pair per element of the sequence.  `ideal`,
+    outside the payload, is the handle of base + sequence that the
+    properness test computed, kept so a caller reduces against its basis
+    instead of computing it again."""
 
     ring: RingSpec
     base_gens: tuple
     sequence: tuple
     steps: tuple  # NzdResult per index
+    ideal: IdealHandle | None = field(default=None, repr=False, compare=False)
 
     def payload(self):
         return {
@@ -184,7 +188,7 @@ def is_regular_sequence(sequence, base: IdealHandle | None = None):
         prefix = IdealHandle(ring, prefix.gens + (g,))
         if prefix.is_unit():
             return RegSeqFailure(k + 1, ring.one)
-    return RegSeqCertificate(ring, base_gens, sequence, tuple(steps))
+    return RegSeqCertificate(ring, base_gens, sequence, tuple(steps), prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +598,7 @@ def stci_verify(I: IdealHandle, pair, budgets=DEFAULT_BUDGETS):
     reg = is_regular_sequence((f, g))
     if isinstance(reg, RegSeqFailure):
         return STCIRefutation("regular-sequence", reg.payload())
-    rad = radical_equal(I, IdealHandle(I.ring, [f, g]), e_max=budgets.e_max)
+    rad = radical_equal(I, reg.ideal, e_max=budgets.e_max)
     if not isinstance(rad, RadicalEqualityCertificate):
         return STCIRefutation("radical-equality", rad.payload())
     return STCICertificate(I.gens, (f, g), report, reg, rad)
@@ -649,8 +653,7 @@ def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS) -> SearchResult
                 continue
             hit = _ci_search(I, cand, seed, budgets)
             if isinstance(hit, CICertificate):
-                rad = radical_equal(I, IdealHandle(I.ring, list(hit.pair)),
-                                    e_max=budgets.e_max)
+                rad = radical_equal(I, hit.regseq.ideal, e_max=budgets.e_max)
                 if not isinstance(rad, RadicalEqualityCertificate):
                     raise AssertionError("equal ideals with unequal radicals")
                 outcome = STCICertificate(I.gens, hit.pair, report, hit.regseq, rad)

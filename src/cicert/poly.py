@@ -253,7 +253,8 @@ class MonomialPacker:
     k's position and its monomial divides k's.
     """
 
-    __slots__ = ("size", "mask", "guards", "divmask", "_fields", "_units", "_shifts")
+    __slots__ = ("size", "mask", "guards", "divmask", "_fields", "_units", "_shifts",
+                 "_degree_shifts")
 
     def __init__(self, order: MonomialOrder, nvars: int):
         forms = _order_forms(order, nvars)
@@ -269,6 +270,14 @@ class MonomialPacker:
         self._units = tuple(sum(1 << s for s, f in zip(shifts, fields) if i in f)
                             for i in range(nvars))
         self._shifts = tuple(shifts[fields.index((i,))] for i in range(nvars))
+        # fields that partition the variables, taken in order, so they sum
+        # to the degree: grevlex's first field alone, every field of lex
+        covered, degree_shifts = set(), []
+        for s, f in zip(shifts, fields):
+            if covered.isdisjoint(f):
+                covered.update(f)
+                degree_shifts.append(s)
+        self._degree_shifts = tuple(degree_shifts)
 
     def pack(self, mono, pos: int = 0) -> int:
         # no field exceeds the total degree, so fields are summed only past it
@@ -276,6 +285,14 @@ class MonomialPacker:
                 sum(mono[i] for i in f) > EXPONENT_LIMIT for f in self._fields):
             raise ExponentOverflowError()
         return sum(map(operator.mul, mono, self._units)) - (pos << self.size)
+
+    def degree(self, key: int) -> int:
+        """Total degree of a key's monomial; the position does not count."""
+        mono = key & self.mask
+        d = 0
+        for s in self._degree_shifts:
+            d += (mono >> s) & EXPONENT_LIMIT
+        return d
 
     def unpack(self, key: int) -> tuple[int, tuple[int, ...]]:
         """(position, exponent tuple) of a key."""

@@ -26,8 +26,8 @@ SESSIONS = sorted(p.stem for p in GOLDEN.glob("*.ck"))
 # Budget.charge calls of one run of each session with its recorded options:
 # the S-pair reductions that run; a basis reused from the session's store
 # is charged by one Budget.spend of its recorded cost instead
-CHARGES = {"budget-2": 3, "c345": 58, "f5-cylinder": 222, "readme-skew": 270,
-           "skew-quotient": 286, "stalled-searches": 476, "twisted-cubic": 43}
+CHARGES = {"budget-2": 3, "c345": 55, "f5-cylinder": 212, "readme-skew": 252,
+           "skew-quotient": 267, "stalled-searches": 360, "twisted-cubic": 38}
 
 
 def _load(name):

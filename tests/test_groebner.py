@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, prod
@@ -10,9 +11,15 @@ from cicert.groebner import (
     Budget,
     BudgetExceededError,
     IdealHandle,
+    ModuleBasis,
+    _BasisElt,
     _module_buchberger_dicts,
+    _primitive,
     _reduced_basis,
+    _Reducers,
+    _spair,
     _vec_from_polys,
+    _vec_reduce,
     extended_groebner,
     gb_hash,
     groebner_basis,
@@ -24,7 +31,7 @@ from cicert.groebner import (
     syzygies,
     zero_ideal,
 )
-from cicert.poly import GF, QQ, MonomialOrder, RingSpec
+from cicert.poly import GF, QQ, MonomialOrder, RingSpec, extend_ring
 
 from oracles import membership_oracle, syzygy_oracle, tuple_key
 
@@ -238,16 +245,21 @@ def _cyclic(R, n):
 @pytest.mark.parametrize("family, n, field, order, steps, size, digest", [
     (_katsura, 4, GF(32003), "grevlex", 28, 13,
      "ac3ec1765f8e1d01933bb99260281a7e492d422df0e1ddb07d441d5d38f71a72"),
-    (_cyclic, 5, GF(32003), "grevlex", 107, 20,
+    (_cyclic, 5, GF(32003), "grevlex", 112, 20,
      "3decbf7a270bb52e4693591bf9af0a6b2fba5ab6f1d2a15f4e77bea62f788de0"),
-    (_katsura, 3, QQ, "lex", 52, 4,
+    (_katsura, 3, QQ, "lex", 17, 4,
      "65a4653e0ac6c9babf58458768d194459109e906637dfb74ce2e89826e501ce5"),
     (_katsura, 4, QQ, "grevlex", 28, 13,
      "8731bee3d96949fac3237a3375cf8ab45a06c8ae530ed2cd12bc7fda2ca6a2d7"),
-    (_cyclic, 5, QQ, "grevlex", 107, 20,
+    (_cyclic, 5, QQ, "grevlex", 112, 20,
      "6685dd264619cc85bcd7e24da5aa2246f986de95f9be9b1b10e625eb8c3edb56"),
+    (_cyclic, 5, QQ, "lex", 100, 11,
+     "b1e804cb9260627a37fc39033afc7d1c906c4c384dfd64ab51e5c21e39fd616c"),
+    (_katsura, 4, GF(32003), "lex", 60, 5,
+     "812dca7eac60efc98a2a6a4fa3792067fa82187afa73d611de3529e9d5dee759"),
 ], ids=["katsura4-F32003-grevlex", "cyclic5-F32003-grevlex", "katsura3-QQ-lex",
-        "katsura4-QQ-grevlex", "cyclic5-QQ-grevlex"])
+        "katsura4-QQ-grevlex", "cyclic5-QQ-grevlex", "cyclic5-QQ-lex",
+        "katsura4-F32003-lex"])
 def test_spair_counts_pinned(family, n, field, order, steps, size, digest):
     # The pair order decides which pairs the criteria drop, and so every
     # step count a budget-bound verdict depends on; the basis hash pins
@@ -258,6 +270,81 @@ def test_spair_counts_pinned(family, n, field, order, steps, size, digest):
     with Budget() as b:
         basis = groebner_basis(family(R, n), R)
     assert (b.used, len(basis), gb_hash(R, basis)) == (steps, size, "sha256:" + digest)
+
+
+def test_lex_cyclic5_within_300_steps():
+    # Pairs whose lcm another pair's divides are dropped when an element
+    # joins, and the pair of least sugar goes first, so the lex basis
+    # needs a few hundred steps, not the thousands a scan at pop time took.
+    R = RingSpec(tuple(f"x{i}" for i in range(5)), QQ, MonomialOrder("lex"))
+    with Budget(300):
+        basis = groebner_basis(_cyclic(R, 5), R)
+    assert len(basis) == 11
+
+
+def _term_lists(draw, nvars, size):
+    terms = st.tuples(st.tuples(*[st.integers(0, 2)] * nvars), st.integers(-3, 3))
+    return draw(st.lists(terms, min_size=1, max_size=size))
+
+
+@st.composite
+def _module_inputs(draw):
+    """2-4 vectors of length 2 over QQ or GF(7) in x, y; an entry may be
+    zero, so leads sit at both positions."""
+    ring = RingSpec(("x", "y"), draw(st.sampled_from([QQ, GF(7)])))
+    vectors = []
+    for _ in range(draw(st.integers(2, 4))):
+        vectors.append(tuple(ring.poly_from_dict(dict(_term_lists(draw, 2, 2)))
+                             if draw(st.booleans()) else ring.zero for _ in range(2)))
+    return ring, [v for v in vectors if any(v)]
+
+
+@st.composite
+def _elimination_inputs(draw):
+    """Generators in the extension of QQ[x, y] by a block t, t first, as
+    the radical test builds them: I + (1 - t*h)."""
+    ext = extend_ring(RingSpec(("x", "y"), draw(st.sampled_from([QQ, GF(7)]))), ("t",))
+    ring = ext.ring
+    gens = [ring.poly_from_dict(dict(_term_lists(draw, 3, 3)))
+            for _ in range(draw(st.integers(1, 3)))]
+    h = ext.embed(ext.base.poly_from_dict(dict(_term_lists(draw, 2, 2))))
+    return ring, [(g,) for g in gens + [ring.one - ring.gen("t") * h] if g]
+
+
+def _closed(vectors, ring):
+    """Buchberger's test on a basis: every S-vector reduces to zero."""
+    G = [_BasisElt(_primitive(ring.field, v)) for v in
+         (_vec_from_polys(ring, b) for b in vectors)]
+    reducers = _Reducers(G)
+    unpack, pack, size = ring.packer.unpack, ring.packer.pack, ring.packer.size
+    for a, b in itertools.combinations(G, 2):
+        (pa, ea), (pb, eb) = unpack(a.lead), unpack(b.lead)
+        if pa == pb:
+            lcm = pack(tuple(map(max, ea, eb))) - (pa << size)
+            if _vec_reduce(_spair(a, b, lcm, ring), reducers, ring):
+                return False
+    return True
+
+
+@given(case=_module_inputs() | _elimination_inputs(), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_reduced_basis_ignores_order_and_repeats(case, data):
+    """Rank-2 modules (no product criterion) and the t-first block order
+    of `extend_ring` take the pair update through other cases than the
+    lex and grevlex ideals above: the reduced basis must not depend on
+    the order or the repetition of the inputs, and must pass
+    Buchberger's test."""
+    ring, vectors = case
+    if not vectors:
+        return
+    shuffled = data.draw(st.permutations(vectors))
+    shuffled += data.draw(st.lists(st.sampled_from(vectors), max_size=2))
+    with Budget(2000):
+        basis = module_groebner(vectors, ring)
+        assert module_groebner(shuffled, ring) == basis
+    assert _closed(basis, ring)
+    members = ModuleBasis(ring, len(vectors[0]), basis)
+    assert all(members.contains(v) for v in vectors)
 
 
 def test_basis_vectors_lead_with_first_key(R3):

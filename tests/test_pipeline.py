@@ -400,6 +400,25 @@ def test_stci_verify_height_precondition(R3):
         stci_verify(H(R3, "x"), (R3.gen("x"), R3.gen("y")))
 
 
+def test_stci_verify_computes_the_pair_basis_once(monkeypatch, skew_lines, skew_pair):
+    """With no basis store open, the radical test reduces against the
+    basis of (f, g) that the properness test computed."""
+    from cicert import groebner
+    computed = []
+    basis = groebner.groebner_basis
+
+    def counted(polys, ring):
+        computed.append(tuple(map(str, polys)))
+        return basis(polys, ring)
+
+    monkeypatch.setattr(groebner, "groebner_basis", counted)
+    out = stci_verify(skew_lines, skew_pair)
+    assert isinstance(out, STCICertificate)
+    assert computed.count(tuple(map(str, skew_pair))) == 1
+    assert out.regseq.ideal.gens == skew_pair
+    assert "ideal" not in out.regseq.payload()
+
+
 def test_stci_search_skew_lines(skew_lines, skew_pair):
     res = stci_search(skew_lines, seed=0)
     assert res.certificate is not None

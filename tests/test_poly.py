@@ -189,6 +189,7 @@ def test_packed_vector_keys_are_position_over_term(order, a, b, i, j):
     packer = MonomialPacker(order, 3)
     ka, kb = packer.pack(a, i), packer.pack(b, j)
     assert packer.unpack(ka) == (i, a)
+    assert packer.degree(ka) == sum(a)
     key = tuple_key(order)
     assert (ka < kb) == ((-i, key(a)) < (-j, key(b)))
     divides = i == j and all(x <= y for x, y in zip(a, b))

@@ -1,0 +1,81 @@
+"""Print the S-pairs reduced, and those reduced to zero, per benchmark item.
+
+Run from anywhere inside a cicert checkout:
+
+    python3 tools/spair_counts.py --seed 1
+
+For the given workload seed it builds the sessions of the three
+perfbench workloads and the untimed stci-search inputs
+(`perfbench/workloads.py`, read only), runs each session once as
+`perfbench/run.py` does, with the item's trial budget in `RunOptions`
+and one basis store per session, and prints
+`workload/item reduced zero`, then one `workload/total` line per
+workload.  `reduced` counts the S-pair reductions the Buchberger core
+runs, `zero` those whose remainder is zero; a basis reused from the
+session's store runs none.  The counts are deterministic, so two
+checkouts compare with one `diff`.
+
+`quartic-F5-4-trials` is included: it takes a few seconds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True  # leave no cache files beside perfbench/
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from cicert import groebner  # noqa: E402
+from cicert.cli import RunOptions, run_command  # noqa: E402
+from cicert.dsl import parse_session  # noqa: E402
+from cicert.pipeline import Budgets  # noqa: E402
+
+import workloads  # noqa: E402
+
+
+def items(seed):
+    """(label, Item) for every benchmark session at `seed`."""
+    for name, build in workloads.WORKLOADS.items():
+        for item in build(seed):
+            yield name, item
+    for item, _stuck in workloads.untimed_inputs(seed):
+        yield "untimed", item
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seed", type=int, required=True,
+                        help="the workload seed, as perfbench/run.py takes it")
+    args = parser.parse_args(argv)
+    counts = Counter()
+    reduce = groebner._vec_reduce
+
+    def counted(work, basis, ring, exact=False):
+        # the Buchberger core is the only caller that keeps the scale in
+        r = reduce(work, basis, ring, exact)
+        if not exact:
+            counts["reduced"] += 1
+            counts["zero"] += not r
+        return r
+
+    groebner._vec_reduce = counted
+    totals = {}
+    for label, item in items(args.seed):
+        counts.clear()
+        options = RunOptions(budgets=Budgets(trials=item.trials))
+        session = parse_session(item.text)
+        for i in range(len(session.commands)):
+            run_command(session, i, options)
+        print(f"{label}/{item.name} {counts['reduced']} {counts['zero']}", flush=True)
+        totals.setdefault(label, Counter()).update(counts)
+    for label, total in totals.items():
+        print(f"{label}/total {total['reduced']} {total['zero']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
