@@ -8,8 +8,10 @@ Singular Introduction to Commutative Algebra, 1.8), through the
 augmented-module primitive of `cicert.groebner`.  Saturation and radical
 membership add one tag variable t and compute a basis of
 I + J0 + (1 - t*f): f lies in the radical of I exactly when that is the
-unit ideal, and its t-free part is the saturation.  Elimination moves
-the eliminated variables into a block order instead.
+unit ideal, and its t-free part is the saturation.  Radical membership
+first asks whether f lies in I itself, a reduction against I's basis;
+when it does, the unit ideal is known and no basis in t is computed.
+Elimination moves the eliminated variables into a block order instead.
 """
 
 from __future__ import annotations
@@ -105,11 +107,16 @@ def quotient(I: IdealHandle, divisor) -> IdealHandle:
     return _first_syzygy_entries(rows, ring)
 
 
+def _tagged(ring: RingSpec):
+    """The ring of the tag variable t, added in front of the ring's
+    variables, over the ring's free polynomial ring."""
+    return extend_ring(ring.poly_ring(), (fresh_name(ring),))
+
+
 def _inverted(I: IdealHandle, f: Polynomial):
     """(ext, reduced basis of I + J0 + (1 - t*f)) with t the variable
     that `ext` adds in front of the ring's variables."""
-    ring = I.ring
-    ext = extend_ring(ring.poly_ring(), (fresh_name(ring),))
+    ext = _tagged(I.ring)
     t = ext.ring.gen(ext.added[0])
     gens = [ext.embed(g) for g in I.working_gens() if g]
     gens.append(ext.ring.one - t * ext.embed(f))
@@ -183,16 +190,25 @@ class RadicalMembership:
 
 def radical_member(f: Polynomial, I: IdealHandle, e_max=30) -> RadicalMembership:
     """Is f in the radical of I?  For a member, the exponent is the
-    least e <= e_max with f^e in I, or None when there is none."""
+    least e <= e_max with f^e in I, or None when there is none.
+
+    The aux hash is that of the reduced basis of I + J0 + (1 - t*f).
+    When f itself lies in I, that ideal holds t*f and so 1: the basis is
+    (1), the exponent is 1, and no basis in t is computed.  Otherwise
+    the basis is computed and the exponents are searched from 2."""
     ring = I.ring
     if f.ring != ring:
         raise RingMismatchError("element from a different ring")
+    if I.contains(f):
+        ext = _tagged(ring)
+        return RadicalMembership(ring, f, I.gens, True, 1 if e_max >= 1 else None,
+                                 gb_hash(ext.ring, (ext.ring.one,)))
     ext, basis = _inverted(I, f)
     member = len(basis) == 1 and basis[0].is_constant()
     exponent = None
     if member:
-        power = ring.one
-        for e in range(1, e_max + 1):
+        power = f
+        for e in range(2, e_max + 1):
             power = power * f
             if I.contains(power):
                 exponent = e

@@ -15,6 +15,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .certificates import Replayable
 from .groebner import DEFAULT_GB_STEPS, IdealHandle, zero_ideal
@@ -164,7 +165,8 @@ class RegSeqFailure:
         return {"index": self.index, "witness": str(self.witness)}
 
 
-def is_regular_sequence(sequence, base: IdealHandle | None = None):
+def is_regular_sequence(sequence, base: IdealHandle | None = None,
+                        ideal: IdealHandle | None = None):
     """Iterated non-zerodivisor test; certificate or first failure.  The
     first step runs against `base` itself, the zero ideal when none is
     given, so a basis it already holds is not computed again.
@@ -172,7 +174,9 @@ def is_regular_sequence(sequence, base: IdealHandle | None = None):
     A regular sequence is proper: A/(base, g_1, ..., g_k) != 0 (Matsumura).
     When base + (g_1, ..., g_k) is the unit ideal the failure has index k
     and witness 1.  Each prefix's basis is the one the next step's colon
-    needs, so only the full ideal's basis is extra work."""
+    needs, so only the full ideal's basis is extra work, and none when
+    the caller hands in `ideal`, a handle whose generators are those of
+    base followed by the sequence: it serves as that prefix."""
     sequence = tuple(sequence)
     if not sequence:
         raise InputError("empty sequence")
@@ -185,7 +189,9 @@ def is_regular_sequence(sequence, base: IdealHandle | None = None):
         if not step.nzd:
             return RegSeqFailure(k + 1, step.witness)
         steps.append(step)
-        prefix = IdealHandle(ring, prefix.gens + (g,))
+        gens = prefix.gens + (g,)
+        prefix = ideal if ideal is not None and ideal.gens == gens \
+            else IdealHandle(ring, gens)
         if prefix.is_unit():
             return RegSeqFailure(k + 1, ring.one)
     return RegSeqCertificate(ring, base_gens, sequence, tuple(steps), prefix)
@@ -504,7 +510,7 @@ def _try_ci_pair(I, c, d):
     pair_ideal = IdealHandle(ring, [c, d])
     if not pair_ideal.equals(I):
         return None
-    reg = is_regular_sequence((c, d))
+    reg = is_regular_sequence((c, d), ideal=pair_ideal)
     if isinstance(reg, RegSeqFailure):
         return None
     return CICertificate(I.gens, (c, d), I.gb_hash(), pair_ideal.gb_hash(), reg)
@@ -527,10 +533,15 @@ def ci_from_free_conormal(I: IdealHandle, pair, seed=0,
     return _ci_search(I, pair, seed, budgets)
 
 
-def _ci_search(I, pair, seed, budgets):
+def _ci_search(I, pair, seed, budgets, general=True):
     """The search of ci_from_free_conormal, its preconditions taken as
     checked: first the pair itself, then perturbations by elements of
-    I^2, then general random pairs from I."""
+    I^2, then, when `general`, general random pairs from I.
+
+    The perturbations take the same number of draws from Random(seed)
+    whatever the pair, so the general pairs depend only on I, the seed
+    and the budgets: a caller that has already tried them passes
+    general=False."""
     c, d = pair
     hit = _try_ci_pair(I, c, d)
     if hit is not None:
@@ -539,8 +550,9 @@ def _ci_search(I, pair, seed, budgets):
     degree_cap = budgets.degree_cap(I.gens)
     live = [g for g in I.gens if g]
     square = _square_gens(live)
-    for trial in range(budgets.trials):
-        if trial < budgets.trials // 2:
+    half = budgets.trials // 2
+    for trial in range(budgets.trials if general else half):
+        if trial < half:
             delta1 = _random_combination(square, rng, 0)
             delta2 = _random_combination(square, rng, 0)
             hit = _try_ci_pair(I, c + delta1, d + delta2)
@@ -590,17 +602,25 @@ class STCIRefutation:
 
 
 def stci_verify(I: IdealHandle, pair, budgets=DEFAULT_BUDGETS):
-    """Check that the pair is regular and cuts out the same radical."""
+    """Check that the pair cuts out the same radical and is regular.
+
+    The cheaper refutation runs first.  Radical equality needs the basis
+    of (f, g), and most of its memberships are of elements of the other
+    ideal, each one reduction; the regular-sequence test computes two
+    colon ideals.  So a pair that fails both is refuted at
+    radical-equality.  The handle of (f, g) is made once and serves both
+    stages, so its basis is computed once with no basis store open."""
     f, g = pair
     report = dimension_height(I)
     if report.height != 2:
         raise InputError(f"height is {report.height}, need 2")
-    reg = is_regular_sequence((f, g))
-    if isinstance(reg, RegSeqFailure):
-        return STCIRefutation("regular-sequence", reg.payload())
-    rad = radical_equal(I, reg.ideal, e_max=budgets.e_max)
+    pair_ideal = IdealHandle(I.ring, (f, g))
+    rad = radical_equal(I, pair_ideal, e_max=budgets.e_max)
     if not isinstance(rad, RadicalEqualityCertificate):
         return STCIRefutation("radical-equality", rad.payload())
+    reg = is_regular_sequence((f, g), ideal=pair_ideal)
+    if isinstance(reg, RegSeqFailure):
+        return STCIRefutation("regular-sequence", reg.payload())
     return STCICertificate(I.gens, (f, g), report, reg, rad)
 
 
@@ -616,6 +636,31 @@ class SearchResult:
         return self.outcome if isinstance(self.outcome, STCICertificate) else None
 
 
+def _row_reduced(rows, p):
+    """The reduced row echelon form of integer rows over QQ (p = 0), with
+    Fractions, or over GF(p): equal exactly when the rows span the same
+    space."""
+    if p:
+        norm, inv = (lambda a: a % p), (lambda a: pow(a, -1, p))
+    else:
+        norm, inv = Fraction, (lambda a: 1 / a)
+    reduced = []  # (pivot column, row), each row zero at the others' pivots
+    for row in rows:
+        row = [norm(a) for a in row]
+        for col, other in reduced:
+            c = row[col]
+            row = [norm(a - c * b) for a, b in zip(row, other)]
+        col = next((j for j, a in enumerate(row) if a), None)
+        if col is None:
+            continue
+        scale = inv(row[col])
+        row = [norm(a * scale) for a in row]
+        reduced = [(j, [norm(a - other[col] * b) for a, b in zip(other, row)])
+                   for j, other in reduced]
+        reduced.append((col, row))
+    return tuple(tuple(row) for _, row in sorted(reduced))
+
+
 EXTENSION_DEGREES = (2, 3)  # the fields F_{p^k} of a stalled search's random pairs
 
 
@@ -627,11 +672,17 @@ def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS) -> SearchResult
     change under a scalar extension, which is free and so faithfully
     flat.  The conormal-basis stage tries generator pairs that generate
     I modulo its square, each upgraded through the exact
-    complete-intersection search.  Then come random pairs of
-    combinations of the generators.  Over a prime field, when they
-    stall, the random pairs are drawn again over F_{p^k} for each k in
-    EXTENSION_DEGREES, represented as F_p[a]/(m(a)); each field draws
-    from its own Random(seed), and the trials are summed.
+    complete-intersection search.  Whether I = (c, d) + I^2 depends only
+    on the span of c and d, so each candidate carries its coefficient
+    rows over the generators and the test runs once per row-reduced
+    span.  Only the first candidate that passes tries `_ci_search`'s
+    general random pairs, which are the same for every candidate.
+
+    Then come random pairs of combinations of the generators.  Over a
+    prime field, when they stall, the random pairs are drawn again over
+    F_{p^k} for each k in EXTENSION_DEGREES, represented as
+    F_p[a]/(m(a)); each field draws from its own Random(seed), and the
+    trials are summed.
     """
     report = dimension_height(I)
     if report.height != 2:
@@ -639,19 +690,29 @@ def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS) -> SearchResult
     lci = lci_certificate(I)
     if isinstance(lci, LCIProxyCertificate) and lci.height == 2:
         # pair pool: the generators plus their pairwise sums and
-        # differences; enough to expose conormal bases hidden in a
+        # differences, each with its integer coefficient row over the
+        # generators; enough to expose conormal bases hidden in a
         # redundant generating set, and every candidate is verified
         live = [g for g in I.gens if g]
-        pool = list(live)
-        for a, b in itertools.combinations(live, 2):
-            pool.append(a - b)
-            pool.append(a + b)
-        candidates = [p for p in itertools.combinations(pool, 2)
-                      if p[0] and p[1] and p[0] != p[1]]
-        for cand in candidates[:400]:
-            if not mod_square_generation(I, cand).holds:
+        n = len(live)
+        pool = [(g, tuple(int(i == j) for j in range(n)))
+                for i, g in enumerate(live)]
+        for (a, r), (b, s) in itertools.combinations(pool[:n], 2):
+            pool.append((a - b, tuple(u - v for u, v in zip(r, s))))
+            pool.append((a + b, tuple(u + v for u, v in zip(r, s))))
+        candidates = [(p, q) for p, q in itertools.combinations(pool, 2)
+                      if p[0] and q[0] and p[0] != q[0]]
+        char = I.ring.field.characteristic
+        holds = {}  # row-reduced span -> does it generate I modulo I^2
+        general = True
+        for (c, r), (d, s) in candidates[:400]:
+            span = _row_reduced((r, s), char)
+            if span not in holds:
+                holds[span] = mod_square_generation(I, (c, d)).holds
+            if not holds[span]:
                 continue
-            hit = _ci_search(I, cand, seed, budgets)
+            hit = _ci_search(I, (c, d), seed, budgets, general)
+            general = False
             if isinstance(hit, CICertificate):
                 rad = radical_equal(I, hit.regseq.ideal, e_max=budgets.e_max)
                 if not isinstance(rad, RadicalEqualityCertificate):

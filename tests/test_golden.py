@@ -8,9 +8,16 @@ engine must reproduce every core payload byte for byte, and every
 stored certificate must still replay.  The work of each session, in
 S-pair reductions (`Budget.charge` calls), is pinned too, so a refactor
 that adds hidden work fails here.
+
+`core-hashes-seed1.txt` holds the replay hash of every perfbench check
+at seed 1, as `tools/core_hashes.py --seed 1` prints it, so every
+benchmark certificate is held byte-identical too.  A change that moves
+a certificate on purpose regenerates that file and says why.
 """
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,14 +27,15 @@ from cicert.cli import RunOptions, replay_payload, run_session
 from cicert.pipeline import Budgets
 
 GOLDEN = Path(__file__).parent / "golden"
+CORE_HASHES = Path(__file__).parent.parent / "tools" / "core_hashes.py"
 SESSIONS = sorted(p.stem for p in GOLDEN.glob("*.ck"))
 
 
 # Budget.charge calls of one run of each session with its recorded options:
 # the S-pair reductions that run; a basis reused from the session's store
 # is charged by one Budget.spend of its recorded cost instead
-CHARGES = {"budget-2": 3, "c345": 55, "f5-cylinder": 212, "readme-skew": 252,
-           "skew-quotient": 267, "stalled-searches": 360, "twisted-cubic": 38}
+CHARGES = {"budget-2": 3, "c345": 55, "f5-cylinder": 97, "readme-skew": 119,
+           "skew-quotient": 134, "stalled-searches": 308, "twisted-cubic": 25}
 
 
 def _load(name):
@@ -85,3 +93,10 @@ def test_golden_work_pinned(name, monkeypatch):
     text = (GOLDEN / f"{name}.ck").read_text(encoding="utf-8")
     run_session(text, _options(_load(name)))
     assert len(calls) == CHARGES[name]
+
+
+def test_benchmark_certificates_byte_identical():
+    out = subprocess.run([sys.executable, str(CORE_HASHES), "--seed", "1"],
+                         capture_output=True, text=True, check=True)
+    recorded = (GOLDEN / "core-hashes-seed1.txt").read_text(encoding="utf-8")
+    assert out.stdout.splitlines() == recorded.splitlines()

@@ -200,6 +200,34 @@ def test_radical_member_examples(R3):
     assert w3.member and w3.exponent == 3
 
 
+@pytest.mark.parametrize("ring", RINGS, ids=["free", "xy-QQ", "xy-F5"])
+def test_radical_member_of_an_element_of_the_ideal(ring, monkeypatch):
+    """An f in I needs no basis in the tag variable: the exponent is 1
+    and the aux hash is the unit ideal's, as the Rabinowitsch basis
+    I + J0 + (1 - t*f) gives it."""
+    from cicert import groebner, ideals
+
+    I = H(ring, "x^2 + z", "y*z")
+    f = ring.parse("x^2*z + z^2 + y*z")
+    I.groebner()
+    rings = []
+    real = groebner.module_groebner
+
+    def recording(vectors, spec):
+        rings.append(spec)
+        return real(vectors, spec)
+
+    monkeypatch.setattr(groebner, "module_groebner", recording)
+    w = radical_member(f, I)
+    assert rings == []
+    assert w.member and w.exponent == 1
+    assert radical_member(f, I, e_max=0).exponent is None
+    monkeypatch.undo()
+    ext, basis = ideals._inverted(I, f)
+    assert len(ext.ring.variables) == ring.nvars + 1
+    assert w.aux_gb_hash == groebner.gb_hash(ext.ring, basis)
+
+
 def test_radical_member_vs_points_over_f5():
     """For an ideal of rational points, radical membership must agree
     with vanishing at every point of the variety."""

@@ -386,8 +386,21 @@ def test_stci_verify_radical_trick(R3):
 
 
 def test_stci_verify_refutes_nonregular_pair(R3):
+    """(x, x*y) fails both stages; the cheaper radical test runs first."""
     out = stci_verify(H(R3, "x", "y"), (R3.gen("x"), R3.parse("x*y")))
+    assert isinstance(out, STCIRefutation) and out.stage == "radical-equality"
+
+
+def test_stci_verify_refutes_pair_with_right_radical_not_regular():
+    """Two planes meeting in a point, QQ[x,y,z,w]/(x, y)(z, w), are not
+    Cohen-Macaulay: (x + z, y + w) has the radical of the point but
+    y + w is a zerodivisor modulo x + z."""
+    bare = RingSpec(("x", "y", "z", "w"), QQ)
+    A = bare.quotient([bare.parse(g) for g in ("x*z", "x*w", "y*z", "y*w")])
+    out = stci_verify(H(A, "x", "y", "z", "w"),
+                      (A.parse("x + z"), A.parse("y + w")))
     assert isinstance(out, STCIRefutation) and out.stage == "regular-sequence"
+    assert out.detail == {"index": 2, "witness": "x"}
 
 
 def test_stci_verify_refutes_wrong_radical(R3):
@@ -419,11 +432,63 @@ def test_stci_verify_computes_the_pair_basis_once(monkeypatch, skew_lines, skew_
     assert "ideal" not in out.regseq.payload()
 
 
+def test_try_ci_pair_computes_the_pair_basis_once(monkeypatch, skew_lines, skew_pair):
+    """With no basis store open, the regular-sequence test reuses the
+    basis of (c, d) that the equality with I computed."""
+    from cicert import groebner
+    computed = []
+    basis = groebner.groebner_basis
+
+    def counted(polys, ring):
+        computed.append(tuple(map(str, polys)))
+        return basis(polys, ring)
+
+    monkeypatch.setattr(groebner, "groebner_basis", counted)
+    out = ci_from_free_conormal(skew_lines, skew_pair, seed=0)
+    assert isinstance(out, CICertificate) and out.pair == skew_pair
+    assert computed.count(tuple(map(str, skew_pair))) == 1
+    assert out.regseq.ideal.gens == skew_pair
+
+
 def test_stci_search_skew_lines(skew_lines, skew_pair):
     res = stci_search(skew_lines, seed=0)
     assert res.certificate is not None
     assert res.via == "conormal-basis"
     assert res.certificate.verify()
+
+
+def test_stci_search_tests_each_candidate_span_once(monkeypatch, skew_lines):
+    """The skew lines' first 10 candidates, up to the certified one,
+    span 4 ideals, since (a, a - b) and (a, a + b) span the same ideal
+    as (a, b): 4 mod-square tests, and the same certificate as a test
+    of every candidate gives."""
+    from cicert import pipeline
+    tested = []
+    real = pipeline.mod_square_generation
+
+    def counted(I, cand):
+        tested.append(cand)
+        return real(I, cand)
+
+    monkeypatch.setattr(pipeline, "mod_square_generation", counted)
+    res = stci_search(skew_lines, seed=0)
+    assert len(tested) == 4
+    assert res.via == "conormal-basis"
+    assert [str(g) for g in res.certificate.pair] == ["x^2 - x", "x*y - x*z - y"]
+    assert res.certificate.verify()
+
+
+def test_stci_search_tries_the_general_pairs_once(monkeypatch, skew_lines):
+    """_ci_search's general random pairs are the same for every
+    candidate, so only the first candidate that passes mod-square tries
+    them: 1 + 4 pairs for it and 1 + 2 for the second, at 4 trials."""
+    from cicert import pipeline
+    tried = []
+    monkeypatch.setattr(pipeline, "_try_ci_pair",
+                        lambda I, c, d: tried.append((c, d)))
+    res = stci_search(skew_lines, seed=0, budgets=Budgets(trials=4))
+    assert res.via == "exhausted"
+    assert len(tried) == 8
 
 
 def test_stci_search_already_ci(R2):
