@@ -71,20 +71,38 @@ with no meter open gets a fresh one of DEFAULT_GB_STEPS.  Exhausting the
 meter raises BudgetExceededError with the partial basis attached so
 callers can report "inconclusive" instead of guessing.
 
-A check reuses every basis an earlier check of its session computed.
-A meter may carry a `BasisStore`, and while it is the open meter
-`module_groebner`, the one entry behind groebner_basis, `_augmented`,
-module_gb, syzygies, colon and intersection, looks up its key (ring,
-vectors) there; rings compare by value, so equal rings made apart, such
-as two `ring.quotient(gens)` calls, share an entry.  A hit is charged
-the steps the first computation took (`Budget.spend`), so after every
-call the meter reads what a recomputation would, and each certificate
-replays alone.  The command line gives each check's meter the store of
-its session.  There is one store at a time: it belongs to the session
-whose checks ran last and goes when that session is dropped or a check
-of another session runs, and a meter lets go of it when its block ends.
-With no store open, as in direct library calls, every basis is computed
-afresh.
+A check reuses every basis and every certified result an earlier check
+of its session computed.  A meter may carry a `BasisStore`, the session
+memo, and while it is the open meter each `memoized` function looks up
+its inputs there: the module basis behind `module_groebner`, the one
+entry behind groebner_basis, `_augmented`, module_gb, syzygies, colon
+and intersection, and the four producers that the curve battery calls
+again on equal inputs, `lci_certificate` (`lci`, then `ci`),
+`mod_square_generation` (`ci`, then `mod-square`),
+`is_regular_sequence` (`ci`, then `stci`) and `free_resolution`
+(`ext-cyclic`, then `resolution`).  Rings and polynomials are keys by
+value and a handle by its ring and generators, so equal inputs made
+apart, such as two `ring.quotient(gens)` calls, share an entry.
+
+A hit leaves the meter where a rerun would, so each certificate
+replays alone.  A handle charges each meter once, so the first run
+records (a)
+the steps it charged, less the steps charged by `groebner()` uses of
+handles that existed before the call; (b) those uses, each an input of
+the call or the ring's zero ideal; (c) the handles it made and
+computed.  A hit spends (a), calls `groebner()` on the caller's own
+handle for each use in (b), so the once-per-meter rule charges what it
+would charge alone, and marks each handle in (c) as paid by this
+meter.  It hands back the stored result, with the caller's handle in
+each field that held an input handle of the first run.  A call that
+uses any other outside handle is not stored.  A
+basis touches no handle, so a stored basis is charged just the steps
+its computation took.  The command line gives each check's meter the
+store of its session.  There is one store at a time: it belongs to the
+session whose checks ran last and goes when that session is dropped or
+a check of another session runs, and a meter lets go of it when its
+block ends.  With no store open, as in direct library calls, everything
+is computed afresh.
 
 A reduced basis kept for reduction lives in one holder, `ModuleBasis`,
 which builds its reduction entries once, when it is made; `IdealHandle`
@@ -105,11 +123,14 @@ and its recorded cost instead of computing it again.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
+import weakref
 from contextlib import nullcontext
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from dataclasses import fields as dc_fields
 from math import gcd
 from operator import attrgetter
 
@@ -144,6 +165,7 @@ __all__ = [
     "syzygies",
     "extended_groebner",
     "gb_hash",
+    "memoized",
 ]
 
 DEFAULT_GB_STEPS = 10_000
@@ -159,24 +181,28 @@ class BudgetExceededError(RuntimeError):
 
 
 class BasisStore(dict):
-    """Bases computed under the meters that carry this store:
-    (ring, vectors) -> (the ring object, the reduced basis, the steps its
-    computation took).  Rings are keys by equality, so equal rings made
-    apart share their entries."""
+    """The memo of the meters that carry this store: the `_Key` of (a
+    `memoized` function, the names of its keyword arguments, its inputs
+    by value) -> the `_Entry` of its first call.  Rings and polynomials are keys by
+    equality and a handle by its ring and generators, so equal inputs
+    made apart share an entry."""
 
 
 @dataclass
 class Budget:
     """Step meter: one step per S-pair reduction, plus the recorded cost
-    of each cached basis reused under it.  `with Budget(limit):` makes it
-    the meter the block charges, until an inner block opens another.
-    `store` is the basis store `module_groebner` looks up while this is
-    the open meter; the meter lets go of it when its block ends."""
+    of each cached basis and stored result reused under it.
+    `with Budget(limit):` makes it the meter the block charges, until an
+    inner block opens another.  `store` is the memo that `memoized`
+    functions look up while this is the open meter; the meter lets go of
+    it when its block ends.  `_frames` holds the calls it is recording
+    for the store, innermost last."""
 
     limit: int = DEFAULT_GB_STEPS
     used: int = 0
     store: BasisStore | None = field(default=None, repr=False, compare=False)
     _token: object = field(default=None, init=False, repr=False, compare=False)
+    _frames: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def charge(self, partial=None):  # one S-pair reduction
         self.spend(1, partial)
@@ -206,6 +232,159 @@ def _metered(compute):
         start = meter.used
         result = compute()
     return result, meter.used - start, meter
+
+
+# ---------------------------------------------------------------------------
+# the session memo
+
+
+class _Frame:
+    """One call being recorded for the store: its inputs, its ring and
+    what it did with handles.  A handle that existed before the call is
+    an outside handle; each `groebner()` use of one is kept in `uses`, as
+    the index of the input it was or None for the ring's zero ideal, and
+    the steps those uses charged in `outside`.  Any other outside handle
+    makes the call unfit to store."""
+
+    __slots__ = ("values", "ring", "uses", "outside", "created", "storable")
+
+    def __init__(self, values):
+        self.values = values
+        self.ring = _ring_of(values)
+        self.uses = []
+        self.outside = 0
+        self.created = set()  # the handles made during the call
+        self.storable = True
+
+    def use(self, handle, steps):
+        # the ring's zero ideal is outside even when the call made it
+        zero = handle.ring is self.ring and handle is self.ring._zero_ideal
+        if not zero and handle in self.created:
+            return
+        for ref, value in enumerate(self.values):
+            if value is handle:
+                break
+        else:
+            if not zero:
+                self.storable = False
+                return
+            ref = None
+        self.outside += steps
+        if ref not in self.uses:
+            self.uses.append(ref)
+
+    def entry(self, result, steps):
+        fields = created = ()
+        if hasattr(result, "__dataclass_fields__"):  # a field that holds an input handle
+            fields = tuple((f.name, i) for f in dc_fields(result)
+                           for i, v in enumerate(self.values)
+                           if isinstance(v, IdealHandle) and getattr(result, f.name) is v)
+        if self.created:
+            zero = getattr(self.ring, "_zero_ideal", None)
+            created = tuple(weakref.ref(h) for h in self.created
+                            if h._gb is not None and h is not zero)
+        return _Entry(result, steps - self.outside, tuple(self.uses), created, fields)
+
+
+@dataclass(slots=True)
+class _Entry:
+    """A stored call: its result, (a) the steps it charged beyond its
+    outside uses, (b) those uses, (c) the handles it made and computed,
+    and the result fields that held an input handle."""
+
+    result: object
+    steps: int
+    uses: tuple
+    created: tuple  # weak references: a handle the result drops goes
+    fields: tuple
+
+    def replay(self, meter, values):
+        """The result, with the meter left where a rerun would leave it."""
+        meter.spend(self.steps)
+        for ref in self.uses:
+            if ref is None:
+                zero_ideal(_ring_of(values)).groebner()
+            else:
+                values[ref].groebner()
+        made = [h for h in (r() for r in self.created) if h is not None]
+        for handle in made:
+            handle._payer = meter
+        for frame in meter._frames:
+            frame.created.update(made)
+        if self.fields:
+            return replace(self.result, **{name: values[i] for name, i in self.fields})
+        return self.result
+
+
+class _Key:
+    """A store key: (function, keyword names, inputs by value), hashed
+    once, since hashing the polynomials in it is most of a lookup."""
+
+    __slots__ = ("parts", "_hash")
+
+    def __init__(self, parts):
+        self.parts = parts
+        self._hash = hash(parts)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return self.parts == other.parts
+
+
+def _keyed(value):
+    if isinstance(value, IdealHandle):
+        return IdealHandle, value.ring, value.gens
+    return tuple(value) if isinstance(value, list) else value
+
+
+def _ring_of(values):
+    """The ring of a call: that of its first input that has one."""
+    for v in values:
+        if isinstance(v, (tuple, list)) and v:
+            v = v[0]
+        ring = v if isinstance(v, RingSpec) else getattr(v, "ring", None)
+        if ring is not None:
+            return ring
+    return None
+
+
+def memoized(producer):
+    """`producer`, answered from the open meter's store when it has one.
+
+    A call with inputs equal to a stored call's returns the stored result
+    and leaves the meter where a rerun would: it spends the steps the
+    first run charged beyond its outside uses, calls `groebner()` on each
+    handle those uses reached, the caller's own input wherever the first
+    run's was an input, marks the handles the first run made and computed
+    as paid by this meter, and swaps the caller's input handle into each
+    result field that held the first run's.  With no store open every
+    call runs."""
+
+    @functools.wraps(producer)
+    def call(*args, **kwargs):
+        meter = _METER.get()
+        store = meter.store if meter is not None else None
+        if store is None:
+            return producer(*args, **kwargs)
+        values = args + tuple(kwargs.values()) if kwargs else args
+        key = _Key((producer, tuple(kwargs), *map(_keyed, values)))
+        entry = store.get(key)
+        if entry is not None:
+            return entry.replay(meter, values)
+        frame = _Frame(values)
+        meter._frames.append(frame)
+        start = meter.used
+        try:
+            result = producer(*args, **kwargs)
+        finally:
+            meter._frames.pop()
+        if frame.storable:
+            store[key] = frame.entry(result, meter.used - start)
+        return result
+
+    return call
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +553,9 @@ def module_groebner(vectors, ring):
     term order, position 0 strongest.  The base ideal is NOT appended
     here; use module_gb for quotient-ring module membership.
 
-    When the open meter carries a basis store, a basis already stored for
-    an equal ring and the same vectors is returned and charged the steps
-    its computation took, and a basis computed here is stored.
+    The basis is `memoized`: it touches no handle, so a stored basis is
+    charged just the steps its computation took.  One stored for an
+    equal ring made apart comes back with this ring's polynomials.
     """
     vectors = tuple(tuple(v) for v in vectors)
     if not vectors:
@@ -388,25 +567,14 @@ def module_groebner(vectors, ring):
         for f in v:
             if f.ring != ring:
                 raise RingMismatchError("module element from a different ring")
-    meter = _METER.get()
-    store = meter.store if meter is not None else None
-    if store is None:
-        return _module_groebner(vectors, ring, rank)
-    key = (ring, vectors)
-    hit = store.get(key)
-    if hit is not None:
-        owner, basis, cost = hit
-        meter.spend(cost)
-        if owner is not ring:  # an equal ring: hand out this ring's polynomials
-            basis = tuple(tuple(Polynomial(ring, f.vec) for f in v) for v in basis)
-        return basis
-    start = meter.used
-    basis = _module_groebner(vectors, ring, rank)
-    store[key] = ring, basis, meter.used - start
+    basis = _module_basis(ring, vectors, rank)
+    if basis and basis[0][0].ring is not ring:  # stored for an equal ring made apart
+        basis = tuple(tuple(Polynomial(ring, f.vec) for f in v) for v in basis)
     return basis
 
 
-def _module_groebner(vectors, ring, rank):
+@memoized
+def _module_basis(ring, vectors, rank):
     G = _module_buchberger_dicts([_vec_from_polys(ring, v) for v in vectors], ring)
     return tuple(_vec_to_polys(ring, rank, v) for v in _reduced_basis(G, ring))
 
@@ -432,7 +600,9 @@ class IdealHandle:
 
     The basis is computed once per handle (the ring's order is fixed),
     kept in a rank-1 `ModuleBasis` and charged once to each meter that
-    uses it.  Concurrent readers are safe: the computation is
+    uses it.  While the meter records a call for its store, each handle
+    made is added to the call's `_Frame` and each `groebner()` use is
+    reported to it.  Concurrent readers are safe: the computation is
     deterministic and `_gb` is assigned last, so a duplicated
     computation writes identical values.
     """
@@ -452,6 +622,10 @@ class IdealHandle:
         self._cost = None  # the steps that computing _gb took
         self._payer = None  # the meter that last paid _cost
         self._gb_hash = None  # gb_hash of _gb, which never changes once set
+        meter = _METER.get()
+        if meter is not None:
+            for frame in meter._frames:
+                frame.created.add(self)
 
     def __repr__(self):
         return f"<Ideal ({', '.join(str(g) for g in self.gens)}) of {self.ring.describe()}>"
@@ -461,6 +635,8 @@ class IdealHandle:
 
     def groebner(self):
         meter = _METER.get()
+        frames = meter._frames if meter is not None else None
+        start = meter.used if frames else 0
         if self._gb is None:
             gb, cost, payer = _metered(
                 lambda: groebner_basis(self.working_gens(), self.ring))
@@ -474,6 +650,9 @@ class IdealHandle:
         elif meter is not None and meter is not self._payer:
             meter.spend(self._cost)
             self._payer = meter
+        if frames:
+            for frame in frames:
+                frame.use(self, meter.used - start)
         return self._gb
 
     def _keep(self, basis: "ModuleBasis", cost, payer):

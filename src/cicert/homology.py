@@ -21,6 +21,7 @@ from .certificates import Replayable
 from .groebner import (
     IdealHandle,
     extended_groebner,
+    memoized,
     module_gb,
     module_syzygies,
     quotient_ring,
@@ -360,6 +361,7 @@ class Resolution:
         return True
 
 
+@memoized
 def free_resolution(I: IdealHandle, length: int) -> Resolution:
     if not 1 <= length <= 4:
         raise ValueError("resolution length must be between 1 and 4")

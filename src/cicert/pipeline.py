@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .certificates import Replayable
-from .groebner import DEFAULT_GB_STEPS, IdealHandle, zero_ideal
+from .groebner import DEFAULT_GB_STEPS, IdealHandle, memoized, zero_ideal
 from .homology import conormal_presentation, projective_rank_certificate
 from .ideals import (
     DimensionReport,
@@ -165,6 +165,7 @@ class RegSeqFailure:
         return {"index": self.index, "witness": str(self.witness)}
 
 
+@memoized
 def is_regular_sequence(sequence, base: IdealHandle | None = None,
                         ideal: IdealHandle | None = None):
     """Iterated non-zerodivisor test; certificate or first failure.  The
@@ -400,6 +401,7 @@ class ModSquareResult:
         return out
 
 
+@memoized
 def mod_square_generation(I: IdealHandle, candidates) -> ModSquareResult:
     """Does I = (candidates) + I^2?  Candidates must lie in I."""
     candidates = tuple(candidates)
@@ -462,6 +464,7 @@ class LCIRefutation:
         return out
 
 
+@memoized
 def lci_certificate(I: IdealHandle):
     report = dimension_height(I)
     h = report.height

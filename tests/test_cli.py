@@ -1,4 +1,5 @@
 import gc
+import inspect
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import cicert
-from cicert import certificates, cli, groebner
+from cicert import certificates, cli, groebner, homology, pipeline
 from cicert.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT_ERROR,
@@ -170,35 +171,126 @@ check stci I with P;
 """
 
 
-def test_store_hits_are_charged_exactly(monkeypatch):
-    """The later checks of STORE_SESSION take bases from the session's
-    store.  Under every step limit up to the S-pair reductions of its
-    checks run alone, each check's certificate is the one it gets alone
-    in a fresh session, and it replays."""
-    calls = []
-    charge = groebner.Budget.charge
+def _charged_as_alone(session, monkeypatch):
+    """Under every step limit up to one past the largest meter reading of
+    a check of `session` run alone, each check's certificate in the
+    session is the one it gets alone in a fresh session, and it replays.
+    From that limit on no check runs out, so a higher one changes
+    nothing.  Returns the verdicts at the last limit."""
+    calls, readings = [], []
+    charge, leave = groebner.Budget.charge, groebner.Budget.__exit__
 
     def counted(meter, partial=None):
         calls.append(None)
         return charge(meter, partial)
 
+    def read(meter, *exc):
+        readings.append(meter.used)
+        return leave(meter, *exc)
+
     monkeypatch.setattr(groebner.Budget, "charge", counted)
-    run_session(STORE_SESSION)
+    monkeypatch.setattr(groebner.Budget, "__exit__", read)
+    run_session(session)
     in_session = len(calls)
-    for i in range(4):
-        run_command(parse_session(STORE_SESSION), i, RunOptions())
+    del readings[:]
+    for i in range(len(parse_session(session).commands)):
+        run_command(parse_session(session), i, RunOptions())
     alone = len(calls) - in_session
     assert in_session < alone  # some bases were reused
-    for steps in range(1, alone + 1):
+    for steps in range(1, max(readings) + 2):
         options = RunOptions(budgets=Budgets(gb_steps=steps))
-        payloads, _ = run_session(STORE_SESSION, options)
+        payloads, _ = run_session(session, options)
         for i, p in enumerate(payloads):
-            alone = run_command(parse_session(STORE_SESSION), i, options)
+            alone = run_command(parse_session(session), i, options)
             assert p["verdict"] == alone["verdict"], (steps, p["command"])
             assert certificates.core_payload(p) == \
                 certificates.core_payload(alone), (steps, p["command"])
             assert replay_payload(p)[1], (steps, p["command"])
-    assert [p["verdict"] for p in payloads] == ["verified"] * 4
+    return [p["verdict"] for p in payloads]
+
+
+def test_store_hits_are_charged_exactly(monkeypatch):
+    """The later checks of STORE_SESSION take bases and results from the
+    session's store, each charged what the check would pay alone."""
+    assert _charged_as_alone(STORE_SESSION, monkeypatch) == ["verified"] * 4
+
+
+# every check of the curve-checks benchmark; `lci` -> `ci` and `ci` ->
+# `mod-square` reuse a stored result, and so do `ci` -> `stci` and
+# `ext-cyclic` -> `resolution`
+CURVE_BATTERY = """\
+ideal I = (y - x^2, z - x^3, x*y - x^3 + y*z - x^3*y);
+poly f = y - x^2;
+poly g = z - x^3;
+pair P = (f, g);
+check dimension I;
+check lci I;
+check ci I with P;
+check stci I with P;
+check koszul-exact (f, g);
+check ext-cyclic I at 2;
+check resolution I length 3;
+check mod-square I with (f, g);
+check regular-sequence (f, g);
+check radical-member (x*y - x^3) in I;
+"""
+
+CURVE_RINGS = {"free": "ring R = QQ[x,y,z];\n",
+               "quotient": "ring A = QQ[x,y,z,w] / (w^2 - y);\n"}
+
+
+@pytest.mark.parametrize("ring", sorted(CURVE_RINGS))
+def test_curve_battery_store_hits_are_charged_exactly(monkeypatch, ring):
+    session = CURVE_RINGS[ring] + CURVE_BATTERY
+    assert _charged_as_alone(session, monkeypatch) == ["verified"] * 10
+
+
+MEMOIZED = {"lci_certificate": pipeline, "mod_square_generation": pipeline,
+            "is_regular_sequence": pipeline, "free_resolution": homology}
+
+
+def _body_runs(action):
+    """How often the body of each function in MEMOIZED runs in action()."""
+    codes = {inspect.unwrap(getattr(module, name)).__code__: name
+             for name, module in MEMOIZED.items()}
+    runs = dict.fromkeys(MEMOIZED, 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            runs[codes[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return runs
+
+
+def test_memoized_producers_run_once_per_input():
+    """In one session of the curve battery `lci` and `ci` share one lci
+    certificate, `ci` and `mod-square` one generation test, `ci` and
+    `stci` one regular-sequence test of (f, g) with its ideal handle
+    (`regular-sequence (f, g)` has none, so it is another input), and
+    `ext-cyclic` and `resolution` one resolution."""
+    runs = _body_runs(lambda: run_session(CURVE_RINGS["free"] + CURVE_BATTERY))
+    assert runs == {"lci_certificate": 1, "mod_square_generation": 1,
+                    "is_regular_sequence": 2, "free_resolution": 1}
+
+
+def test_library_calls_without_a_store_compute_afresh():
+    session = parse_session(CURVE_RINGS["free"] + CURVE_BATTERY)
+    I = session.ideals["I"]
+
+    def twice():
+        for _ in range(2):
+            pipeline.lci_certificate(I)
+            homology.free_resolution(I, 3)
+        with groebner.Budget():  # a meter without a store
+            pipeline.lci_certificate(I)
+
+    assert _body_runs(twice) == {"lci_certificate": 3, "mod_square_generation": 0,
+                                 "is_regular_sequence": 0, "free_resolution": 2}
 
 
 def test_store_lives_with_its_session(monkeypatch):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cicert.groebner import IdealHandle
+from cicert.groebner import BasisStore, Budget, IdealHandle, zero_ideal
 from cicert.homology import koszul2_exactness
 from cicert.ideals import quotient, saturate
 from cicert.pipeline import (
@@ -448,6 +448,36 @@ def test_try_ci_pair_computes_the_pair_basis_once(monkeypatch, skew_lines, skew_
     assert isinstance(out, CICertificate) and out.pair == skew_pair
     assert computed.count(tuple(map(str, skew_pair))) == 1
     assert out.regseq.ideal.gens == skew_pair
+
+
+def test_a_stored_result_leaves_the_meter_where_a_rerun_would():
+    """Each run makes its ring A = QQ[x,y,z,w]/(w^2 - y) apart, so the
+    zero ideal, the base of both sequences, is first used inside the
+    call.  The hit of the second run hands back the caller's `ideal=`
+    handle, charges A's own zero ideal and the handles it was given, and
+    counts the handle the first run made as paid: after the later uses
+    of all three the meter reads what it reads with a fresh store."""
+    bare = RingSpec(("x", "y", "z", "w"), QQ)
+    pair = ("y - x^2", "z - x^3")
+
+    def run(store):
+        A = bare.quotient([bare.parse("w^2 - y")])
+        seq = tuple(map(A.parse, pair))
+        with Budget(store=store) as meter:
+            given = IdealHandle(A, seq)
+            with_ideal = is_regular_sequence(seq, ideal=given)
+            plain = is_regular_sequence(seq[::-1])
+            assert with_ideal.ideal is given and plain.ideal is not given
+            for handle in (given, plain.ideal, zero_ideal(A)):
+                handle.groebner()
+        return meter.used, with_ideal.payload(), plain.payload()
+
+    store = BasisStore()
+    first = run(store)
+    size = len(store)
+    again = run(store)
+    assert len(store) == size  # every call of the second run was a hit
+    assert again == first == run(BasisStore()) and first[0] > 0
 
 
 def test_stci_search_skew_lines(skew_lines, skew_pair):

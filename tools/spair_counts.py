@@ -1,4 +1,5 @@
-"""Print the S-pairs reduced, and those reduced to zero, per benchmark item.
+"""Print the S-pairs reduced, those reduced to zero, and the producer
+results served from the session memo, per benchmark item.
 
 Run from anywhere inside a cicert checkout:
 
@@ -9,10 +10,13 @@ perfbench workloads and the untimed stci-search inputs
 (`perfbench/workloads.py`, read only), runs each session once as
 `perfbench/run.py` does, with the item's trial budget in `RunOptions`
 and one basis store per session, and prints
-`workload/item reduced zero`, then one `workload/total` line per
+`workload/item reduced zero memo`, then one `workload/total` line per
 workload.  `reduced` counts the S-pair reductions the Buchberger core
 runs, `zero` those whose remainder is zero; a basis reused from the
-session's store runs none.  The counts are deterministic, so two
+session's store runs none.  `memo` counts the calls of a memoized
+producer other than the module basis (`lci_certificate`,
+`mod_square_generation`, `is_regular_sequence`, `free_resolution`)
+answered from the store.  The counts are deterministic, so two
 checkouts compare with one `diff`.
 
 `quartic-F5-4-trials` is included: it takes a few seconds.
@@ -62,7 +66,17 @@ def main(argv=None):
             counts["zero"] += not r
         return r
 
+    module_basis = groebner._module_basis.__wrapped__
+    lookup = groebner.BasisStore.get
+
+    def served(store, key, default=None):
+        # a memoized call looks up the key (its function, ...) here first
+        entry = lookup(store, key, default)
+        counts["memo"] += entry is not None and key.parts[0] is not module_basis
+        return entry
+
     groebner._vec_reduce = counted
+    groebner.BasisStore.get = served
     totals = {}
     for label, item in items(args.seed):
         counts.clear()
@@ -70,10 +84,11 @@ def main(argv=None):
         session = parse_session(item.text)
         for i in range(len(session.commands)):
             run_command(session, i, options)
-        print(f"{label}/{item.name} {counts['reduced']} {counts['zero']}", flush=True)
+        print(f"{label}/{item.name} {counts['reduced']} {counts['zero']} {counts['memo']}",
+              flush=True)
         totals.setdefault(label, Counter()).update(counts)
     for label, total in totals.items():
-        print(f"{label}/total {total['reduced']} {total['zero']}")
+        print(f"{label}/total {total['reduced']} {total['zero']} {total['memo']}")
     return 0
 
 
