@@ -2,7 +2,11 @@
 
 A certificate is a JSON tree with canonically ordered keys.  Timings
 and the replay hash itself are volatile: they are excluded from the
-hash and from replay comparison.
+hash and from replay comparison.  Its bytes are those of
+`canonical_json`: UTF-8, keys sorted, a two-space indent, `": "` after
+each key, non-ASCII text unescaped and one trailing newline, the text
+`json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)`
+gives, written directly.
 
 There is one replay rule, applied at two levels: re-run the producer on
 the recorded inputs and demand the same payload.  For a certificate file
@@ -18,9 +22,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring as _quote
 
 SCHEMA = "cicert.certificate/1"
 VOLATILE_KEYS = ("timings", "replay_hash")
+_INFINITY = float("inf")
 
 
 class SchemaError(ValueError):
@@ -42,7 +48,65 @@ class Replayable:
 
 
 def canonical_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The canonical text of a JSON value: dicts with str keys, lists and
+    tuples, str, int, float (NaN and the infinities as `json` writes
+    them), bool and None.  Any other value raises TypeError."""
+    chunks = []
+    _write(payload, chunks.append, "\n")
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write(value, emit, newline):
+    """Emit the text of `value`, whose nested lines start with `newline`."""
+    if isinstance(value, str):
+        emit(_quote(value))
+    elif value is None:
+        emit("null")
+    elif value is True:
+        emit("true")
+    elif value is False:
+        emit("false")
+    elif isinstance(value, int):
+        emit(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value:
+            emit("NaN")
+        elif value == _INFINITY:
+            emit("Infinity")
+        elif value == -_INFINITY:
+            emit("-Infinity")
+        else:
+            emit(float.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            emit("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            emit(sep)
+            emit(_quote(key))
+            emit(": ")
+            _write(value[key], emit, inner)
+            sep = "," + inner
+        emit(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            emit(sep)
+            _write(item, emit, inner)
+            sep = "," + inner
+        emit(newline + "]")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} "
+                        f"is not JSON serializable")
 
 
 def core_payload(payload: dict) -> dict:

@@ -308,9 +308,10 @@ class MonomialPacker:
 class Polynomial:
     """Immutable sparse polynomial.  `vec` is the dict {packed key:
     coefficient}, strictly descending, with no zero coefficient; it is
-    never mutated, so polynomials of one packing may share it."""
+    never mutated, so polynomials of one packing may share it, and the
+    text `_text` is made on the first `str()` and kept."""
 
-    __slots__ = ("ring", "vec")
+    __slots__ = ("ring", "vec", "_text")
 
     def __init__(self, ring, vec: dict):
         self.ring = ring
@@ -400,13 +401,27 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        acc = {}
-        get = acc.get
-        for k1, c1 in self.vec.items():
-            for k2, c2 in other.vec.items():
-                k = k1 + k2
-                acc[k] = get(k, 0) + c1 * c2
-        product = self.ring._from_keys(acc)
+        vec, term = self.vec, other.vec
+        if len(vec) == 1:
+            vec, term = term, vec
+        if len(term) == 1:
+            # a monomial order is multiplicative: the shifted keys keep
+            # their order, and a product of nonzero scalars is nonzero
+            ((k2, c2),) = term.items()
+            p = self.ring.field.characteristic
+            if p:
+                product = Polynomial(self.ring, {k + k2: c * c2 % p for k, c in vec.items()})
+            else:
+                product = Polynomial(self.ring,
+                                     {k + k2: _integral(c * c2) for k, c in vec.items()})
+        else:
+            acc = {}
+            get = acc.get
+            for k1, c1 in vec.items():
+                for k2, c2 in term.items():
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + c1 * c2
+            product = self.ring._from_keys(acc)
         # a field's largest value over the terms is taken at a vertex of
         # the Newton polytope, whose term never cancels
         guards = self.ring.packer.guards
@@ -461,7 +476,11 @@ class Polynomial:
         return hash((self.ring, tuple(self.vec.items())))
 
     def __str__(self):
-        return self.ring.format_poly(self)
+        try:
+            return self._text
+        except AttributeError:
+            self._text = text = self.ring.format_poly(self)
+            return text
 
     def __repr__(self):
         return f"<{self}>"
@@ -479,7 +498,7 @@ class RingSpec:
     """
 
     __slots__ = ("variables", "field", "order", "base_ideal", "_var_index",
-                 "_key", "_hash", "_zero_ideal", "_packer")
+                 "_key", "_hash", "_zero_ideal", "_packer", "_monomial_texts")
 
     def __init__(self, variables, field, order=None, base=()):
         variables = tuple(variables)
@@ -492,6 +511,7 @@ class RingSpec:
         self.field = field
         self.order = order if order is not None else MonomialOrder("grevlex")
         self._packer = None
+        self._monomial_texts = {}  # packed key -> its monomial's text
         self.base_ideal = tuple(self.rehome(g) for g in base)
         self._var_index = {v: i for i, v in enumerate(variables)}
         self._key = (self.variables, self.field, self.order,
@@ -578,9 +598,10 @@ class RingSpec:
         raw coefficient is any int over GF(p) and an int or a Fraction
         over QQ.  The one place that normalises sums and products:
         residues taken mod p, a Fraction with denominator 1 made an int,
-        zero coefficients dropped, keys sorted descending.  Negation and
-        scaling by a nonzero scalar keep the order and the nonzero terms,
-        so they normalise each value in place instead."""
+        zero coefficients dropped, keys sorted descending.  Negation,
+        scaling by a nonzero scalar and multiplication by one term keep
+        the order and the nonzero terms, so they normalise each value in
+        place instead."""
         p = self.field.characteristic
         if p:
             return Polynomial(self, {k: c for k in sorted(acc, reverse=True)
@@ -634,23 +655,27 @@ class RingSpec:
         return "*".join(parts)
 
     def format_poly(self, f: Polynomial) -> str:
+        """The text of `f`; each monomial's text is made once per ring."""
         if not f.vec:
             return "0"
+        texts = self._monomial_texts
         chunks = []
-        for i, (m, c) in enumerate(f.terms):
-            negative = c < 0  # only over QQ
-            mag = abs(c)
-            mono_text = self.format_monomial(m)
+        for k, c in f.vec.items():
+            mono_text = texts.get(k)
+            if mono_text is None:
+                mono_text = texts[k] = self.format_monomial(self.packer.unpack(k)[1])
+            sign = " + "
+            if c < 0:  # only over QQ
+                sign, c = " - ", -c
             if not mono_text:
-                body = str(mag)
-            elif mag == 1:
+                body = str(c)
+            elif c == 1:
                 body = mono_text
             else:
-                body = f"{mag}*{mono_text}"
-            if i == 0:
-                chunks.append(f"-{body}" if negative else body)
-            else:
-                chunks.append(f" - {body}" if negative else f" + {body}")
+                body = f"{c}*{mono_text}"
+            chunks.append(sign)
+            chunks.append(body)
+        chunks[0] = "-" if chunks[0] == " - " else ""
         return "".join(chunks)
 
     def parse(self, text: str, names: dict | None = None) -> Polynomial:
@@ -772,8 +797,8 @@ def _vec_reduce(work: dict, basis: _Reducers, ring, exact: bool = False) -> dict
     stays in `work` as a zero, skipped when popped, so each term is
     queued once, and its key is checked for overflow then.
 
-    The input's denominators are cleared once.  A popped coefficient c
-    is cancelled by an entry with lead coefficient lc as
+    Over QQ the input's denominators are cleared once.  A popped
+    coefficient c is cancelled by an entry with lead coefficient lc as
     m * work - (c / g) * shift * tail, with g = gcd(lc, c) and
     m = lc / g; m multiplies the remainder emitted so far too, so the
     result is the normal form times the product of the denominator and
@@ -788,7 +813,8 @@ def _vec_reduce(work: dict, basis: _Reducers, ring, exact: bool = False) -> dict
     elts, memo = basis.elts, basis.memo
     memo_get = memo.get
     n = len(elts)
-    work, scale = _cleared(work)
+    # over GF(p) every coefficient is an int already
+    work, scale = (work, 1) if p else _cleared(work)
     heap = [-k for k in work]  # a min-heap of negated keys pops the largest
     heapq.heapify(heap)
     remainder = {}

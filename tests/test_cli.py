@@ -269,13 +269,13 @@ def _body_runs(action):
 
 def test_memoized_producers_run_once_per_input():
     """In one session of the curve battery `lci` and `ci` share one lci
-    certificate, `ci` and `mod-square` one generation test, `ci` and
-    `stci` one regular-sequence test of (f, g) with its ideal handle
-    (`regular-sequence (f, g)` has none, so it is another input), and
-    `ext-cyclic` and `resolution` one resolution."""
+    certificate, `ci` and `mod-square` one generation test, `ci`, `stci`
+    and `regular-sequence (f, g)` one regular-sequence test of (f, g)
+    with the handle of (f, g), and `ext-cyclic` and `resolution` one
+    resolution."""
     runs = _body_runs(lambda: run_session(CURVE_RINGS["free"] + CURVE_BATTERY))
     assert runs == {"lci_certificate": 1, "mod_square_generation": 1,
-                    "is_regular_sequence": 2, "free_resolution": 1}
+                    "is_regular_sequence": 1, "free_resolution": 1}
 
 
 def test_library_calls_without_a_store_compute_afresh():

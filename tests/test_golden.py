@@ -9,9 +9,11 @@ stored certificate must still replay.  The work of each session, in
 S-pair reductions (`Budget.charge` calls), is pinned too, so a refactor
 that adds hidden work fails here.
 
-`core-hashes-seed1.txt` holds the replay hash of every perfbench check
-at seed 1, as `tools/core_hashes.py --seed 1` prints it, so every
-benchmark certificate is held byte-identical too.  A change that moves
+`core-hashes-seed1.txt` and `core-hashes-seed2.txt` hold the replay
+hash of every perfbench check at seeds 1 and 2, as
+`tools/core_hashes.py --seed <n>` prints it, so every benchmark
+certificate is held byte-identical too; seed 2 renames the variables
+and flips coefficients.  A change that moves
 a certificate on purpose regenerates that file and says why.
 """
 
@@ -95,8 +97,9 @@ def test_golden_work_pinned(name, monkeypatch):
     assert len(calls) == CHARGES[name]
 
 
-def test_benchmark_certificates_byte_identical():
-    out = subprocess.run([sys.executable, str(CORE_HASHES), "--seed", "1"],
+@pytest.mark.parametrize("seed", [1, 2])
+def test_benchmark_certificates_byte_identical(seed):
+    out = subprocess.run([sys.executable, str(CORE_HASHES), "--seed", str(seed)],
                          capture_output=True, text=True, check=True)
-    recorded = (GOLDEN / "core-hashes-seed1.txt").read_text(encoding="utf-8")
+    recorded = (GOLDEN / f"core-hashes-seed{seed}.txt").read_text(encoding="utf-8")
     assert out.stdout.splitlines() == recorded.splitlines()

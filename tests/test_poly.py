@@ -284,9 +284,9 @@ def _oracle(field, raw):
 
 @given(order=diff_orders, field=diff_fields, a=dict_polys, b=dict_polys,
        n=st.integers(min_value=0, max_value=3),
-       c=st.fractions(min_value=-4, max_value=4, max_denominator=3))
+       c=st.fractions(min_value=-4, max_value=4, max_denominator=3), m=monos)
 @settings(max_examples=200, deadline=None)
-def test_arithmetic_matches_tuple_oracle(order, field, a, b, n, c):
+def test_arithmetic_matches_tuple_oracle(order, field, a, b, n, c, m):
     R = RingSpec(("x", "y", "z"), field, order)
     a, b = _oracle(field, a), _oracle(field, b)
     f, g = R.poly_from_dict(a), R.poly_from_dict(b)
@@ -310,6 +310,9 @@ def test_arithmetic_matches_tuple_oracle(order, field, a, b, n, c):
     agrees(f - g, dict_add(field, a, dict_neg(field, b)))
     agrees(f * c, dict_mul(field, a, _oracle(field, {(0, 0, 0): c})))
     agrees(f * g, dict_mul(field, a, b))
+    term = _oracle(field, {m: c})
+    agrees(f * R.poly_from_dict(term), dict_mul(field, a, term))
+    agrees(R.poly_from_dict(term) * f, dict_mul(field, term, a))
     agrees(f ** n, dict_pow(field, a, n, R.nvars))
     assert (f == g) == (a == b)
     same = R.poly_from_dict(dict(reversed(list(a.items()))))
@@ -431,6 +434,22 @@ def test_reduce_matches_monic_oracle(data, field, order):
 
 
 # -- parsing and printing
+
+
+def test_monomial_text_is_per_ring():
+    """One vec prints in each ring's own names, and a rehomed polynomial
+    in its new ring's term order."""
+    R = RingSpec(("x", "y"), QQ)
+    S = RingSpec(("u", "v"), QQ)
+    f = R.parse("x^2*y - 3/2*y + 1")
+    g = Polynomial(S, f.vec)
+    for _ in range(2):  # the second str() is the stored text
+        assert str(f) == "x^2*y - 3/2*y + 1"
+        assert str(g) == "u^2*v - 3/2*v + 1"
+    lex = RingSpec(R.variables, QQ, MonomialOrder("lex"))
+    h = R.parse("y^3 - x")
+    assert str(h) == "y^3 - x" and str(lex.rehome(h)) == "-x + y^3"
+    assert str(R.rehome(lex.rehome(h))) == "y^3 - x"
 
 
 def test_parse_print_round_trip(R):
