@@ -71,46 +71,39 @@ with no meter open gets a fresh one of DEFAULT_GB_STEPS.  Exhausting the
 meter raises BudgetExceededError with the partial basis attached so
 callers can report "inconclusive" instead of guessing.
 
+A meter pays for each distinct basis once.  A basis is known by its
+store key, the `_Key` of (ring, vectors) by value, and costs the steps
+its computation took; `Budget.pay(key, cost)` spends the cost the first
+time the meter sees the key.  So a meter reads the sum of the costs of
+the distinct bases it used, however often and through whatever handle
+it used them, and a check reads in its session what it reads alone,
+which is what a replay runs.
+
 A check reuses every basis and every certified result an earlier check
-of its session computed.  A meter may carry a `BasisStore`, the session
-memo, and while it is the open meter each `memoized` function looks up
-its inputs there: the module basis behind `module_groebner`, the one
-entry behind groebner_basis, `_augmented`, module_gb, syzygies, colon
-and intersection, and the four producers that the curve battery calls
-again on equal inputs, `lci_certificate` (`lci`, then `ci`),
-`mod_square_generation` (`ci`, then `mod-square`),
+of its session computed.  Each meter carries a `BasisStore`, the memo
+of its session or a fresh one of its own, and while it is the open
+meter each `memoized` function looks up its inputs there: the module
+basis behind `module_groebner`, so behind groebner_basis, `_augmented`,
+module_gb, syzygies, colon and intersection, and the four producers
+that the curve battery calls again on equal inputs, `lci_certificate`
+(`lci`, then `ci`), `mod_square_generation` (`ci`, then `mod-square`),
 `is_regular_sequence` (`ci`, then `stci`) and `free_resolution`
 (`ext-cyclic`, then `resolution`).  Rings and polynomials are keys by
 value and a handle by its ring and generators, so equal inputs made
-apart, such as two `ring.quotient(gens)` calls, share an entry.
-
-A hit leaves the meter where a rerun would, so each certificate
-replays alone.  A handle charges each meter once, so the first run
-records (a)
-the steps it charged, less the steps charged by `groebner()` uses of
-handles that existed before the call; (b) those uses, each an input of
-the call or the ring's zero ideal; (c) the handles it made and
-computed.  A hit spends (a), calls `groebner()` on the caller's own
-handle for each use in (b), so the once-per-meter rule charges what it
-would charge alone, and marks each handle in (c) as paid by this
-meter.  It hands back the stored result, with the caller's handle in
-each field that held an input handle of the first run.  A call that
-uses any other outside handle is not stored.  A
-basis touches no handle, so a stored basis is charged just the steps
-its computation took.  The command line gives each check's meter the
-store of its session.  There is one store at a time: it belongs to the
-session whose checks ran last and goes when that session is dropped or
-a check of another session runs, and a meter lets go of it when its
-block ends.  With no store open, as in direct library calls, everything
-is computed afresh.
+apart, such as two `ring.quotient(gens)` calls, share an entry.  An
+entry holds the result and the (key, cost) pairs of the bases its first
+run paid for, and a hit pays them again, so it charges what a rerun
+would.  The command line gives each check's meter the store of its
+session.  There is one such store at a time: it belongs to the session
+whose checks ran last and goes when that session is dropped or a check
+of another session runs, and a meter lets go of its store when its
+block ends.
 
 A reduced basis kept for reduction lives in one holder, `ModuleBasis`,
 which builds its reduction entries once, when it is made; `IdealHandle`
 and `ExtendedGB` reduce through one.  A cached `IdealHandle` basis
-records the steps it cost and the meter that last paid for it; its first
-use under another open meter charges that cost once, so a check is
-charged what it would be charged in a fresh session, which is what a
-replay runs.
+keeps the key and cost of the basis it came from, and each use pays
+them to the open meter.
 
 Quotient rings A = k[x]/J0 are handled uniformly: ideal computations
 append the J0 generators, module computations append J0 multiples of
@@ -118,7 +111,7 @@ the free-module basis vectors (`_base_rows`).  Each ring object has one
 zero ideal, `zero_ideal(ring)`, so J0's basis is computed once per ring.
 The zero ideal of A/I, made by `quotient_ring(I)`, is I itself: the
 reduced basis of J0 + I is unique, so the new ring takes over I's basis
-and its recorded cost instead of computing it again.
+and its key and cost instead of computing it again.
 """
 
 from __future__ import annotations
@@ -126,12 +119,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import heapq
-import weakref
-from contextlib import nullcontext
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
-from dataclasses import fields as dc_fields
-from math import gcd
+from dataclasses import dataclass, field
+from math import gcd, inf
 from operator import attrgetter
 
 from .poly import (
@@ -183,26 +173,28 @@ class BudgetExceededError(RuntimeError):
 class BasisStore(dict):
     """The memo of the meters that carry this store: the `_Key` of (a
     `memoized` function, the names of its keyword arguments, its inputs
-    by value) -> the `_Entry` of its first call.  Rings and polynomials are keys by
+    by value) -> (the result of its first call, the (key, cost) pairs of
+    the bases that call paid for).  Rings and polynomials are keys by
     equality and a handle by its ring and generators, so equal inputs
     made apart share an entry."""
 
 
 @dataclass
 class Budget:
-    """Step meter: one step per S-pair reduction, plus the recorded cost
-    of each cached basis and stored result reused under it.
-    `with Budget(limit):` makes it the meter the block charges, until an
-    inner block opens another.  `store` is the memo that `memoized`
-    functions look up while this is the open meter; the meter lets go of
-    it when its block ends.  `_frames` holds the calls it is recording
-    for the store, innermost last."""
+    """Step meter: one step per S-pair reduction, and each distinct basis
+    paid for once.  `with Budget(limit):` makes it the meter the block
+    charges, until an inner block opens another.  `store` is the memo
+    that `memoized` functions look up while this is the open meter, a
+    fresh one unless given; the meter lets go of it when its block ends.
+    `_paid` holds the keys of the bases it paid for, and `_calls` the
+    {key: cost} of each call it is recording, innermost last."""
 
     limit: int = DEFAULT_GB_STEPS
     used: int = 0
     store: BasisStore | None = field(default=None, repr=False, compare=False)
     _token: object = field(default=None, init=False, repr=False, compare=False)
-    _frames: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _paid: set = field(default_factory=set, init=False, repr=False, compare=False)
+    _calls: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def charge(self, partial=None):  # one S-pair reduction
         self.spend(1, partial)
@@ -212,7 +204,18 @@ class Budget:
         if self.used > self.limit:
             raise BudgetExceededError(self.limit, partial)
 
+    def pay(self, key, cost):
+        """Spend `cost` the first time this meter sees the basis `key`;
+        every call being recorded notes the pair either way."""
+        for call in self._calls:
+            call[key] = cost
+        if key not in self._paid:
+            self._paid.add(key)
+            self.spend(cost)
+
     def __enter__(self):
+        if self.store is None:
+            self.store = BasisStore()
         self._token = _METER.set(self)
         return self
 
@@ -224,96 +227,24 @@ class Budget:
 _METER: ContextVar[Budget | None] = ContextVar("cicert_gb_meter", default=None)
 
 
-def _metered(compute):
-    """compute() under the open meter, or a fresh one when none is open;
-    returns its result, the steps it took and the meter that paid."""
+def _paid_for(compute, *args, **kwargs):
+    """compute(*args, **kwargs) under the open meter, or a fresh one when
+    none is open; returns its result and the (key, cost) pairs of the
+    bases it paid for."""
     meter = _METER.get()
-    with nullcontext(meter) if meter else Budget() as meter:
-        start = meter.used
-        result = compute()
-    return result, meter.used - start, meter
+    if meter is None:
+        with Budget():
+            return _paid_for(compute, *args, **kwargs)
+    paid = {}
+    meter._calls.append(paid)
+    try:
+        return compute(*args, **kwargs), tuple(paid.items())
+    finally:
+        meter._calls.pop()
 
 
 # ---------------------------------------------------------------------------
 # the session memo
-
-
-class _Frame:
-    """One call being recorded for the store: its inputs, its ring and
-    what it did with handles.  A handle that existed before the call is
-    an outside handle; each `groebner()` use of one is kept in `uses`, as
-    the index of the input it was or None for the ring's zero ideal, and
-    the steps those uses charged in `outside`.  Any other outside handle
-    makes the call unfit to store."""
-
-    __slots__ = ("values", "ring", "uses", "outside", "created", "storable")
-
-    def __init__(self, values):
-        self.values = values
-        self.ring = _ring_of(values)
-        self.uses = []
-        self.outside = 0
-        self.created = set()  # the handles made during the call
-        self.storable = True
-
-    def use(self, handle, steps):
-        # the ring's zero ideal is outside even when the call made it
-        zero = handle.ring is self.ring and handle is self.ring._zero_ideal
-        if not zero and handle in self.created:
-            return
-        for ref, value in enumerate(self.values):
-            if value is handle:
-                break
-        else:
-            if not zero:
-                self.storable = False
-                return
-            ref = None
-        self.outside += steps
-        if ref not in self.uses:
-            self.uses.append(ref)
-
-    def entry(self, result, steps):
-        fields = created = ()
-        if hasattr(result, "__dataclass_fields__"):  # a field that holds an input handle
-            fields = tuple((f.name, i) for f in dc_fields(result)
-                           for i, v in enumerate(self.values)
-                           if isinstance(v, IdealHandle) and getattr(result, f.name) is v)
-        if self.created:
-            zero = getattr(self.ring, "_zero_ideal", None)
-            created = tuple(weakref.ref(h) for h in self.created
-                            if h._gb is not None and h is not zero)
-        return _Entry(result, steps - self.outside, tuple(self.uses), created, fields)
-
-
-@dataclass(slots=True)
-class _Entry:
-    """A stored call: its result, (a) the steps it charged beyond its
-    outside uses, (b) those uses, (c) the handles it made and computed,
-    and the result fields that held an input handle."""
-
-    result: object
-    steps: int
-    uses: tuple
-    created: tuple  # weak references: a handle the result drops goes
-    fields: tuple
-
-    def replay(self, meter, values):
-        """The result, with the meter left where a rerun would leave it."""
-        meter.spend(self.steps)
-        for ref in self.uses:
-            if ref is None:
-                zero_ideal(_ring_of(values)).groebner()
-            else:
-                values[ref].groebner()
-        made = [h for h in (r() for r in self.created) if h is not None]
-        for handle in made:
-            handle._payer = meter
-        for frame in meter._frames:
-            frame.created.update(made)
-        if self.fields:
-            return replace(self.result, **{name: values[i] for name, i in self.fields})
-        return self.result
 
 
 class _Key:
@@ -339,49 +270,42 @@ def _keyed(value):
     return tuple(value) if isinstance(value, list) else value
 
 
-def _ring_of(values):
-    """The ring of a call: that of its first input that has one."""
-    for v in values:
-        if isinstance(v, (tuple, list)) and v:
-            v = v[0]
-        ring = v if isinstance(v, RingSpec) else getattr(v, "ring", None)
-        if ring is not None:
-            return ring
-    return None
-
-
 def memoized(producer):
-    """`producer`, answered from the open meter's store when it has one.
+    """`producer`, answered from the open meter's store, or from a fresh
+    meter's when none is open.
 
     A call with inputs equal to a stored call's returns the stored result
-    and leaves the meter where a rerun would: it spends the steps the
-    first run charged beyond its outside uses, calls `groebner()` on each
-    handle those uses reached, the caller's own input wherever the first
-    run's was an input, marks the handles the first run made and computed
-    as paid by this meter, and swaps the caller's input handle into each
-    result field that held the first run's.  With no store open every
-    call runs."""
+    and pays the bases its first run paid for, so the meter reads what a
+    rerun would leave it at.  A run that paid for no basis is a basis
+    itself: the S-pair reductions it charged as they ran are handed back
+    and paid under its own key."""
 
     @functools.wraps(producer)
     def call(*args, **kwargs):
         meter = _METER.get()
-        store = meter.store if meter is not None else None
-        if store is None:
-            return producer(*args, **kwargs)
+        if meter is None:
+            with Budget():
+                return call(*args, **kwargs)
         values = args + tuple(kwargs.values()) if kwargs else args
         key = _Key((producer, tuple(kwargs), *map(_keyed, values)))
-        entry = store.get(key)
+        entry = meter.store.get(key)
+        if entry is None and key in meter._paid:
+            # a basis paid for through a handle made under another store:
+            # computed again at no charge
+            with Budget(inf, store=meter.store):
+                call(*args, **kwargs)
+            entry = meter.store[key]
         if entry is not None:
-            return entry.replay(meter, values)
-        frame = _Frame(values)
-        meter._frames.append(frame)
+            for paid, cost in entry[1]:
+                meter.pay(paid, cost)
+            return entry[0]
         start = meter.used
-        try:
-            result = producer(*args, **kwargs)
-        finally:
-            meter._frames.pop()
-        if frame.storable:
-            store[key] = frame.entry(result, meter.used - start)
+        result, paid = _paid_for(producer, *args, **kwargs)
+        if not paid:  # a basis: its S-pair reductions, paid under its key
+            cost, meter.used = meter.used - start, start
+            meter.pay(key, cost)
+            paid = ((key, cost),)
+        meter.store[key] = result, paid
         return result
 
     return call
@@ -598,13 +522,12 @@ def module_normal_form(vec, basis_vectors, ring):
 class IdealHandle:
     """An ideal of A = k[x]/J0: generators plus a cached reduced basis.
 
-    The basis is computed once per handle (the ring's order is fixed),
-    kept in a rank-1 `ModuleBasis` and charged once to each meter that
-    uses it.  While the meter records a call for its store, each handle
-    made is added to the call's `_Frame` and each `groebner()` use is
-    reported to it.  Concurrent readers are safe: the computation is
-    deterministic and `_gb` is assigned last, so a duplicated
-    computation writes identical values.
+    The basis is computed once per handle (the ring's order is fixed)
+    and kept in a rank-1 `ModuleBasis`, with the key and cost of the
+    basis it came from, which each use pays to the open meter: a meter
+    pays for a basis once, however many handles hold it.  Concurrent
+    readers are safe: the computation is deterministic and `_gb` is
+    assigned last, so a duplicated computation writes identical values.
     """
 
     def __init__(self, ring: RingSpec, gens):
@@ -619,13 +542,8 @@ class IdealHandle:
         self.gens = tuple(coerced)
         self._gb = None
         self._basis = None  # the ModuleBasis of _gb
-        self._cost = None  # the steps that computing _gb took
-        self._payer = None  # the meter that last paid _cost
+        self._charge = ()  # the (key, cost) of the basis _gb came from, if any
         self._gb_hash = None  # gb_hash of _gb, which never changes once set
-        meter = _METER.get()
-        if meter is not None:
-            for frame in meter._frames:
-                frame.created.add(self)
 
     def __repr__(self):
         return f"<Ideal ({', '.join(str(g) for g in self.gens)}) of {self.ring.describe()}>"
@@ -634,31 +552,25 @@ class IdealHandle:
         return tuple(g for g in self.gens if g) + self.ring.base_ideal
 
     def groebner(self):
-        meter = _METER.get()
-        frames = meter._frames if meter is not None else None
-        start = meter.used if frames else 0
         if self._gb is None:
-            gb, cost, payer = _metered(
-                lambda: groebner_basis(self.working_gens(), self.ring))
+            gb, charge = _paid_for(groebner_basis, self.working_gens(), self.ring)
             basis = ModuleBasis(self.ring, 1, [(g,) for g in gb])
             # self-check: every input generator must reduce to zero
             for g in self.working_gens():
                 if not basis.reduce((g,))[0].is_zero:
                     raise AssertionError(
                         f"generator {g} does not reduce against its own basis")
-            self._keep(basis, cost, payer)
-        elif meter is not None and meter is not self._payer:
-            meter.spend(self._cost)
-            self._payer = meter
-        if frames:
-            for frame in frames:
-                frame.use(self, meter.used - start)
+            self._keep(basis, charge)
+        else:
+            meter = _METER.get()
+            if meter is not None:
+                for key, cost in self._charge:
+                    meter.pay(key, cost)
         return self._gb
 
-    def _keep(self, basis: "ModuleBasis", cost, payer):
+    def _keep(self, basis: "ModuleBasis", charge):
         self._basis = basis
-        self._cost = cost
-        self._payer = payer
+        self._charge = charge
         self._gb = tuple(v[0] for v in basis.vectors)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
@@ -704,12 +616,12 @@ def zero_ideal(ring: RingSpec) -> IdealHandle:
 
 def quotient_ring(I: IdealHandle) -> RingSpec:
     """The ring A/I.  Its zero ideal takes over I's basis, rehomed, with
-    the cost recorded for it and the meter that last paid: the reduced
-    basis of J0 + I is unique, so it is never computed again."""
+    the key and cost of the basis it came from: the reduced basis of
+    J0 + I is unique, so it is never computed again."""
     gb = I.groebner()
     ring = I.ring.quotient(I.gens)
     basis = ModuleBasis(ring, 1, [(ring.rehome(g),) for g in gb])
-    zero_ideal(ring)._keep(basis, I._cost, I._payer)
+    zero_ideal(ring)._keep(basis, I._charge)
     return ring
 
 

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 
 from .certificates import Replayable
-from .groebner import (IdealHandle, ModuleBasis, _augmented, _metered, gb_hash,
+from .groebner import (IdealHandle, ModuleBasis, _augmented, _paid_for, gb_hash,
                        groebner_basis, zero_ideal)
 from .poly import (
     MonomialOrder,
@@ -62,10 +62,11 @@ def _first_syzygy_entries(rows, ring):
     vanishes are a basis of the syzygies (the elimination property of a
     position-over-term order, Greuel-Pfister 2.8), and their one-entry
     tails are the reduced basis of the ideal.  The handle keeps that
-    basis with the steps it cost, so it is never computed again."""
-    syz, cost, payer = _metered(lambda: _augmented(rows, ring, 1)[2])
+    basis with the key and cost of the module basis it came from, so it
+    is never computed again."""
+    (_basis, _cofactors, syz), charge = _paid_for(_augmented, rows, ring, 1)
     handle = IdealHandle(ring, tuple(s[0] for s in syz))
-    handle._keep(ModuleBasis(ring, 1, syz), cost, payer)
+    handle._keep(ModuleBasis(ring, 1, syz), charge)
     return handle
 
 

@@ -171,12 +171,17 @@ check stci I with P;
 """
 
 
-def _charged_as_alone(session, monkeypatch):
-    """Under every step limit up to one past the largest meter reading of
+def _charged_as_alone(session, monkeypatch, trials=Budgets.trials, every=1,
+                      reuses=True):
+    """Under each step limit up to one past the largest meter reading of
     a check of `session` run alone, each check's certificate in the
     session is the one it gets alone in a fresh session, and it replays.
     From that limit on no check runs out, so a higher one changes
-    nothing.  Returns the verdicts at the last limit."""
+    nothing.  With `every` above 1 the limits are every `every`-th one
+    and the last five below that reading, then the reading and one past
+    it.  Every run has the trial budget `trials`; `reuses` says whether
+    a later check takes bases from an earlier one.  Returns the verdicts
+    at the last limit."""
     calls, readings = [], []
     charge, leave = groebner.Budget.charge, groebner.Budget.__exit__
 
@@ -190,15 +195,20 @@ def _charged_as_alone(session, monkeypatch):
 
     monkeypatch.setattr(groebner.Budget, "charge", counted)
     monkeypatch.setattr(groebner.Budget, "__exit__", read)
-    run_session(session)
+    run_session(session, RunOptions(budgets=Budgets(trials=trials)))
     in_session = len(calls)
     del readings[:]
     for i in range(len(parse_session(session).commands)):
-        run_command(parse_session(session), i, RunOptions())
+        run_command(parse_session(session), i, RunOptions(budgets=Budgets(trials=trials)))
     alone = len(calls) - in_session
-    assert in_session < alone  # some bases were reused
-    for steps in range(1, max(readings) + 2):
-        options = RunOptions(budgets=Budgets(gb_steps=steps))
+    if reuses:
+        assert in_session < alone  # some bases were reused
+    else:
+        assert in_session == alone
+    top = max(readings)
+    limits = sorted(set(range(1, top + 2, every)) | set(range(max(top - 5, 1), top + 2)))
+    for steps in limits:
+        options = RunOptions(budgets=Budgets(gb_steps=steps, trials=trials))
         payloads, _ = run_session(session, options)
         for i, p in enumerate(payloads):
             alone = run_command(parse_session(session), i, options)
@@ -245,6 +255,20 @@ def test_curve_battery_store_hits_are_charged_exactly(monkeypatch, ring):
     assert _charged_as_alone(session, monkeypatch) == ["verified"] * 10
 
 
+STALLED = Path(__file__).parent / "golden" / "stalled-searches.ck"
+
+
+def test_stalled_searches_store_hits_are_charged_exactly(monkeypatch):
+    """The golden stalled searches, at their recorded trial budget of 2:
+    the stci-search builds its handles on a fresh `extend_scalars` ring
+    for each of F_49 and F_343.  Its two checks share no basis, so the
+    session reads what each check reads alone; the limits are sampled,
+    every 7th up to the search's reading of 269."""
+    session = STALLED.read_text(encoding="utf-8")
+    assert _charged_as_alone(session, monkeypatch, trials=2, every=7,
+                             reuses=False) == ["inconclusive"] * 2
+
+
 MEMOIZED = {"lci_certificate": pipeline, "mod_square_generation": pipeline,
             "is_regular_sequence": pipeline, "free_resolution": homology}
 
@@ -286,7 +310,7 @@ def test_library_calls_without_a_store_compute_afresh():
         for _ in range(2):
             pipeline.lci_certificate(I)
             homology.free_resolution(I, 3)
-        with groebner.Budget():  # a meter without a store
+        with groebner.Budget():  # a meter opened without a store gets a fresh one
             pipeline.lci_certificate(I)
 
     assert _body_runs(twice) == {"lci_certificate": 3, "mod_square_generation": 0,
@@ -318,6 +342,33 @@ def test_store_lives_with_its_session(monkeypatch):
     gc.collect()
     assert store() is None and cli._STORE_SLOT == [None, None]
     assert len(meters) == 3 and all(m.store is None for m in meters)
+
+
+EQUAL_IDEALS = """\
+ring R = QQ[x,y,z];
+ideal I = (x^3*y - z^2, y^4 - x*z, z^3 - x^2*y^2);
+ideal J = (x^3*y - z^2, y^4 - x*z, z^3 - x^2*y^2);
+check member x*z in I;
+check radical-equal J I;
+"""
+
+
+def test_a_check_after_another_sessions_check_is_charged_as_alone():
+    """A check of another session takes the store away, so the second
+    check pays for I's cached basis and then computes J's equal basis
+    again in a fresh store: that costs nothing more, since the meter has
+    paid for that basis, and the check is decided under the limits
+    where it is decided alone (the basis costs 15 steps)."""
+    other = "ring S = QQ[u]; ideal K = (u); check member u in K;"
+    for steps in range(1, 32):
+        options = RunOptions(budgets=Budgets(gb_steps=steps))
+        session = parse_session(EQUAL_IDEALS)
+        run_command(session, 0, options)
+        run_command(parse_session(other), 0, options)
+        after = run_command(session, 1, options)
+        alone = run_command(parse_session(EQUAL_IDEALS), 1, options)
+        assert after["verdict"] == alone["verdict"], steps
+    assert alone["verdict"] == "verified"
 
 
 def test_skew_session_verifies():

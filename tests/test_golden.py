@@ -7,7 +7,8 @@ syzygy generators and normal forms are unique, so a refactor of the
 engine must reproduce every core payload byte for byte, and every
 stored certificate must still replay.  The work of each session, in
 S-pair reductions (`Budget.charge` calls), is pinned too, so a refactor
-that adds hidden work fails here.
+that adds hidden work fails here, and so is the meter reading of each
+check, so one that moves a budget-bound verdict fails here.
 
 `core-hashes-seed1.txt` and `core-hashes-seed2.txt` hold the replay
 hash of every perfbench check at seeds 1 and 2, as
@@ -29,15 +30,24 @@ from cicert.cli import RunOptions, replay_payload, run_session
 from cicert.pipeline import Budgets
 
 GOLDEN = Path(__file__).parent / "golden"
-CORE_HASHES = Path(__file__).parent.parent / "tools" / "core_hashes.py"
+TOOLS = Path(__file__).parent.parent / "tools"
+CORE_HASHES = TOOLS / "core_hashes.py"
 SESSIONS = sorted(p.stem for p in GOLDEN.glob("*.ck"))
 
 
 # Budget.charge calls of one run of each session with its recorded options:
 # the S-pair reductions that run; a basis reused from the session's store
-# is charged by one Budget.spend of its recorded cost instead
+# is paid by Budget.pay at its recorded cost instead
 CHARGES = {"budget-2": 3, "c345": 55, "f5-cylinder": 97, "readme-skew": 119,
            "skew-quotient": 134, "stalled-searches": 308, "twisted-cubic": 25}
+
+# the meter reading (Budget.used) at the end of each check of that run: the
+# cost of each distinct basis the check used, once; it decides every
+# budget-bound verdict
+READINGS = {"budget-2": [3], "c345": [2, 11, 19, 5, 10, 2, 24],
+            "f5-cylinder": [4, 33, 97], "readme-skew": [12, 55, 97],
+            "skew-quotient": [4, 51, 18, 121], "stalled-searches": [269, 39],
+            "twisted-cubic": [3, 3, 5, 6, 3, 10, 9, 10, 3, 6, 19]}
 
 
 def _load(name):
@@ -84,17 +94,23 @@ def test_golden_certificates_replay(name):
 
 @pytest.mark.parametrize("name", SESSIONS)
 def test_golden_work_pinned(name, monkeypatch):
-    calls = []
-    charge = groebner.Budget.charge
+    calls, readings = [], []
+    charge, leave = groebner.Budget.charge, groebner.Budget.__exit__
 
     def counted(self, partial=None):
         calls.append(None)
         charge(self, partial)
 
+    def read(self, *exc):
+        readings.append(self.used)
+        return leave(self, *exc)
+
     monkeypatch.setattr(groebner.Budget, "charge", counted)
+    monkeypatch.setattr(groebner.Budget, "__exit__", read)
     text = (GOLDEN / f"{name}.ck").read_text(encoding="utf-8")
     run_session(text, _options(_load(name)))
     assert len(calls) == CHARGES[name]
+    assert readings == READINGS[name]
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -103,3 +119,13 @@ def test_benchmark_certificates_byte_identical(seed):
                          capture_output=True, text=True, check=True)
     recorded = (GOLDEN / f"core-hashes-seed{seed}.txt").read_text(encoding="utf-8")
     assert out.stdout.splitlines() == recorded.splitlines()
+
+
+def test_benchmark_spair_counts_pinned():
+    """`tools/spair_counts.py --seed 1`: S-pairs reduced, reduced to zero
+    and producer results served from the session memo, per workload."""
+    out = subprocess.run([sys.executable, str(TOOLS / "spair_counts.py"), "--seed", "1"],
+                         capture_output=True, text=True, check=True)
+    totals = [line for line in out.stdout.splitlines() if "/total " in line]
+    assert totals == ["gb-families/total 446 288 0", "curve-checks/total 942 330 88",
+                      "stci-search/total 480 253 0", "untimed/total 1705 1104 0"]

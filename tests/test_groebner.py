@@ -118,9 +118,10 @@ def test_store_reuses_a_basis_at_its_cost():
     with Budget(store=BasisStore()) as meter:
         first = groebner_basis([A.parse(g) for g in gens], A)
         cost = meter.used
-        # an equal ring made apart hits the entry and gets its own polynomials
+        # an equal ring made apart hits the entry and gets its own
+        # polynomials; the basis has the same key, so it is paid once
         again = groebner_basis([B.parse(g) for g in gens], B)
-        assert meter.used == 2 * cost > 0 and len(meter.store) == 1
+        assert meter.used == cost > 0 and len(meter.store) == 1
     assert again == first and all(g.ring is B for g in again)
     assert meter.store is None  # a closed meter holds no store
     # with a store open a hit past the limit runs out as a recomputation does
@@ -132,8 +133,9 @@ def test_store_reuses_a_basis_at_its_cost():
 
 
 def test_no_store_open_computes_afresh(monkeypatch):
-    """Only the open meter's store is looked up: under a meter without
-    one, or with no meter open, a basis is computed again."""
+    """Only the open meter's store is looked up: under a meter opened
+    without one, which gets a fresh one, or with no meter open, a basis
+    is computed again."""
     calls = []
     charge = Budget.charge
 
@@ -188,6 +190,26 @@ def test_cached_basis_charged_once_per_meter():
     # a later meter pays what a fresh handle would cost it, once
     with Budget() as second:
         I.groebner()
+        I.groebner()
+    assert second.used == cost
+
+
+def test_a_meter_pays_each_distinct_basis_once():
+    """Two handles of equal value made apart, in rings made apart, hold
+    one basis: a meter pays its cost once, however many of them it
+    uses, and a second meter pays it once again."""
+    bare = RingSpec(("x", "y", "z"), QQ)
+    gens = ["x^3*y - z^2", "y^4 - x*z", "z^3 - x^2*y^2"]
+    I, J = (IdealHandle(bare.quotient([bare.parse("x*z - y^2")]), gens)
+            for _ in range(2))
+    with Budget() as first:
+        I.groebner()
+        cost = first.used
+        J.groebner()
+        I.normal_form(I.ring.gen("x"))
+    assert cost > 0 and first.used == cost
+    with Budget() as second:
+        J.groebner()
         I.groebner()
     assert second.used == cost
 
