@@ -19,7 +19,7 @@ from pathlib import Path
 from . import certificates
 from .certificates import SchemaError
 from .dsl import DslParseError, Session, parse_session
-from .groebner import BasisStore, Budget, BudgetExceededError, IdealHandle
+from .groebner import BasisStore, Budget, BudgetExceededError
 from .homology import ext_module, free_resolution, koszul2_exactness
 from .ideals import (
     RadicalEqualityCertificate,
@@ -130,16 +130,8 @@ def _dispatch(session: Session, command, options: RunOptions):
         outcome = radical_equal(session.ideals[args["left"]],
                                 session.ideals[args["right"]], e_max=budgets.e_max)
     elif name == "regular-sequence":
-        sequence = args["sequence"]
         mod = {"base": session.ideals[args["mod"]]} if "mod" in args else {}
-        gens = (mod["base"].gens if mod else ()) + sequence
-        # the handle of the whole ideal, passed as `ci` and `stci` pass
-        # theirs, so the calls share a memo entry; an input error (an
-        # empty sequence, mixed rings) is left to the producer
-        whole = None
-        if sequence and all(g.ring == sequence[0].ring for g in gens):
-            whole = IdealHandle(sequence[0].ring, gens)
-        outcome = is_regular_sequence(sequence, ideal=whole, **mod)
+        outcome = is_regular_sequence(args["sequence"], **mod)
     elif name == "lci":
         outcome = lci_certificate(I)
     elif name == "ci":

@@ -49,11 +49,10 @@ Over QQ a basis entry is a primitive int vector with a positive lead
 coefficient (`poly._primitive`), over GF(p) a monic one, so every
 S-vector and every reduction step multiplies and subtracts ints; a
 remainder comes back as a nonzero multiple of the normal form and is
-normalised in turn.  Only what is handed out is made monic: the reduced
-basis and the partial basis of a BudgetExceededError.  Each entry is a
-nonzero multiple of the monic one, so every step picks the same divisor
-as monic arithmetic would, and the S-pairs, the reduced basis and every
-text printed from it are those of monic arithmetic.
+normalised in turn.  Only the reduced basis handed out is made monic:
+each entry is a nonzero multiple of the monic one, so every step picks
+the same divisor as monic arithmetic, and the S-pairs, the reduced
+basis and every text printed from it are those of monic arithmetic.
 
 One augmented-module primitive, `_augmented`, serves every construction
 that needs more than a basis: it appends unit-vector tails to the
@@ -61,15 +60,17 @@ generators, computes one basis, and splits it into the basis proper, the
 cofactors (tails of elements with a nonzero leading block) and the
 syzygies (tails of elements whose leading block vanishes).  Module
 bases, syzygies and the cofactor-tracking extended basis are calls of
-it, and so are colon ideals and intersections in `cicert.ideals`.
+it, and so is `first_syzygy_entries`, behind the colon ideals and
+intersections of `cicert.ideals`.
 
 Work is metered by one scoped step counter, `Budget`: every S-pair
-reduction charges the innermost meter opened with `with Budget(limit):`.
-The command line opens one meter per check, so the step limit bounds
-the whole check, however many bases it computes; a computation started
-with no meter open gets a fresh one of DEFAULT_GB_STEPS.  Exhausting the
-meter raises BudgetExceededError with the partial basis attached so
-callers can report "inconclusive" instead of guessing.
+reduction charges the innermost meter opened with `with Budget(limit):`,
+and past its limit raises BudgetExceededError, which callers report as
+"inconclusive".  The command line opens one meter per check, so the
+limit bounds the whole check, however many bases it computes.  A
+`metered` call made with no meter open (a memoized producer, a handle's
+first basis, a search or verification of `cicert.pipeline`) runs whole
+under one fresh meter of DEFAULT_GB_STEPS, with its fresh store.
 
 A meter pays for each distinct basis once.  A basis is known by its
 store key, the `_Key` of (ring, vectors) by value, and costs the steps
@@ -153,9 +154,11 @@ __all__ = [
     "module_normal_form",
     "module_syzygies",
     "syzygies",
+    "first_syzygy_entries",
     "extended_groebner",
     "gb_hash",
     "memoized",
+    "metered",
 ]
 
 DEFAULT_GB_STEPS = 10_000
@@ -164,19 +167,16 @@ DEFAULT_GB_STEPS = 10_000
 class BudgetExceededError(RuntimeError):
     """The step budget ran out; verdicts must become 'inconclusive'."""
 
-    def __init__(self, limit, partial=None):
+    def __init__(self, limit):
         super().__init__(f"Groebner step budget of {limit} exceeded")
         self.limit = limit
-        self.partial = partial
 
 
 class BasisStore(dict):
     """The memo of the meters that carry this store: the `_Key` of (a
     `memoized` function, the names of its keyword arguments, its inputs
     by value) -> (the result of its first call, the (key, cost) pairs of
-    the bases that call paid for).  Rings and polynomials are keys by
-    equality and a handle by its ring and generators, so equal inputs
-    made apart share an entry."""
+    the bases that call paid for); equal inputs made apart share an entry."""
 
 
 @dataclass
@@ -196,13 +196,13 @@ class Budget:
     _paid: set = field(default_factory=set, init=False, repr=False, compare=False)
     _calls: list = field(default_factory=list, init=False, repr=False, compare=False)
 
-    def charge(self, partial=None):  # one S-pair reduction
-        self.spend(1, partial)
+    def charge(self):  # one S-pair reduction
+        self.spend(1)
 
-    def spend(self, steps, partial=None):
+    def spend(self, steps):
         self.used += steps
         if self.used > self.limit:
-            raise BudgetExceededError(self.limit, partial)
+            raise BudgetExceededError(self.limit)
 
     def pay(self, key, cost):
         """Spend `cost` the first time this meter sees the basis `key`;
@@ -227,14 +227,24 @@ class Budget:
 _METER: ContextVar[Budget | None] = ContextVar("cicert_gb_meter", default=None)
 
 
-def _paid_for(compute, *args, **kwargs):
-    """compute(*args, **kwargs) under the open meter, or a fresh one when
-    none is open; returns its result and the (key, cost) pairs of the
-    bases it paid for."""
-    meter = _METER.get()
-    if meter is None:
+def metered(function):
+    """`function` under the open meter, or under one fresh default
+    `Budget()` for the whole call when none is open."""
+
+    @functools.wraps(function)
+    def call(*args, **kwargs):
+        if _METER.get() is not None:
+            return function(*args, **kwargs)
         with Budget():
-            return _paid_for(compute, *args, **kwargs)
+            return function(*args, **kwargs)
+
+    return call
+
+
+@metered
+def _paid_for(compute, *args, **kwargs):
+    """compute(*args, **kwargs) and the (key, cost) pairs it paid for."""
+    meter = _METER.get()
     paid = {}
     meter._calls.append(paid)
     try:
@@ -271,8 +281,7 @@ def _keyed(value):
 
 
 def memoized(producer):
-    """`producer`, answered from the open meter's store, or from a fresh
-    meter's when none is open.
+    """`producer`, `metered` and answered from the open meter's store.
 
     A call with inputs equal to a stored call's returns the stored result
     and pays the bases its first run paid for, so the meter reads what a
@@ -281,11 +290,9 @@ def memoized(producer):
     and paid under its own key."""
 
     @functools.wraps(producer)
+    @metered
     def call(*args, **kwargs):
         meter = _METER.get()
-        if meter is None:
-            with Budget():
-                return call(*args, **kwargs)
         values = args + tuple(kwargs.values()) if kwargs else args
         key = _Key((producer, tuple(kwargs), *map(_keyed, values)))
         entry = meter.store.get(key)
@@ -343,13 +350,14 @@ def _spair(b1: _BasisElt, b2: _BasisElt, lcm: int, ring) -> dict:
 def _module_buchberger_dicts(vecdicts, ring) -> list[_BasisElt]:
     """Buchberger's algorithm with the Gebauer-Moeller pair update and
     sugar selection, as the module docstring sets out; returns the
-    entries, a Groebner basis but not a reduced one.
+    entries, a Groebner basis but not a reduced one.  It charges the
+    open meter, which its caller, the memoized `_module_basis`, opens.
 
     An element whose lead a later lead divides is retired: it forms no
     new pairs, but it stays in the reducer list, which is only appended
     to, so the memo of `poly._Reducers` stays exact and every reduction
     picks the divisor it would pick in a list that never drops one."""
-    meter = _METER.get() or Budget()  # none open: a fresh default meter
+    meter = _METER.get()
     field = ring.field
     packer = ring.packer
     size, mask, guards, divmask = packer.size, packer.mask, packer.guards, packer.divmask
@@ -421,24 +429,17 @@ def _module_buchberger_dicts(vecdicts, ring) -> list[_BasisElt]:
         if v:
             add_element(dict(v), max(map(degree, v)))
 
-    def partial():
-        return tuple(_vec_to_polys(ring, _rank_of(G, size), b.monic()) for b in G)
-
     while queue:
         sugar, lcm, i, j = heapq.heappop(queue)
         if pairs.pop((i, j), None) is None:
             continue  # dropped by B_k after it was queued
         bi, bj = G[i], G[j]
-        meter.charge(partial)
+        meter.charge()
         s = _spair(bi, bj, lcm + ((bi.lead >> size) << size), ring)
         r = _vec_reduce(s, reducers, ring)
         if r:
             add_element(r, sugar)
     return G
-
-
-def _rank_of(G, size) -> int:
-    return max((-(k >> size) for b in G for k in b.vec), default=-1) + 1
 
 
 def _reduced_basis(G: list[_BasisElt], ring) -> list[dict]:
@@ -666,6 +667,22 @@ def _augmented(rows, ring, tagged):
             basis.append(v[:m])
             cofactors.append(v[m:])
     return tuple(basis), tuple(cofactors), tuple(syz)
+
+
+def first_syzygy_entries(rows, ring) -> IdealHandle:
+    """Ideal of the first-row coefficients a with a*rows[0] in the span
+    of rows[1:]: the first entries of the syzygies of the rows, with
+    only the first row tagged.
+
+    The row block is strongest, so the basis elements whose row block
+    vanishes are a basis of the syzygies (the elimination property of a
+    position-over-term order, Greuel-Pfister 2.8), and their one-entry
+    tails are the reduced basis of the ideal, which the handle keeps
+    with the key and cost of the module basis, never computing it again."""
+    (_basis, _cofactors, syz), charge = _paid_for(_augmented, rows, ring, 1)
+    handle = IdealHandle(ring, tuple(s[0] for s in syz))
+    handle._keep(ModuleBasis(ring, 1, syz), charge)
+    return handle
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ import itertools
 from dataclasses import dataclass
 
 from .certificates import Replayable
-from .groebner import (IdealHandle, ModuleBasis, _augmented, _paid_for, gb_hash,
-                       groebner_basis, zero_ideal)
+from .groebner import (IdealHandle, first_syzygy_entries, gb_hash, groebner_basis,
+                       zero_ideal)
 from .poly import (
     MonomialOrder,
     Polynomial,
@@ -53,23 +53,6 @@ def fresh_name(ring: RingSpec, stem: str = "t") -> str:
     return name
 
 
-def _first_syzygy_entries(rows, ring):
-    """Ideal of the first-row coefficients a with a*rows[0] in the span
-    of rows[1:]: the first entries of the syzygies of the rows, with
-    only the first row tagged.
-
-    The row block is strongest, so the basis elements whose row block
-    vanishes are a basis of the syzygies (the elimination property of a
-    position-over-term order, Greuel-Pfister 2.8), and their one-entry
-    tails are the reduced basis of the ideal.  The handle keeps that
-    basis with the key and cost of the module basis it came from, so it
-    is never computed again."""
-    (_basis, _cofactors, syz), charge = _paid_for(_augmented, rows, ring, 1)
-    handle = IdealHandle(ring, tuple(s[0] for s in syz))
-    handle._keep(ModuleBasis(ring, 1, syz), charge)
-    return handle
-
-
 def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     """I intersect J as ideals of A: the a with a*(1, 1) in I + J,
     read off the syzygies of the rows (1, 1), (g, 0) and (0, h)."""
@@ -80,7 +63,7 @@ def intersect(I: IdealHandle, J: IdealHandle) -> IdealHandle:
     rows = [(ring.one, ring.one)]
     rows += [(g, zero) for g in I.working_gens()]
     rows += [(zero, h) for h in J.working_gens()]
-    return _first_syzygy_entries(rows, ring)
+    return first_syzygy_entries(rows, ring)
 
 
 def quotient(I: IdealHandle, divisor) -> IdealHandle:
@@ -105,7 +88,7 @@ def quotient(I: IdealHandle, divisor) -> IdealHandle:
     rows = [tuple(divisors)]
     rows += [tuple(h if p == j else zero for p in range(s))
              for j in range(s) for h in I.working_gens()]
-    return _first_syzygy_entries(rows, ring)
+    return first_syzygy_entries(rows, ring)
 
 
 def _tagged(ring: RingSpec):

@@ -14,11 +14,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificates import Replayable
-from .groebner import DEFAULT_GB_STEPS, IdealHandle, memoized, zero_ideal
+from .groebner import DEFAULT_GB_STEPS, IdealHandle, memoized, metered, zero_ideal
 from .homology import conormal_presentation, projective_rank_certificate
 from .ideals import (
     DimensionReport,
@@ -133,16 +133,12 @@ def is_nzd(f: Polynomial, base: IdealHandle) -> NzdResult:
 
 @dataclass
 class RegSeqCertificate(Replayable):
-    """One colon-equality hash pair per element of the sequence.  `ideal`,
-    outside the payload, is the handle of base + sequence that the
-    properness test computed, kept so a caller reduces against its basis
-    instead of computing it again."""
+    """One colon-equality hash pair per element of the sequence."""
 
     ring: RingSpec
     base_gens: tuple
     sequence: tuple
     steps: tuple  # NzdResult per index
-    ideal: IdealHandle | None = field(default=None, repr=False, compare=False)
 
     def payload(self):
         return {
@@ -166,8 +162,7 @@ class RegSeqFailure:
 
 
 @memoized
-def is_regular_sequence(sequence, base: IdealHandle | None = None,
-                        ideal: IdealHandle | None = None):
+def is_regular_sequence(sequence, base: IdealHandle | None = None):
     """Iterated non-zerodivisor test; certificate or first failure.  The
     first step runs against `base` itself, the zero ideal when none is
     given, so a basis it already holds is not computed again.
@@ -175,9 +170,7 @@ def is_regular_sequence(sequence, base: IdealHandle | None = None,
     A regular sequence is proper: A/(base, g_1, ..., g_k) != 0 (Matsumura).
     When base + (g_1, ..., g_k) is the unit ideal the failure has index k
     and witness 1.  Each prefix's basis is the one the next step's colon
-    needs, so only the full ideal's basis is extra work, and none when
-    the caller hands in `ideal`, a handle whose generators are those of
-    base followed by the sequence: it serves as that prefix."""
+    needs, so only the full ideal's basis is extra work, none if stored."""
     sequence = tuple(sequence)
     if not sequence:
         raise InputError("empty sequence")
@@ -190,12 +183,10 @@ def is_regular_sequence(sequence, base: IdealHandle | None = None,
         if not step.nzd:
             return RegSeqFailure(k + 1, step.witness)
         steps.append(step)
-        gens = prefix.gens + (g,)
-        prefix = ideal if ideal is not None and ideal.gens == gens \
-            else IdealHandle(ring, gens)
+        prefix = IdealHandle(ring, prefix.gens + (g,))
         if prefix.is_unit():
             return RegSeqFailure(k + 1, ring.one)
-    return RegSeqCertificate(ring, base_gens, sequence, tuple(steps), prefix)
+    return RegSeqCertificate(ring, base_gens, sequence, tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +298,7 @@ class RegularizationResult(Replayable):
         return regularize_generators(I, self.generators, self.seed, self.budgets)
 
 
+@metered
 def regularize_generators(I: IdealHandle, generators, seed=0,
                           budgets=DEFAULT_BUDGETS):
     """Rearrange an n-element generating set into a regular sequence by
@@ -345,7 +337,6 @@ def regularize_generators(I: IdealHandle, generators, seed=0,
             log.append(f"step {k + 1}: zerodivisor and no trailing generators")
             return Inconclusive("no perturbation available at the last position",
                                 len(log), tuple(log))
-        found = False
         for trial in range(trials_per_step):
             coeff_deg = 0 if trial < trials_per_step // 2 else \
                 rng.randint(1, degree_cap)
@@ -368,10 +359,9 @@ def regularize_generators(I: IdealHandle, generators, seed=0,
                     seed, trial))
                 sequence.append(shifted)
                 steps.append(step)
-                found = True
                 break
             log.append(f"step {k + 1} trial {trial}: zerodivisor")
-        if not found:
+        else:
             return Inconclusive(f"no regularizing perturbation at step {k + 1}",
                                 len(log), tuple(log))
     cert = RegSeqCertificate(ring, (), tuple(sequence), tuple(steps))
@@ -507,18 +497,18 @@ class CICertificate(Replayable):
 
 
 def _try_ci_pair(I, c, d):
-    ring = I.ring
     if not c or not d:
         return None
-    pair_ideal = IdealHandle(ring, [c, d])
+    pair_ideal = IdealHandle(I.ring, [c, d])
     if not pair_ideal.equals(I):
         return None
-    reg = is_regular_sequence((c, d), ideal=pair_ideal)
+    reg = is_regular_sequence((c, d))
     if isinstance(reg, RegSeqFailure):
         return None
     return CICertificate(I.gens, (c, d), I.gb_hash(), pair_ideal.gb_hash(), reg)
 
 
+@metered
 def ci_from_free_conormal(I: IdealHandle, pair, seed=0,
                           budgets=DEFAULT_BUDGETS):
     """Upgrade a conormal basis (c, d) to an exact equality I = (c', d').
@@ -604,6 +594,7 @@ class STCIRefutation:
         return {"stage": self.stage, **self.detail}
 
 
+@metered
 def stci_verify(I: IdealHandle, pair, budgets=DEFAULT_BUDGETS):
     """Check that the pair cuts out the same radical and is regular.
 
@@ -611,8 +602,8 @@ def stci_verify(I: IdealHandle, pair, budgets=DEFAULT_BUDGETS):
     of (f, g), and most of its memberships are of elements of the other
     ideal, each one reduction; the regular-sequence test computes two
     colon ideals.  So a pair that fails both is refuted at
-    radical-equality.  The handle of (f, g) is made once and serves both
-    stages, so its basis is computed once with no basis store open."""
+    radical-equality.  Both stages run under one meter, whose store
+    serves the second the basis of (f, g) that the first computed."""
     f, g = pair
     report = dimension_height(I)
     if report.height != 2:
@@ -621,7 +612,7 @@ def stci_verify(I: IdealHandle, pair, budgets=DEFAULT_BUDGETS):
     rad = radical_equal(I, pair_ideal, e_max=budgets.e_max)
     if not isinstance(rad, RadicalEqualityCertificate):
         return STCIRefutation("radical-equality", rad.payload())
-    reg = is_regular_sequence((f, g), ideal=pair_ideal)
+    reg = is_regular_sequence((f, g))
     if isinstance(reg, RegSeqFailure):
         return STCIRefutation("regular-sequence", reg.payload())
     return STCICertificate(I.gens, (f, g), report, reg, rad)
@@ -667,6 +658,7 @@ def _row_reduced(rows, p):
 EXTENSION_DEGREES = (2, 3)  # the fields F_{p^k} of a stalled search's random pairs
 
 
+@metered
 def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS) -> SearchResult:
     """Find a regular pair with the same radical as I.
 
@@ -679,7 +671,8 @@ def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS) -> SearchResult
     on the span of c and d, so each candidate carries its coefficient
     rows over the generators and the test runs once per row-reduced
     span.  Only the first candidate that passes tries `_ci_search`'s
-    general random pairs, which are the same for every candidate.
+    general random pairs, which are the same for every candidate.  A
+    pair found is certified by `stci_verify`, from the meter's store.
 
     Then come random pairs of combinations of the generators.  Over a
     prime field, when they stall, the random pairs are drawn again over
@@ -687,9 +680,9 @@ def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS) -> SearchResult
     F_p[a]/(m(a)); each field draws from its own Random(seed), and the
     trials are summed.
     """
-    report = dimension_height(I)
-    if report.height != 2:
-        raise InputError(f"height is {report.height}, need 2")
+    height = dimension_height(I).height
+    if height != 2:
+        raise InputError(f"height is {height}, need 2")
     lci = lci_certificate(I)
     if isinstance(lci, LCIProxyCertificate) and lci.height == 2:
         # pair pool: the generators plus their pairwise sums and
@@ -717,10 +710,9 @@ def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS) -> SearchResult
             hit = _ci_search(I, (c, d), seed, budgets, general)
             general = False
             if isinstance(hit, CICertificate):
-                rad = radical_equal(I, hit.regseq.ideal, e_max=budgets.e_max)
-                if not isinstance(rad, RadicalEqualityCertificate):
-                    raise AssertionError("equal ideals with unequal radicals")
-                outcome = STCICertificate(I.gens, hit.pair, report, hit.regseq, rad)
+                outcome = stci_verify(I, hit.pair, budgets)
+                if not isinstance(outcome, STCICertificate):
+                    raise AssertionError("a complete-intersection pair fails stci")
                 return SearchResult(outcome, "conormal-basis", 0)
 
     degree_cap = budgets.degree_cap(I.gens)

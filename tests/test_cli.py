@@ -72,10 +72,10 @@ def test_step_limit_bounds_the_whole_check(monkeypatch):
     charged = 0
     charge = groebner.Budget.charge
 
-    def counting(meter, partial=None):
+    def counting(meter):
         nonlocal charged
         charged += 1
-        return charge(meter, partial)
+        return charge(meter)
 
     steps = []
     basis = groebner.module_groebner
@@ -185,9 +185,9 @@ def _charged_as_alone(session, monkeypatch, trials=Budgets.trials, every=1,
     calls, readings = [], []
     charge, leave = groebner.Budget.charge, groebner.Budget.__exit__
 
-    def counted(meter, partial=None):
+    def counted(meter):
         calls.append(None)
-        return charge(meter, partial)
+        return charge(meter)
 
     def read(meter, *exc):
         readings.append(meter.used)
@@ -294,9 +294,8 @@ def _body_runs(action):
 def test_memoized_producers_run_once_per_input():
     """In one session of the curve battery `lci` and `ci` share one lci
     certificate, `ci` and `mod-square` one generation test, `ci`, `stci`
-    and `regular-sequence (f, g)` one regular-sequence test of (f, g)
-    with the handle of (f, g), and `ext-cyclic` and `resolution` one
-    resolution."""
+    and `regular-sequence (f, g)` one regular-sequence test of (f, g),
+    and `ext-cyclic` and `resolution` one resolution."""
     runs = _body_runs(lambda: run_session(CURVE_RINGS["free"] + CURVE_BATTERY))
     assert runs == {"lci_certificate": 1, "mod_square_generation": 1,
                     "is_regular_sequence": 1, "free_resolution": 1}

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cicert import pipeline
 from cicert.groebner import BasisStore, Budget, IdealHandle, zero_ideal
 from cicert.homology import koszul2_exactness
 from cicert.ideals import quotient, saturate
@@ -413,51 +414,51 @@ def test_stci_verify_height_precondition(R3):
         stci_verify(H(R3, "x"), (R3.gen("x"), R3.gen("y")))
 
 
-def test_stci_verify_computes_the_pair_basis_once(monkeypatch, skew_lines, skew_pair):
-    """With no basis store open, the radical test reduces against the
-    basis of (f, g) that the properness test computed."""
+def _pair_runs(monkeypatch, pair):
+    """A list that counts the Buchberger runs on the ideal of `pair`."""
     from cicert import groebner
-    computed = []
-    basis = groebner.groebner_basis
+    runs = []
+    buchberger = groebner._module_buchberger_dicts
+    wanted = [groebner._vec_from_polys(f.ring, (f,)) for f in pair]
 
-    def counted(polys, ring):
-        computed.append(tuple(map(str, polys)))
-        return basis(polys, ring)
+    def counted(vecdicts, ring):
+        if vecdicts == wanted:
+            runs.append(None)
+        return buchberger(vecdicts, ring)
 
-    monkeypatch.setattr(groebner, "groebner_basis", counted)
+    monkeypatch.setattr(groebner, "_module_buchberger_dicts", counted)
+    return runs
+
+
+def test_stci_verify_computes_the_pair_basis_once(monkeypatch, skew_lines, skew_pair):
+    """With no meter open, the radical test and the regular-sequence
+    test run under one meter, and the second finds the basis of (f, g)
+    in its store."""
+    runs = _pair_runs(monkeypatch, skew_pair)
     out = stci_verify(skew_lines, skew_pair)
     assert isinstance(out, STCICertificate)
-    assert computed.count(tuple(map(str, skew_pair))) == 1
-    assert out.regseq.ideal.gens == skew_pair
-    assert "ideal" not in out.regseq.payload()
+    assert len(runs) == 1
+    assert out.regseq.sequence == skew_pair
 
 
 def test_try_ci_pair_computes_the_pair_basis_once(monkeypatch, skew_lines, skew_pair):
-    """With no basis store open, the regular-sequence test reuses the
-    basis of (c, d) that the equality with I computed."""
-    from cicert import groebner
-    computed = []
-    basis = groebner.groebner_basis
-
-    def counted(polys, ring):
-        computed.append(tuple(map(str, polys)))
-        return basis(polys, ring)
-
-    monkeypatch.setattr(groebner, "groebner_basis", counted)
+    """With no meter open, the regular-sequence test reuses the basis of
+    (c, d) that the equality with I computed, through the one meter's
+    store."""
+    runs = _pair_runs(monkeypatch, skew_pair)
     out = ci_from_free_conormal(skew_lines, skew_pair, seed=0)
     assert isinstance(out, CICertificate) and out.pair == skew_pair
-    assert computed.count(tuple(map(str, skew_pair))) == 1
-    assert out.regseq.ideal.gens == skew_pair
+    assert len(runs) == 1
+    assert out.regseq.sequence == skew_pair
 
 
 def test_a_stored_result_leaves_the_meter_where_a_rerun_would():
     """Each run makes its ring A = QQ[x,y,z,w]/(w^2 - y) apart, so the
     zero ideal, the base of both sequences, is first used inside the
-    call.  The hit of the second run hands back the first run's `ideal`
-    handle, equal to the caller's, and pays the bases the first run
-    paid for, A's zero ideal among them: after the later uses of the
-    caller's handle, the stored one and A's zero ideal the meter reads
-    what it reads with a fresh store."""
+    call.  The hit of the second run pays the bases the first run paid
+    for, A's zero ideal among them: after the later uses of a handle of
+    the pair and of A's zero ideal the meter reads what it reads with a
+    fresh store."""
     bare = RingSpec(("x", "y", "z", "w"), QQ)
     pair = ("y - x^2", "z - x^3")
 
@@ -466,12 +467,11 @@ def test_a_stored_result_leaves_the_meter_where_a_rerun_would():
         seq = tuple(map(A.parse, pair))
         with Budget(store=store) as meter:
             given = IdealHandle(A, seq)
-            with_ideal = is_regular_sequence(seq, ideal=given)
-            plain = is_regular_sequence(seq[::-1])
-            assert with_ideal.ideal.gens == given.gens and plain.ideal is not given
-            for handle in (given, plain.ideal, zero_ideal(A)):
+            forward = is_regular_sequence(seq)
+            backward = is_regular_sequence(seq[::-1])
+            for handle in (given, zero_ideal(A)):
                 handle.groebner()
-        return meter.used, with_ideal.payload(), plain.payload()
+        return meter.used, forward.payload(), backward.payload()
 
     store = BasisStore()
     first = run(store)
@@ -493,7 +493,6 @@ def test_stci_search_tests_each_candidate_span_once(monkeypatch, skew_lines):
     span 4 ideals, since (a, a - b) and (a, a + b) span the same ideal
     as (a, b): 4 mod-square tests, and the same certificate as a test
     of every candidate gives."""
-    from cicert import pipeline
     tested = []
     real = pipeline.mod_square_generation
 
@@ -513,7 +512,6 @@ def test_stci_search_tries_the_general_pairs_once(monkeypatch, skew_lines):
     """_ci_search's general random pairs are the same for every
     candidate, so only the first candidate that passes mod-square tries
     them: 1 + 4 pairs for it and 1 + 2 for the second, at 4 trials."""
-    from cicert import pipeline
     tried = []
     monkeypatch.setattr(pipeline, "_try_ci_pair",
                         lambda I, c, d: tried.append((c, d)))
@@ -668,3 +666,25 @@ def test_principal_powers_strictly_decrease(R3, skew_pair):
         assert prev.contains_ideal(nxt)
         assert not nxt.contains_ideal(prev)
         prev = nxt
+
+
+@pytest.mark.parametrize("entry", ["stci_verify", "ci_from_free_conormal", "stci_search",
+                                   "regularize_generators"])
+def test_a_library_call_runs_under_one_meter(monkeypatch, R3, skew_pair, entry):
+    """Called with no meter open, a search or verification opens one
+    default meter for the whole call, and its bases are shared by value
+    through that meter's store."""
+    from cicert import groebner
+    opened = []
+    enter = groebner.Budget.__enter__
+
+    def counted(meter):
+        opened.append(meter)
+        return enter(meter)
+
+    monkeypatch.setattr(groebner.Budget, "__enter__", counted)
+    I = H(R3, "x^2 - x", "x*y - y", "x*z", "y*z")  # the skew lines, made afresh
+    args = {"stci_verify": (I, skew_pair), "ci_from_free_conormal": (I, skew_pair),
+            "stci_search": (I,), "regularize_generators": (I, I.gens)}[entry]
+    getattr(pipeline, entry)(*args)
+    assert len(opened) == 1 and opened[0].limit == groebner.DEFAULT_GB_STEPS
