@@ -797,6 +797,11 @@ def _vec_reduce(work: dict, basis: _Reducers, ring, exact: bool = False) -> dict
     stays in `work` as a zero, skipped when popped, so each term is
     queued once, and its key is checked for overflow then.
 
+    Each tail term probes `work` once, with `get`.  That is exact: a
+    tail key lies below the popped key, and keys pop in descending
+    order, so it was never popped, and `get` finds no value only for a
+    key that was never queued.
+
     Over QQ the input's denominators are cleared once.  A popped
     coefficient c is cancelled by an entry with lead coefficient lc as
     m * work - (c / g) * shift * tail, with g = gcd(lc, c) and
@@ -815,6 +820,7 @@ def _vec_reduce(work: dict, basis: _Reducers, ring, exact: bool = False) -> dict
     n = len(elts)
     # over GF(p) every coefficient is an int already
     work, scale = (work, 1) if p else _cleared(work)
+    get = work.get
     heap = [-k for k in work]  # a min-heap of negated keys pops the largest
     heapq.heapify(heap)
     remainder = {}
@@ -851,15 +857,17 @@ def _vec_reduce(work: dict, basis: _Reducers, ring, exact: bool = False) -> dict
                 for k in remainder:
                     remainder[k] *= m
         shift = key - hit.lead
+        coeff = -coeff
         for k2, c2 in hit.tail:
             k2 += shift
-            if k2 not in work:
+            old = get(k2)
+            if old is None:
                 if k2 & guards:
                     raise ExponentOverflowError()
                 heappush(heap, -k2)
-                work[k2] = -coeff * c2
+                work[k2] = coeff * c2
             else:
-                work[k2] -= coeff * c2
+                work[k2] = old + coeff * c2
     if exact and scale != 1:
         return {k: _integral(Fraction(c, scale)) for k, c in remainder.items()}
     return remainder
@@ -975,22 +983,26 @@ def tokenize(text: str) -> list[Token]:
     PolyParseError at a character that starts no token."""
     tokens = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise PolyParseError(f"unexpected character {text[pos]!r}", pos)
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:  # the search skipped a character
+            break
         kind = m.lastgroup
+        end = m.end()
         if kind != "skip":
-            value = int(m.group()) if kind == "int" else m.group()
-            tokens.append(Token(kind, value, pos, m.end()))
-        pos = m.end()
+            value = m.group()
+            tokens.append(Token(kind, int(value) if kind == "int" else value, pos, end))
+        pos = end
+    if pos != len(text):
+        raise PolyParseError(f"unexpected character {text[pos]!r}", pos)
     return tokens
 
 
 def parse_expression(ring, tokens, i, names) -> tuple[Polynomial, int]:
     """Parse one expression of `ring` from tokens[i]: it ends at the
     first token that cannot continue it, whose index is returned with
-    the value."""
+    the value.  A term that is a monomial run, such as `-3*x^2*y`, is
+    read straight into one packed term; every other term takes the
+    general grammar, and either way the value is the same."""
     parser = _ExprParser(ring, tokens, i, names)
     return parser.expr(), parser.i
 
@@ -1008,6 +1020,16 @@ class _ExprParser:
     entries of the supplied name table.  Parentheses nest at most
     PAREN_DEPTH_LIMIT deep; a run of signs is folded in a loop, so no
     input recurses deeper than that.
+
+    A term first tries a monomial run (`monomial_run`): optional signs,
+    then nonzero integers and ring variables, each variable with an
+    optional `^int`, joined by `*`.  The run becomes one exponent vector
+    and one coefficient, so one `RingSpec.monomial`.  Any other term
+    takes the general path, factor by factor, with nothing consumed: one
+    that holds a session name, `(`, `/`, a zero coefficient, `^` after
+    an integer or after `^int`, or a sign after `*`.  Both paths give
+    the same value or raise the same error.  An expression adds its
+    terms into one raw dict and normalises it once.
     """
 
     def __init__(self, ring, tokens, i, names):
@@ -1034,13 +1056,68 @@ class _ExprParser:
 
     def expr(self) -> Polynomial:
         value = self.term()  # a leading sign is a factor's
+        if not self.at_op("+-"):
+            return value
+        acc = dict(value.vec)
+        get = acc.get
         while self.at_op("+-"):
-            op = self.take().value
-            rhs = self.term()
-            value = value - rhs if op == "-" else value + rhs
-        return value
+            if self.take().value == "-":
+                for k, c in self.term().vec.items():
+                    acc[k] = get(k, 0) - c
+            else:
+                for k, c in self.term().vec.items():
+                    acc[k] = get(k, 0) + c
+        return self.ring._from_keys(acc)
+
+    def monomial_run(self) -> Polynomial | None:
+        """The term at the current token when it is a monomial run, else
+        None with nothing consumed.  A zero coefficient is left to the
+        general path: with every coefficient nonzero, the general path
+        raises ExponentOverflowError exactly when the whole product is
+        past EXPONENT_LIMIT, which is when `monomial` raises it."""
+        tokens, i, n = self.tokens, self.i, len(self.tokens)
+        ring = self.ring
+        p = ring.field.characteristic
+        var_index = ring._var_index
+        exps = [0] * len(var_index)
+        coeff = 1
+        while i < n and tokens[i].value in ("+", "-"):
+            if tokens[i].value == "-":
+                coeff = -coeff
+            i += 1
+        while i < n:
+            kind, val, _, _ = tokens[i]
+            i += 1
+            if kind == "int":
+                if not (val % p if p else val):
+                    return None
+                coeff *= val
+                if i < n and tokens[i].value == "^":
+                    return None
+            elif kind == "name" and val in var_index:
+                e = 1
+                if i < n and tokens[i].value == "^":
+                    if i + 1 == n or tokens[i + 1].kind != "int":
+                        return None
+                    e = tokens[i + 1].value
+                    i += 2
+                    if i < n and tokens[i].value == "^":
+                        return None
+                exps[var_index[val]] += e
+            else:
+                return None
+            if i == n or tokens[i].value != "*":
+                if i < n and tokens[i].value == "/":
+                    return None
+                self.i = i
+                return ring.monomial(exps, coeff)
+            i += 1
+        return None  # a trailing `*`
 
     def term(self) -> Polynomial:
+        value = self.monomial_run()
+        if value is not None:
+            return value
         value = self.factor()
         while self.at_op("*/"):
             op = self.take()

@@ -293,6 +293,24 @@ def test_spair_counts_pinned(family, n, field, order, steps, size, digest):
     assert (b.used, len(basis), gb_hash(R, basis)) == (steps, size, "sha256:" + digest)
 
 
+def test_quartic_search_basis_pinned():
+    # The second dearest basis of the 4-trial rational quartic search at
+    # seed 1, over F125 = F5[a]/(a^3 + a + 1).  A signature core that
+    # dropped a reduction result top-reducible by a reducer of equal
+    # signature monomial returned 21 elements here, not a Groebner basis,
+    # while every benchmark hash stayed the same.
+    bare = RingSpec(("u", "q", "h", "e", "a"), GF(5))
+    S = bare.quotient([bare.parse("a^3 + a + 1")])
+    J = IdealHandle(S, [
+        "3*u*q*h*e*a + 2*u^2*e^2*a + 2*q^4 + 3*u^2*q*h + q*h^3 + 4*q^2*e^2"
+        " + 3*q^3 + 2*u^2*h + 3*q*h*a + 2*u*e*a",
+        "4*h^4*e*a + q*h*e^3*a + 2*q*h^3*a + 3*q^2*e^2*a + 2*u*h^2 + 3*q^2*e"])
+    with Budget() as b:
+        basis = J.groebner()
+    assert (b.used, len(basis), gb_hash(S, basis)) == (60, 22, "sha256:"
+        "66f7dae7cc105a64d59cb7cae4256c97264f9bc99ab75a3f854c2165b37a9cd3")
+
+
 def test_lex_cyclic5_within_300_steps():
     # Pairs whose lcm another pair's divides are dropped when an element
     # joins, and the pair of least sugar goes first, so the lex basis

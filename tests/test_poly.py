@@ -475,6 +475,202 @@ def test_parse_env_names(R):
     assert R.parse("c + y", names={"c": f}) == f + R.gen("y")
 
 
+# The parser against the operators: a generated expression tree is
+# printed as text and, in the parser's order of evaluation, built with
+# `gen`, `constant` and the operators.  `parse` must give the same terms
+# in the same order, or raise the same exception with the same message.
+
+_signs = st.sampled_from(["", "", "", "-", "+", "--", "-+-"])
+
+
+def _ints(p):
+    return st.sampled_from([0, 1, 2, 3, 7, 10**30 + 1] + ([p, 2 * p] if p else []))
+
+
+@st.composite
+def _factor_trees(draw, p, depth):
+    """(signs, (kind, value), exponents).  Only a variable takes
+    exponents near 2^31, and a second `^`: elsewhere they would expand
+    polynomials far too large to build."""
+    kinds = ["int", "var", "var", "var", "name"] + (["paren"] if depth < 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    small = st.lists(st.sampled_from([0, 1, 2, 3]), max_size=1)
+    if kind == "int":
+        value, exps = draw(_ints(p)), small
+    elif kind == "var":
+        value = draw(st.sampled_from(["x", "y", "z"]))
+        exps = st.lists(st.sampled_from([0, 1, 2, 3, EXPONENT_LIMIT, EXPONENT_LIMIT + 1]),
+                        max_size=2)
+    elif kind == "name":
+        value, exps = draw(st.sampled_from(["f", "g"])), small
+    else:
+        value, exps = draw(_sum_trees(p, depth + 1)), small
+    return draw(_signs), (kind, value), draw(exps)
+
+
+@st.composite
+def _term_trees(draw, p, depth):
+    """[(None or '*' or '/', factor)]; a divisor is a signed integer."""
+    factors = [(None, draw(_factor_trees(p, depth)))]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.integers(0, 3)):
+            factors.append(("*", draw(_factor_trees(p, depth))))
+        else:
+            factors.append(("/", (draw(_signs), ("int", draw(_ints(p))), [])))
+    return factors
+
+
+@st.composite
+def _sum_trees(draw, p, depth=0):
+    """[(None or '+' or '-', term)]."""
+    n = draw(st.integers(1, 3))
+    return [(None if k == 0 else draw(st.sampled_from("+-")), draw(_term_trees(p, depth)))
+            for k in range(n)]
+
+
+def _negated(signs):
+    return signs.count("-") % 2 == 1
+
+
+class _Printed:
+    """The text of an expression tree, and the value that the operators
+    give it, as a function that raises what the parser should."""
+
+    def __init__(self, ring, names):
+        self.ring, self.names, self.text = ring, names, ""
+
+    def emit(self, s):
+        start = len(self.text)
+        self.text += s
+        return start
+
+    def sum(self, tree, cut=None):
+        """`cut` = (k, token) juxtaposes the token after term k, where
+        the parse stops."""
+        terms, stop = [], None
+        for k, (op, term) in enumerate(tree):
+            if op:
+                self.emit(f" {op} ")
+            terms.append((op, self.term(term)))
+            if cut and cut[0] == k:
+                self.emit(" ")
+                stop = (k, cut[1], self.emit(cut[1]))
+
+        def value():
+            total = terms[0][1]()
+            for op, term in terms[1:stop[0] + 1 if stop else None]:
+                total = total - term() if op == "-" else total + term()
+            if stop:
+                token = int(stop[1]) if stop[1].isdigit() else stop[1]
+                raise PolyParseError(f"unexpected token {token!r}", stop[2])
+            return total
+        return value
+
+    def term(self, tree):
+        factors = []
+        for op, factor in tree:
+            factors.append((op, self.emit(op) if op else None, factor, self.factor(factor)))
+
+        def value():
+            p = self.ring.field.characteristic
+            product = factors[0][3]()
+            for op, pos, (signs, (_, n), _), factor in factors[1:]:
+                rhs = factor()
+                if op == "*":
+                    product = product * rhs
+                else:
+                    c = -n if _negated(signs) else n
+                    if not (c % p if p else c):
+                        raise PolyParseError("division only by a nonzero constant", pos)
+                    product = product * Fraction(1, c)
+            return product
+        return value
+
+    def factor(self, tree):
+        signs, (kind, v), exps = tree
+        self.emit(signs)
+        if kind == "paren":
+            self.emit("(")
+            inner = self.sum(v)
+            self.emit(")")
+        else:
+            self.emit(str(v))
+        for e in exps:
+            self.emit(f"^{e}")
+
+        def value():
+            if kind == "int":
+                f = self.ring.constant(v)
+            elif kind == "var":
+                f = self.ring.gen(v)
+            elif kind == "name":
+                f = self.names[v]
+            else:
+                f = inner()
+            for e in exps:
+                f = f**e
+            return -f if _negated(signs) else f
+        return value
+
+
+def _outcome(make):
+    try:
+        f = make()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(k, type(c), c) for k, c in f.vec.items()]
+
+
+def _parse_ring(p, order):
+    ring = RingSpec(("x", "y", "z"), GF(p) if p else QQ, MonomialOrder(order))
+    x, y = ring.gen("x"), ring.gen("y")
+    # a session name never shadows a ring variable
+    return ring, {"f": x * y - 1, "g": ring.zero, "x": y + 1}
+
+
+@given(data=st.data(), p=st.sampled_from([0, 2, 3, 32003]),
+       order=st.sampled_from(["grevlex", "lex"]))
+@settings(max_examples=300, deadline=None)
+def test_parse_matches_operators(data, p, order):
+    ring, names = _parse_ring(p, order)
+    tree = data.draw(_sum_trees(p))
+    cut = data.draw(st.none() | st.tuples(st.integers(0, len(tree) - 1),
+                                          st.sampled_from(["y", "5", "(", "f"])))
+    printed = _Printed(ring, names)
+    expected = printed.sum(tree, cut)
+    assert _outcome(lambda: ring.parse(printed.text, names)) == _outcome(expected)
+
+
+def _raise(exc):
+    raise exc
+
+
+@pytest.mark.parametrize("p", [0, 3])
+@pytest.mark.parametrize("text, build", [
+    ("x^2147483648", lambda R, x, y, f: x**2147483648),
+    ("x^2147483647*x", lambda R, x, y, f: x**2147483647 * x),
+    ("x^2147483647*y", lambda R, x, y, f: x**2147483647 * y),
+    ("0*x^2147483647*x", lambda R, x, y, f: R.zero),
+    ("x^2147483647*x*0", lambda R, x, y, f: x**2147483647 * x),
+    ("2^3*x", lambda R, x, y, f: R.constant(2)**3 * x),
+    ("-x*-y", lambda R, x, y, f: -x * -y),
+    ("x^2^3", lambda R, x, y, f: (x**2)**3),
+    ("3*x", lambda R, x, y, f: R.constant(3) * x),
+    ("x y", lambda R, x, y, f: _raise(PolyParseError("unexpected token 'y'", 2))),
+    ("x*f", lambda R, x, y, f: x * f),
+    ("2*x/2", lambda R, x, y, f: R.constant(2) * x * Fraction(1, 2)),
+    ("x^03", lambda R, x, y, f: x**3),
+    ("123456789012345678901234567890*x",
+     lambda R, x, y, f: R.constant(123456789012345678901234567890) * x),
+    ("x*", lambda R, x, y, f: _raise(PolyParseError("expected a value", 2))),
+])
+def test_parse_edge_cases_match_operators(text, build, p):
+    ring, names = _parse_ring(p, "grevlex")
+    x, y = ring.gen("x"), ring.gen("y")
+    expected = _outcome(lambda: build(ring, x, y, names["f"]))
+    assert _outcome(lambda: ring.parse(text, names)) == expected
+
+
 def test_qq_results_are_ints_or_fractions(R):
     """Over QQ every sum, difference, product, scaling and quotient holds
     an int where its value is integral and a Fraction elsewhere, never a
