@@ -58,10 +58,10 @@ One augmented-module primitive, `_augmented`, serves every construction
 that needs more than a basis: it appends unit-vector tails to the
 generators, computes one basis, and splits it into the basis proper, the
 cofactors (tails of elements with a nonzero leading block) and the
-syzygies (tails of elements whose leading block vanishes).  Module
-bases, syzygies and the cofactor-tracking extended basis are calls of
-it, and so is `first_syzygy_entries`, behind the colon ideals and
-intersections of `cicert.ideals`.
+syzygies (tails of elements whose leading block vanishes).  Syzygies
+and the cofactor-tracking extended basis are calls of it, and so is
+`first_syzygy_entries`, behind the colon ideals and intersections of
+`cicert.ideals`.
 
 Work is metered by one scoped step counter, `Budget`: every S-pair
 reduction charges the innermost meter opened with `with Budget(limit):`,
@@ -100,19 +100,19 @@ whose checks ran last and goes when that session is dropped or a check
 of another session runs, and a meter lets go of its store when its
 block ends.
 
-A reduced basis kept for reduction lives in one holder, `ModuleBasis`,
-which builds its reduction entries once, when it is made; `IdealHandle`
-and `ExtendedGB` reduce through one.  A cached `IdealHandle` basis
-keeps the key and cost of the basis it came from, and each use pays
-them to the open meter.
+A module basis is stored as its one holder, `ModuleBasis`: equal
+handles, `module_gb` and `ExtendedGB` reduce through it, and a handle
+pays the basis's key and cost to the open meter on each use.  Only
+`first_syzygy_entries`, `quotient_ring` and `module_normal_form` make
+holders of their own, for bases the store keeps under no key of theirs.
 
 Quotient rings A = k[x]/J0 are handled uniformly: ideal computations
 append the J0 generators, module computations append J0 multiples of
 the free-module basis vectors (`_base_rows`).  Each ring object has one
 zero ideal, `zero_ideal(ring)`, so J0's basis is computed once per ring.
 The zero ideal of A/I, made by `quotient_ring(I)`, is I itself: the
-reduced basis of J0 + I is unique, so the new ring takes over I's basis
-and its key and cost instead of computing it again.
+reduced basis of J0 + I is unique, so the new ring takes over I's basis,
+rehomed, and its key and cost instead of computing it again.
 """
 
 from __future__ import annotations
@@ -493,15 +493,24 @@ def module_groebner(vectors, ring):
             if f.ring != ring:
                 raise RingMismatchError("module element from a different ring")
     basis = _module_basis(ring, vectors, rank)
-    if basis and basis[0][0].ring is not ring:  # stored for an equal ring made apart
-        basis = tuple(tuple(Polynomial(ring, f.vec) for f in v) for v in basis)
-    return basis
+    if basis.ring is not ring:  # stored for an equal ring made apart
+        return tuple(tuple(Polynomial(ring, f.vec) for f in v) for v in basis.vectors)
+    return basis.vectors
 
 
 @memoized
 def _module_basis(ring, vectors, rank):
     G = _module_buchberger_dicts([_vec_from_polys(ring, v) for v in vectors], ring)
-    return tuple(_vec_to_polys(ring, rank, v) for v in _reduced_basis(G, ring))
+    return ModuleBasis(ring, rank, (_vec_to_polys(ring, rank, v) for v in _reduced_basis(G, ring)))
+
+
+@metered
+def _stored(compute, rows, ring, *rest):
+    """(compute(rows, ring, *rest), the stored holder of the one basis it
+    computes or an empty rank-1 one for no rows, the (key, cost) paid)."""
+    result, charge = _paid_for(compute, rows, ring, *rest)
+    holder = _METER.get().store[charge[0][0]][0] if charge else ModuleBasis(ring, 1, ())
+    return result, holder, charge
 
 
 def groebner_basis(polys, ring):
@@ -523,12 +532,13 @@ def module_normal_form(vec, basis_vectors, ring):
 class IdealHandle:
     """An ideal of A = k[x]/J0: generators plus a cached reduced basis.
 
-    The basis is computed once per handle (the ring's order is fixed)
-    and kept in a rank-1 `ModuleBasis`, with the key and cost of the
-    basis it came from, which each use pays to the open meter: a meter
-    pays for a basis once, however many handles hold it.  Concurrent
-    readers are safe: the computation is deterministic and `_gb` is
-    assigned last, so a duplicated computation writes identical values.
+    The basis is computed once per handle (the ring's order is fixed) and
+    kept in its stored `ModuleBasis`, shared by equal handles and
+    self-checked by the first, with the key and cost of the basis, which
+    each use pays to the open meter: a meter pays for a basis once,
+    however many handles hold it.  Concurrent readers are safe: the
+    computation is deterministic and `_gb` is assigned last, so a
+    duplicated computation writes identical values.
     """
 
     def __init__(self, ring: RingSpec, gens):
@@ -542,9 +552,8 @@ class IdealHandle:
             coerced.append(g)
         self.gens = tuple(coerced)
         self._gb = None
-        self._basis = None  # the ModuleBasis of _gb
+        self._holder = None  # the ModuleBasis that _gb is the basis of
         self._charge = ()  # the (key, cost) of the basis _gb came from, if any
-        self._gb_hash = None  # gb_hash of _gb, which never changes once set
 
     def __repr__(self):
         return f"<Ideal ({', '.join(str(g) for g in self.gens)}) of {self.ring.describe()}>"
@@ -554,14 +563,14 @@ class IdealHandle:
 
     def groebner(self):
         if self._gb is None:
-            gb, charge = _paid_for(groebner_basis, self.working_gens(), self.ring)
-            basis = ModuleBasis(self.ring, 1, [(g,) for g in gb])
-            # self-check: every input generator must reduce to zero
-            for g in self.working_gens():
-                if not basis.reduce((g,))[0].is_zero:
-                    raise AssertionError(
-                        f"generator {g} does not reduce against its own basis")
-            self._keep(basis, charge)
+            gb, holder, charge = _stored(groebner_basis, self.working_gens(), self.ring)
+            if not holder._checked:  # self-check: every input generator must reduce to zero
+                for g in self.working_gens():
+                    if not holder.reduce((g,))[0].is_zero:
+                        raise AssertionError(
+                            f"generator {g} does not reduce against its own basis")
+                holder._checked = True
+            self._keep(holder, charge, gb)
         else:
             meter = _METER.get()
             if meter is not None:
@@ -569,17 +578,17 @@ class IdealHandle:
                     meter.pay(key, cost)
         return self._gb
 
-    def _keep(self, basis: "ModuleBasis", charge):
-        self._basis = basis
+    def _keep(self, holder: "ModuleBasis", charge, gb):
+        self._holder = holder
         self._charge = charge
-        self._gb = tuple(v[0] for v in basis.vectors)
+        self._gb = gb
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
             raise RingMismatchError("element from a different ring")
         if not self.groebner():
             return f
-        return self._basis.reduce((f,))[0]
+        return self._holder.reduce((f,))[0]
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero
@@ -602,9 +611,9 @@ class IdealHandle:
 
     def gb_hash(self) -> str:
         basis = self.groebner()  # charges the open meter, as every use does
-        if self._gb_hash is None:
-            self._gb_hash = gb_hash(self.ring, basis)
-        return self._gb_hash
+        if self._holder._hash is None:  # once per holder
+            self._holder._hash = gb_hash(self.ring, basis)
+        return self._holder._hash
 
 
 def zero_ideal(ring: RingSpec) -> IdealHandle:
@@ -616,13 +625,12 @@ def zero_ideal(ring: RingSpec) -> IdealHandle:
 
 
 def quotient_ring(I: IdealHandle) -> RingSpec:
-    """The ring A/I.  Its zero ideal takes over I's basis, rehomed, with
-    the key and cost of the basis it came from: the reduced basis of
-    J0 + I is unique, so it is never computed again."""
-    gb = I.groebner()
+    """The ring A/I.  Its zero ideal takes over I's basis, rehomed into a
+    holder of its own, with the key and cost of the basis it came from:
+    the reduced basis of J0 + I is unique, so it is never computed again."""
     ring = I.ring.quotient(I.gens)
-    basis = ModuleBasis(ring, 1, [(ring.rehome(g),) for g in gb])
-    zero_ideal(ring)._keep(basis, I._charge)
+    gb = tuple(ring.rehome(g) for g in I.groebner())
+    zero_ideal(ring)._keep(ModuleBasis(ring, 1, [(g,) for g in gb]), I._charge, gb)
     return ring
 
 
@@ -681,7 +689,7 @@ def first_syzygy_entries(rows, ring) -> IdealHandle:
     with the key and cost of the module basis, never computing it again."""
     (_basis, _cofactors, syz), charge = _paid_for(_augmented, rows, ring, 1)
     handle = IdealHandle(ring, tuple(s[0] for s in syz))
-    handle._keep(ModuleBasis(ring, 1, syz), charge)
+    handle._keep(ModuleBasis(ring, 1, syz), charge, handle.gens)
     return handle
 
 
@@ -690,33 +698,37 @@ def first_syzygy_entries(rows, ring) -> IdealHandle:
 
 
 class ModuleBasis:
-    """A reduced basis of a submodule of A^rank, and the one holder of
-    reduction entries: they are built once, when the holder is made, and
-    every normal form against a cached basis goes through `reduce`.  The
-    entries never change, so the memo of their `_Reducers` list stays
-    exact and lives as long as the holder: a handle that reduces many
-    elements looks up each term's divisor once.  Each key has one value
-    there, so concurrent reductions may share the memo."""
+    """A reduced basis of a submodule of A^rank and the one holder of its
+    reduction entries, built by the first `reduce`, which answers in the
+    ring of the vector reduced.  Their memo lives as long as the holder,
+    so each reduction looks up a term's divisor once; each key has one
+    value there, so concurrent reductions may share it.  `_checked`
+    records a passed handle self-check, `_hash` the handles' `gb_hash`."""
 
-    __slots__ = ("ring", "rank", "vectors", "_reducers")
+    __slots__ = ("ring", "rank", "vectors", "_reducers", "_checked", "_hash")
 
     def __init__(self, ring: RingSpec, rank: int, vectors):
         self.ring = ring
         self.rank = rank
         self.vectors = tuple(vectors)
-        self._reducers = _Reducers(
-            _BasisElt(_primitive(ring.field, _vec_from_polys(ring, v))) for v in self.vectors)
+        self._reducers = None
+        self._checked = False
+        self._hash = None
 
     def reduce(self, vec):
-        r = _vec_reduce(_vec_from_polys(self.ring, vec), self._reducers, self.ring, exact=True)
-        return _vec_to_polys(self.ring, self.rank, r)
+        ring = vec[0].ring
+        if self._reducers is None:
+            self._reducers = _Reducers(
+                _BasisElt(_primitive(ring.field, _vec_from_polys(ring, v))) for v in self.vectors)
+        r = _vec_reduce(_vec_from_polys(ring, vec), self._reducers, ring, exact=True)
+        return _vec_to_polys(ring, self.rank, r)
 
     def contains(self, vec) -> bool:
         return all(f.is_zero for f in self.reduce(vec))
 
 
 def module_gb(vectors, ring) -> ModuleBasis:
-    """Reduced basis of the A-submodule generated by `vectors`.
+    """The stored reduced basis of the A-submodule generated by `vectors`.
 
     Quotient structure enters by appending J0 multiples of the free
     basis vectors, so `contains` answers membership over A.
@@ -725,8 +737,7 @@ def module_gb(vectors, ring) -> ModuleBasis:
     if not vectors:
         raise ValueError("module_gb needs at least one generator to fix the rank")
     rank = len(vectors[0])
-    basis = _augmented(vectors + _base_rows(ring, rank), ring, 0)[0]
-    return ModuleBasis(ring, rank, basis)
+    return _stored(module_groebner, vectors + _base_rows(ring, rank), ring)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -772,24 +783,15 @@ def syzygies(targets):
 class ExtendedGB:
     """Reduced basis of (gens + J0) with exact cofactor bookkeeping.
 
-    Every basis element b satisfies b = sum(cofactors * inputs) exactly
-    in the free ring, where inputs = user generators followed by the
-    base ideal generators.  express() writes any ring element as
-    normal form plus such a combination, reducing through one
-    `ModuleBasis` of the vectors (b | cofactors) and (0 | syzygy).
+    `augmented` is the stored `ModuleBasis` of the vectors (b | cofactors)
+    and (0 | syzygy): b = sum(cofactors * inputs) exactly in the free
+    ring, where inputs = user generators followed by the base ideal
+    generators.  express() reduces through it to write any ring element
+    as normal form plus such a combination.
     """
 
-    ring: RingSpec
     inputs: tuple
-    basis: tuple
-    cofactors: tuple
-    full_syzygies: tuple
-    augmented: ModuleBasis = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        vecs = [(b,) + cof for b, cof in zip(self.basis, self.cofactors)]
-        vecs += [(self.ring.zero,) + row for row in self.full_syzygies]
-        self.augmented = ModuleBasis(self.ring, 1 + len(self.inputs), vecs)
+    augmented: ModuleBasis = field(repr=False, compare=False)
 
     def express(self, f: Polynomial):
         """Return (remainder, coeffs) with f = remainder + sum(coeffs*inputs)."""
@@ -805,16 +807,13 @@ class ExtendedGB:
 
 
 def extended_groebner(gens, ring) -> ExtendedGB:
-    gens = tuple(gens)
     rows = [(g,) for g in gens] + _base_rows(ring, 1)
     inputs = tuple(row[0] for row in rows)
-    basis, cofs, syz = _augmented(rows, ring, len(rows))
-    scalar = tuple(v[0] for v in basis)
-    ext = ExtendedGB(ring, inputs, scalar, cofs, syz)
-    for b, cof in zip(scalar, cofs):
+    (basis, cofs, _syz), augmented, _charge = _stored(_augmented, rows, ring, len(rows))
+    for (b,), cof in zip(basis, cofs):
         total = ring.zero
         for c, g in zip(cof, inputs):
             total = total + c * g
         if total != b:
             raise AssertionError("basis cofactor identity failed")
-    return ext
+    return ExtendedGB(inputs, augmented)

@@ -129,3 +129,16 @@ def test_benchmark_spair_counts_pinned():
     totals = [line for line in out.stdout.splitlines() if "/total " in line]
     assert totals == ["gb-families/total 446 288 0", "curve-checks/total 942 330 88",
                       "stci-search/total 480 253 4", "untimed/total 1705 1104 0"]
+
+
+def test_benchmark_bytecode_counts_repeat():
+    """`tools/bytecodes.py`: one count per check, which sum to the pass's
+    and repeat exactly from run to run."""
+    command = [sys.executable, str(TOOLS / "bytecodes.py"), "--seed", "1",
+               "--workload", "stci-search"]
+    first, again = (subprocess.run(command, capture_output=True, text=True, check=True).stdout
+                    for _ in range(2))
+    assert first == again
+    *checks, total = first.splitlines()
+    assert checks and all(line.startswith("stci-search/") for line in checks)
+    assert total == f"stci-search/pass {sum(int(line.split()[1]) for line in checks)}"

@@ -6,6 +6,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cicert import groebner
 from cicert.groebner import (
     BasisStore,
     Budget,
@@ -121,6 +122,10 @@ def test_store_reuses_a_basis_at_its_cost():
         # polynomials; the basis has the same key, so it is paid once
         again = groebner_basis([B.parse(g) for g in gens], B)
         assert meter.used == cost > 0 and len(meter.store) == 1
+        # the entry is the basis's holder, which builds its reduction
+        # entries only when something reduces against it
+        ((holder, _paid),) = meter.store.values()
+    assert holder.vectors == tuple((g,) for g in first) and holder._reducers is None
     assert again == first and all(g.ring is B for g in again)
     assert meter.store is None  # a closed meter holds no store
     # with a store open a hit past the limit runs out as a recomputation does
@@ -129,6 +134,72 @@ def test_store_reuses_a_basis_at_its_cost():
         groebner_basis([A.parse(g) for g in gens], A)
     with pytest.raises(BudgetExceededError), Budget(cost - 1, store=store):
         groebner_basis([A.parse(g) for g in gens], A)
+
+
+def test_equal_handles_share_the_stored_holder(monkeypatch):
+    """Under one store, a handle of equal generators, over the same ring
+    or an equal one made apart, takes the holder the first handle took
+    and checked: it builds no holder and reduces nothing, and what it
+    hands out is of its own ring."""
+    bare = RingSpec(("x", "y", "z"), QQ)
+    A, B = (bare.quotient([bare.parse("x*z - y^2")]) for _ in range(2))
+    gens = ("x^3 - y*z", "z^2 - x^2*y")
+    with Budget(store=BasisStore()):
+        first = IdealHandle(A, gens)
+        first.groebner()
+        holder = first._holder
+        assert holder._checked and holder._reducers is not None
+        built, reduced = [], []
+        init, reduce = ModuleBasis.__init__, groebner._vec_reduce
+        monkeypatch.setattr(ModuleBasis, "__init__",
+                            lambda *args: built.append(args) or init(*args))
+        monkeypatch.setattr(groebner, "_vec_reduce",
+                            lambda *args, **kw: reduced.append(args) or reduce(*args, **kw))
+        same, apart = IdealHandle(A, gens), IdealHandle(B, gens)
+        assert same.groebner() == apart.groebner() == first.groebner()
+        assert same._holder is apart._holder is holder
+        assert built == [] and reduced == []
+        monkeypatch.undo()
+    assert all(g.ring is B for g in apart.groebner())
+    remainder = apart.normal_form(B.parse("x^4 + y"))
+    assert remainder == first.normal_form(A.parse("x^4 + y")) and remainder.ring is B
+    assert apart.gb_hash() == first.gb_hash() == gb_hash(A, first.groebner())
+
+
+def test_self_check_runs_until_a_handle_passes_it(monkeypatch):
+    """A holder records only a passed self-check: against a wrong basis
+    every handle that takes it checks again and fails."""
+    R = RingSpec(("x", "y", "z"), QQ)
+    reduced = groebner._reduced_basis
+    monkeypatch.setattr(groebner, "_reduced_basis", lambda G, ring: reduced(G, ring)[1:])
+    with Budget(store=BasisStore()) as meter:
+        for _ in range(2):
+            with pytest.raises(AssertionError, match="does not reduce"):
+                IdealHandle(R, ["y - x^2", "z - x^3"]).groebner()
+        ((holder, _paid),) = meter.store.values()
+    assert not holder._checked
+
+
+def test_module_and_extended_bases_reduce_through_the_stored_holder():
+    bare = RingSpec(("x", "y", "z"), QQ)
+    A, B = (bare.quotient([bare.parse("x*z - y^2")]) for _ in range(2))
+    with Budget(store=BasisStore()) as meter:
+        rows = [(A.gen("x"), A.gen("y")), (A.gen("y"), A.gen("z"))]
+        module = module_gb(rows, A)
+        assert module_gb([tuple(r) for r in rows], A) is module
+        ext = extended_groebner([A.parse("y - x^2"), A.parse("z - x^3")], A)
+        again = extended_groebner([B.parse("y - x^2"), B.parse("z - x^3")], B)
+        stored = [entry[0] for entry in meter.store.values()]
+        # the syzygies of the rows are read for their vectors only
+        module_syzygies(rows, A)
+        (read,) = [entry[0] for entry in meter.store.values() if entry[0] not in stored]
+    assert any(h is module for h in stored) and any(h is ext.augmented for h in stored)
+    assert again.augmented is ext.augmented
+    assert module.contains((A.parse("x^2"), A.parse("x*y")))
+    remainder, coeffs = again.express(B.parse("x*z - y^2 + x"))
+    assert remainder == B.gen("x") and remainder.ring is B
+    assert all(c.ring is B for c in coeffs)
+    assert read._reducers is None
 
 
 def test_no_store_open_computes_afresh(monkeypatch):
@@ -444,7 +515,9 @@ def test_basis_entries_are_primitive_and_outputs_monic(field):
             _assert_entry(field, b)
         for v in module_groebner(vectors, R):
             _assert_monic(field, v)
-        for b in module_gb(vectors, R)._reducers.elts:
+        members = module_gb(vectors, R)
+        assert members.contains(vectors[0])
+        for b in members._reducers.elts:
             _assert_entry(field, b)
     for g in groebner_basis(ideal, R):
         _assert_monic(field, (g,))
