@@ -85,20 +85,20 @@ of its session computed.  Each meter carries a `BasisStore`, the memo
 of its session or a fresh one of its own, and while it is the open
 meter each `memoized` function looks up its inputs there: the module
 basis behind `module_groebner`, so behind groebner_basis, `_augmented`,
-module_gb, syzygies, colon and intersection, and the four producers
+module_gb, syzygies, colon and intersection, and the five producers
 that the curve battery calls again on equal inputs, `lci_certificate`
 (`lci`, then `ci`), `mod_square_generation` (`ci`, then `mod-square`),
-`is_regular_sequence` (`ci`, then `stci`) and `free_resolution`
-(`ext-cyclic`, then `resolution`).  Rings and polynomials are keys by
-value and a handle by its ring and generators, so equal inputs made
-apart, such as two `ring.quotient(gens)` calls, share an entry.  An
-entry holds the result and the (key, cost) pairs of the bases its first
-run paid for, and a hit pays them again, so it charges what a rerun
-would.  The command line gives each check's meter the store of its
-session.  There is one such store at a time: it belongs to the session
-whose checks ran last and goes when that session is dropped or a check
-of another session runs, and a meter lets go of its store when its
-block ends.
+`is_regular_sequence` (`ci`, then `stci`), `free_resolution`
+(`ext-cyclic`, then `resolution`) and `dimension_height` (`dimension`,
+then `lci` and `stci`).  Rings and polynomials are keys by value and a
+handle by its ring and generators, so equal inputs made apart, such as
+two `ring.quotient(gens)` calls, share an entry.  An entry holds the
+result and the (key, cost) pairs of the bases its first run paid for,
+and a hit pays them again, so it charges what a rerun would.  The
+command line gives each check's meter the store of its session.  There
+is one such store at a time: it belongs to the session whose checks ran
+last and goes when that session is dropped or a check of another
+session runs, and a meter lets go of its store when its block ends.
 
 A module basis is stored as its one holder, `ModuleBasis`: equal
 handles, `module_gb` and `ExtendedGB` reduce through it, and a handle
@@ -718,8 +718,10 @@ class ModuleBasis:
     def reduce(self, vec):
         ring = vec[0].ring
         if self._reducers is None:
-            self._reducers = _Reducers(
-                _BasisElt(_primitive(ring.field, _vec_from_polys(ring, v))) for v in self.vectors)
+            # a rank-1 entry shares its polynomial's dict: nothing writes to either
+            vecs = (v[0].vec if self.rank == 1 else _vec_from_polys(ring, v)
+                    for v in self.vectors)
+            self._reducers = _Reducers(_BasisElt(_primitive(ring.field, d)) for d in vecs)
         r = _vec_reduce(_vec_from_polys(ring, vec), self._reducers, ring, exact=True)
         return _vec_to_polys(ring, self.rank, r)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .certificates import Replayable
 from .groebner import (IdealHandle, first_syzygy_entries, gb_hash, groebner_basis,
-                       zero_ideal)
+                       memoized, zero_ideal)
 from .poly import (
     MonomialOrder,
     Polynomial,
@@ -317,6 +317,7 @@ def _dimension_of_basis(ring, basis):
     return len(combo), combo
 
 
+@memoized
 def dimension_height(I: IdealHandle) -> DimensionReport:
     ring = I.ring
     basis = I.groebner()

@@ -655,7 +655,9 @@ def _row_reduced(rows, p):
     return tuple(tuple(row) for _, row in sorted(reduced))
 
 
-EXTENSION_DEGREES = (2, 3)  # the fields F_{p^k} of a stalled search's random pairs
+# the fields F_{p^k} of a stalled search's random pairs with polynomial
+# coefficients (its odd trials); its scalar pairs stay over F_p
+EXTENSION_DEGREES = (2, 3)
 
 
 @metered
@@ -675,10 +677,15 @@ def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS) -> SearchResult
     pair found is certified by `stci_verify`, from the meter's store.
 
     Then come random pairs of combinations of the generators.  Over a
-    prime field, when they stall, the random pairs are drawn again over
-    F_{p^k} for each k in EXTENSION_DEGREES, represented as
-    F_p[a]/(m(a)); each field draws from its own Random(seed), and the
-    trials are summed.
+    prime field, when they stall, the random pairs are drawn again for
+    each F_{p^k} of EXTENSION_DEGREES, represented as F_p[a]/(m(a)); each
+    field draws from its own Random(seed), and the trials are summed.
+    An even trial draws scalar coefficients, which stay in F_p, so in
+    every pass it is verified over I itself: by flatness its answer
+    over F_{p^k} is the same, and a pair that verifies is certified over
+    the ring asked about, with `extension` None.  Only an odd trial,
+    whose polynomial coefficients may involve a, runs over F_p[a]/(m),
+    whose ring is built when the first such trial asks for it.
     """
     height = dimension_height(I).height
     if height != 2:
@@ -719,22 +726,26 @@ def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS) -> SearchResult
     trials_used = 0
     extensions = EXTENSION_DEGREES if I.ring.field.characteristic else ()
     for k in (None, *extensions):
-        J = I
-        if k is not None:
-            ring, embed = extend_scalars(I.ring, k)
-            J = IdealHandle(ring, [embed(g) for g in I.gens])
-        live = [g for g in J.gens if g]
+        J = I if k is None else None  # over F_p[a]/(m), built when first asked
         rng = random.Random(seed)
         for trial in range(budgets.trials):
             trials_used += 1
             coeff_deg = 0 if trial % 2 == 0 else rng.randint(1, degree_cap)
+            K = I
+            if coeff_deg:
+                if J is None:
+                    ring, embed = extend_scalars(I.ring, k)
+                    J = IdealHandle(ring, [embed(g) for g in I.gens])
+                K = J
+            live = [g for g in K.gens if g]
             f = _random_combination(live, rng, coeff_deg)
             g = _random_combination(live, rng, coeff_deg)
             if not f or not g or f == g:
                 continue
-            outcome = stci_verify(J, (f, g), budgets)
+            outcome = stci_verify(K, (f, g), budgets)
             if isinstance(outcome, STCICertificate):
-                return SearchResult(outcome, "random-pairs", trials_used, k)
+                return SearchResult(outcome, "random-pairs", trials_used,
+                                    None if K is I else k)
     return SearchResult(
         Inconclusive("no certified pair within the trial budget", trials_used),
         "exhausted", trials_used)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import cicert
-from cicert import certificates, cli, groebner, homology, pipeline
+from cicert import certificates, cli, groebner, homology, ideals, pipeline
 from cicert.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_INPUT_ERROR,
@@ -260,17 +260,19 @@ STALLED = Path(__file__).parent / "golden" / "stalled-searches.ck"
 
 def test_stalled_searches_store_hits_are_charged_exactly(monkeypatch):
     """The golden stalled searches, at their recorded trial budget of 2:
-    the stci-search builds its handles on a fresh `extend_scalars` ring
-    for each of F_49 and F_343.  Its two checks share no basis, so the
-    session reads what each check reads alone; the limits are sampled,
-    every 7th up to the search's reading of 269."""
+    the stci-search's odd trials build their handles on a fresh
+    `extend_scalars` ring for each of F_49 and F_343.  Its two checks
+    share no basis, so the session reads what each check reads alone;
+    the limits are sampled, every 7th up to the search's reading of
+    239."""
     session = STALLED.read_text(encoding="utf-8")
     assert _charged_as_alone(session, monkeypatch, trials=2, every=7,
                              reuses=False) == ["inconclusive"] * 2
 
 
 MEMOIZED = {"lci_certificate": pipeline, "mod_square_generation": pipeline,
-            "is_regular_sequence": pipeline, "free_resolution": homology}
+            "is_regular_sequence": pipeline, "free_resolution": homology,
+            "dimension_height": ideals}
 
 
 def _body_runs(action):
@@ -295,10 +297,12 @@ def test_memoized_producers_run_once_per_input():
     """In one session of the curve battery `lci` and `ci` share one lci
     certificate, `ci` and `mod-square` one generation test, `ci`, `stci`
     and `regular-sequence (f, g)` one regular-sequence test of (f, g),
-    and `ext-cyclic` and `resolution` one resolution."""
+    `ext-cyclic` and `resolution` one resolution, and `dimension`, `lci`
+    and `stci` one dimension report of I."""
     runs = _body_runs(lambda: run_session(CURVE_RINGS["free"] + CURVE_BATTERY))
     assert runs == {"lci_certificate": 1, "mod_square_generation": 1,
-                    "is_regular_sequence": 1, "free_resolution": 1}
+                    "is_regular_sequence": 1, "free_resolution": 1,
+                    "dimension_height": 1}
 
 
 def test_library_calls_without_a_store_compute_afresh():
@@ -313,7 +317,8 @@ def test_library_calls_without_a_store_compute_afresh():
             pipeline.lci_certificate(I)
 
     assert _body_runs(twice) == {"lci_certificate": 3, "mod_square_generation": 0,
-                                 "is_regular_sequence": 0, "free_resolution": 2}
+                                 "is_regular_sequence": 0, "free_resolution": 2,
+                                 "dimension_height": 3}
 
 
 def test_store_lives_with_its_session(monkeypatch):

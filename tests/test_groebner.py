@@ -166,6 +166,21 @@ def test_equal_handles_share_the_stored_holder(monkeypatch):
     assert apart.gb_hash() == first.gb_hash() == gb_hash(A, first.groebner())
 
 
+def test_rank1_reduction_entries_share_the_basis_dicts():
+    """Over GF(p) each basis polynomial is monic, so its reduction entry
+    holds the polynomial's own dict, and reducing leaves both as they
+    were."""
+    R = RingSpec(("x", "y", "z"), GF(7))
+    I = IdealHandle(R, ["x*z - y^2", "x^3 - y*z", "x^2*y - z^2"])
+    with Budget(store=BasisStore()):
+        basis = I.groebner()
+        before = [dict(g.vec) for g in basis]
+        assert I.normal_form(R.parse("x^4 + 3*y*z^2 + x")) == R.parse("x*y*z + 3*y*z^2 + x")
+        entries = I._holder._reducers.elts
+    assert [b.vec for b in entries] == before
+    assert all(b.vec is g.vec for b, g in zip(entries, basis))
+
+
 def test_self_check_runs_until_a_handle_passes_it(monkeypatch):
     """A holder records only a passed self-check: against a wrong basis
     every handle that takes it checks again and fails."""

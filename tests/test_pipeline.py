@@ -602,6 +602,74 @@ def test_find_irreducible_cubic_over_f32003():
                for a in range(p))
 
 
+QUARTIC = ("b*c - a*d", "b^3 - a^2*c", "c^3 - b*d^2", "a*c^2 - b^2*d")
+C345 = ("x*z - y^2", "x^3 - y*z", "x^2*y - z^2")
+
+
+@pytest.mark.parametrize("p, letters, gens", [(7, "xyz", C345), (5, "abcd", QUARTIC)])
+def test_even_extension_trials_answer_as_over_the_extension(monkeypatch, p, letters, gens):
+    """An extension pass verifies its scalar pairs over I itself; over
+    F_p[a]/(m) each gives the same outcome and refutation stage."""
+    I = IdealHandle(RingSpec(tuple(letters), GF(p)), list(gens))
+    calls = []
+    real = pipeline.stci_verify
+
+    def recorded(K, pair, budgets):
+        calls.append((K, pair, real(K, pair, budgets)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(pipeline, "stci_verify", recorded)
+    trials = 3
+    res = stci_search(I, seed=0, budgets=Budgets(trials=trials))
+    assert res.via == "exhausted" and len(calls) == 3 * trials  # no pair skipped
+
+    def outcome_class(outcome):
+        return type(outcome), getattr(outcome, "stage", None)
+
+    for n, k in enumerate(pipeline.EXTENSION_DEGREES, 1):
+        ring, embed = extend_scalars(I.ring, k)
+        J = IdealHandle(ring, [embed(g) for g in I.gens])
+        passed = calls[n * trials:(n + 1) * trials]
+        assert all((K is I) == (t % 2 == 0) for t, (K, _, _) in enumerate(passed))
+        for _, (f, g), outcome in passed[::2]:
+            assert outcome_class(stci_verify(J, (embed(f), embed(g)))) == \
+                outcome_class(outcome)
+
+
+def test_extension_ring_is_built_for_the_first_odd_trial(monkeypatch):
+    built = []
+    real = pipeline.extend_scalars
+    monkeypatch.setattr(pipeline, "extend_scalars",
+                        lambda ring, k: built.append(k) or real(ring, k))
+    I = IdealHandle(RingSpec(("x", "y", "z"), GF(7)), list(C345))
+    assert stci_search(I, seed=0, budgets=Budgets(trials=1)).trials == 3
+    assert built == []
+    assert stci_search(I, seed=0, budgets=Budgets(trials=2)).trials == 6
+    assert built == list(pipeline.EXTENSION_DEGREES)
+
+
+def test_even_extension_trial_certifies_over_the_prime_field(monkeypatch):
+    """Refute the F_p pass's one pair by force: the F_49 pass draws the
+    same scalar pair first and certifies it over F_7, with no extension."""
+    I = IdealHandle(RingSpec(("x", "y"), GF(7)), ["x^2", "x*y", "y^2"])
+    real = pipeline.stci_verify
+    calls = []
+
+    def first_refuted(K, pair, budgets):
+        calls.append(pair)
+        if len(calls) == 1:
+            return STCIRefutation("radical-equality", {})
+        return real(K, pair, budgets)
+
+    monkeypatch.setattr(pipeline, "stci_verify", first_refuted)
+    res = stci_search(I, seed=0, budgets=Budgets(trials=1))
+    assert calls[0] == calls[1]
+    assert (res.via, res.trials, res.extension) == ("random-pairs", 2, None)
+    assert res.certificate.report.ring is I.ring
+    assert all(f.ring is I.ring for f in res.certificate.pair)
+    assert res.certificate.verify()
+
+
 def test_stci_search_works_over_extension(f5_cylinder):
     ext, embed = extend_scalars(f5_cylinder.ring, 2)
     lifted = IdealHandle(ext, [embed(g) for g in f5_cylinder.gens])

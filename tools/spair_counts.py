@@ -15,9 +15,9 @@ workload.  `reduced` counts the S-pair reductions the Buchberger core
 runs, `zero` those whose remainder is zero; a basis reused from the
 session's store runs none.  `memo` counts the calls of a memoized
 producer other than the module basis (`lci_certificate`,
-`mod_square_generation`, `is_regular_sequence`, `free_resolution`)
-answered from the store.  The counts are deterministic, so two
-checkouts compare with one `diff`.
+`mod_square_generation`, `is_regular_sequence`, `free_resolution`,
+`dimension_height`) answered from the store.  The counts are
+deterministic, so two checkouts compare with one `diff`.
 
 `quartic-F5-4-trials` is included: it takes a few seconds.
 """
