@@ -13,7 +13,6 @@ import argparse
 import sys
 import time
 import weakref
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import certificates
@@ -52,11 +51,12 @@ EXIT_INCONCLUSIVE = 2
 EXIT_INPUT_ERROR = 3
 
 
-@dataclass
 class RunOptions:
-    seed: int = 0
-    budgets: Budgets = field(default_factory=Budgets)
-    field_text: str | None = None
+    def __init__(self, seed: int = 0, budgets: Budgets | None = None,
+                 field_text: str | None = None):
+        self.seed = seed
+        self.budgets = Budgets() if budgets is None else budgets
+        self.field_text = field_text
 
 
 def parse_field(text):
@@ -201,7 +201,7 @@ def run_command(session: Session, index: int, options: RunOptions) -> dict:
         "ring": command.ring.payload(),
         "field_override": options.field_text,
         "seed": options.seed,
-        "budgets": dict(vars(options.budgets)),  # a dataclass's fields, all scalars
+        "budgets": dict(vars(options.budgets)),  # the four Budgets fields, all scalars
         "verdict": verdict,
         "witnesses": witnesses,
         "gb_hashes": hashes,
@@ -240,7 +240,7 @@ def replay_payload(stored: dict):
         options = RunOptions(seed=stored["seed"], budgets=budgets,
                              field_text=stored.get("field_override"))
         text, index = stored["session"], stored["command_index"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, InputError) as exc:
         raise SchemaError(f"malformed certificate: {exc!r}") from exc
     numbers = (index, options.seed, budgets.gb_steps, budgets.trials,
                budgets.e_max, budgets.degree_bound or 0)
@@ -264,6 +264,11 @@ def _out_path(base: Path, index: int, total: int) -> Path:
     if total == 1:
         return base
     return base.with_name(f"{base.stem}.{index + 1}{base.suffix}")
+
+
+# the flag that sets each field of Budgets
+_FLAGS = {"gb_steps": "--budget-gb-steps", "trials": "--budget-trials",
+          "degree_bound": "--degree-bound"}
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -291,15 +296,13 @@ def main(argv=None) -> int:
     parser.add_argument("--field", default=None,
                         help="override every ring's field: QQ or Fp:<p>")
     args = parser.parse_args(argv)
-
-    # a search draws degrees from 1 to the degree bound, and no check
-    # can spend a negative budget
-    for flag, value, least in (("--degree-bound", args.degree_bound, 1),
-                               ("--budget-gb-steps", args.budget_gb_steps, 0),
-                               ("--budget-trials", args.budget_trials, 0)):
-        if value is not None and value < least:
-            print(f"cicert: {flag} must be at least {least}, got {value}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+    try:
+        budgets = Budgets(gb_steps=args.budget_gb_steps, trials=args.budget_trials,
+                          degree_bound=args.degree_bound)
+    except InputError as exc:  # "<field> must be at least ...": name the flag instead
+        field, rest = str(exc).split(" ", 1)
+        print(f"cicert: {_FLAGS[field]} {rest}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
     if (args.replay is None) == (args.session is None):
         parser.print_usage(sys.stderr)
@@ -320,8 +323,6 @@ def main(argv=None) -> int:
               f"reproduce", file=sys.stderr)
         return EXIT_REFUTED
 
-    budgets = Budgets(gb_steps=args.budget_gb_steps, trials=args.budget_trials,
-                      degree_bound=args.degree_bound)
     options = RunOptions(seed=args.seed, budgets=budgets, field_text=args.field)
     try:
         text = Path(args.session).read_text(encoding="utf-8")

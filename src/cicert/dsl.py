@@ -20,8 +20,6 @@ cannot continue it, so `check member x*y in I;` needs no stop word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .groebner import IdealHandle
 from .poly import (GF, QQ, MonomialOrder, PolyParseError, RingSpec,
                    parse_expression, tokenize)
@@ -55,22 +53,24 @@ COMMANDS = {
 }
 
 
-@dataclass
 class Command:
-    name: str
-    args: dict
-    text: str
-    ring: RingSpec  # the ring the check runs in, recorded in its certificate
+    def __init__(self, name: str, args: dict, text: str, ring: RingSpec):
+        self.name = name
+        self.args = args
+        self.text = text
+        self.ring = ring  # the ring the check runs in, recorded in its certificate
 
 
-@dataclass
 class Session:
-    text: str
-    rings: dict = field(default_factory=dict)
-    ideals: dict = field(default_factory=dict)
-    polys: dict = field(default_factory=dict)
-    pairs: dict = field(default_factory=dict)
-    commands: list = field(default_factory=list)
+    def __init__(self, text: str, rings: dict | None = None, ideals: dict | None = None,
+                 polys: dict | None = None, pairs: dict | None = None,
+                 commands: list | None = None):
+        self.text = text
+        self.rings = {} if rings is None else rings
+        self.ideals = {} if ideals is None else ideals
+        self.polys = {} if polys is None else polys
+        self.pairs = {} if pairs is None else pairs
+        self.commands = [] if commands is None else commands
 
 
 class _Parser:

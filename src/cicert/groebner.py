@@ -121,7 +121,6 @@ import functools
 import hashlib
 import heapq
 from contextvars import ContextVar
-from dataclasses import dataclass, field
 from math import gcd, inf
 from operator import attrgetter
 
@@ -179,7 +178,6 @@ class BasisStore(dict):
     the bases that call paid for); equal inputs made apart share an entry."""
 
 
-@dataclass
 class Budget:
     """Step meter: one step per S-pair reduction, and each distinct basis
     paid for once.  `with Budget(limit):` makes it the meter the block
@@ -189,12 +187,14 @@ class Budget:
     `_paid` holds the keys of the bases it paid for, and `_calls` the
     {key: cost} of each call it is recording, innermost last."""
 
-    limit: int = DEFAULT_GB_STEPS
-    used: int = 0
-    store: BasisStore | None = field(default=None, repr=False, compare=False)
-    _token: object = field(default=None, init=False, repr=False, compare=False)
-    _paid: set = field(default_factory=set, init=False, repr=False, compare=False)
-    _calls: list = field(default_factory=list, init=False, repr=False, compare=False)
+    def __init__(self, limit: int = DEFAULT_GB_STEPS, used: int = 0,
+                 store: BasisStore | None = None):
+        self.limit = limit
+        self.used = used
+        self.store = store
+        self._token = None
+        self._paid = set()
+        self._calls = []
 
     def charge(self):  # one S-pair reduction
         self.spend(1)
@@ -781,7 +781,6 @@ def syzygies(targets):
 # extended basis: cofactors and exact membership witnesses
 
 
-@dataclass
 class ExtendedGB:
     """Reduced basis of (gens + J0) with exact cofactor bookkeeping.
 
@@ -792,8 +791,9 @@ class ExtendedGB:
     as normal form plus such a combination.
     """
 
-    inputs: tuple
-    augmented: ModuleBasis = field(repr=False, compare=False)
+    def __init__(self, inputs: tuple, augmented: ModuleBasis):
+        self.inputs = inputs
+        self.augmented = augmented
 
     def express(self, f: Polynomial):
         """Return (remainder, coeffs) with f = remainder + sum(coeffs*inputs)."""

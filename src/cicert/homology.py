@@ -15,7 +15,6 @@ dropping generators that lie in the span of the others.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .certificates import Replayable
 from .groebner import (
@@ -150,19 +149,25 @@ def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
     return ExteriorForm(ring, a.n, a.degree + b.degree, out)
 
 
-@dataclass(frozen=True)
 class ContractionMap:
     """Contraction against the functional with the given values u(e_i)."""
 
-    values: tuple
-
-    def __post_init__(self):
-        if not self.values:
+    def __init__(self, values: tuple):
+        if not values:
             raise ValueError("contraction needs at least one value")
-        ring = self.values[0].ring
-        for v in self.values:
+        ring = values[0].ring
+        for v in values:
             if v.ring != ring:
                 raise RingMismatchError("contraction values from different rings")
+        self.values = values
+
+    def __eq__(self, other):
+        if other.__class__ is not ContractionMap:
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self):
+        return hash(self.values)
 
     @property
     def ring(self):
@@ -220,14 +225,14 @@ def matrix_product(a_rows, b_rows, ring):
 # Koszul complexes
 
 
-@dataclass
 class KoszulComplex:
     """All contraction differentials of Lambda(R^n) for one functional."""
 
-    ring: RingSpec
-    values: tuple
-    matrices: dict  # degree p -> rows (basis of Lambda^p) over Lambda^(p-1)
-    is_complex: bool
+    def __init__(self, ring: RingSpec, values: tuple, matrices: dict, is_complex: bool):
+        self.ring = ring
+        self.values = values
+        self.matrices = matrices  # degree p -> rows (basis of Lambda^p) over Lambda^(p-1)
+        self.is_complex = is_complex
 
     @property
     def n(self):
@@ -269,15 +274,16 @@ def koszul_complex_build(values) -> KoszulComplex:
 # exactness of the length-2 Koszul complex
 
 
-@dataclass
 class Koszul2Verdict:
     """Exactness verdict for 0 -> A -> A^2 -> (x, y) -> 0 over A."""
 
-    ring: RingSpec
-    pair: tuple
-    exact: bool
-    failure: tuple | None  # ("annihilator", poly) or ("extra_syzygy", row)
-    syzygy_rows: tuple
+    def __init__(self, ring: RingSpec, pair: tuple, exact: bool, failure: tuple | None,
+                 syzygy_rows: tuple):
+        self.ring = ring
+        self.pair = pair
+        self.exact = exact
+        self.failure = failure  # ("annihilator", poly) or ("extra_syzygy", row)
+        self.syzygy_rows = syzygy_rows
 
     def payload(self):
         out = {
@@ -337,14 +343,15 @@ def _prune_rows(rows, ring):
     return kept
 
 
-@dataclass
 class Resolution:
     """Chain A^{b_l} -> ... -> A^{b_1} -> A -> A/I -> 0 by iterated syzygies."""
 
-    ring: RingSpec
-    gens: tuple
-    matrices: list  # matrices[k] has betti[k+1] rows and betti[k] columns
     minimized = False
+
+    def __init__(self, ring: RingSpec, gens: tuple, matrices: list):
+        self.ring = ring
+        self.gens = gens
+        self.matrices = matrices  # matrices[k] has betti[k+1] rows and betti[k] columns
 
     @property
     def betti(self):
@@ -382,13 +389,13 @@ def free_resolution(I: IdealHandle, length: int) -> Resolution:
 # module presentations
 
 
-@dataclass
 class PresentationMatrix:
     """M = coker(rows) on `ngens` generators over `ring` (a quotient spec)."""
 
-    ring: RingSpec
-    ngens: int
-    rows: tuple
+    def __init__(self, ring: RingSpec, ngens: int, rows: tuple):
+        self.ring = ring
+        self.ngens = ngens
+        self.rows = rows
 
     @classmethod
     def of(cls, ring, ngens, rows):
@@ -476,17 +483,19 @@ def fitting_ideals(P: PresentationMatrix, ks) -> dict:
     return handles
 
 
-@dataclass
 class ProjectiveRankCertificate(Replayable):
     """M projective of constant rank r iff Fitt_{r-1} = 0 and Fitt_r = (1)."""
 
-    presentation: PresentationMatrix
-    rank: int
-    certified: bool
-    failing: str | None
-    witness_poly: Polynomial | None
-    unit_combination: tuple | None  # (minor, coefficient) pairs
-    base_combination: tuple | None
+    def __init__(self, presentation: PresentationMatrix, rank: int, certified: bool,
+                 failing: str | None, witness_poly: Polynomial | None,
+                 unit_combination: tuple | None, base_combination: tuple | None):
+        self.presentation = presentation
+        self.rank = rank
+        self.certified = certified
+        self.failing = failing
+        self.witness_poly = witness_poly
+        self.unit_combination = unit_combination  # (minor, coefficient) pairs
+        self.base_combination = base_combination
 
     def payload(self):
         out = {"rank": self.rank, "certified": self.certified}
@@ -547,14 +556,15 @@ def projective_rank_certificate(P: PresentationMatrix,
 # Ext modules
 
 
-@dataclass
 class ExtModule:
     """Ext^r_A(A/I, A) presented over A/I, with a local-cyclicity verdict."""
 
-    ideal: IdealHandle
-    degree: int
-    presentation: PresentationMatrix
-    locally_cyclic: bool
+    def __init__(self, ideal: IdealHandle, degree: int, presentation: PresentationMatrix,
+                 locally_cyclic: bool):
+        self.ideal = ideal
+        self.degree = degree
+        self.presentation = presentation
+        self.locally_cyclic = locally_cyclic
 
     def payload(self):
         return {

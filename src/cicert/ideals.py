@@ -17,7 +17,6 @@ Elimination moves the eliminated variables into a block order instead.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .certificates import Replayable
 from .groebner import (IdealHandle, first_syzygy_entries, gb_hash, groebner_basis,
@@ -152,16 +151,17 @@ def eliminate(I: IdealHandle, var_names) -> IdealHandle:
 # radical membership / equality
 
 
-@dataclass
 class RadicalMembership:
     """Outcome of one radical membership test, with replay data."""
 
-    ring: RingSpec
-    element: Polynomial
-    ideal_gens: tuple
-    member: bool
-    exponent: int | None
-    aux_gb_hash: str
+    def __init__(self, ring: RingSpec, element: Polynomial, ideal_gens: tuple, member: bool,
+                 exponent: int | None, aux_gb_hash: str):
+        self.ring = ring
+        self.element = element
+        self.ideal_gens = ideal_gens
+        self.member = member
+        self.exponent = exponent
+        self.aux_gb_hash = aux_gb_hash
 
     def payload(self):
         return {
@@ -201,15 +201,16 @@ def radical_member(f: Polynomial, I: IdealHandle, e_max=30) -> RadicalMembership
                              gb_hash(ext.ring, basis))
 
 
-@dataclass
 class RadicalEqualityCertificate(Replayable):
     """Radical equality sqrt(I) = sqrt(J), one witness per generator."""
 
-    ring: RingSpec
-    left_gens: tuple
-    right_gens: tuple
-    witnesses: tuple  # (direction, RadicalMembership)
-    e_max: int
+    def __init__(self, ring: RingSpec, left_gens: tuple, right_gens: tuple, witnesses: tuple,
+                 e_max: int):
+        self.ring = ring
+        self.left_gens = left_gens
+        self.right_gens = right_gens
+        self.witnesses = witnesses  # (direction, RadicalMembership)
+        self.e_max = e_max
 
     def payload(self):
         return {
@@ -225,11 +226,11 @@ class RadicalEqualityCertificate(Replayable):
                              IdealHandle(self.ring, self.right_gens), self.e_max)
 
 
-@dataclass
 class RadicalRefutation:
-    direction: str
-    generator: Polynomial
-    aux_gb_hash: str
+    def __init__(self, direction: str, generator: Polynomial, aux_gb_hash: str):
+        self.direction = direction
+        self.generator = generator
+        self.aux_gb_hash = aux_gb_hash
 
     def payload(self):
         return {
@@ -259,7 +260,6 @@ def radical_equal(I: IdealHandle, J: IdealHandle, e_max=30):
 # dimension and height
 
 
-@dataclass
 class DimensionReport:
     """Krull dimension data read off the leading-term ideal.
 
@@ -269,16 +269,19 @@ class DimensionReport:
     library ships; flagged so mixed-height inputs are not misread).
     """
 
-    ring: RingSpec
-    ideal_gens: tuple
-    lt_basis: tuple
-    independent_set: tuple | None
-    dim_quotient: int
-    dim_ambient: int
-    height: int | None
-    unit_ideal: bool
-
     height_definition = "coheight"
+
+    def __init__(self, ring: RingSpec, ideal_gens: tuple, lt_basis: tuple,
+                 independent_set: tuple | None, dim_quotient: int, dim_ambient: int,
+                 height: int | None, unit_ideal: bool):
+        self.ring = ring
+        self.ideal_gens = ideal_gens
+        self.lt_basis = lt_basis
+        self.independent_set = independent_set
+        self.dim_quotient = dim_quotient
+        self.dim_ambient = dim_ambient
+        self.height = height
+        self.unit_ideal = unit_ideal
 
     def payload(self):
         return {

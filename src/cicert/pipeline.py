@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificates import Replayable
@@ -63,17 +62,34 @@ class InputError(ValueError):
     """A stated precondition does not hold; not a refutation."""
 
 
-@dataclass
 class Budgets:
     """The limits of one check.  gb_steps bounds the Groebner steps of
     the whole check: cli.run_command opens one groebner.Budget meter of
     that size around it.  trials, degree_bound and e_max bound the
-    searches, which read them from here."""
+    searches, which read them from here.  The defaults are also class
+    attributes, which the command line's flags read.  An instance holds
+    exactly these four fields: they are a certificate's `budgets` block.
+    A value out of range is an InputError."""
 
-    gb_steps: int = DEFAULT_GB_STEPS
-    trials: int = 200
-    degree_bound: int | None = None
-    e_max: int = 30
+    gb_steps = DEFAULT_GB_STEPS
+    trials = 200
+    degree_bound = None
+    e_max = 30
+
+    def __init__(self, gb_steps: int = gb_steps, trials: int = trials,
+                 degree_bound: int | None = degree_bound, e_max: int = e_max):
+        # a search draws degrees from 1 to the degree bound, and no check
+        # can spend a negative budget
+        if degree_bound is not None and degree_bound < 1:
+            raise InputError(f"degree_bound must be at least 1, got {degree_bound}")
+        if gb_steps < 0:
+            raise InputError(f"gb_steps must be at least 0, got {gb_steps}")
+        if trials < 0:
+            raise InputError(f"trials must be at least 0, got {trials}")
+        self.gb_steps = gb_steps
+        self.trials = trials
+        self.degree_bound = degree_bound
+        self.e_max = e_max
 
     def degree_cap(self, gens) -> int:
         """degree_bound, or default_degree_bound(gens) when it is None."""
@@ -98,15 +114,16 @@ def _square_gens(live):
 # non-zerodivisor and regular-sequence checks
 
 
-@dataclass
 class NzdResult:
     """(B : f) = B comparison with the witness on failure."""
 
-    element: Polynomial
-    nzd: bool
-    witness: Polynomial | None
-    base_hash: str
-    colon_hash: str
+    def __init__(self, element: Polynomial, nzd: bool, witness: Polynomial | None, base_hash: str,
+                 colon_hash: str):
+        self.element = element
+        self.nzd = nzd
+        self.witness = witness
+        self.base_hash = base_hash
+        self.colon_hash = colon_hash
 
     def payload(self):
         out = {
@@ -131,14 +148,14 @@ def is_nzd(f: Polynomial, base: IdealHandle) -> NzdResult:
     return NzdResult(f, False, witness, base_hash, colon_hash)
 
 
-@dataclass
 class RegSeqCertificate(Replayable):
     """One colon-equality hash pair per element of the sequence."""
 
-    ring: RingSpec
-    base_gens: tuple
-    sequence: tuple
-    steps: tuple  # NzdResult per index
+    def __init__(self, ring: RingSpec, base_gens: tuple, sequence: tuple, steps: tuple):
+        self.ring = ring
+        self.base_gens = base_gens
+        self.sequence = sequence
+        self.steps = steps  # NzdResult per index
 
     def payload(self):
         return {
@@ -152,10 +169,10 @@ class RegSeqCertificate(Replayable):
         return is_regular_sequence(self.sequence, base)
 
 
-@dataclass
 class RegSeqFailure:
-    index: int  # 1-based position of the failing element
-    witness: Polynomial
+    def __init__(self, index: int, witness: Polynomial):
+        self.index = index  # 1-based position of the failing element
+        self.witness = witness
 
     def payload(self):
         return {"index": self.index, "witness": str(self.witness)}
@@ -231,15 +248,16 @@ def _random_combination(gens, rng, coeff_deg):
 # generator regularization
 
 
-@dataclass
 class PerturbationElement:
     """lambda = sum(coeff * gen) over the designated trailing generators."""
 
-    position: int  # 1-based index of the perturbed generator
-    value: Polynomial
-    combination: tuple  # (generator, coefficient) pairs
-    seed: int
-    trial: int
+    def __init__(self, position: int, value: Polynomial, combination: tuple, seed: int,
+                 trial: int):
+        self.position = position  # 1-based index of the perturbed generator
+        self.value = value
+        self.combination = combination  # (generator, coefficient) pairs
+        self.seed = seed
+        self.trial = trial
 
     def payload(self):
         return {
@@ -254,34 +272,36 @@ class PerturbationElement:
         }
 
 
-@dataclass
 class Inconclusive:
     """A search ran out of budget; carries the trial log."""
 
-    reason: str
-    trials: int
-    log: tuple = ()
+    def __init__(self, reason: str, trials: int, log: tuple = ()):
+        self.reason = reason
+        self.trials = trials
+        self.log = log
 
     def payload(self):
         return {"reason": self.reason, "trials": self.trials,
                 "log": list(self.log)}
 
 
-@dataclass
 class RegularizationResult(Replayable):
     """A regular sequence generating the ideal.  generators, seed and
     budgets are the recorded inputs of the search; payload() leaves
     them out."""
 
-    ideal_gens: tuple
-    sequence: tuple
-    certificate: RegSeqCertificate
-    perturbations: tuple
-    input_hash: str
-    output_hash: str
-    generators: tuple
-    seed: int
-    budgets: Budgets
+    def __init__(self, ideal_gens: tuple, sequence: tuple, certificate: RegSeqCertificate,
+                 perturbations: tuple, input_hash: str, output_hash: str, generators: tuple,
+                 seed: int, budgets: Budgets):
+        self.ideal_gens = ideal_gens
+        self.sequence = sequence
+        self.certificate = certificate
+        self.perturbations = perturbations
+        self.input_hash = input_hash
+        self.output_hash = output_hash
+        self.generators = generators
+        self.seed = seed
+        self.budgets = budgets
 
     def payload(self):
         return {
@@ -379,10 +399,10 @@ def regularize_generators(I: IdealHandle, generators, seed=0,
 # generation modulo the square
 
 
-@dataclass
 class ModSquareResult:
-    holds: bool
-    failing: Polynomial | None
+    def __init__(self, holds: bool, failing: Polynomial | None):
+        self.holds = holds
+        self.failing = failing
 
     def payload(self):
         out = {"holds": self.holds}
@@ -411,7 +431,6 @@ def mod_square_generation(I: IdealHandle, candidates) -> ModSquareResult:
 # local-complete-intersection proxy certificate
 
 
-@dataclass
 class LCIProxyCertificate(Replayable):
     """Conormal module projective of rank = height (Fitting conditions).
 
@@ -420,10 +439,12 @@ class LCIProxyCertificate(Replayable):
     ideal), which the caller asserts; the certificate records the flag.
     """
 
-    ideal_gens: tuple
-    report: DimensionReport
-    projective: object
     ambient_hypotheses = "Cohen-Macaulay ambient + unmixedness (user-asserted)"
+
+    def __init__(self, ideal_gens: tuple, report: DimensionReport, projective: object):
+        self.ideal_gens = ideal_gens
+        self.report = report
+        self.projective = projective
 
     @property
     def height(self):
@@ -441,11 +462,11 @@ class LCIProxyCertificate(Replayable):
         return lci_certificate(IdealHandle(self.report.ring, self.ideal_gens))
 
 
-@dataclass
 class LCIRefutation:
-    ideal_gens: tuple
-    reason: str
-    witness: Polynomial | None
+    def __init__(self, ideal_gens: tuple, reason: str, witness: Polynomial | None):
+        self.ideal_gens = ideal_gens
+        self.reason = reason
+        self.witness = witness
 
     def payload(self):
         out = {"ideal": [str(g) for g in self.ideal_gens], "reason": self.reason}
@@ -472,15 +493,16 @@ def lci_certificate(I: IdealHandle):
 # complete intersection from a free conormal basis
 
 
-@dataclass
 class CICertificate(Replayable):
     """I = (c, d) with (c, d) a regular sequence; replays both ways."""
 
-    ideal_gens: tuple
-    pair: tuple
-    ideal_hash: str
-    pair_hash: str
-    regseq: RegSeqCertificate
+    def __init__(self, ideal_gens: tuple, pair: tuple, ideal_hash: str, pair_hash: str,
+                 regseq: RegSeqCertificate):
+        self.ideal_gens = ideal_gens
+        self.pair = pair
+        self.ideal_hash = ideal_hash
+        self.pair_hash = pair_hash
+        self.regseq = regseq
 
     def payload(self):
         return {
@@ -563,13 +585,14 @@ def _ci_search(I, pair, seed, budgets, general=True):
 # set-theoretic complete intersection
 
 
-@dataclass
 class STCICertificate(Replayable):
-    ideal_gens: tuple
-    pair: tuple
-    report: DimensionReport
-    regseq: RegSeqCertificate
-    radical: RadicalEqualityCertificate
+    def __init__(self, ideal_gens: tuple, pair: tuple, report: DimensionReport,
+                 regseq: RegSeqCertificate, radical: RadicalEqualityCertificate):
+        self.ideal_gens = ideal_gens
+        self.pair = pair
+        self.report = report
+        self.regseq = regseq
+        self.radical = radical
 
     def payload(self):
         return {
@@ -585,10 +608,10 @@ class STCICertificate(Replayable):
                            self.pair, Budgets(e_max=self.radical.e_max))
 
 
-@dataclass
 class STCIRefutation:
-    stage: str
-    detail: dict
+    def __init__(self, stage: str, detail: dict):
+        self.stage = stage
+        self.detail = detail
 
     def payload(self):
         return {"stage": self.stage, **self.detail}
@@ -618,12 +641,12 @@ def stci_verify(I: IdealHandle, pair, budgets=DEFAULT_BUDGETS):
     return STCICertificate(I.gens, (f, g), report, reg, rad)
 
 
-@dataclass
 class SearchResult:
-    outcome: object  # STCICertificate or Inconclusive
-    via: str
-    trials: int
-    extension: int | None = None
+    def __init__(self, outcome: object, via: str, trials: int, extension: int | None = None):
+        self.outcome = outcome  # STCICertificate or Inconclusive
+        self.via = via
+        self.trials = trials
+        self.extension = extension
 
     @property
     def certificate(self):

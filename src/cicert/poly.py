@@ -50,7 +50,6 @@ from __future__ import annotations
 import heapq
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import NamedTuple
@@ -123,7 +122,6 @@ def _integral(q):
     return q
 
 
-@dataclass(frozen=True)
 class Field:
     """QQ when `characteristic` is 0, else GF(p) for the prime p.  A field
     is its characteristic: a scalar is a plain Python number, an int or a
@@ -133,7 +131,16 @@ class Field:
     place.  No scalar is ever a float: `coerce` takes only ints and
     Fractions.  A field is made as `QQ` or by `GF(p)`, which checks p."""
 
-    characteristic: int
+    def __init__(self, characteristic: int):
+        self.characteristic = characteristic
+
+    def __eq__(self, other):
+        if other.__class__ is not Field:
+            return NotImplemented
+        return self.characteristic == other.characteristic
+
+    def __hash__(self):
+        return hash(self.characteristic)
 
     @property
     def name(self):
@@ -178,7 +185,6 @@ def GF(p: int) -> Field:
 # monomial orders and packed monomials
 
 
-@dataclass(frozen=True)
 class MonomialOrder:
     """Total multiplicative well-order on monomials; `_order_forms`
     gives its definition, as the linear forms it compares.
@@ -190,16 +196,27 @@ class MonomialOrder:
     so any subset of variables can be moved into the block.
     """
 
-    kind: str = "grevlex"
-    block: int = 0
-    tail_kind: str = "grevlex"
-    permutation: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("lex", "grevlex", "block"):
-            raise ValueError(f"unknown order kind {self.kind!r}")
-        if self.kind == "block" and self.block < 1:
+    def __init__(self, kind: str = "grevlex", block: int = 0, tail_kind: str = "grevlex",
+                 permutation: tuple[int, ...] | None = None):
+        if kind not in ("lex", "grevlex", "block"):
+            raise ValueError(f"unknown order kind {kind!r}")
+        if kind == "block" and block < 1:
             raise ValueError("block order needs a positive block size")
+        self.kind = kind
+        self.block = block
+        self.tail_kind = tail_kind
+        self.permutation = permutation
+
+    def _values(self):
+        return self.kind, self.block, self.tail_kind, self.permutation
+
+    def __eq__(self, other):
+        if other.__class__ is not MonomialOrder:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
     def describe(self) -> str:
         if self.kind == "block":
@@ -903,7 +920,6 @@ def reduce(f: Polynomial, divisors) -> tuple[Polynomial, list]:
 # ring extension (auxiliary variables, eliminated first)
 
 
-@dataclass(frozen=True)
 class RingExtension:
     """Extension of a ring by leading auxiliary variables.
 
@@ -911,9 +927,21 @@ class RingExtension:
     ones, so a Groebner basis in the extended ring eliminates them.
     """
 
-    base: RingSpec
-    ring: RingSpec
-    added: tuple[str, ...]
+    def __init__(self, base: RingSpec, ring: RingSpec, added: tuple[str, ...]):
+        self.base = base
+        self.ring = ring
+        self.added = added
+
+    def _values(self):
+        return self.base, self.ring, self.added
+
+    def __eq__(self, other):
+        if other.__class__ is not RingExtension:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
     def embed(self, f: Polynomial) -> Polynomial:
         # representatives from the base ring or any quotient of it are fine

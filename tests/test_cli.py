@@ -22,8 +22,9 @@ from cicert.cli import (
     run_command,
     run_session,
 )
-from cicert.dsl import parse_session
-from cicert.pipeline import Budgets
+from cicert.certificates import SchemaError
+from cicert.dsl import Session, parse_session
+from cicert.pipeline import Budgets, InputError
 
 SKEW_SESSION = """\
 ring R = QQ[x,y,z] order grevlex;
@@ -624,15 +625,69 @@ def _rehashed(**edits):
     _rehashed(command_index=7),
     _rehashed(budgets=None),
     _rehashed(budgets={"gb_steps": "many", "trials": 1, "degree_bound": None}),
+    _rehashed(budgets={"gb_steps": 9, "trials": 1, "degree_bound": -3, "e_max": 30}),
+    _rehashed(budgets={"gb_steps": 9, "trials": 1, "degree_bound": None, "colour": 1}),
     _rehashed(field_override="Fp:seven"),
     _rehashed(field_override="Fp:0"),
     lambda payload: [payload],
-], ids=["command-index", "null-budgets", "budget-type", "field", "field-zero", "list"])
+], ids=["command-index", "null-budgets", "budget-type", "budget-range", "budget-key",
+        "field", "field-zero", "list"])
 def test_main_replay_malformed_is_input_error(tmp_path, edit):
     payloads, _ = run_session("ring R = QQ[x]; ideal I = (x); check member x in I;")
     bad = tmp_path / "x.json"
     bad.write_text(json.dumps(edit(payloads[0])))
     assert main(["--replay", str(bad)]) == EXIT_INPUT_ERROR
+
+
+def test_budgets_check_their_own_ranges():
+    # a library call used to reach the search's degree draw and leak
+    # "empty range for randrange()", and a replay took a degree bound of -3
+    c345 = ("ring R = Fp(7)[x,y,z]; ideal I = (x*z - y^2, y*z - x^3, z^2 - x^2*y);"
+            "check stci-search I;")
+    with pytest.raises(InputError, match="^degree_bound must be at least 1, got 0$"):
+        run_session(c345, RunOptions(budgets=Budgets(degree_bound=0, trials=3)))
+    for field, value in (("degree_bound", -3), ("gb_steps", -1), ("trials", -1)):
+        with pytest.raises(InputError, match=f"^{field} must be at least"):
+            Budgets(**{field: value})
+    payloads, _ = run_session("ring R = QQ[x]; ideal I = (x); check member x in I;")
+    stored = certificates.finalize({**payloads[0], "budgets": {**payloads[0]["budgets"],
+                                                               "degree_bound": -3}})
+    with pytest.raises(SchemaError, match="degree_bound must be at least 1, got -3"):
+        replay_payload(stored)
+
+
+def test_budgets_hold_exactly_their_four_fields():
+    """A certificate's budgets block is vars(budgets), and replay builds
+    Budgets from it, which rejects an unknown key."""
+    fields = vars(Budgets())
+    assert list(fields) == ["gb_steps", "trials", "degree_bound", "e_max"]
+    assert vars(Budgets(**fields)) == fields
+    assert (Budgets.gb_steps, Budgets.trials) == (groebner.DEFAULT_GB_STEPS, 200)
+    with pytest.raises(TypeError):
+        Budgets(**fields, colour=1)
+
+
+def test_records_share_no_mutable_default():
+    a, b = Session("a"), Session("b")
+    for name in ("rings", "ideals", "polys", "pairs", "commands"):
+        assert getattr(a, name) is not getattr(b, name) and not getattr(a, name)
+    assert RunOptions().budgets is not RunOptions().budgets
+    m, n = groebner.Budget(), groebner.Budget()
+    assert m._paid is not n._paid and m._calls is not n._calls
+
+
+def test_import_loads_every_module_and_no_dataclass_machinery():
+    """`import cicert` loads the package and its eight submodules, and no
+    module that builds classes or reads source at import time."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cicert.__file__).resolve().parent.parent))
+    code = "import cicert, sys; print(*sys.modules)"
+    loaded = set(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=True).stdout.split())
+    submodules = ("certificates", "cli", "dsl", "groebner", "homology", "ideals", "pipeline",
+                  "poly")
+    assert {m for m in loaded if m.startswith("cicert")} == \
+        {"cicert"} | {f"cicert.{m}" for m in submodules}
+    assert not {"dataclasses", "inspect"} & loaded
 
 
 def test_budget_flags_respected(tmp_path):

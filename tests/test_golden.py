@@ -133,7 +133,7 @@ def test_benchmark_spair_counts_pinned():
 
 def test_benchmark_bytecode_counts_repeat():
     """`tools/bytecodes.py`: one count per check, which sum to the pass's
-    and repeat exactly from run to run."""
+    and repeat exactly from run to run; with `--import`, one count."""
     command = [sys.executable, str(TOOLS / "bytecodes.py"), "--seed", "1",
                "--workload", "stci-search"]
     first, again = (subprocess.run(command, capture_output=True, text=True, check=True).stdout
@@ -142,3 +142,7 @@ def test_benchmark_bytecode_counts_repeat():
     *checks, total = first.splitlines()
     assert checks and all(line.startswith("stci-search/") for line in checks)
     assert total == f"stci-search/pass {sum(int(line.split()[1]) for line in checks)}"
+    command = [sys.executable, str(TOOLS / "bytecodes.py"), "--import"]
+    word, count = subprocess.run(command, capture_output=True, text=True,
+                                 check=True).stdout.split()
+    assert word == "import" and int(count) > 0

@@ -54,6 +54,9 @@ def test_contraction_sign_convention(R3):
     u = ContractionMap((x, y))
     d = koszul_contraction(u, ExteriorForm.basis(R3, 2, (0, 1)))
     assert d.comps == {(1,): x, (0,): -y}
+    again = ContractionMap((R3.gen("x"), R3.gen("y")))
+    assert again is not u and again == u and hash(again) == hash(u)
+    assert ContractionMap((y, x)) != u
 
 
 def test_contraction_degree_one_is_evaluation(R3):

@@ -9,6 +9,7 @@ from cicert.poly import (
     GF,
     QQ,
     ExponentOverflowError,
+    Field,
     MonomialOrder,
     MonomialPacker,
     PolyParseError,
@@ -90,9 +91,26 @@ def test_a_field_is_its_characteristic():
     assert QQ.characteristic == 0 and QQ.name == "QQ" and repr(QQ) == "QQ"
     assert GF(7).characteristic == 7 and GF(7).name == "Fp(7)" and repr(GF(7)) == "GF(7)"
     assert GF(7) == GF(7) and GF(7) != GF(11) and GF(7) != QQ
+    assert GF(7) is not Field(7) and GF(7) == Field(7) and hash(GF(7)) == hash(Field(7))
     for bad in (0, 1, 4, -7, 2**63 + 29):
         with pytest.raises(ValueError):
             GF(bad)
+
+
+def test_orders_and_extensions_made_apart_are_equal(R):
+    """Ring equality and the session memo's keys compare these by value."""
+    def order():
+        return MonomialOrder("block", block=1, tail_kind="lex", permutation=(2, 0, 1))
+
+    for make in (order, lambda: extend_ring(R, ("t",))):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+    assert MonomialOrder("lex") != MonomialOrder("grevlex")
+    assert extend_ring(R, ("t",)) != extend_ring(R, ("s",))
+    assert RingSpec("xyz", GF(7), order()) == RingSpec("xyz", Field(7), order())
+    for bad in (("bogus",), ("block",)):
+        with pytest.raises(ValueError):
+            MonomialOrder(*bad)
 
 
 def test_power(R):
