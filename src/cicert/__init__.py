@@ -9,7 +9,6 @@ from .poly import (
     Polynomial,
     RingMismatchError,
     RingSpec,
-    extend_ring,
 )
 from .groebner import (
     Budget,

@@ -6,11 +6,14 @@ ideal of A = k[x]/J0 is handled as its preimage I + J0.  Colon ideals
 and intersections are read off module syzygies (Greuel-Pfister, A
 Singular Introduction to Commutative Algebra, 1.8), through the
 augmented-module primitive of `cicert.groebner`.  Saturation and radical
-membership add one tag variable t and compute a basis of
-I + J0 + (1 - t*f): f lies in the radical of I exactly when that is the
-unit ideal, and its t-free part is the saturation.  Radical membership
-first asks whether f lies in I itself, a reduction against I's basis;
-when it does, the unit ideal is known and no basis in t is computed.
+membership compute a basis of I + J0 + (1 - t*f) in the free ring of a
+tag variable t and the ring's variables, t first in a block that
+eliminates it (`_tagged`); `RingSpec.rehome` moves the generators in and
+the t-free basis elements back.  f lies in the radical of I exactly when
+that basis is the unit ideal, and its t-free part is the saturation.
+Radical membership first asks whether f lies in I itself, a reduction
+against I's basis; when it does, the unit ideal is known and no basis
+in t is computed.
 Elimination moves the eliminated variables into a block order instead.
 """
 
@@ -26,7 +29,6 @@ from .poly import (
     Polynomial,
     RingMismatchError,
     RingSpec,
-    extend_ring,
 )
 
 __all__ = [
@@ -90,20 +92,23 @@ def quotient(I: IdealHandle, divisor) -> IdealHandle:
     return first_syzygy_entries(rows, ring)
 
 
-def _tagged(ring: RingSpec):
-    """The ring of the tag variable t, added in front of the ring's
-    variables, over the ring's free polynomial ring."""
-    return extend_ring(ring.poly_ring(), (fresh_name(ring),))
+def _tagged(ring: RingSpec) -> RingSpec:
+    """The free polynomial ring of the tag variable t and the ring's
+    variables, t first in a block of its own that eliminates it."""
+    if ring.order.kind == "block" or ring.order.permutation is not None:
+        raise ValueError("cannot extend a ring that already has a block order")
+    return RingSpec((fresh_name(ring),) + ring.variables, ring.field,
+                    MonomialOrder("block", block=1, tail_kind=ring.order.kind))
 
 
 def _inverted(I: IdealHandle, f: Polynomial):
-    """(ext, reduced basis of I + J0 + (1 - t*f)) with t the variable
-    that `ext` adds in front of the ring's variables."""
-    ext = _tagged(I.ring)
-    t = ext.ring.gen(ext.added[0])
-    gens = [ext.embed(g) for g in I.working_gens() if g]
-    gens.append(ext.ring.one - t * ext.embed(f))
-    return ext, groebner_basis(gens, ext.ring)
+    """(tagged, reduced basis of I + J0 + (1 - t*f)) with t the first
+    variable of `tagged`."""
+    tagged = _tagged(I.ring)
+    t = tagged.gen(tagged.variables[0])
+    gens = [tagged.rehome(g) for g in I.working_gens() if g]
+    gens.append(tagged.one - t * tagged.rehome(f))
+    return tagged, groebner_basis(gens, tagged)
 
 
 def saturate(I: IdealHandle, f: Polynomial) -> IdealHandle:
@@ -113,9 +118,9 @@ def saturate(I: IdealHandle, f: Polynomial) -> IdealHandle:
         raise RingMismatchError("element from a different ring")
     if f.is_zero:
         raise ValueError("cannot saturate by zero")
-    ext, basis = _inverted(I, f)
-    kept = tuple(ring.rehome(ext.contract(g)) for g in basis
-                 if not ext.uses_added(g))
+    _, basis = _inverted(I, f)
+    # t's block dominates, so a lead free of t means the element is
+    kept = tuple(ring.rehome(g) for g in basis if not g.lead_monomial[0])
     return IdealHandle(ring, kept)
 
 
@@ -184,10 +189,10 @@ def radical_member(f: Polynomial, I: IdealHandle, e_max=30) -> RadicalMembership
     if f.ring != ring:
         raise RingMismatchError("element from a different ring")
     if I.contains(f):
-        ext = _tagged(ring)
+        tagged = _tagged(ring)
         return RadicalMembership(ring, f, I.gens, True, 1 if e_max >= 1 else None,
-                                 gb_hash(ext.ring, (ext.ring.one,)))
-    ext, basis = _inverted(I, f)
+                                 gb_hash(tagged, (tagged.one,)))
+    tagged, basis = _inverted(I, f)
     member = len(basis) == 1 and basis[0].is_constant()
     exponent = None
     if member:
@@ -198,7 +203,7 @@ def radical_member(f: Polynomial, I: IdealHandle, e_max=30) -> RadicalMembership
                 exponent = e
                 break
     return RadicalMembership(ring, f, I.gens, member, exponent,
-                             gb_hash(ext.ring, basis))
+                             gb_hash(tagged, basis))
 
 
 class RadicalEqualityCertificate(Replayable):

@@ -757,8 +757,8 @@ def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS) -> SearchResult
             K = I
             if coeff_deg:
                 if J is None:
-                    ring, embed = extend_scalars(I.ring, k)
-                    J = IdealHandle(ring, [embed(g) for g in I.gens])
+                    ring = extend_scalars(I.ring, k)
+                    J = IdealHandle(ring, [ring.rehome(g) for g in I.gens])
                 K = J
             live = [g for g in K.gens if g]
             f = _random_combination(live, rng, coeff_deg)
@@ -827,30 +827,18 @@ def _find_irreducible(p, k):
     raise AssertionError(f"no irreducible of degree {k} over F_{p}")
 
 
-def extend_scalars(ring: RingSpec, k: int):
-    """A tensor F_{p^k}, realized as one extra variable modulo an
-    irreducible polynomial.  Returns (new_ring, embed)."""
+def extend_scalars(ring: RingSpec, k: int) -> RingSpec:
+    """A tensor F_{p^k}: the ring with one more variable, last, and its
+    base ideal plus an irreducible polynomial of degree k in it.
+    `RingSpec.rehome` moves the ring's elements in."""
     p = ring.field.characteristic
     if not p:
         raise InputError("scalar extension only applies over a prime field")
     if ring.order.kind == "block" or ring.order.permutation is not None:
         raise InputError("scalar extension needs a plain lex/grevlex order")
-    name = fresh_name(ring, "a")
-    variables = ring.variables + (name,)
-    bare = RingSpec(variables, ring.field, MonomialOrder(ring.order.kind))
-
-    def embed_bare(f):
-        return bare.poly_from_dict({m + (0,): c for m, c in f.terms})
-
-    coeffs = _find_irreducible(p, k)
-    alpha = bare.gen(name)
-    minimal = bare.zero
-    for i, c in enumerate(coeffs):
-        minimal = minimal + alpha ** (k - i) * c
-    base = [embed_bare(g) for g in ring.base_ideal] + [minimal]
-    spec = RingSpec(variables, ring.field, MonomialOrder(ring.order.kind), base)
-
-    def embed(f):
-        return spec.poly_from_dict({m + (0,): c for m, c in f.terms})
-
-    return spec, embed
+    bare = RingSpec(ring.variables + (fresh_name(ring, "a"),), ring.field,
+                    MonomialOrder(ring.order.kind))
+    # m(a) = a^k + c1 a^(k-1) + ... + ck, its coefficients leading first
+    minimal = bare.poly_from_dict({(0,) * ring.nvars + (k - i,): c
+                                   for i, c in enumerate(_find_irreducible(p, k))})
+    return RingSpec(bare.variables, ring.field, bare.order, ring.base_ideal + (minimal,))

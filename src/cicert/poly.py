@@ -41,8 +41,8 @@ never wraps.  A vector term subtracts its position times
 2^(fields * 32), so position 0 is strongest and a weaker position gives
 a smaller key; a polynomial's dict is the vector at position 0.
 Exponent tuples are packed where they come in (`gen`, `monomial`,
-`poly_from_dict`, `rehome` into another order) and unpacked where they
-go out (`terms`, `lead_monomial`, printing).
+`poly_from_dict`, `rehome` into another ring's variables or order) and
+unpacked where they go out (`terms`, `lead_monomial`, printing).
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ __all__ = [
     "RingSpec",
     "RingMismatchError",
     "PolyParseError",
-    "extend_ring",
     "Token",
     "tokenize",
     "parse_expression",
@@ -202,6 +201,8 @@ class MonomialOrder:
             raise ValueError(f"unknown order kind {kind!r}")
         if kind == "block" and block < 1:
             raise ValueError("block order needs a positive block size")
+        if tail_kind not in ("lex", "grevlex"):
+            raise ValueError(f"unknown tail order kind {tail_kind!r}")
         self.kind = kind
         self.block = block
         self.tail_kind = tail_kind
@@ -249,9 +250,8 @@ def _order_forms(order: MonomialOrder, nvars: int) -> list[tuple[int, ...]]:
     def forms(kind, ys):
         if kind == "lex":
             return [(y,) for y in ys]
-        if kind == "grevlex":  # the degree, then y1+..+y(k-1), ..., y1
-            return [ys[:j] for j in range(len(ys), 0, -1)]
-        raise ValueError(f"unknown order kind {kind!r}")
+        # grevlex: the degree, then y1+..+y(k-1), ..., y1
+        return [ys[:j] for j in range(len(ys), 0, -1)]
 
     if order.kind == "block":
         return (forms("grevlex", perm[:order.block])
@@ -527,10 +527,14 @@ class RingSpec:
         self.variables = variables
         self.field = field
         self.order = order if order is not None else MonomialOrder("grevlex")
+        perm = self.order.permutation
+        if perm is not None and sorted(perm) != list(range(len(variables))):
+            raise ValueError(f"order permutation {perm} is not a permutation of "
+                             f"range({len(variables)})")
+        self._var_index = {v: i for i, v in enumerate(variables)}
         self._packer = None
         self._monomial_texts = {}  # packed key -> its monomial's text
         self.base_ideal = tuple(self.rehome(g) for g in base)
-        self._var_index = {v: i for i, v in enumerate(variables)}
         self._key = (self.variables, self.field, self.order,
                      tuple(tuple(g.vec.items()) for g in self.base_ideal))
         self._hash = hash(self._key)
@@ -645,20 +649,33 @@ class RingSpec:
                 gens.append(g)
         return RingSpec(self.variables, self.field, self.order, gens)
 
-    def poly_ring(self) -> "RingSpec":
-        """The same spec with the base ideal dropped."""
-        if not self.base_ideal:
-            return self
-        return RingSpec(self.variables, self.field, self.order)
-
     def rehome(self, f: Polynomial) -> Polynomial:
-        """Adopt a polynomial from a spec with the same variables/field;
-        its keys are packed again only when the order differs."""
-        if f.ring.variables != self.variables or f.ring.field != self.field:
-            raise RingMismatchError("cannot rehome across different variables or fields")
-        if f.ring.order == self.order:
+        """f as an element of this spec, its terms matched by variable
+        name: a variable that f's ring lacks gets exponent 0, and a
+        nonzero exponent on a variable this spec lacks raises
+        RingMismatchError.  The fields must agree; base ideals are not
+        compared.  With the same variables and order the dict is shared;
+        otherwise every key is packed again."""
+        src = f.ring
+        if src.field != self.field:
+            raise RingMismatchError("cannot rehome across different fields")
+        if src.variables == self.variables and src.order == self.order:
             return Polynomial(self, f.vec)
-        return self.poly_from_dict(dict(f.terms))
+        # pick reads this spec's exponents off m + (0,): each variable's
+        # index in f's ring, or n, the appended 0, for one f's ring lacks.
+        # The last n keeps a tuple for one variable; pack reads nvars.
+        n = src.nvars
+        pick = operator.itemgetter(*[src._var_index.get(v, n) for v in self.variables], n)
+        dropped = [i for i, v in enumerate(src.variables) if v not in self._var_index]
+        unpack, pack = src.packer.unpack, self.packer.pack
+        terms = []
+        for k, c in f.vec.items():
+            m = unpack(k)[1]
+            if dropped and any(m[i] for i in dropped):
+                raise RingMismatchError(f"{f} uses a variable not in {self.variables}")
+            terms.append((pack(pick(m + (0,))), c))
+        # distinct monomials stay distinct, so only the order changes
+        return Polynomial(self, dict(sorted(terms, reverse=True)))
 
     # -- text form
 
@@ -914,77 +931,6 @@ def reduce(f: Polynomial, divisors) -> tuple[Polynomial, list]:
     out = _vec_reduce(_vec_from_polys(ring, (f,)), basis, ring, exact=True)
     remainder, *quotients = _vec_to_polys(ring, 1 + n, out)
     return remainder, [-q for q in quotients]
-
-
-# ---------------------------------------------------------------------------
-# ring extension (auxiliary variables, eliminated first)
-
-
-class RingExtension:
-    """Extension of a ring by leading auxiliary variables.
-
-    The new variables form an elimination block in front of the old
-    ones, so a Groebner basis in the extended ring eliminates them.
-    """
-
-    def __init__(self, base: RingSpec, ring: RingSpec, added: tuple[str, ...]):
-        self.base = base
-        self.ring = ring
-        self.added = added
-
-    def _values(self):
-        return self.base, self.ring, self.added
-
-    def __eq__(self, other):
-        if other.__class__ is not RingExtension:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def embed(self, f: Polynomial) -> Polynomial:
-        # representatives from the base ring or any quotient of it are fine
-        if (f.ring.variables != self.base.variables
-                or f.ring.field != self.base.field):
-            raise RingMismatchError("embed expects an element of the base ring")
-        pad = (0,) * len(self.added)
-        return self.ring.poly_from_dict({pad + m: c for m, c in f.terms})
-
-    def contract(self, f: Polynomial) -> Polynomial:
-        """Inverse of embed; fails if f involves an added variable."""
-        if f.ring != self.ring:
-            raise RingMismatchError("contract expects an element of the extended ring")
-        k = len(self.added)
-        acc = {}
-        for m, c in f.terms:
-            if any(m[:k]):
-                raise ValueError(f"{f} involves auxiliary variables")
-            acc[m[k:]] = c
-        return self.base.poly_from_dict(acc)
-
-    def uses_added(self, f: Polynomial) -> bool:
-        k = len(self.added)
-        return any(any(m[:k]) for m, _ in f.terms)
-
-
-def extend_ring(ring: RingSpec, new_vars) -> RingExtension:
-    new_vars = tuple(new_vars)
-    for v in new_vars:
-        if v in ring.variables:
-            raise ValueError(f"variable {v!r} already present")
-    if len(set(new_vars)) != len(new_vars):
-        raise ValueError("new variable names must be distinct")
-    if ring.order.kind == "block" or ring.order.permutation is not None:
-        raise ValueError("cannot extend a ring that already has a block order")
-    order = MonomialOrder("block", block=len(new_vars), tail_kind=ring.order.kind)
-    bare = RingSpec(new_vars + ring.variables, ring.field, order)
-    ext = RingExtension(ring, bare, new_vars)
-    if ring.is_quotient:
-        base = [ext.embed(g) for g in ring.base_ideal]
-        full = RingSpec(new_vars + ring.variables, ring.field, order, base)
-        ext = RingExtension(ring, full, new_vars)
-    return ext
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from cicert.ideals import (
     radical_member,
     saturate,
 )
-from cicert.poly import GF, QQ, RingSpec
+from cicert.poly import GF, QQ, MonomialOrder, RingSpec
 
 from oracles import variety_points, eval_at
 
@@ -200,6 +200,32 @@ def test_radical_member_examples(R3):
     assert w3.member and w3.exponent == 3
 
 
+def test_tag_ring_refuses_block_orders_and_takes_a_fresh_name():
+    """The tag t goes first in a block of its own, so a ring whose order
+    is a block or permuted order is refused; a ring that has a `t`
+    gets the tag `t_`, and both checks still answer as without it."""
+    from cicert.ideals import _tagged
+
+    for order in (MonomialOrder("block", block=1),
+                  MonomialOrder("lex", permutation=(1, 0))):
+        ring = RingSpec(("x", "y"), QQ, order)
+        I = H(ring, "x^2*y")
+        for f in (ring.gen("x"), ring.parse("x^2*y")):
+            with pytest.raises(ValueError):
+                radical_member(f, I)
+        with pytest.raises(ValueError):
+            saturate(I, ring.gen("y"))
+    for field in (QQ, GF(5)):
+        ring = RingSpec(("t", "x"), field)
+        assert _tagged(ring).variables == ("t_", "t", "x")
+        I = H(ring, "t^2*x", "x^3")
+        assert saturate(I, ring.gen("t")).equals(H(ring, "x"))
+        w = radical_member(ring.gen("x"), I)
+        assert w.member and w.exponent == 3
+        assert not radical_member(ring.gen("t"), I).member
+        assert radical_member(ring.gen("t"), H(ring, "t^2 - x", "x")).exponent == 2
+
+
 @pytest.mark.parametrize("ring", RINGS, ids=["free", "xy-QQ", "xy-F5"])
 def test_radical_member_of_an_element_of_the_ideal(ring, monkeypatch):
     """An f in I needs no basis in the tag variable: the exponent is 1
@@ -223,9 +249,9 @@ def test_radical_member_of_an_element_of_the_ideal(ring, monkeypatch):
     assert w.member and w.exponent == 1
     assert radical_member(f, I, e_max=0).exponent is None
     monkeypatch.undo()
-    ext, basis = ideals._inverted(I, f)
-    assert len(ext.ring.variables) == ring.nvars + 1
-    assert w.aux_gb_hash == groebner.gb_hash(ext.ring, basis)
+    tagged, basis = ideals._inverted(I, f)
+    assert len(tagged.variables) == ring.nvars + 1
+    assert w.aux_gb_hash == groebner.gb_hash(tagged, basis)
 
 
 def test_radical_member_vs_points_over_f5():

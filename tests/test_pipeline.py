@@ -555,7 +555,7 @@ def test_stci_search_inconclusive_with_zero_trials(R2):
 
 def test_extend_scalars_arithmetic():
     ring = RingSpec(("x", "y"), GF(2))
-    ext, embed = extend_scalars(ring, 2)
+    ext = extend_scalars(ring, 2)
     a = ext.gen(ext.variables[-1])
     zero_ideal = IdealHandle(ext, [])
     # the minimal polynomial of the new generator reduces to zero
@@ -567,8 +567,8 @@ def test_extend_scalars_arithmetic():
 def test_extend_scalars_preserves_dimension(f5_cylinder):
     from cicert.ideals import dimension_height
 
-    ext, embed = extend_scalars(f5_cylinder.ring, 2)
-    lifted = IdealHandle(ext, [embed(g) for g in f5_cylinder.gens])
+    ext = extend_scalars(f5_cylinder.ring, 2)
+    lifted = IdealHandle(ext, [ext.rehome(g) for g in f5_cylinder.gens])
     r0 = dimension_height(f5_cylinder)
     r1 = dimension_height(lifted)
     assert (r1.dim_ambient, r1.dim_quotient, r1.height) == \
@@ -627,12 +627,12 @@ def test_even_extension_trials_answer_as_over_the_extension(monkeypatch, p, lett
         return type(outcome), getattr(outcome, "stage", None)
 
     for n, k in enumerate(pipeline.EXTENSION_DEGREES, 1):
-        ring, embed = extend_scalars(I.ring, k)
-        J = IdealHandle(ring, [embed(g) for g in I.gens])
+        ring = extend_scalars(I.ring, k)
+        J = IdealHandle(ring, [ring.rehome(g) for g in I.gens])
         passed = calls[n * trials:(n + 1) * trials]
         assert all((K is I) == (t % 2 == 0) for t, (K, _, _) in enumerate(passed))
         for _, (f, g), outcome in passed[::2]:
-            assert outcome_class(stci_verify(J, (embed(f), embed(g)))) == \
+            assert outcome_class(stci_verify(J, (ring.rehome(f), ring.rehome(g)))) == \
                 outcome_class(outcome)
 
 
@@ -671,8 +671,8 @@ def test_even_extension_trial_certifies_over_the_prime_field(monkeypatch):
 
 
 def test_stci_search_works_over_extension(f5_cylinder):
-    ext, embed = extend_scalars(f5_cylinder.ring, 2)
-    lifted = IdealHandle(ext, [embed(g) for g in f5_cylinder.gens])
+    ext = extend_scalars(f5_cylinder.ring, 2)
+    lifted = IdealHandle(ext, [ext.rehome(g) for g in f5_cylinder.gens])
     res = stci_search(lifted, 0, Budgets())
     assert res.certificate is not None
 

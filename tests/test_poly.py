@@ -22,7 +22,6 @@ from cicert.poly import (
     _vec_from_polys,
     _vec_reduce,
     _vec_to_polys,
-    extend_ring,
     reduce,
 )
 
@@ -97,20 +96,24 @@ def test_a_field_is_its_characteristic():
             GF(bad)
 
 
-def test_orders_and_extensions_made_apart_are_equal(R):
+def test_orders_and_extensions_made_apart_are_equal():
     """Ring equality and the session memo's keys compare these by value."""
     def order():
         return MonomialOrder("block", block=1, tail_kind="lex", permutation=(2, 0, 1))
 
-    for make in (order, lambda: extend_ring(R, ("t",))):
-        a, b = make(), make()
-        assert a is not b and a == b and hash(a) == hash(b)
+    a, b = order(), order()
+    assert a is not b and a == b and hash(a) == hash(b)
     assert MonomialOrder("lex") != MonomialOrder("grevlex")
-    assert extend_ring(R, ("t",)) != extend_ring(R, ("s",))
     assert RingSpec("xyz", GF(7), order()) == RingSpec("xyz", Field(7), order())
-    for bad in (("bogus",), ("block",)):
+    # every order is checked when it is made, not at its first pack
+    for bad in (lambda: MonomialOrder("bogus"),
+                lambda: MonomialOrder("block"),
+                lambda: MonomialOrder("block", block=1, tail_kind="bogus"),
+                lambda: RingSpec("xy", QQ, MonomialOrder("lex", permutation=(5,))),
+                lambda: RingSpec("xy", QQ, MonomialOrder("lex", permutation=(0, 0))),
+                lambda: RingSpec("xy", QQ, MonomialOrder("grevlex", permutation=(0, 1, 2)))):
         with pytest.raises(ValueError):
-            MonomialOrder(*bad)
+            bad()
 
 
 def test_power(R):
@@ -340,6 +343,11 @@ def test_arithmetic_matches_tuple_oracle(order, field, a, b, n, c, m):
 @given(field=diff_fields, a=dict_polys)
 @settings(max_examples=100, deadline=None)
 def test_rehome_and_embed_match_tuple_oracle(field, a):
+    """`rehome` is the one move between rings and matches variables by
+    name: into another order and back, into the radical test's ring with
+    a leading tag t and back, into a ring with a trailing variable, as a
+    scalar extension adds one, and into reordered names.  A term on a
+    variable the target lacks, or another field, raises."""
     R = RingSpec(("x", "y", "z"), field)
     elim = RingSpec(R.variables, field, MonomialOrder(
         "block", block=1, tail_kind="grevlex", permutation=(2, 0, 1)))
@@ -349,10 +357,35 @@ def test_rehome_and_embed_match_tuple_oracle(field, a):
     assert moved.terms == dict_terms(elim.order, a)
     back = R.rehome(moved)
     assert back == f and str(back) == str(f) and hash(back) == hash(f)
-    ext = extend_ring(R, ("t",))
-    inside = ext.embed(f)
-    assert inside.terms == dict_terms(ext.ring.order, {(0,) + m: c for m, c in a.items()})
-    assert ext.contract(inside) == f
+    assert R.rehome(f).vec is f.vec
+
+    tagged = RingSpec(("t",) + R.variables, field,
+                      MonomialOrder("block", block=1, tail_kind="grevlex"))
+    inside = tagged.rehome(f)
+    assert inside.terms == dict_terms(tagged.order, {(0,) + m: c for m, c in a.items()})
+    assert R.rehome(inside) == f
+    if f:  # t's block dominates every t-free monomial
+        key = tuple_key(tagged.order)
+        assert key((1, 0, 0, 0)) > key(inside.lead_monomial)
+
+    trailing = RingSpec(R.variables + ("a",), field, MonomialOrder("lex"))
+    trailing = trailing.quotient([trailing.parse("a^2 + 1")])  # base ideals are not compared
+    outside = trailing.rehome(f)
+    assert outside.terms == dict_terms(trailing.order, {m + (0,): c for m, c in a.items()})
+    assert R.rehome(outside) == f
+
+    reordered = RingSpec(("z", "x", "y"), field)
+    assert reordered.rehome(f).terms == dict_terms(
+        reordered.order, {(m[2], m[0], m[1]): c for m, c in a.items()})
+    assert R.rehome(reordered.rehome(f)) == f
+
+    assert issubclass(RingMismatchError, ValueError)
+    for target, g in ((R, tagged.gen("t") + inside),
+                      (R, trailing.gen("a") + outside),
+                      (RingSpec(("x", "y"), field), R.gen("z") ** 7 + f),
+                      (RingSpec(R.variables, GF(3)), f)):
+        with pytest.raises(RingMismatchError):
+            target.rehome(g)
 
 
 # -- differential: the fraction-free division loop against the monic one
@@ -723,30 +756,6 @@ def test_qq_int_and_fraction_coefficients_are_one_polynomial(R):
 def test_fp_print_no_negatives():
     F = RingSpec(("x", "y"), GF(5))
     assert str(F.parse("-x + 3")) == "4*x + 3"
-
-
-# -- ring extension
-
-
-def test_extend_embed_contract(R):
-    ext = extend_ring(R, ("t",))
-    f = R.parse("x^2 + y*z - 2")
-    inside = ext.embed(f)
-    assert inside.ring.variables == ("t", "x", "y", "z")
-    assert ext.contract(inside) == f
-
-
-def test_extend_elimination_block_dominates(R):
-    ext = extend_ring(R, ("t",))
-    t = ext.ring.gen("t")
-    big = ext.embed(R.parse("x^5 * y^5"))
-    key = tuple_key(ext.ring.order)
-    assert key(t.lead_monomial) > key(big.lead_monomial)
-
-
-def test_extend_name_clash(R):
-    with pytest.raises(ValueError):
-        extend_ring(R, ("x",))
 
 
 def test_quotient_ring_spec(R):
