@@ -244,7 +244,8 @@ def replay_payload(stored: dict):
         raise SchemaError(f"malformed certificate: {exc!r}") from exc
     numbers = (index, options.seed, budgets.gb_steps, budgets.trials,
                budgets.e_max, budgets.degree_bound or 0)
-    if not all(isinstance(v, int) for v in numbers) or not isinstance(text, str) \
+    # no run records a bool, though bool is a subclass of int
+    if not all(type(v) is int for v in numbers) or not isinstance(text, str) \
             or not isinstance(options.field_text or "", str):
         raise SchemaError("malformed certificate: a recorded field has the wrong type")
     override = parse_field(options.field_text) if options.field_text else None

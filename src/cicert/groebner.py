@@ -187,10 +187,9 @@ class Budget:
     `_paid` holds the keys of the bases it paid for, and `_calls` the
     {key: cost} of each call it is recording, innermost last."""
 
-    def __init__(self, limit: int = DEFAULT_GB_STEPS, used: int = 0,
-                 store: BasisStore | None = None):
+    def __init__(self, limit: int = DEFAULT_GB_STEPS, store: BasisStore | None = None):
         self.limit = limit
-        self.used = used
+        self.used = 0
         self.store = store
         self._token = None
         self._paid = set()

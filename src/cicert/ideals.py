@@ -5,16 +5,16 @@ All constructions are carried out on free-ring representatives: an
 ideal of A = k[x]/J0 is handled as its preimage I + J0.  Colon ideals
 and intersections are read off module syzygies (Greuel-Pfister, A
 Singular Introduction to Commutative Algebra, 1.8), through the
-augmented-module primitive of `cicert.groebner`.  Saturation and radical
-membership compute a basis of I + J0 + (1 - t*f) in the free ring of a
-tag variable t and the ring's variables, t first in a block that
-eliminates it (`_tagged`); `RingSpec.rehome` moves the generators in and
-the t-free basis elements back.  f lies in the radical of I exactly when
-that basis is the unit ideal, and its t-free part is the saturation.
-Radical membership first asks whether f lies in I itself, a reduction
-against I's basis; when it does, the unit ideal is known and no basis
-in t is computed.
-Elimination moves the eliminated variables into a block order instead.
+augmented-module primitive of `cicert.groebner`.  Elimination computes
+a basis in the free ring of the eliminated variables, first in a grevlex
+block, and then the ring's other variables (`_elimination_ring`);
+`RingSpec.rehome` moves the generators in and the basis elements free
+of the block back.  Saturation and radical membership eliminate a tag
+variable t from I + J0 + (1 - t*f), in a tag ring made once per ring
+(`_tagged`).  f lies in the radical of I exactly when that basis is the
+unit ideal, and its t-free part is the saturation.  Radical membership
+first asks whether f lies in I itself, a reduction against I's basis;
+when it does, the unit ideal is known and no basis in t is computed.
 """
 
 from __future__ import annotations
@@ -92,23 +92,39 @@ def quotient(I: IdealHandle, divisor) -> IdealHandle:
     return first_syzygy_entries(rows, ring)
 
 
+def _elimination_ring(ring: RingSpec, names: tuple) -> RingSpec:
+    """The free ring of `names` in a grevlex block that eliminates them,
+    then the ring's other variables in its lex or grevlex order."""
+    rest = tuple(v for v in ring.variables if v not in names)
+    tail = ring.order.kind if ring.order.kind != "block" else "grevlex"
+    return RingSpec(names + rest, ring.field,
+                    MonomialOrder("block", block=len(names), tail_kind=tail))
+
+
+def _block_free(ring: RingSpec, basis, k: int) -> IdealHandle:
+    """The basis elements whose lead is free of the first k variables, in
+    `ring`; the block dominates, so the whole element is free of it."""
+    return IdealHandle(ring, tuple(ring.rehome(g) for g in basis
+                                   if not any(g.lead_monomial[:k])))
+
+
 def _tagged(ring: RingSpec) -> RingSpec:
-    """The free polynomial ring of the tag variable t and the ring's
-    variables, t first in a block of its own that eliminates it."""
-    if ring.order.kind == "block" or ring.order.permutation is not None:
-        raise ValueError("cannot extend a ring that already has a block order")
-    return RingSpec((fresh_name(ring),) + ring.variables, ring.field,
-                    MonomialOrder("block", block=1, tail_kind=ring.order.kind))
+    """The elimination ring of a fresh tag variable t, made once per ring
+    object and kept on it."""
+    if ring._tagged is None:
+        if ring.order.kind == "block":
+            raise ValueError("cannot extend a ring that already has a block order")
+        ring._tagged = _elimination_ring(ring, (fresh_name(ring),))
+    return ring._tagged
 
 
 def _inverted(I: IdealHandle, f: Polynomial):
-    """(tagged, reduced basis of I + J0 + (1 - t*f)) with t the first
-    variable of `tagged`."""
+    """The reduced basis of I + J0 + (1 - t*f) in the tag ring of I's ring."""
     tagged = _tagged(I.ring)
     t = tagged.gen(tagged.variables[0])
     gens = [tagged.rehome(g) for g in I.working_gens() if g]
     gens.append(tagged.one - t * tagged.rehome(f))
-    return tagged, groebner_basis(gens, tagged)
+    return groebner_basis(gens, tagged)
 
 
 def saturate(I: IdealHandle, f: Polynomial) -> IdealHandle:
@@ -118,38 +134,22 @@ def saturate(I: IdealHandle, f: Polynomial) -> IdealHandle:
         raise RingMismatchError("element from a different ring")
     if f.is_zero:
         raise ValueError("cannot saturate by zero")
-    _, basis = _inverted(I, f)
-    # t's block dominates, so a lead free of t means the element is
-    kept = tuple(ring.rehome(g) for g in basis if not g.lead_monomial[0])
-    return IdealHandle(ring, kept)
+    return _block_free(ring, _inverted(I, f), 1)
 
 
 def eliminate(I: IdealHandle, var_names) -> IdealHandle:
-    """I intersected with the subring avoiding `var_names`.
-
-    The result is returned as an ideal of the same ring; its generators
-    simply do not involve the eliminated variables.
-    """
+    """I intersected with the subring avoiding `var_names`, in any order:
+    an ideal of the same ring whose generators do not involve them."""
     ring = I.ring
-    names = list(var_names)
+    names = tuple(var_names)
     for v in names:
         if v not in ring.variables:
             raise KeyError(f"no variable {v!r}")
     if not names:
         return IdealHandle(ring, I.gens)
-    idx = [ring.variables.index(v) for v in names]
-    rest = [i for i in range(ring.nvars) if i not in idx]
-    tail = ring.order.kind if ring.order.kind in ("lex", "grevlex") else "grevlex"
-    order = MonomialOrder("block", block=len(idx), tail_kind=tail,
-                          permutation=tuple(idx + rest))
-    espec = RingSpec(ring.variables, ring.field, order)
-    gens = [espec.rehome(g) for g in I.working_gens() if g]
-    basis = groebner_basis(gens, espec)
-    kept = []
-    for g in basis:
-        if all(all(m[i] == 0 for i in idx) for m, _ in g.terms):
-            kept.append(ring.rehome(g))
-    return IdealHandle(ring, tuple(kept))
+    elim = _elimination_ring(ring, names)
+    basis = groebner_basis([elim.rehome(g) for g in I.working_gens() if g], elim)
+    return _block_free(ring, basis, len(names))
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +188,11 @@ def radical_member(f: Polynomial, I: IdealHandle, e_max=30) -> RadicalMembership
     ring = I.ring
     if f.ring != ring:
         raise RingMismatchError("element from a different ring")
+    tagged = _tagged(ring)
     if I.contains(f):
-        tagged = _tagged(ring)
         return RadicalMembership(ring, f, I.gens, True, 1 if e_max >= 1 else None,
                                  gb_hash(tagged, (tagged.one,)))
-    tagged, basis = _inverted(I, f)
+    basis = _inverted(I, f)
     member = len(basis) == 1 and basis[0].is_constant()
     exponent = None
     if member:

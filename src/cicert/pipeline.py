@@ -834,7 +834,7 @@ def extend_scalars(ring: RingSpec, k: int) -> RingSpec:
     p = ring.field.characteristic
     if not p:
         raise InputError("scalar extension only applies over a prime field")
-    if ring.order.kind == "block" or ring.order.permutation is not None:
+    if ring.order.kind == "block":
         raise InputError("scalar extension needs a plain lex/grevlex order")
     bare = RingSpec(ring.variables + (fresh_name(ring, "a"),), ring.field,
                     MonomialOrder(ring.order.kind))

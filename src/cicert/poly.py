@@ -27,8 +27,8 @@ A monomial is one int, its packed key (Bachmann and Schoenemann, ISSAC
 1998).  Every order here compares linear forms with 0/1 weights
 lexicographically: lex the single exponents, grevlex on y1..yk the
 degree and then the partial sums y1+..+y(k-1), ..., y1, a block order
-the grevlex forms of its block and then those of its tail kind, all
-after the order's permutation.  A ring's `MonomialPacker` puts those
+the grevlex forms of its leading block and then those of its tail kind
+on the other variables.  A ring's `MonomialPacker` puts those
 forms in 32-bit fields, most significant first, and below them one
 field for each exponent that no form holds alone.  So the integer order
 of packed ints is the monomial order, a product is one `+`, and since
@@ -190,13 +190,12 @@ class MonomialOrder:
 
     kind "block" compares a leading block of `block` variables first
     (grevlex within the block), which makes the block an elimination
-    block; the remaining variables are compared with `tail_kind`.  An
-    optional permutation reorders the exponent vector before comparison,
-    so any subset of variables can be moved into the block.
+    block; the remaining variables are compared with `tail_kind`.  Other
+    variables are eliminated by putting them first in a ring of their
+    own, which `RingSpec.rehome` moves polynomials into by name.
     """
 
-    def __init__(self, kind: str = "grevlex", block: int = 0, tail_kind: str = "grevlex",
-                 permutation: tuple[int, ...] | None = None):
+    def __init__(self, kind: str = "grevlex", block: int = 0, tail_kind: str = "grevlex"):
         if kind not in ("lex", "grevlex", "block"):
             raise ValueError(f"unknown order kind {kind!r}")
         if kind == "block" and block < 1:
@@ -206,10 +205,9 @@ class MonomialOrder:
         self.kind = kind
         self.block = block
         self.tail_kind = tail_kind
-        self.permutation = permutation
 
     def _values(self):
-        return self.kind, self.block, self.tail_kind, self.permutation
+        return self.kind, self.block, self.tail_kind
 
     def __eq__(self, other):
         if other.__class__ is not MonomialOrder:
@@ -221,12 +219,8 @@ class MonomialOrder:
 
     def describe(self) -> str:
         if self.kind == "block":
-            text = f"block({self.block},{self.tail_kind})"
-        else:
-            text = self.kind
-        if self.permutation is not None:
-            text += "@" + ",".join(str(i) for i in self.permutation)
-        return text
+            return f"block({self.block},{self.tail_kind})"
+        return self.kind
 
 
 _FIELD_BITS = 32
@@ -245,7 +239,7 @@ class ExponentOverflowError(ValueError):
 def _order_forms(order: MonomialOrder, nvars: int) -> list[tuple[int, ...]]:
     """The order as linear forms with 0/1 weights, each the tuple of the
     variables it sums, compared lexicographically."""
-    perm = tuple(order.permutation if order.permutation is not None else range(nvars))
+    xs = tuple(range(nvars))
 
     def forms(kind, ys):
         if kind == "lex":
@@ -254,9 +248,9 @@ def _order_forms(order: MonomialOrder, nvars: int) -> list[tuple[int, ...]]:
         return [ys[:j] for j in range(len(ys), 0, -1)]
 
     if order.kind == "block":
-        return (forms("grevlex", perm[:order.block])
-                + forms(order.tail_kind, perm[order.block:]))
-    return forms(order.kind, perm)
+        return (forms("grevlex", xs[:order.block])
+                + forms(order.tail_kind, xs[order.block:]))
+    return forms(order.kind, xs)
 
 
 class MonomialPacker:
@@ -515,7 +509,7 @@ class RingSpec:
     """
 
     __slots__ = ("variables", "field", "order", "base_ideal", "_var_index",
-                 "_key", "_hash", "_zero_ideal", "_packer", "_monomial_texts")
+                 "_key", "_hash", "_zero_ideal", "_tagged", "_packer", "_monomial_texts")
 
     def __init__(self, variables, field, order=None, base=()):
         variables = tuple(variables)
@@ -527,10 +521,6 @@ class RingSpec:
         self.variables = variables
         self.field = field
         self.order = order if order is not None else MonomialOrder("grevlex")
-        perm = self.order.permutation
-        if perm is not None and sorted(perm) != list(range(len(variables))):
-            raise ValueError(f"order permutation {perm} is not a permutation of "
-                             f"range({len(variables)})")
         self._var_index = {v: i for i, v in enumerate(variables)}
         self._packer = None
         self._monomial_texts = {}  # packed key -> its monomial's text
@@ -539,6 +529,7 @@ class RingSpec:
                      tuple(tuple(g.vec.items()) for g in self.base_ideal))
         self._hash = hash(self._key)
         self._zero_ideal = None  # set by groebner.zero_ideal
+        self._tagged = None  # set by ideals._tagged
 
     # -- identity
 

@@ -81,8 +81,6 @@ def _plain_key(kind, m):
 def tuple_key(order):
     """The sort key of exponent tuples under a `MonomialOrder`."""
     def key(mono):
-        if order.permutation is not None:
-            mono = tuple(mono[i] for i in order.permutation)
         if order.kind == "block":
             return (_grevlex_key(mono[:order.block]),
                     _plain_key(order.tail_kind, mono[order.block:]))

@@ -630,8 +630,12 @@ def _rehashed(**edits):
     _rehashed(field_override="Fp:seven"),
     _rehashed(field_override="Fp:0"),
     lambda payload: [payload],
+    _rehashed(seed=True),
+    _rehashed(command_index=False),
+    lambda payload: certificates.finalize(
+        {**payload, "budgets": {**payload["budgets"], "trials": True}}),
 ], ids=["command-index", "null-budgets", "budget-type", "budget-range", "budget-key",
-        "field", "field-zero", "list"])
+        "field", "field-zero", "list", "bool-seed", "bool-command-index", "bool-budget"])
 def test_main_replay_malformed_is_input_error(tmp_path, edit):
     payloads, _ = run_session("ring R = QQ[x]; ideal I = (x); check member x in I;")
     bad = tmp_path / "x.json"

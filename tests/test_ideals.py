@@ -189,6 +189,93 @@ def test_eliminate_no_relation():
     assert eliminate(H(R, "t*x - 1"), ["t"]).is_zero_ideal()
 
 
+# The generators `eliminate` gives for names that are not a prefix of the
+# ring's variables, in the order they are named: (field, order, whether
+# the ring is k[x,y,z,w]/(x*w - y^2)) -> those of eliminating y, (z, x)
+# and (w, y) from (x^2 - y*z, y^2 - 2*x*w + z, z*w - x - 1).
+ELIMINATED = {
+    ("QQ", "lex", False): [
+        [
+            "x - z*w + 1",
+            "z^4*w^4 - 4*z^3*w^3 - 2*z^3*w^2 + z^3 + 6*z^2*w^2 + 2*z^2*w - 4*z*w + 1",
+        ],
+        ["y^4*w^2 - 2*y^3*w^2 + y^3 + 2*y^2*w - 4*y*w^3 + 2*y*w + 1"],
+        ["x^4 - 2*x^2*z - 2*x*z + z^3"],
+    ],
+    ("QQ", "lex", True): [
+        ["x - w^3", "z - w^4", "w^5 - w^3 - 1"],
+        ["y - w^2", "w^5 - w^3 - 1"],
+        ["x + 1/3*z^4 - z^3 + 1/3*z^2 - 2/3*z + 2/3", "z^5 - 2*z^4 + z^3 - 4*z^2 - 1"],
+    ],
+    ("QQ", "grevlex", False): [
+        ["x^4 - 2*x^2*z + z^3 - 2*x*z", "z*w - x - 1"],
+        ["y^4*w^2 - 2*y^3*w^2 - 4*y*w^3 + y^3 + 2*y^2*w + 2*y*w + 1"],
+        ["x^4 - 2*x^2*z + z^3 - 2*x*z"],
+    ],
+    ("QQ", "grevlex", True): [
+        [
+            "w^3 - x",
+            "x^2 - z - w",
+            "x*z - w^2 - x - 1",
+            "z^2 - x - z - w",
+            "x*w - z",
+            "z*w - x - 1",
+        ],
+        ["y^3 - y^2 - w", "y^2*w - y*w - 1", "w^2 - y"],
+        ["x*z^2 - x*z - z^2 + x - z", "z^3 - x*z - z^2 - x - 1", "x^2 - z^2 + x"],
+    ],
+    ("Fp(7)", "lex", False): [
+        [
+            "x + 6*z*w + 1",
+            "z^4*w^4 + 3*z^3*w^3 + 5*z^3*w^2 + z^3 + 6*z^2*w^2 + 2*z^2*w + 3*z*w + 1",
+        ],
+        ["y^4*w^2 + 5*y^3*w^2 + y^3 + 2*y^2*w + 3*y*w^3 + 2*y*w + 1"],
+        ["x^4 + 5*x^2*z + 5*x*z + z^3"],
+    ],
+    ("Fp(7)", "lex", True): [
+        ["x + 6*w^3", "z + 6*w^4", "w^5 + 6*w^3 + 6"],
+        ["y + 6*w^2", "w^5 + 6*w^3 + 6"],
+        ["x + 5*z^4 + 6*z^3 + 5*z^2 + 4*z + 3", "z^5 + 5*z^4 + z^3 + 3*z^2 + 6"],
+    ],
+    ("Fp(7)", "grevlex", False): [
+        ["x^4 + 5*x^2*z + z^3 + 5*x*z", "z*w + 6*x + 6"],
+        ["y^4*w^2 + 5*y^3*w^2 + 3*y*w^3 + y^3 + 2*y^2*w + 2*y*w + 1"],
+        ["x^4 + 5*x^2*z + z^3 + 5*x*z"],
+    ],
+    ("Fp(7)", "grevlex", True): [
+        [
+            "w^3 + 6*x",
+            "x^2 + 6*z + 6*w",
+            "x*z + 6*w^2 + 6*x + 6",
+            "z^2 + 6*x + 6*z + 6*w",
+            "x*w + 6*z",
+            "z*w + 6*x + 6",
+        ],
+        ["y^3 + 6*y^2 + 6*w", "y^2*w + 6*y*w + 6", "w^2 + 6*y"],
+        [
+            "x*z^2 + 6*x*z + 6*z^2 + x + 6*z",
+            "z^3 + 6*x*z + 6*z^2 + 6*x + 6",
+            "x^2 + 6*z^2 + x",
+        ],
+    ],
+}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "F7"])
+@pytest.mark.parametrize("kind", ["lex", "grevlex"])
+@pytest.mark.parametrize("quotient", [False, True], ids=["free", "quotient"])
+def test_eliminate_pinned_on_names_that_are_not_a_prefix(field, kind, quotient):
+    R = RingSpec(("x", "y", "z", "w"), field, MonomialOrder(kind))
+    if quotient:
+        R = R.quotient([R.parse("x*w - y^2")])
+    I = H(R, "x^2 - y*z", "y^2 - 2*x*w + z", "z*w - x - 1")
+    got = [[str(g) for g in eliminate(I, names).gens]
+           for names in (["y"], ["z", "x"], ["w", "y"])]
+    assert got == ELIMINATED[field.name, kind, quotient]
+    with pytest.raises(KeyError):
+        eliminate(I, ["x", "v"])
+
+
 # -- radical membership
 
 
@@ -202,19 +289,17 @@ def test_radical_member_examples(R3):
 
 def test_tag_ring_refuses_block_orders_and_takes_a_fresh_name():
     """The tag t goes first in a block of its own, so a ring whose order
-    is a block or permuted order is refused; a ring that has a `t`
-    gets the tag `t_`, and both checks still answer as without it."""
+    is a block order is refused; a ring that has a `t` gets the tag
+    `t_`, and both checks still answer as without it."""
     from cicert.ideals import _tagged
 
-    for order in (MonomialOrder("block", block=1),
-                  MonomialOrder("lex", permutation=(1, 0))):
-        ring = RingSpec(("x", "y"), QQ, order)
-        I = H(ring, "x^2*y")
-        for f in (ring.gen("x"), ring.parse("x^2*y")):
-            with pytest.raises(ValueError):
-                radical_member(f, I)
+    ring = RingSpec(("x", "y"), QQ, MonomialOrder("block", block=1))
+    I = H(ring, "x^2*y")
+    for f in (ring.gen("x"), ring.parse("x^2*y")):
         with pytest.raises(ValueError):
-            saturate(I, ring.gen("y"))
+            radical_member(f, I)
+    with pytest.raises(ValueError):
+        saturate(I, ring.gen("y"))
     for field in (QQ, GF(5)):
         ring = RingSpec(("t", "x"), field)
         assert _tagged(ring).variables == ("t_", "t", "x")
@@ -224,6 +309,29 @@ def test_tag_ring_refuses_block_orders_and_takes_a_fresh_name():
         assert w.member and w.exponent == 3
         assert not radical_member(ring.gen("t"), I).member
         assert radical_member(ring.gen("t"), H(ring, "t^2 - x", "x")).exponent == 2
+
+
+def test_tag_ring_is_made_once_per_ring(monkeypatch):
+    """A ring keeps its tag ring, so radical tests on one ring pack the
+    tag ring's monomials with one packer."""
+    from cicert import poly
+    from cicert.ideals import _tagged
+
+    R = RingSpec(("x", "y", "z"), QQ)
+    I = H(R, "x^2*y", "y*z^3")
+    made = []
+    init = poly.MonomialPacker.__init__
+
+    def counted(self, order, nvars):
+        made.append(order)
+        init(self, order, nvars)
+
+    monkeypatch.setattr(poly.MonomialPacker, "__init__", counted)
+    # neither lies in I, so each computes a basis in the tag ring
+    assert radical_member(R.parse("x*y*z"), I).exponent == 2
+    assert not radical_member(R.gen("y"), I).member
+    assert made == [MonomialOrder("block", block=1, tail_kind="grevlex")]
+    assert _tagged(R) is _tagged(R)
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=["free", "xy-QQ", "xy-F5"])
@@ -249,9 +357,9 @@ def test_radical_member_of_an_element_of_the_ideal(ring, monkeypatch):
     assert w.member and w.exponent == 1
     assert radical_member(f, I, e_max=0).exponent is None
     monkeypatch.undo()
-    tagged, basis = ideals._inverted(I, f)
+    tagged = ideals._tagged(ring)
     assert len(tagged.variables) == ring.nvars + 1
-    assert w.aux_gb_hash == groebner.gb_hash(tagged, basis)
+    assert w.aux_gb_hash == groebner.gb_hash(tagged, ideals._inverted(I, f))
 
 
 def test_radical_member_vs_points_over_f5():
