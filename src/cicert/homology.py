@@ -390,7 +390,8 @@ def free_resolution(I: IdealHandle, length: int) -> Resolution:
 
 
 class PresentationMatrix:
-    """M = coker(rows) on `ngens` generators over `ring` (a quotient spec)."""
+    """M = coker(rows) on `ngens` generators over `ring` (a quotient spec).
+    Made by `of`, which keeps each entry as its normal form mod J0."""
 
     def __init__(self, ring: RingSpec, ngens: int, rows: tuple):
         self.ring = ring
@@ -437,31 +438,47 @@ def conormal_presentation(I: IdealHandle) -> PresentationMatrix:
 # Fitting ideals
 
 
-def _determinant(rows, ring):
-    n = len(rows)
-    if n == 0:
-        return ring.one
-    if n == 1:
-        return rows[0][0]
-    total = ring.zero
-    for j in range(n):
-        entry = rows[0][j]
-        if entry.is_zero:
-            continue
-        minor = [tuple(r[t] for t in range(n) if t != j) for r in rows[1:]]
-        cofactor = entry * _determinant(minor, ring)
-        total = total - cofactor if j % 2 else total + cofactor
-    return total
+def _determinant(rows, rsel, csel, mod_base, cache):
+    """The normal form mod J0 of the minor of `rows` on the rows `rsel`
+    and the columns `csel` (ascending index tuples), by Laplace expansion
+    along its first row.  `cache` holds {(rsel, csel): normal form} for
+    the minors one `fitting_ideals` call has formed, and each cofactor's
+    (s-1)-minor is read from it or formed and kept there, so a minor is
+    expanded once however many larger minors and Fitting ideals use it.
+    The normal form mod J0 is one and the same on each coset, so
+    NF(sum a*NF(m)) = NF(sum a*m): the cached sub-minors change no value."""
+    key = (rsel, csel)
+    det = cache.get(key)
+    if det is None:
+        row = rows[rsel[0]]
+        if len(rsel) == 1:
+            det = row[csel[0]]  # `PresentationMatrix.of` reduced every entry
+        else:
+            total = mod_base.ring.zero
+            for j, c in enumerate(csel):
+                if not row[c]:
+                    continue
+                sub = _determinant(rows, rsel[1:], csel[:j] + csel[j + 1:], mod_base, cache)
+                if sub:
+                    total = total - row[c] * sub if j % 2 else total + row[c] * sub
+            det = mod_base.normal_form(total)
+        cache[key] = det
+    return det
 
 
 def fitting_ideals(P: PresentationMatrix, ks) -> dict:
     """{k: Fitt_k} of the module P presents, for each k in `ks` (k >= 0),
     from the (b-k)-minors of P's b generators (Fitt_0 <= Fitt_1 <= ...);
-    only those ideals' minors are formed."""
+    only those ideals' minors are formed.  Each Fitt_k lists its minors'
+    nonzero normal forms mod J0 once each, in the order of their row and
+    then column index tuples.  One cache of minors serves every k, so the
+    (s-1)-minors that Fitt_k's s-minors expand into are not formed again
+    for Fitt_(k+1)."""
     ring = P.ring
     nrows = len(P.rows)
     mod_base = zero_ideal(ring)
     handles = {}
+    cache = {}
     for k in ks:
         size = P.ngens - k
         if size <= 0:
@@ -474,8 +491,7 @@ def fitting_ideals(P: PresentationMatrix, ks) -> dict:
         seen = set()
         for rsel in itertools.combinations(range(nrows), size):
             for csel in itertools.combinations(range(P.ngens), size):
-                sub = [tuple(P.rows[i][j] for j in csel) for i in rsel]
-                det = mod_base.normal_form(_determinant(sub, ring))
+                det = _determinant(P.rows, rsel, csel, mod_base, cache)
                 if det and det not in seen:
                     seen.add(det)
                     minors.append(det)

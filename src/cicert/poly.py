@@ -51,7 +51,7 @@ import heapq
 import operator
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import NamedTuple
 
 __all__ = [
@@ -446,9 +446,49 @@ class Polynomial:
         return NotImplemented
 
     def __pow__(self, n):
+        """f^n, by one of two paths that give the same polynomial.
+
+        Write f = a + b with a the lead term.  When no term of b uses a
+        variable of a, f^n is the sum over k of C(n, k) a^k b^(n-k): the
+        powers of b are formed one product by b at a time, and the terms
+        of distinct k differ in a's variables, so they never collide and
+        are written into one dict.  Without collisions, repeated
+        multiplication forms fewer term products than squaring (Monagan
+        and Pearce, CASC 2012).  Otherwise f is squared repeatedly: f a
+        monomial, n < 2, or a variable shared, where the squares' terms
+        merge and squaring forms fewer products.
+
+        Each field of a packed key is a linear form with 0/1 weights, and
+        the initial form of f^n for those weights is (in_w f)^n, which is
+        nonzero, so the field's largest value over f^n's terms is n times
+        its largest over f's.  So a power of a sum past EXPONENT_LIMIT
+        raises before it expands; a monomial's powers stay one term, and
+        `__mul__`'s guard test catches them."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = self.ring.one
+        ring, vec = self.ring, self.vec
+        if n > 1 and len(vec) > 1:
+            for s in range(0, ring.packer.size, _FIELD_BITS):
+                if n * max((k >> s) & EXPONENT_LIMIT for k in vec) > EXPONENT_LIMIT:
+                    raise ExponentOverflowError()
+            (lead, lc), *tail = vec.items()
+            unpack = ring.packer.unpack
+            used = [i for i, e in enumerate(unpack(lead)[1]) if e]
+            if not any(unpack(k)[1][i] for k, _ in tail for i in used):
+                b = Polynomial(ring, dict(tail))
+                powers = [ring.one, b]
+                for _ in range(n - 1):
+                    powers.append(powers[-1] * b)
+                p = ring.field.characteristic
+                acc = {}
+                lc_power = 1  # lc^k
+                for k in range(n + 1):
+                    coeff, shift = comb(n, k) * lc_power, k * lead
+                    for key, c in powers[n - k].vec.items():
+                        acc[shift + key] = coeff * c
+                    lc_power = lc_power * lc % p if p else lc_power * lc
+                return ring._from_keys(acc)
+        result = ring.one
         base = self
         while n:
             if n & 1:

@@ -117,6 +117,19 @@ def dict_pow(field, f, n, nvars):
     return out
 
 
+def dict_det(field, rows):
+    """The determinant of a nonempty square matrix of dict polynomials, by
+    cofactor expansion along the first row, every minor expanded afresh."""
+    if len(rows) == 1:
+        return dict(rows[0][0])
+    total = {}
+    for j, entry in enumerate(rows[0]):
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        term = dict_mul(field, entry, dict_det(field, minor))
+        total = dict_add(field, total, dict_neg(field, term) if j % 2 else term)
+    return total
+
+
 def dict_terms(order, f):
     """The terms of a dict polynomial, descending under `order`."""
     return tuple(sorted(f.items(), key=lambda t: tuple_key(order)(t[0]),

@@ -578,6 +578,9 @@ def test_main_ext_past_the_resolution_limit_is_input_error(tmp_path, capsys):
     pytest.param("check member x*y^2147483647 in I;", id="x*y^2147483647"),
     # a polynomial holds packed monomials, so even an unused one is checked
     pytest.param("poly f = x^2147483648; check member x in I;", id="unused-poly"),
+    # a power is checked before it expands, so this one does not hang
+    pytest.param("ring S = QQ[x,y] order grevlex; ideal J = ((x + 1)^3000000000, y);"
+                 "check dimension J;", id="power-of-a-sum"),
 ])
 def test_main_exponent_past_the_limit_is_input_error(tmp_path, capsys, statements):
     session = tmp_path / "big.ck"

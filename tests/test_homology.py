@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from cicert.groebner import IdealHandle, module_gb, module_syzygies
+from cicert.groebner import IdealHandle, module_gb, module_syzygies, zero_ideal
 from cicert.homology import (
     ContractionMap,
     ExteriorForm,
@@ -19,7 +20,12 @@ from cicert.homology import (
     wedge,
 )
 from cicert.ideals import radical_equal
-from cicert.poly import QQ, RingSpec
+from cicert.poly import GF, QQ, RingSpec
+
+from oracles import dict_det
+
+# the rational quartic curve in P^3, four generators of height 2
+QUARTIC = ("b*c - a*d", "b^3 - a^2*c", "c^3 - b*d^2", "a*c^2 - b^2*d")
 
 
 def H(ring, *gens):
@@ -313,6 +319,50 @@ def test_fitting_invariant_under_presentation_change(R3, skew_lines):
         eq = radical_equal(a, b)
         assert not hasattr(eq, "direction"), f"fitt_{k} differs"
         assert a.equals(b)
+
+
+def _zero_entry_presentation():
+    """Rows with zero entries, and entries that are zero only mod J0, over
+    QQ[x,y,z]/(x*y)."""
+    bare = RingSpec(("x", "y", "z"), QQ)
+    ring = bare.quotient([bare.parse("x*y")])
+    rows = [("x", "0", "y"), ("0", "y", "z"), ("x*y + z", "x", "0"),
+            ("y", "x*y", "0"), ("z", "x", "x - z")]
+    return PresentationMatrix.of(ring, 3, [tuple(map(ring.parse, r)) for r in rows])
+
+
+@pytest.mark.parametrize("case", ["skew-lines", "quartic-F5", "skew-in-quotient",
+                                  "zero-entries"])
+def test_fitting_minors_match_cofactor_oracle(case, skew_lines, skew_in_quotient):
+    """Each Fitt_k lists the normal forms mod J0 of the plain cofactor
+    determinants of its minors, zero and repeats dropped, in the order of
+    the minors' row and then column index tuples, however the ks are
+    ordered and so whichever minors the cache already holds."""
+    if case == "zero-entries":
+        pres = _zero_entry_presentation()
+    elif case == "quartic-F5":
+        pres = conormal_presentation(H(RingSpec(("a", "b", "c", "d"), GF(5)), *QUARTIC))
+        assert pres.ngens == 4 and len(pres.rows) >= 3  # so Fitt_1 has 3x3 minors
+    else:
+        pres = conormal_presentation(skew_lines if case == "skew-lines" else skew_in_quotient)
+    ring, nrows = pres.ring, len(pres.rows)
+    nf = zero_ideal(ring).normal_form
+    rows = [[dict(f.terms) for f in row] for row in pres.rows]
+    ks = range(pres.ngens)
+    for order in (ks, reversed(ks)):
+        fit = fitting_ideals(pres, tuple(order))
+        for k in ks:
+            size = pres.ngens - k
+            if size > nrows:
+                continue
+            want = []
+            for rsel in itertools.combinations(range(nrows), size):
+                for csel in itertools.combinations(range(pres.ngens), size):
+                    det = dict_det(ring.field, [[rows[i][j] for j in csel] for i in rsel])
+                    det = nf(ring.poly_from_dict(det))
+                    if det and det not in want:
+                        want.append(det)
+            assert list(fit[k].gens) == want, f"fitt_{k}"
 
 
 # -- projectivity certificates

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cicert.groebner import groebner_basis
 from cicert.poly import (
@@ -115,6 +115,8 @@ def test_orders_and_extensions_made_apart_are_equal():
 
 def test_power(R):
     assert R.parse("(x + y)^3") == R.parse("x^3 + 3*x^2*y + 3*x*y^2 + y^3")
+    # the lead x^2 shares x with the other terms, so this one is squared
+    assert R.parse("(x^2 + x + 1)^2") == R.parse("x^4 + 2*x^3 + 3*x^2 + 2*x + 1")
     assert R.parse("x^0") == R.one
 
 
@@ -257,9 +259,52 @@ def test_products_past_the_limit_raise():
     top = f"x^{EXPONENT_LIMIT}"
     assert str(R.parse(top)) == top
     assert str(R.parse(f"{top}*y - {top}")) == f"{top}*y - {top}"
-    for past in (f"{top}*x", f"x^{EXPONENT_LIMIT + 1}", f"({top} + y)^2"):
+    for past in (f"{top}*x", f"x^{EXPONENT_LIMIT + 1}", f"({top} + y)^2",
+                 f"(x + 1)^{EXPONENT_LIMIT + 1}", "(x - y + 1)^3000000000"):
         with pytest.raises(ExponentOverflowError):
             R.parse(past)
+
+
+power_terms = st.lists(
+    st.tuples(st.tuples(*(st.integers(min_value=0, max_value=3) for _ in range(3))),
+              st.fractions(min_value=-3, max_value=3, max_denominator=2)),
+    min_size=1, max_size=5)
+
+
+@given(names=st.sampled_from(["xy", "xyz"]), field=st.sampled_from([QQ, GF(7)]),
+       kind=st.sampled_from(["lex", "grevlex"]), terms=power_terms,
+       split=st.booleans(), n=st.integers(min_value=0, max_value=8))
+@example(names="xy", field=QQ, kind="grevlex", n=8, split=False,
+         terms=[((1, 0, 0), 1), ((0, 1, 0), -1), ((0, 0, 0), 1)])  # (x - y + 1)^8
+@example(names="xy", field=QQ, kind="lex", n=8, split=False,
+         terms=[((3, 0, 0), 1), ((2, 0, 0), 2), ((1, 0, 0), -1), ((0, 0, 0), 5)])
+@example(names="xyz", field=GF(7), kind="grevlex", n=8, split=False,
+         terms=[((1, 1, 0), 1), ((0, 0, 1), -1)])  # x*y - z
+@settings(max_examples=200, deadline=None)
+def test_power_matches_repeated_products(names, field, kind, terms, split, n):
+    """f**n is n-fold `*`, term for term and in order.  With `split` the
+    other terms lose the lead's variables, which keeps the lead (a divisor
+    of a smaller monomial is smaller still) and gives the binomial path;
+    without it, terms that share a variable with the lead are squared."""
+    R = RingSpec(tuple(names), field, MonomialOrder(kind))
+    acc = {}
+    for m, c in terms:
+        m = m[:len(names)]
+        acc[m] = acc.get(m, 0) + field.coerce(c)
+    f = R.poly_from_dict(acc)
+    if split and len(f.vec) > 1:
+        lead = f.lead_monomial
+        acc = {}
+        for m, c in f.terms:
+            if m != lead:
+                m = tuple(0 if e else d for d, e in zip(m, lead))
+            acc[m] = acc.get(m, 0) + c
+        f = R.poly_from_dict(acc)
+        assert f.lead_monomial == lead
+    product = R.one
+    for _ in range(n):
+        product = product * f
+    assert list((f ** n).vec.items()) == list(product.vec.items())
 
 
 @given(case=orders, a=monos)
