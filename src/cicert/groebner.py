@@ -601,6 +601,8 @@ class IdealHandle:
         return self.groebner() == other.groebner()
 
     def is_unit(self) -> bool:
+        if any(g and g.is_constant() for g in self.gens):
+            return True
         basis = self.groebner()
         return len(basis) == 1 and basis[0].is_constant()
 

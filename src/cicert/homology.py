@@ -537,24 +537,49 @@ class ProjectiveRankCertificate(Replayable):
 
 def projective_rank_certificate(P: PresentationMatrix,
                                 rank: int) -> ProjectiveRankCertificate:
+    """Certify M = coker P projective of rank `rank`, or name the failing
+    Fitting ideal (Eisenbud, Commutative Algebra, Prop. 20.8).
+
+    The unit witness is the one the augmented basis of the tagged rows,
+    the minors of Fitt_r followed by the base ideal, gives: the tail c of
+    its one element (1 | c) with a nonzero row entry, reduced by the
+    syzygies.  Position over term, earlier tags stronger.
+
+    When some minor is a nonzero constant, let m_L be the last one.
+    Unless the rows after L generate (1), the witness is e_L / m_L, and
+    it is returned without computing the augmented basis.  Proof: two
+    tails t with sum t_i r_i = 1 differ by a syzygy, so c is the normal
+    form of every such tail, e_L / m_L among them.  That one term is
+    reducible only by a syzygy whose lead is a constant at position L,
+    with zeros before L; such a syzygy exists iff the rows after L
+    generate (1).  In every other case the augmented basis is computed.
+    """
     if rank < 0:
         raise ValueError("rank must be non-negative")
     if rank > P.ngens:
         return ProjectiveRankCertificate(P, rank, False,
                                          f"rank {rank} exceeds generator count",
                                          None, None, None)
+    ring = P.ring
     fitts = fitting_ideals(P, (rank - 1, rank) if rank >= 1 else (rank,))
     low = fitts[rank - 1] if rank >= 1 else None
     if low is not None and not low.is_zero_ideal():
-        witness = next(w for w in map(zero_ideal(P.ring).normal_form, low.gens) if w)
+        witness = next(w for w in map(zero_ideal(ring).normal_form, low.gens) if w)
         return ProjectiveRankCertificate(
             P, rank, False, f"fitt_{rank - 1} is nonzero", witness, None, None)
     high = fitts[rank]
+    last = max((i for i, g in enumerate(high.gens) if g and g.is_constant()), default=None)
+    if last is not None and not IdealHandle(ring, high.gens[last + 1:]).is_unit():
+        m = high.gens[last]
+        c = ring.constant(ring.field.inv(m.constant_value()))
+        if m * c != ring.one:
+            raise AssertionError("constant minor without an inverse")
+        return ProjectiveRankCertificate(P, rank, True, None, None, ((m, c),), ())
     if not high.is_unit():
         return ProjectiveRankCertificate(
             P, rank, False, f"fitt_{rank} is not the unit ideal", None, None, None)
-    ext = extended_groebner(high.gens, P.ring)
-    remainder, coeffs = ext.express(P.ring.one)
+    ext = extended_groebner(high.gens, ring)
+    remainder, coeffs = ext.express(ring.one)
     if not remainder.is_zero:
         raise AssertionError("unit ideal without a unit witness")
     ngens = len(high.gens)
@@ -562,7 +587,7 @@ def projective_rank_certificate(P: PresentationMatrix,
         (g, c) for g, c in zip(high.gens, coeffs[:ngens]) if c
     )
     base_combo = tuple(
-        (g, c) for g, c in zip(P.ring.base_ideal, coeffs[ngens:]) if c
+        (g, c) for g, c in zip(ring.base_ideal, coeffs[ngens:]) if c
     )
     return ProjectiveRankCertificate(P, rank, True, None, None,
                                      unit_combo, base_combo)

@@ -450,13 +450,14 @@ class Polynomial:
 
         Write f = a + b with a the lead term.  When no term of b uses a
         variable of a, f^n is the sum over k of C(n, k) a^k b^(n-k): the
-        powers of b are formed one product by b at a time, and the terms
-        of distinct k differ in a's variables, so they never collide and
-        are written into one dict.  Without collisions, repeated
-        multiplication forms fewer term products than squaring (Monagan
-        and Pearce, CASC 2012).  Otherwise f is squared repeatedly: f a
-        monomial, n < 2, or a variable shared, where the squares' terms
-        merge and squaring forms fewer products.
+        powers of b are formed one product by b at a time, or as one term
+        each when b is one term, and the terms of distinct k differ in
+        a's variables, so they never collide and are written into one
+        dict.  Without collisions, repeated multiplication forms fewer
+        term products than squaring (Monagan and Pearce, CASC 2012).
+        Otherwise f is squared repeatedly: f a monomial, n < 2, or a
+        variable shared, where the squares' terms merge and squaring
+        forms fewer products.
 
         Each field of a packed key is a linear form with 0/1 weights, and
         the initial form of f^n for those weights is (in_w f)^n, which is
@@ -475,16 +476,21 @@ class Polynomial:
             unpack = ring.packer.unpack
             used = [i for i, e in enumerate(unpack(lead)[1]) if e]
             if not any(unpack(k)[1][i] for k, _ in tail for i in used):
-                b = Polynomial(ring, dict(tail))
-                powers = [ring.one, b]
-                for _ in range(n - 1):
-                    powers.append(powers[-1] * b)
                 p = ring.field.characteristic
+                if len(tail) == 1:
+                    ((bk, bc),) = tail
+                    powers = [{j * bk: pow(bc, j, p) if p else bc ** j} for j in range(n + 1)]
+                else:
+                    b = Polynomial(ring, dict(tail))
+                    powers = [ring.one, b]
+                    for _ in range(n - 1):
+                        powers.append(powers[-1] * b)
+                    powers = [f.vec for f in powers]
                 acc = {}
                 lc_power = 1  # lc^k
                 for k in range(n + 1):
                     coeff, shift = comb(n, k) * lc_power, k * lead
-                    for key, c in powers[n - k].vec.items():
+                    for key, c in powers[n - k].items():
                         acc[shift + key] = coeff * c
                     lc_power = lc_power * lc % p if p else lc_power * lc
                 return ring._from_keys(acc)
@@ -641,9 +647,10 @@ class RingSpec:
         return Polynomial(self, {self.packer.pack(exponents): c})
 
     def poly_from_dict(self, acc: dict) -> Polynomial:
-        """The polynomial of a dict {exponent tuple: coefficient}."""
-        pack = self.packer.pack
-        return self._from_keys({pack(m): c for m, c in acc.items()})
+        """The polynomial of a dict {exponent tuple: coefficient}, each
+        coefficient an int or a Fraction that the field coerces."""
+        pack, coerce = self.packer.pack, self.field.coerce
+        return self._from_keys({pack(m): coerce(c) for m, c in acc.items()})
 
     def _from_keys(self, acc: dict) -> Polynomial:
         """The polynomial of a dict {packed key: raw coefficient}, where a

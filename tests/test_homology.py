@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from cicert.groebner import IdealHandle, module_gb, module_syzygies, zero_ideal
+from cicert import homology
+from cicert.groebner import (IdealHandle, extended_groebner, module_gb, module_syzygies,
+                             zero_ideal)
 from cicert.homology import (
     ContractionMap,
     ExteriorForm,
@@ -378,6 +380,38 @@ def test_projective_free_rank_two(R2):
     for g, c in cert.base_combination or ():
         total = total + c * g
     assert total == R2.one
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "F7"])
+@pytest.mark.parametrize("base", [(), ("x^2 - y^3",)], ids=["free", "cusp"])
+@pytest.mark.parametrize("row, shortcut", [
+    (("x", "1", "y"), True),
+    (("2", "x", "3", "y"), True),
+    (("x", "1", "y", "1 - y"), False),  # the rows after the constant generate (1)
+], ids=["one-constant", "two-constants", "unit-after-constant"])
+def test_unit_witness_matches_the_augmented_basis(monkeypatch, field, base, row, shortcut):
+    """On one row (a_1, ..., a_b) at rank b - 1, Fitt_{b-1} is the entries
+    in order.  The witness equals what the augmented basis expresses 1
+    as, and a constant minor gives it without that basis unless the rows
+    after the last constant generate (1)."""
+    bare = RingSpec(("x", "y"), field)
+    ring = bare.quotient([bare.parse(g) for g in base]) if base else bare
+    entries = tuple(ring.parse(a) for a in row)
+    pres = PresentationMatrix.of(ring, len(entries), [entries])
+    calls = []
+    monkeypatch.setattr(homology, "extended_groebner",
+                        lambda *args: calls.append(args) or extended_groebner(*args))
+    cert = projective_rank_certificate(pres, len(entries) - 1)
+    assert cert.certified and len(calls) == (0 if shortcut else 1)
+    high = fitting_ideals(pres, (len(entries) - 1,))[len(entries) - 1]
+    assert high.gens == entries
+    remainder, coeffs = extended_groebner(high.gens, ring).express(ring.one)
+    assert remainder.is_zero
+    n = len(high.gens)
+    assert cert.unit_combination == tuple((g, c) for g, c in zip(high.gens, coeffs[:n]) if c)
+    assert cert.base_combination == tuple(
+        (g, c) for g, c in zip(ring.base_ideal, coeffs[n:]) if c)
+    assert cert.verify()
 
 
 def test_projective_refuted_for_torsion():

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from cicert import pipeline
+from cicert.cli import run_session
 from cicert.groebner import BasisStore, Budget, IdealHandle, zero_ideal
 from cicert.homology import koszul2_exactness
 from cicert.ideals import quotient, saturate
@@ -332,6 +333,24 @@ def test_lci_refutes_c345(c345):
     out = lci_certificate(c345)
     assert isinstance(out, LCIRefutation)
     assert "fitt" in out.reason
+
+
+def _lci_verdict(base):
+    text = f"ring A = QQ[x,y,z] / ({base});\nideal I = (x, y, z - 1);\ncheck lci I;\n"
+    (payload,), _code = run_session(text)
+    return payload["verdict"]
+
+
+@pytest.mark.xfail(strict=True, reason="the height is the coheight of a ring that is "
+                   "not equidimensional: the point lies on the cusp, where ht I = 1")
+def test_lci_is_not_verified_off_the_top_dimension():
+    assert _lci_verdict("z^2 - z, z*y^2 - z*x^3") != "verified"
+
+
+@pytest.mark.xfail(strict=True, reason="I is locally (z - 1) on the line x = y = 0, "
+                   "an lci of height 1, but the coheight is 2 and Fitt_1 is nonzero")
+def test_lci_is_not_refuted_on_a_lower_dimensional_component():
+    assert _lci_verdict("x*z, y*z") != "refuted"
 
 
 # -- complete intersection from a free conormal

@@ -280,6 +280,10 @@ power_terms = st.lists(
          terms=[((3, 0, 0), 1), ((2, 0, 0), 2), ((1, 0, 0), -1), ((0, 0, 0), 5)])
 @example(names="xyz", field=GF(7), kind="grevlex", n=8, split=False,
          terms=[((1, 1, 0), 1), ((0, 0, 1), -1)])  # x*y - z
+@example(names="xyz", field=GF(7), kind="grevlex", n=20, split=False,
+         terms=[((1, 1, 0), 1), ((0, 0, 1), -1)])  # (x*y - z)^20: b is one term
+@example(names="xy", field=QQ, kind="lex", n=7, split=False,
+         terms=[((2, 0, 0), 1), ((0, 1, 0), Fraction(-3, 2))])  # (x^2 - 3/2*y)^7
 @settings(max_examples=200, deadline=None)
 def test_power_matches_repeated_products(names, field, kind, terms, split, n):
     """f**n is n-fold `*`, term for term and in order.  With `split` the
@@ -813,6 +817,19 @@ def test_qq_int_and_fraction_coefficients_are_one_polynomial(R):
     assert [type(c) for _, c in f.terms] == [int, int]
     g = R.poly_from_dict({m: Fraction(c) for m, c in f.terms})
     assert f == g and hash(f) == hash(g) and str(f) == str(g) == "x + 3"
+
+
+def test_poly_from_dict_coerces_each_coefficient():
+    F7 = RingSpec(("x",), GF(7))
+    f = F7.poly_from_dict({(1,): Fraction(3, 2)})
+    assert f == F7.parse("5*x") and str(f) == "5*x" and str(f ** 2) == "4*x^2"
+    assert F7.poly_from_dict({(1,): 9, (0,): -7}) == F7.parse("2*x")
+    Q = RingSpec(("x",), QQ)
+    g = Q.poly_from_dict({(1,): Fraction(3, 2), (0,): Fraction(4, 2)})
+    assert str(g) == "3/2*x + 2" and [type(c) for _, c in g.terms] == [Fraction, int]
+    for ring in (F7, Q):
+        with pytest.raises(TypeError):
+            ring.poly_from_dict({(1,): 1.5})
 
 
 def test_fp_print_no_negatives():
