@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from fractions import Fraction
 
 from .certificates import Replayable
 from .groebner import DEFAULT_GB_STEPS, IdealHandle, memoized, metered, zero_ideal
@@ -413,18 +412,85 @@ class ModSquareResult:
 
 @memoized
 def mod_square_generation(I: IdealHandle, candidates) -> ModSquareResult:
-    """Does I = (candidates) + I^2?  Candidates must lie in I."""
+    """Does I = (candidates) + I^2?  Candidates must lie in I.
+
+    The test is membership of each nonzero generator of I, in order, in
+    K = (candidates) + (kept)^2.  A generator is kept when its coefficient
+    dict raises the rank, over the ring's field, of the candidates' and
+    the generators kept before it (`_echelon`).  K is (candidates) + I^2:
+    each generator dropped lies in the span of the candidates and the
+    kept ones, so I = (candidates) + (kept); and as the candidates lie in
+    I, I^2 lies in (candidates) + (kept)^2.  So K, the answer and the
+    first failing generator are those of all the generators' products."""
     candidates = tuple(candidates)
     ring = I.ring
     for c in candidates:
         if not I.contains(c):
             raise InputError(f"candidate {c} does not lie in the ideal")
     live = [g for g in I.gens if g]
-    K = IdealHandle(ring, list(candidates) + _square_gens(live))
+    _, raised = _echelon([f.vec for f in candidates + tuple(live)],
+                         ring.field.characteristic)
+    first = len(candidates)
+    kept = [live[i - first] for i in raised if i >= first]
+    K = IdealHandle(ring, list(candidates) + _square_gens(kept))
     for g in live:
         if not K.contains(g):
             return ModSquareResult(False, g)
     return ModSquareResult(True, None)
+
+
+def _echelon(rows, p):
+    """Gauss-Jordan elimination of sparse rows over QQ (p = 0) or GF(p).
+
+    A row is a dict {column: coefficient}, with comparable columns and
+    int or Fraction coefficients.  Returns (reduced, raised): `reduced`
+    maps the pivot column of each row of the echelon form, its largest
+    column, to the row, which is zero at every other pivot; `raised`
+    lists the indices of the rows that raised the rank of the rows
+    before them.  Each row of `reduced` is monic at its pivot over GF(p);
+    over QQ the elimination is fraction-free, and each row is a
+    primitive int row with a positive pivot.  So `reduced` depends only
+    on the span of the rows."""
+    reduced = {}
+    raised = []
+
+    def minus(row, col, other):  # a multiple of row, less one of other, zero at col
+        a, b = other[col], row[col]
+        out = {k: a * c for k, c in row.items()}
+        for k, c in other.items():
+            out[k] = out.get(k, 0) - b * c
+        if p:
+            return {k: c % p for k, c in out.items() if c % p}
+        return {k: c for k, c in out.items() if c}
+
+    def normal(row, col):  # the multiple of row in the form of `reduced`
+        if p:
+            s = pow(row[col], -1, p)
+            return {k: c * s % p for k, c in row.items()}
+        g = math.gcd(*row.values())
+        if row[col] < 0:
+            g = -g
+        return row if g == 1 else {k: c // g for k, c in row.items()}
+
+    for i, row in enumerate(rows):
+        if p:
+            row = {k: c % p for k, c in row.items() if c % p}
+        else:  # cleared of denominators
+            d = math.lcm(*[c.denominator for c in row.values()])
+            row = {k: c.numerator * (d // c.denominator) for k, c in row.items() if c}
+        for col, other in reduced.items():
+            if row.get(col):
+                row = minus(row, col, other)
+        if not row:
+            continue
+        col = max(row)
+        row = normal(row, col)
+        for j, other in reduced.items():
+            if other.get(col):
+                reduced[j] = normal(minus(other, col, row), j)
+        reduced[col] = row
+        raised.append(i)
+    return reduced, raised
 
 
 # ---------------------------------------------------------------------------
@@ -654,28 +720,11 @@ class SearchResult:
 
 
 def _row_reduced(rows, p):
-    """The reduced row echelon form of integer rows over QQ (p = 0), with
-    Fractions, or over GF(p): equal exactly when the rows span the same
-    space."""
-    if p:
-        norm, inv = (lambda a: a % p), (lambda a: pow(a, -1, p))
-    else:
-        norm, inv = Fraction, (lambda a: 1 / a)
-    reduced = []  # (pivot column, row), each row zero at the others' pivots
-    for row in rows:
-        row = [norm(a) for a in row]
-        for col, other in reduced:
-            c = row[col]
-            row = [norm(a - c * b) for a, b in zip(row, other)]
-        col = next((j for j, a in enumerate(row) if a), None)
-        if col is None:
-            continue
-        scale = inv(row[col])
-        row = [norm(a * scale) for a in row]
-        reduced = [(j, [norm(a - other[col] * b) for a, b in zip(other, row)])
-                   for j, other in reduced]
-        reduced.append((col, row))
-    return tuple(tuple(row) for _, row in sorted(reduced))
+    """The span of integer rows over QQ (p = 0) or GF(p), as a key that
+    is equal exactly when the rows span the same space."""
+    reduced, _ = _echelon([dict(enumerate(r)) for r in rows], p)
+    return tuple(sorted((col, tuple(sorted(row.items())))
+                        for col, row in reduced.items()))
 
 
 # the fields F_{p^k} of a stalled search's random pairs with polynomial

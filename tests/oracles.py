@@ -277,20 +277,39 @@ def _poly_vec(f):
     return {m: c for m, c in f.terms}
 
 
-def membership_oracle(f, gens, cap):
-    """Is f a combination sum(h_i g_i) with deg(h_i) <= cap?
-
-    Decided by eliminating the column space of all monomial shifts of
-    the generators; independent of any Groebner machinery.
-    """
-    ring = f.ring
+def _shift_span(ring, gens, cap):
+    """The span of every monomial shift of degree <= cap of the gens."""
     span = LinearSpan(ring.field, tuple_key(ring.order))
     for g in gens:
         if not g:
             continue
         for mono in monomials_up_to(ring.nvars, cap):
             span.insert(_poly_vec(g * ring.monomial(mono)))
-    return span.contains(_poly_vec(f))
+    return span
+
+
+def membership_oracle(f, gens, cap):
+    """Is f a combination sum(h_i g_i) with deg(h_i) <= cap?
+
+    Decided by eliminating the column space of all monomial shifts of
+    the generators; independent of any Groebner machinery.
+    """
+    return _shift_span(f.ring, gens, cap).contains(_poly_vec(f))
+
+
+def mod_square_oracle(gens, candidates, cap):
+    """(holds, failing) of the question I = (candidates) + I^2, for the
+    ideal I of `gens` in their ring A = k[x]/J0: the first nonzero
+    generator, in order, outside K = (candidates) + J0 + every product
+    of two nonzero generators, or None.  Membership is that of
+    `membership_oracle`, against all the products at once, so a
+    generator it finds outside K lies outside only up to the cap."""
+    live = [g for g in gens if g]
+    ring = live[0].ring
+    squares = [a * b for a, b in itertools.combinations_with_replacement(live, 2)]
+    span = _shift_span(ring, [*candidates, *ring.base_ideal, *squares], cap)
+    failing = next((g for g in live if not span.contains(_poly_vec(g))), None)
+    return failing is None, failing
 
 
 def syzygy_oracle(targets, cap):

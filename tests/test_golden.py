@@ -38,16 +38,16 @@ SESSIONS = sorted(p.stem for p in GOLDEN.glob("*.ck"))
 # Budget.charge calls of one run of each session with its recorded options:
 # the S-pair reductions that run; a basis reused from the session's store
 # is paid by Budget.pay at its recorded cost instead
-CHARGES = {"budget-2": 3, "c345": 55, "f5-cylinder": 97, "readme-skew": 119,
-           "skew-quotient": 134, "stalled-searches": 278, "twisted-cubic": 24}
+CHARGES = {"budget-2": 3, "c345": 55, "f5-cylinder": 69, "readme-skew": 84,
+           "skew-quotient": 106, "stalled-searches": 278, "twisted-cubic": 18}
 
 # the meter reading (Budget.used) at the end of each check of that run: the
 # cost of each distinct basis the check used, once; it decides every
 # budget-bound verdict
 READINGS = {"budget-2": [3], "c345": [2, 11, 19, 5, 10, 2, 24],
-            "f5-cylinder": [4, 33, 97], "readme-skew": [12, 55, 97],
-            "skew-quotient": [4, 51, 18, 121], "stalled-searches": [239, 39],
-            "twisted-cubic": [3, 3, 5, 6, 3, 9, 9, 10, 3, 6, 18]}
+            "f5-cylinder": [4, 33, 69], "readme-skew": [12, 48, 69],
+            "skew-quotient": [4, 51, 18, 93], "stalled-searches": [239, 39],
+            "twisted-cubic": [3, 3, 5, 6, 3, 9, 3, 10, 3, 6, 12]}
 
 
 def _load(name):
@@ -127,8 +127,8 @@ def test_benchmark_spair_counts_pinned():
     out = subprocess.run([sys.executable, str(TOOLS / "spair_counts.py"), "--seed", "1"],
                          capture_output=True, text=True, check=True)
     totals = [line for line in out.stdout.splitlines() if "/total " in line]
-    assert totals == ["gb-families/total 446 288 0", "curve-checks/total 778 336 128",
-                      "stci-search/total 398 217 24", "untimed/total 1451 962 23"]
+    assert totals == ["gb-families/total 446 288 0", "curve-checks/total 670 230 128",
+                      "stci-search/total 330 153 24", "untimed/total 1451 962 23"]
 
 
 def test_benchmark_bytecode_counts_repeat():

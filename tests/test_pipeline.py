@@ -30,10 +30,10 @@ from cicert.pipeline import (
     stci_search,
     stci_verify,
 )
-from cicert.pipeline import _find_irreducible
+from cicert.pipeline import _find_irreducible, _row_reduced
 from cicert.poly import GF, QQ, RingSpec
 
-from oracles import bounded_zerodivisor_witness
+from oracles import LinearSpan, bounded_zerodivisor_witness, mod_square_oracle, s_coerce
 
 
 def H(ring, *gens):
@@ -315,6 +315,39 @@ def test_nakayama_dichotomy(R3):
     assert saturate(pair_ideal, s).equals(I)
 
 
+SKEW = ("x^2 - x", "x*y - y", "x*z", "y*z")
+
+# name: (variables, base ideal, generators of I, candidates, does it hold)
+MOD_SQUARE_CASES = {
+    "first-two": ("xyz", (), SKEW, SKEW[:2], False),
+    "cubic-first-two": ("xyz", (), ("y - x^2", "z - x*y", "x*z - y^2"),
+                        ("y - x^2", "z - x*y"), True),
+    "outside-span": ("xyz", (), ("x", "y"), ("x + x^2", "y"), True),
+    "outside-span-skew": ("xyz", (), SKEW, ("x*(x^2 - x)", "x*y - y"), False),
+    "redundant": ("xyz", (), ("x^2 - x", "x*y - y", "x^2 - x + x*y - y", "x*z", "y*z"),
+                  ("x^2 - x", "(1 - x)*y + x*z"), True),
+    "zero-generator": ("xyz", (), ("x", "0", "y"), ("x", "y"), True),
+    "skew-quotient": ("xyzw", ("w",), SKEW, ("x^2 - x", "(1 - x)*y + x*z"), True),
+    "failing-pair": ("xyz", (), SKEW, ("x^2 - x", "x*z"), False),
+}
+
+
+@pytest.mark.parametrize("p", [0, 7])
+@pytest.mark.parametrize("name", sorted(MOD_SQUARE_CASES))
+def test_mod_square_matches_all_products(name, p):
+    """The squares of only the generators that the candidates leave
+    unspanned decide I = (candidates) + I^2 as all the products do: the
+    same answer and the same first failing generator."""
+    variables, base, gens, candidates, holds = MOD_SQUARE_CASES[name]
+    ring = RingSpec(tuple(variables), GF(p) if p else QQ)
+    ring = ring.quotient([ring.parse(b) for b in base])
+    I = IdealHandle(ring, [ring.parse(g) for g in gens])
+    candidates = tuple(ring.parse(c) for c in candidates)
+    out = mod_square_generation(I, candidates)
+    assert (out.holds, out.failing) == mod_square_oracle(I.gens, candidates, cap=2)
+    assert out.holds == holds
+
+
 # -- lci certificates
 
 
@@ -505,6 +538,36 @@ def test_stci_search_skew_lines(skew_lines, skew_pair):
     assert res.certificate is not None
     assert res.via == "conormal-basis"
     assert res.certificate.verify()
+
+
+@pytest.mark.parametrize("p", [0, 7])
+def test_span_key_is_equal_exactly_for_equal_spans(p):
+    """stci_search's key of a pair of coefficient rows: two pairs get
+    the same key exactly when they span the same space, by the ranks of
+    an independent elimination."""
+    field = GF(p) if p else QQ
+
+    def rank(rows):
+        span = LinearSpan(field, key=lambda j: j)
+        return sum(span.insert({j: s_coerce(p, a) for j, a in enumerate(row)
+                                if s_coerce(p, a)}) for row in rows)
+
+    rng = random.Random(3)
+
+    def draw():
+        return tuple(rng.randint(-2, 2) for _ in range(3))
+
+    for _ in range(150):
+        a = (draw(), draw())
+        u, v, w, z = (rng.randint(-3, 3) for _ in range(4))
+        det = u * z - v * w
+        if det % p if p else det:  # an invertible change of basis of a
+            same = tuple(tuple(s * x + t * y for x, y in zip(*a))
+                         for s, t in ((u, v), (w, z)))
+            assert _row_reduced(same, p) == _row_reduced(a, p)
+        b = (draw(), draw())
+        equal = rank(a) == rank(b) == rank(a + b)
+        assert (_row_reduced(a, p) == _row_reduced(b, p)) == equal
 
 
 def test_stci_search_tests_each_candidate_span_once(monkeypatch, skew_lines):
