@@ -141,8 +141,10 @@ def _dispatch(session: Session, command, options: RunOptions):
     elif name == "stci-search":
         result = stci_search(I, options.seed, budgets)
         outcome = result.outcome
+        # the search runs over the ring's own field only; the key stays,
+        # always null, so the certificate format does not change
         witnesses = {"via": result.via, "trials": result.trials,
-                     "field_extension": result.extension, **outcome.payload()}
+                     "field_extension": None, **outcome.payload()}
     elif name == "regularize":
         outcome = regularize_generators(I, I.gens, options.seed, budgets)
     else:

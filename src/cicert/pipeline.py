@@ -22,11 +22,10 @@ from .ideals import (
     DimensionReport,
     RadicalEqualityCertificate,
     dimension_height,
-    fresh_name,
     quotient,
     radical_equal,
 )
-from .poly import MonomialOrder, Polynomial, RingSpec
+from .poly import Polynomial, RingSpec
 
 __all__ = [
     "Budgets",
@@ -52,7 +51,6 @@ __all__ = [
     "stci_verify",
     "stci_search",
     "SearchResult",
-    "extend_scalars",
     "default_degree_bound",
 ]
 
@@ -414,14 +412,17 @@ class ModSquareResult:
 def mod_square_generation(I: IdealHandle, candidates) -> ModSquareResult:
     """Does I = (candidates) + I^2?  Candidates must lie in I.
 
-    The test is membership of each nonzero generator of I, in order, in
-    K = (candidates) + (kept)^2.  A generator is kept when its coefficient
-    dict raises the rank, over the ring's field, of the candidates' and
-    the generators kept before it (`_echelon`).  K is (candidates) + I^2:
-    each generator dropped lies in the span of the candidates and the
-    kept ones, so I = (candidates) + (kept); and as the candidates lie in
-    I, I^2 lies in (candidates) + (kept)^2.  So K, the answer and the
-    first failing generator are those of all the generators' products."""
+    A nonzero generator of I is kept when its coefficient dict raises
+    the rank, over the ring's field, of the candidates' and the
+    generators kept before it (`_echelon`).  Each generator dropped lies
+    in the span of the candidates and the kept ones before it, so
+    I = (candidates) + (kept); and as the candidates lie in I, I^2 lies
+    in K = (candidates) + (kept)^2.  So K is (candidates) + I^2, and the
+    test is membership of each kept generator, in order, in K.  The
+    first generator outside K is a kept one: a dropped one outside K
+    would have a kept one before it outside K.  So the answer and the
+    failing generator are those of testing every generator against all
+    their products."""
     candidates = tuple(candidates)
     ring = I.ring
     for c in candidates:
@@ -433,7 +434,7 @@ def mod_square_generation(I: IdealHandle, candidates) -> ModSquareResult:
     first = len(candidates)
     kept = [live[i - first] for i in raised if i >= first]
     K = IdealHandle(ring, list(candidates) + _square_gens(kept))
-    for g in live:
+    for g in kept:
         if not K.contains(g):
             return ModSquareResult(False, g)
     return ModSquareResult(True, None)
@@ -708,11 +709,10 @@ def stci_verify(I: IdealHandle, pair, budgets=DEFAULT_BUDGETS):
 
 
 class SearchResult:
-    def __init__(self, outcome: object, via: str, trials: int, extension: int | None = None):
+    def __init__(self, outcome: object, via: str, trials: int):
         self.outcome = outcome  # STCICertificate or Inconclusive
         self.via = via
         self.trials = trials
-        self.extension = extension
 
     @property
     def certificate(self):
@@ -727,48 +727,34 @@ def _row_reduced(rows, p):
                         for col, row in reduced.items()))
 
 
-# the fields F_{p^k} of a stalled search's random pairs with polynomial
-# coefficients (its odd trials); its scalar pairs stay over F_p
-EXTENSION_DEGREES = (2, 3)
-
-
 @metered
 def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS) -> SearchResult:
     """Find a regular pair with the same radical as I.
 
-    The height check, the lci certificate and the conormal-basis stage
-    run once, over the ring's own field: their exact answers do not
-    change under a scalar extension, which is free and so faithfully
-    flat.  The conormal-basis stage tries generator pairs that generate
-    I modulo its square, each upgraded through the exact
-    complete-intersection search.  Whether I = (c, d) + I^2 depends only
-    on the span of c and d, so each candidate carries its coefficient
-    rows over the generators and the test runs once per row-reduced
-    span.  Only the first candidate that passes tries `_ci_search`'s
+    Every stage runs over the ring's own field.  After the height check
+    and the lci certificate, the conormal-basis stage tries generator
+    pairs that generate I modulo its square, each upgraded through the
+    exact complete-intersection search.  Whether I = (c, d) + I^2
+    depends only on the span of c and d, so each candidate carries its
+    coefficient rows over the generators and the test runs once per
+    row-reduced span.  Only the first candidate that passes tries `_ci_search`'s
     general random pairs, which are the same for every candidate.  A
     pair found is certified by `stci_verify`, from the meter's store.
 
-    Then come random pairs of combinations of the generators.  Over a
-    prime field, when they stall, the random pairs are drawn again for
-    each F_{p^k} of EXTENSION_DEGREES, represented as F_p[a]/(m(a)); each
-    field draws from its own Random(seed), and the trials are summed.
-    An even trial draws scalar coefficients, which stay in F_p, so in
-    every pass it is verified over I itself: by flatness its answer
-    over F_{p^k} is the same, and a pair that verifies is certified over
-    the ring asked about, with `extension` None.  Only an odd trial,
-    whose polynomial coefficients may involve a, runs over F_p[a]/(m),
-    whose ring is built when the first such trial asks for it.
+    Then come random pairs of combinations of the generators, drawn
+    from one Random(seed): scalar coefficients on even trials, sparse
+    polynomial ones on odd trials.
     """
     height = dimension_height(I).height
     if height != 2:
         raise InputError(f"height is {height}, need 2")
+    live = [g for g in I.gens if g]
     lci = lci_certificate(I)
     if isinstance(lci, LCIProxyCertificate) and lci.height == 2:
         # pair pool: the generators plus their pairwise sums and
         # differences, each with its integer coefficient row over the
         # generators; enough to expose conormal bases hidden in a
         # redundant generating set, and every candidate is verified
-        live = [g for g in I.gens if g]
         n = len(live)
         pool = [(g, tuple(int(i == j) for j in range(n)))
                 for i, g in enumerate(live)]
@@ -795,99 +781,17 @@ def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS) -> SearchResult
                 return SearchResult(outcome, "conormal-basis", 0)
 
     degree_cap = budgets.degree_cap(I.gens)
-    trials_used = 0
-    extensions = EXTENSION_DEGREES if I.ring.field.characteristic else ()
-    for k in (None, *extensions):
-        J = I if k is None else None  # over F_p[a]/(m), built when first asked
-        rng = random.Random(seed)
-        for trial in range(budgets.trials):
-            trials_used += 1
-            coeff_deg = 0 if trial % 2 == 0 else rng.randint(1, degree_cap)
-            K = I
-            if coeff_deg:
-                if J is None:
-                    ring = extend_scalars(I.ring, k)
-                    J = IdealHandle(ring, [ring.rehome(g) for g in I.gens])
-                K = J
-            live = [g for g in K.gens if g]
-            f = _random_combination(live, rng, coeff_deg)
-            g = _random_combination(live, rng, coeff_deg)
-            if not f or not g or f == g:
-                continue
-            outcome = stci_verify(K, (f, g), budgets)
-            if isinstance(outcome, STCICertificate):
-                return SearchResult(outcome, "random-pairs", trials_used,
-                                    None if K is I else k)
+    rng = random.Random(seed)
+    for trial in range(budgets.trials):
+        coeff_deg = 0 if trial % 2 == 0 else rng.randint(1, degree_cap)
+        f = _random_combination(live, rng, coeff_deg)
+        g = _random_combination(live, rng, coeff_deg)
+        if not f or not g or f == g:
+            continue
+        outcome = stci_verify(I, (f, g), budgets)
+        if isinstance(outcome, STCICertificate):
+            return SearchResult(outcome, "random-pairs", trial + 1)
     return SearchResult(
-        Inconclusive("no certified pair within the trial budget", trials_used),
-        "exhausted", trials_used)
+        Inconclusive("no certified pair within the trial budget", budgets.trials),
+        "exhausted", budgets.trials)
 
-
-# ---------------------------------------------------------------------------
-# scalar extension F_p -> F_{p^k}
-
-
-def _has_root(f, p):
-    """Does x^k + f[0] x^(k-1) + ... + f[-1], with f[-1] != 0, have a
-    root in F_p?  Coefficient lists here run from the highest degree."""
-    k = len(f)
-    if not any(f[:-1]):
-        # x^k + c has a root exactly when -c is a k-th power
-        return pow(-f[-1], (p - 1) // math.gcd(k, p - 1), p) == 1
-
-    def mulmod(a, b):  # a * b mod f, both of degree < k
-        prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                prod[i + j] += ai * bj
-        for d in range(k - 1):
-            for i, fi in enumerate(f, d + 1):
-                prod[i] -= prod[d] * fi
-        return [c % p for c in prod[k - 1:]]
-
-    # otherwise a root exactly when gcd(f, x^p - x) != 1
-    x = [0] * (k - 2) + [1, 0]
-    power = x
-    for bit in bin(p)[3:]:
-        power = mulmod(power, power)
-        if bit == "1":
-            power = mulmod(power, x)
-    power[-2] = (power[-2] - 1) % p
-    a, b = [1, *f], power
-    while any(b):
-        while b[0] == 0:
-            b.pop(0)
-        while len(a) >= len(b):
-            q = a[0] * pow(b[0], -1, p)
-            a = [(ai - q * bi) % p for ai, bi in zip(a[1:], b[1:])] + a[len(b):]
-        a, b = b, a
-    return len(a) > 1
-
-
-def _find_irreducible(p, k):
-    """The first monic irreducible of degree k over F_p, in the order of
-    its coefficients (leading coefficient first); k <= 3, so having no
-    root suffices."""
-    if k < 2 or k > 3:
-        raise ValueError("extension degree must be 2 or 3")
-    for tail in itertools.product(range(p), repeat=k):
-        if tail[-1] != 0 and not _has_root(tail, p):
-            return (1,) + tail
-    raise AssertionError(f"no irreducible of degree {k} over F_{p}")
-
-
-def extend_scalars(ring: RingSpec, k: int) -> RingSpec:
-    """A tensor F_{p^k}: the ring with one more variable, last, and its
-    base ideal plus an irreducible polynomial of degree k in it.
-    `RingSpec.rehome` moves the ring's elements in."""
-    p = ring.field.characteristic
-    if not p:
-        raise InputError("scalar extension only applies over a prime field")
-    if ring.order.kind == "block":
-        raise InputError("scalar extension needs a plain lex/grevlex order")
-    bare = RingSpec(ring.variables + (fresh_name(ring, "a"),), ring.field,
-                    MonomialOrder(ring.order.kind))
-    # m(a) = a^k + c1 a^(k-1) + ... + ck, its coefficients leading first
-    minimal = bare.poly_from_dict({(0,) * ring.nvars + (k - i,): c
-                                   for i, c in enumerate(_find_irreducible(p, k))})
-    return RingSpec(bare.variables, ring.field, bare.order, ring.base_ideal + (minimal,))

@@ -261,11 +261,10 @@ STALLED = Path(__file__).parent / "golden" / "stalled-searches.ck"
 
 def test_stalled_searches_store_hits_are_charged_exactly(monkeypatch):
     """The golden stalled searches, at their recorded trial budget of 2:
-    the stci-search's odd trials build their handles on a fresh
-    `extend_scalars` ring for each of F_49 and F_343.  Its two checks
-    share no basis, so the session reads what each check reads alone;
-    the limits are sampled, every 7th up to the search's reading of
-    239."""
+    the stci-search's two random pairs and the regularize check's
+    perturbations run in rings of their own.  Its two checks share no
+    basis, so the session reads what each check reads alone; the limits
+    are sampled, every 7th up to the search's reading of 137."""
     session = STALLED.read_text(encoding="utf-8")
     assert _charged_as_alone(session, monkeypatch, trials=2, every=7,
                              reuses=False) == ["inconclusive"] * 2

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -21,7 +20,6 @@ from cicert.pipeline import (
     STCICertificate,
     STCIRefutation,
     ci_from_free_conormal,
-    extend_scalars,
     is_nzd,
     is_regular_sequence,
     lci_certificate,
@@ -30,7 +28,7 @@ from cicert.pipeline import (
     stci_search,
     stci_verify,
 )
-from cicert.pipeline import _find_irreducible, _row_reduced
+from cicert.pipeline import _row_reduced
 from cicert.poly import GF, QQ, RingSpec
 
 from oracles import LinearSpan, bounded_zerodivisor_witness, mod_square_oracle, s_coerce
@@ -329,6 +327,9 @@ MOD_SQUARE_CASES = {
     "zero-generator": ("xyz", (), ("x", "0", "y"), ("x", "y"), True),
     "skew-quotient": ("xyzw", ("w",), SKEW, ("x^2 - x", "(1 - x)*y + x*z"), True),
     "failing-pair": ("xyz", (), SKEW, ("x^2 - x", "x*z"), False),
+    # y*z is dropped and fails, after the kept x*z + y*z that also fails
+    "dropped-fails": ("xyz", (), ("x^2 - x", "x*y - y", "x*z + y*z", "x*z", "y*z"),
+                      SKEW[:2], False),
 }
 
 
@@ -336,8 +337,9 @@ MOD_SQUARE_CASES = {
 @pytest.mark.parametrize("name", sorted(MOD_SQUARE_CASES))
 def test_mod_square_matches_all_products(name, p):
     """The squares of only the generators that the candidates leave
-    unspanned decide I = (candidates) + I^2 as all the products do: the
-    same answer and the same first failing generator."""
+    unspanned, tested on those generators only, decide I = (candidates)
+    + I^2 as all the products tested on every generator do: the same
+    answer and the same first failing generator."""
     variables, base, gens, candidates, holds = MOD_SQUARE_CASES[name]
     ring = RingSpec(tuple(variables), GF(p) if p else QQ)
     ring = ring.quotient([ring.parse(b) for b in base])
@@ -632,131 +634,64 @@ def test_stci_search_inconclusive_with_zero_trials(R2):
     assert isinstance(res.outcome, Inconclusive)
 
 
-# -- scalar extension
+# -- the random-pair stage
 
 
-def test_extend_scalars_arithmetic():
-    ring = RingSpec(("x", "y"), GF(2))
-    ext = extend_scalars(ring, 2)
-    a = ext.gen(ext.variables[-1])
-    zero_ideal = IdealHandle(ext, [])
-    # the minimal polynomial of the new generator reduces to zero
-    assert zero_ideal.normal_form(ext.base_ideal[-1]).is_zero
-    nf = zero_ideal.normal_form(a * a)
-    assert nf.total_degree() <= 1 and not nf.is_zero
-
-
-def test_extend_scalars_preserves_dimension(f5_cylinder):
-    from cicert.ideals import dimension_height
-
-    ext = extend_scalars(f5_cylinder.ring, 2)
-    lifted = IdealHandle(ext, [ext.rehome(g) for g in f5_cylinder.gens])
-    r0 = dimension_height(f5_cylinder)
-    r1 = dimension_height(lifted)
-    assert (r1.dim_ambient, r1.dim_quotient, r1.height) == \
-        (r0.dim_ambient, r0.dim_quotient, r0.height)
-
-
-def _first_rootless(p, k):
-    """Brute force: the first monic of degree k over F_p, in coefficient
-    order, with no root in F_p."""
-    for tail in itertools.product(range(p), repeat=k):
-        coeffs = (1,) + tail
-        if tail[-1] and all(
-                sum(c * pow(a, k - i, p) for i, c in enumerate(coeffs)) % p
-                for a in range(p)):
-            return coeffs
-    return None
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43])
-def test_find_irreducible_matches_root_scan(p):
-    for k in (2, 3):
-        assert _find_irreducible(p, k) == _first_rootless(p, k)
-
-
-def test_find_irreducible_cubic_over_f32003():
-    # every element of F_32003 is a cube, so no x^3 + c qualifies
-    p = 32003
-    coeffs = _find_irreducible(p, 3)
-    assert coeffs == (1, 0, 1, 5)
-    assert all(sum(c * pow(a, 3 - i, p) for i, c in enumerate(coeffs)) % p
-               for a in range(p))
-
-
-QUARTIC = ("b*c - a*d", "b^3 - a^2*c", "c^3 - b*d^2", "a*c^2 - b^2*d")
 C345 = ("x*z - y^2", "x^3 - y*z", "x^2*y - z^2")
 
 
-@pytest.mark.parametrize("p, letters, gens", [(7, "xyz", C345), (5, "abcd", QUARTIC)])
-def test_even_extension_trials_answer_as_over_the_extension(monkeypatch, p, letters, gens):
-    """An extension pass verifies its scalar pairs over I itself; over
-    F_p[a]/(m) each gives the same outcome and refutation stage."""
-    I = IdealHandle(RingSpec(tuple(letters), GF(p)), list(gens))
-    calls = []
-    real = pipeline.stci_verify
-
-    def recorded(K, pair, budgets):
-        calls.append((K, pair, real(K, pair, budgets)))
-        return calls[-1][2]
-
-    monkeypatch.setattr(pipeline, "stci_verify", recorded)
-    trials = 3
-    res = stci_search(I, seed=0, budgets=Budgets(trials=trials))
-    assert res.via == "exhausted" and len(calls) == 3 * trials  # no pair skipped
-
-    def outcome_class(outcome):
-        return type(outcome), getattr(outcome, "stage", None)
-
-    for n, k in enumerate(pipeline.EXTENSION_DEGREES, 1):
-        ring = extend_scalars(I.ring, k)
-        J = IdealHandle(ring, [ring.rehome(g) for g in I.gens])
-        passed = calls[n * trials:(n + 1) * trials]
-        assert all((K is I) == (t % 2 == 0) for t, (K, _, _) in enumerate(passed))
-        for _, (f, g), outcome in passed[::2]:
-            assert outcome_class(stci_verify(J, (ring.rehome(f), ring.rehome(g)))) == \
-                outcome_class(outcome)
-
-
-def test_extension_ring_is_built_for_the_first_odd_trial(monkeypatch):
+def test_exhausted_search_stays_in_the_rings_own_field(monkeypatch):
+    """A search over GF(7) that finds nothing spends exactly its trial
+    budget, and every ring it builds is the input ring or a tag ring of
+    it: the input's variables plus tag variables only."""
     built = []
-    real = pipeline.extend_scalars
-    monkeypatch.setattr(pipeline, "extend_scalars",
-                        lambda ring, k: built.append(k) or real(ring, k))
+    real = RingSpec.__init__
+
+    def recorded(ring, variables, *args, **kwargs):
+        built.append(tuple(variables))
+        real(ring, variables, *args, **kwargs)
+
+    monkeypatch.setattr(RingSpec, "__init__", recorded)
     I = IdealHandle(RingSpec(("x", "y", "z"), GF(7)), list(C345))
-    assert stci_search(I, seed=0, budgets=Budgets(trials=1)).trials == 3
-    assert built == []
-    assert stci_search(I, seed=0, budgets=Budgets(trials=2)).trials == 6
-    assert built == list(pipeline.EXTENSION_DEGREES)
+    res = stci_search(I, seed=0, budgets=Budgets(trials=2))
+    assert (res.via, res.trials, res.outcome.trials) == ("exhausted", 2, 2)
+    assert len(built) > 1
+    for variables in built:
+        extra = [v for v in variables if v not in I.ring.variables]
+        assert set(I.ring.variables) <= set(variables)
+        assert all(v.rstrip("_") == "t" for v in extra), variables
 
 
-def test_even_extension_trial_certifies_over_the_prime_field(monkeypatch):
-    """Refute the F_p pass's one pair by force: the F_49 pass draws the
-    same scalar pair first and certifies it over F_7, with no extension."""
+def test_random_pairs_run_over_the_ring_itself(monkeypatch):
+    """Refute the search's first pair by force: the later trials draw
+    the pairs an unforced search draws, from the same Random(seed), and
+    the one that verifies is certified over the ring asked about."""
     I = IdealHandle(RingSpec(("x", "y"), GF(7)), ["x^2", "x*y", "y^2"])
     real = pipeline.stci_verify
+    unforced = []
+
+    def recorded(K, pair, budgets):
+        unforced.append(pair)
+        return real(K, pair, budgets)
+
+    monkeypatch.setattr(pipeline, "stci_verify", recorded)
+    assert stci_search(I, seed=0, budgets=Budgets(trials=4)).trials == 1
     calls = []
 
     def first_refuted(K, pair, budgets):
+        assert K.ring is I.ring
         calls.append(pair)
         if len(calls) == 1:
             return STCIRefutation("radical-equality", {})
         return real(K, pair, budgets)
 
     monkeypatch.setattr(pipeline, "stci_verify", first_refuted)
-    res = stci_search(I, seed=0, budgets=Budgets(trials=1))
-    assert calls[0] == calls[1]
-    assert (res.via, res.trials, res.extension) == ("random-pairs", 2, None)
+    res = stci_search(I, seed=0, budgets=Budgets(trials=4))
+    assert calls[0] == unforced[0]
+    assert res.via == "random-pairs" and res.trials == len(calls) > 1
     assert res.certificate.report.ring is I.ring
     assert all(f.ring is I.ring for f in res.certificate.pair)
     assert res.certificate.verify()
-
-
-def test_stci_search_works_over_extension(f5_cylinder):
-    ext = extend_scalars(f5_cylinder.ring, 2)
-    lifted = IdealHandle(ext, [ext.rehome(g) for g in f5_cylinder.gens])
-    res = stci_search(lifted, 0, Budgets())
-    assert res.certificate is not None
 
 
 # -- unimodular change of generators keeps pairs regular
