@@ -13,7 +13,9 @@ from .poly import (
 from .groebner import (
     Budget,
     BudgetExceededError,
+    Budgets,
     IdealHandle,
+    InputError,
     gb_hash,
     module_gb,
     module_syzygies,
@@ -46,10 +48,8 @@ from .homology import (
     wedge,
 )
 from .pipeline import (
-    Budgets,
     CICertificate,
     Inconclusive,
-    InputError,
     LCIProxyCertificate,
     RegSeqCertificate,
     STCICertificate,

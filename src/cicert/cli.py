@@ -18,7 +18,7 @@ from pathlib import Path
 from . import certificates
 from .certificates import SchemaError
 from .dsl import DslParseError, Session, parse_session
-from .groebner import BasisStore, Budget, BudgetExceededError
+from .groebner import BasisStore, Budget, BudgetExceededError, Budgets, InputError
 from .homology import ext_module, free_resolution, koszul2_exactness
 from .ideals import (
     RadicalEqualityCertificate,
@@ -27,10 +27,8 @@ from .ideals import (
     radical_member,
 )
 from .pipeline import (
-    Budgets,
     CICertificate,
     Inconclusive,
-    InputError,
     LCIProxyCertificate,
     RegSeqCertificate,
     RegularizationResult,
@@ -93,7 +91,6 @@ def _dispatch(session: Session, command, options: RunOptions):
     are called, so a wrapper installed on this module sees every call.
     """
     args = command.args
-    budgets = options.budgets
     name = command.name
     I = session.ideals.get(args.get("ideal"))
     flag = witnesses = None
@@ -102,7 +99,7 @@ def _dispatch(session: Session, command, options: RunOptions):
         flag = nf.is_zero
         witnesses = {"element": str(args["element"]), "normal_form": str(nf)}
     elif name == "radical-member":
-        outcome = radical_member(args["element"], I, e_max=budgets.e_max)
+        outcome = radical_member(args["element"], I)
         flag = outcome.member
     elif name == "dimension":
         outcome = dimension_height(I)
@@ -127,26 +124,25 @@ def _dispatch(session: Session, command, options: RunOptions):
             "minimized": res.minimized,
         }
     elif name == "radical-equal":
-        outcome = radical_equal(session.ideals[args["left"]],
-                                session.ideals[args["right"]], e_max=budgets.e_max)
+        outcome = radical_equal(session.ideals[args["left"]], session.ideals[args["right"]])
     elif name == "regular-sequence":
         mod = {"base": session.ideals[args["mod"]]} if "mod" in args else {}
         outcome = is_regular_sequence(args["sequence"], **mod)
     elif name == "lci":
         outcome = lci_certificate(I)
     elif name == "ci":
-        outcome = ci_from_free_conormal(I, args["pair"], options.seed, budgets)
+        outcome = ci_from_free_conormal(I, args["pair"], options.seed)
     elif name == "stci":
-        outcome = stci_verify(I, args["pair"], budgets)
+        outcome = stci_verify(I, args["pair"])
     elif name == "stci-search":
-        result = stci_search(I, options.seed, budgets)
+        result = stci_search(I, options.seed)
         outcome = result.outcome
         # the search runs over the ring's own field only; the key stays,
         # always null, so the certificate format does not change
         witnesses = {"via": result.via, "trials": result.trials,
                      "field_extension": None, **outcome.payload()}
     elif name == "regularize":
-        outcome = regularize_generators(I, I.gens, options.seed, budgets)
+        outcome = regularize_generators(I, I.gens, options.seed)
     else:
         raise InputError(f"unknown command {name!r}")
     if witnesses is None:
@@ -190,7 +186,7 @@ def run_command(session: Session, index: int, options: RunOptions) -> dict:
     command = session.commands[index]
     started = time.perf_counter()
     try:
-        with Budget(options.budgets.gb_steps, store=_basis_store(session)):
+        with Budget(options.budgets, store=_basis_store(session)):
             verdict, witnesses, hashes = _dispatch(session, command, options)
     except BudgetExceededError as exc:
         verdict = "inconclusive"

@@ -63,14 +63,18 @@ and the cofactor-tracking extended basis are calls of it, and so is
 `first_syzygy_entries`, behind the colon ideals and intersections of
 `cicert.ideals`.
 
-Work is metered by one scoped step counter, `Budget`: every S-pair
-reduction charges the innermost meter opened with `with Budget(limit):`,
-and past its limit raises BudgetExceededError, which callers report as
-"inconclusive".  The command line opens one meter per check, so the
-limit bounds the whole check, however many bases it computes.  A
+Work is metered by one scoped meter, `Budget`, which carries the four
+limits of a check, its `Budgets`: every S-pair reduction charges the
+innermost meter opened with `with Budget(budgets):`, and past
+`budgets.gb_steps` raises BudgetExceededError, which callers report as
+"inconclusive".  The searches read their trial budget, degree bound
+and `e_max` from the same meter, through `limits()`, so no signature
+threads a limit.  The command line opens one meter per check, so the
+limits bound the whole check, however many bases it computes.  A
 `metered` call made with no meter open (a memoized producer, a handle's
-first basis, a search or verification of `cicert.pipeline`) runs whole
-under one fresh meter of DEFAULT_GB_STEPS, with its fresh store.
+first basis, a radical membership, a search or verification of
+`cicert.pipeline`) runs whole under one fresh `Budget(Budgets())`, with
+its fresh store.
 
 A meter pays for each distinct basis once.  A basis is known by its
 store key, the `_Key` of (ring, vectors) by value, and costs the steps
@@ -141,7 +145,9 @@ __all__ = [
     "BasisStore",
     "Budget",
     "BudgetExceededError",
+    "Budgets",
     "DEFAULT_GB_STEPS",
+    "InputError",
     "IdealHandle",
     "zero_ideal",
     "quotient_ring",
@@ -156,6 +162,7 @@ __all__ = [
     "first_syzygy_entries",
     "extended_groebner",
     "gb_hash",
+    "limits",
     "memoized",
     "metered",
 ]
@@ -171,6 +178,47 @@ class BudgetExceededError(RuntimeError):
         self.limit = limit
 
 
+class InputError(ValueError):
+    """A stated precondition does not hold; not a refutation."""
+
+
+class Budgets:
+    """The limits of one check, carried by its meter.  gb_steps bounds
+    the Groebner steps of everything the meter's block runs.  trials,
+    degree_bound and e_max bound the searches and radical memberships,
+    which read them from the open meter through `limits()`.  The
+    defaults are also class attributes, which the command line's flags
+    read.  An instance holds exactly these four fields: they are a
+    certificate's `budgets` block.  A value out of range is an
+    InputError."""
+
+    gb_steps = DEFAULT_GB_STEPS
+    trials = 200
+    degree_bound = None
+    e_max = 30
+
+    def __init__(self, gb_steps: int = gb_steps, trials: int = trials,
+                 degree_bound: int | None = degree_bound, e_max: int = e_max):
+        # a search draws degrees from 1 to the degree bound, and no check
+        # can spend a negative budget
+        if degree_bound is not None and degree_bound < 1:
+            raise InputError(f"degree_bound must be at least 1, got {degree_bound}")
+        for field, value in (("gb_steps", gb_steps), ("trials", trials), ("e_max", e_max)):
+            if value < 0:
+                raise InputError(f"{field} must be at least 0, got {value}")
+        self.gb_steps = gb_steps
+        self.trials = trials
+        self.degree_bound = degree_bound
+        self.e_max = e_max
+
+    def degree_cap(self, gens) -> int:
+        """degree_bound, or when it is None the largest degree of a
+        nonzero generator plus 2."""
+        if self.degree_bound is not None:
+            return self.degree_bound
+        return max((g.total_degree() for g in gens if g), default=0) + 2
+
+
 class BasisStore(dict):
     """The memo of the meters that carry this store: the `_Key` of (a
     `memoized` function, the names of its keyword arguments, its inputs
@@ -180,15 +228,17 @@ class BasisStore(dict):
 
 class Budget:
     """Step meter: one step per S-pair reduction, and each distinct basis
-    paid for once.  `with Budget(limit):` makes it the meter the block
-    charges, until an inner block opens another.  `store` is the memo
-    that `memoized` functions look up while this is the open meter, a
-    fresh one unless given; the meter lets go of it when its block ends.
-    `_paid` holds the keys of the bases it paid for, and `_calls` the
-    {key: cost} of each call it is recording, innermost last."""
+    paid for once, up to `budgets.gb_steps`; `budgets` are the limits
+    `limits()` reads, `Budgets()` unless given.  `with Budget(budgets):`
+    makes it the meter the block charges, until an inner block opens
+    another.  `store` is the memo that `memoized` functions look up
+    while this is the open meter, a fresh one unless given; the meter
+    lets go of it when its block ends.  `_paid` holds the keys of the
+    bases it paid for, and `_calls` the {key: cost} of each call it is
+    recording, innermost last."""
 
-    def __init__(self, limit: int = DEFAULT_GB_STEPS, store: BasisStore | None = None):
-        self.limit = limit
+    def __init__(self, budgets: Budgets | None = None, store: BasisStore | None = None):
+        self.budgets = Budgets() if budgets is None else budgets
         self.used = 0
         self.store = store
         self._token = None
@@ -200,8 +250,8 @@ class Budget:
 
     def spend(self, steps):
         self.used += steps
-        if self.used > self.limit:
-            raise BudgetExceededError(self.limit)
+        if self.used > self.budgets.gb_steps:
+            raise BudgetExceededError(self.budgets.gb_steps)
 
     def pay(self, key, cost):
         """Spend `cost` the first time this meter sees the basis `key`;
@@ -224,6 +274,11 @@ class Budget:
 
 
 _METER: ContextVar[Budget | None] = ContextVar("cicert_gb_meter", default=None)
+
+
+def limits() -> Budgets:
+    """The limits of the open meter; only a `metered` function has one."""
+    return _METER.get().budgets
 
 
 def metered(function):
@@ -286,7 +341,8 @@ def memoized(producer):
     and pays the bases its first run paid for, so the meter reads what a
     rerun would leave it at.  A run that paid for no basis is a basis
     itself: the S-pair reductions it charged as they ran are handed back
-    and paid under its own key."""
+    and paid under its own key.  The store serves meters of any limits,
+    so a memoized producer must not read `limits()`."""
 
     @functools.wraps(producer)
     @metered
@@ -298,7 +354,7 @@ def memoized(producer):
         if entry is None and key in meter._paid:
             # a basis paid for through a handle made under another store:
             # computed again at no charge
-            with Budget(inf, store=meter.store):
+            with Budget(Budgets(gb_steps=inf), store=meter.store):
                 call(*args, **kwargs)
             entry = meter.store[key]
         if entry is not None:

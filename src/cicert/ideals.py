@@ -22,8 +22,8 @@ from __future__ import annotations
 import itertools
 
 from .certificates import Replayable
-from .groebner import (IdealHandle, first_syzygy_entries, gb_hash, groebner_basis,
-                       memoized, zero_ideal)
+from .groebner import (Budget, Budgets, IdealHandle, first_syzygy_entries, gb_hash,
+                       groebner_basis, limits, memoized, metered, zero_ideal)
 from .poly import (
     MonomialOrder,
     Polynomial,
@@ -177,9 +177,11 @@ class RadicalMembership:
         }
 
 
-def radical_member(f: Polynomial, I: IdealHandle, e_max=30) -> RadicalMembership:
+@metered
+def radical_member(f: Polynomial, I: IdealHandle) -> RadicalMembership:
     """Is f in the radical of I?  For a member, the exponent is the
-    least e <= e_max with f^e in I, or None when there is none.
+    least e <= e_max with f^e in I, or None when there is none; e_max is
+    the open meter's.
 
     The aux hash is that of the reduced basis of I + J0 + (1 - t*f).
     When f itself lies in I, that ideal holds t*f and so 1: the basis is
@@ -189,6 +191,7 @@ def radical_member(f: Polynomial, I: IdealHandle, e_max=30) -> RadicalMembership
     if f.ring != ring:
         raise RingMismatchError("element from a different ring")
     tagged = _tagged(ring)
+    e_max = limits().e_max
     if I.contains(f):
         return RadicalMembership(ring, f, I.gens, True, 1 if e_max >= 1 else None,
                                  gb_hash(tagged, (tagged.one,)))
@@ -207,15 +210,17 @@ def radical_member(f: Polynomial, I: IdealHandle, e_max=30) -> RadicalMembership
 
 
 class RadicalEqualityCertificate(Replayable):
-    """Radical equality sqrt(I) = sqrt(J), one witness per generator."""
+    """Radical equality sqrt(I) = sqrt(J), one witness per generator;
+    `budgets` are the limits of the meter it was made under, which its
+    rerun opens again."""
 
     def __init__(self, ring: RingSpec, left_gens: tuple, right_gens: tuple, witnesses: tuple,
-                 e_max: int):
+                 budgets: Budgets):
         self.ring = ring
         self.left_gens = left_gens
         self.right_gens = right_gens
         self.witnesses = witnesses  # (direction, RadicalMembership)
-        self.e_max = e_max
+        self.budgets = budgets
 
     def payload(self):
         return {
@@ -227,8 +232,9 @@ class RadicalEqualityCertificate(Replayable):
         }
 
     def _rerun(self):
-        return radical_equal(IdealHandle(self.ring, self.left_gens),
-                             IdealHandle(self.ring, self.right_gens), self.e_max)
+        with Budget(self.budgets):
+            return radical_equal(IdealHandle(self.ring, self.left_gens),
+                                 IdealHandle(self.ring, self.right_gens))
 
 
 class RadicalRefutation:
@@ -245,20 +251,22 @@ class RadicalRefutation:
         }
 
 
-def radical_equal(I: IdealHandle, J: IdealHandle, e_max=30):
+@metered
+def radical_equal(I: IdealHandle, J: IdealHandle):
     """Certificate that sqrt(I) = sqrt(J), or a refutation naming the
-    first generator that fails radical membership."""
+    first generator that fails radical membership; each membership
+    searches exponents up to the open meter's e_max."""
     if I.ring != J.ring:
         raise RingMismatchError("ideals in different rings")
     witnesses = []
     for direction, src, dst in (("left_in_right", I, J), ("right_in_left", J, I)):
         for g in src.gens:
-            w = radical_member(g, dst, e_max=e_max)
+            w = radical_member(g, dst)
             if not w.member:
                 return RadicalRefutation(direction, g, w.aux_gb_hash)
             witnesses.append((direction, w))
     return RadicalEqualityCertificate(I.ring, I.gens, J.gens,
-                                      tuple(witnesses), e_max)
+                                      tuple(witnesses), limits())
 
 
 # ---------------------------------------------------------------------------

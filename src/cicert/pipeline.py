@@ -3,10 +3,11 @@
 Everything here either returns a certificate, a refutation naming the
 failing sub-check, or an explicit "inconclusive" when a search budget
 runs out.  A certificate's verify() re-runs the procedure that produced
-it on its recorded inputs and compares payloads (`Replayable`).  Searches
-are deterministic functions of (seed, budgets); random candidates are
-always verified before they are reported, so a bad sample costs a trial
-but never soundness.
+it on its recorded inputs, under a meter of its recorded limits, and
+compares payloads (`Replayable`).  Searches are deterministic functions
+of the seed and the open meter's limits (`groebner.limits()`); random
+candidates are always verified before they are reported, so a bad
+sample costs a trial but never soundness.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import math
 import random
 
 from .certificates import Replayable
-from .groebner import DEFAULT_GB_STEPS, IdealHandle, memoized, metered, zero_ideal
+from .groebner import (Budget, Budgets, IdealHandle, InputError, limits, memoized, metered,
+                       zero_ideal)
 from .homology import conormal_presentation, projective_rank_certificate
 from .ideals import (
     DimensionReport,
@@ -51,55 +53,7 @@ __all__ = [
     "stci_verify",
     "stci_search",
     "SearchResult",
-    "default_degree_bound",
 ]
-
-
-class InputError(ValueError):
-    """A stated precondition does not hold; not a refutation."""
-
-
-class Budgets:
-    """The limits of one check.  gb_steps bounds the Groebner steps of
-    the whole check: cli.run_command opens one groebner.Budget meter of
-    that size around it.  trials, degree_bound and e_max bound the
-    searches, which read them from here.  The defaults are also class
-    attributes, which the command line's flags read.  An instance holds
-    exactly these four fields: they are a certificate's `budgets` block.
-    A value out of range is an InputError."""
-
-    gb_steps = DEFAULT_GB_STEPS
-    trials = 200
-    degree_bound = None
-    e_max = 30
-
-    def __init__(self, gb_steps: int = gb_steps, trials: int = trials,
-                 degree_bound: int | None = degree_bound, e_max: int = e_max):
-        # a search draws degrees from 1 to the degree bound, and no check
-        # can spend a negative budget
-        if degree_bound is not None and degree_bound < 1:
-            raise InputError(f"degree_bound must be at least 1, got {degree_bound}")
-        if gb_steps < 0:
-            raise InputError(f"gb_steps must be at least 0, got {gb_steps}")
-        if trials < 0:
-            raise InputError(f"trials must be at least 0, got {trials}")
-        self.gb_steps = gb_steps
-        self.trials = trials
-        self.degree_bound = degree_bound
-        self.e_max = e_max
-
-    def degree_cap(self, gens) -> int:
-        """degree_bound, or default_degree_bound(gens) when it is None."""
-        bound = self.degree_bound
-        return default_degree_bound(gens) if bound is None else bound
-
-
-DEFAULT_BUDGETS = Budgets()
-
-
-def default_degree_bound(gens) -> int:
-    degs = [g.total_degree() for g in gens if g]
-    return (max(degs) if degs else 0) + 2
 
 
 def _square_gens(live):
@@ -284,8 +238,8 @@ class Inconclusive:
 
 class RegularizationResult(Replayable):
     """A regular sequence generating the ideal.  generators, seed and
-    budgets are the recorded inputs of the search; payload() leaves
-    them out."""
+    budgets (the limits of the meter it ran under) are the recorded
+    inputs of the search; payload() leaves them out."""
 
     def __init__(self, ideal_gens: tuple, sequence: tuple, certificate: RegSeqCertificate,
                  perturbations: tuple, input_hash: str, output_hash: str, generators: tuple,
@@ -312,12 +266,12 @@ class RegularizationResult(Replayable):
 
     def _rerun(self):
         I = IdealHandle(self.certificate.ring, self.ideal_gens)
-        return regularize_generators(I, self.generators, self.seed, self.budgets)
+        with Budget(self.budgets):
+            return regularize_generators(I, self.generators, self.seed)
 
 
 @metered
-def regularize_generators(I: IdealHandle, generators, seed=0,
-                          budgets=DEFAULT_BUDGETS):
+def regularize_generators(I: IdealHandle, generators, seed=0):
     """Rearrange an n-element generating set into a regular sequence by
     adding random combinations of the trailing generators.
 
@@ -325,23 +279,24 @@ def regularize_generators(I: IdealHandle, generators, seed=0,
     because lambda lies in (f_k+2, ..., f_n); the non-zerodivisor
     condition is tested outright, so a bad draw is discarded and the
     output is always verified: the certificate holds the test of each
-    accepted step, the first against the zero ideal.  Returns
-    Inconclusive when the trial budget runs out, never an unverified
-    sequence.  No regular sequence generates the unit ideal, so there
-    the result is the RegSeqFailure of the accepted sequence: index k
-    when its first k elements generate the unit ideal, and witness 1.
+    accepted step, the first against the zero ideal.  A step draws at
+    most the trial budget of perturbations, none at 0, and when they run
+    out the result is Inconclusive, never an unverified sequence.  No
+    regular sequence generates the unit ideal, so there the result is
+    the RegSeqFailure of the accepted sequence: index k when its first k
+    elements generate the unit ideal, and witness 1.
     """
     generators = tuple(generators)
     ring = I.ring
     if generators != I.gens and not IdealHandle(ring, generators).equals(I):
         raise InputError("the supplied generators do not generate the ideal")
     rng = random.Random(seed)
+    budgets = limits()
     degree_cap = budgets.degree_cap(generators)
     sequence: list[Polynomial] = []
     steps = []
     perturbations = []
     log = []
-    trials_per_step = max(1, budgets.trials)
     for k, candidate in enumerate(generators):
         tail = generators[k + 1:]
         base = IdealHandle(ring, sequence) if sequence else zero_ideal(ring)
@@ -354,8 +309,8 @@ def regularize_generators(I: IdealHandle, generators, seed=0,
             log.append(f"step {k + 1}: zerodivisor and no trailing generators")
             return Inconclusive("no perturbation available at the last position",
                                 len(log), tuple(log))
-        for trial in range(trials_per_step):
-            coeff_deg = 0 if trial < trials_per_step // 2 else \
+        for trial in range(budgets.trials):
+            coeff_deg = 0 if trial < budgets.trials // 2 else \
                 rng.randint(1, degree_cap)
             coeffs = []
             lam = ring.zero
@@ -598,8 +553,7 @@ def _try_ci_pair(I, c, d):
 
 
 @metered
-def ci_from_free_conormal(I: IdealHandle, pair, seed=0,
-                          budgets=DEFAULT_BUDGETS):
+def ci_from_free_conormal(I: IdealHandle, pair, seed=0):
     """Upgrade a conormal basis (c, d) to an exact equality I = (c', d').
 
     Checks the preconditions (I certified lci of height 2, the pair
@@ -612,23 +566,24 @@ def ci_from_free_conormal(I: IdealHandle, pair, seed=0,
         raise InputError("ideal is not certified lci of height 2")
     if not mod_square_generation(I, pair).holds:
         raise InputError("pair does not generate the ideal modulo its square")
-    return _ci_search(I, pair, seed, budgets)
+    return _ci_search(I, pair, seed)
 
 
-def _ci_search(I, pair, seed, budgets, general=True):
+def _ci_search(I, pair, seed, general=True):
     """The search of ci_from_free_conormal, its preconditions taken as
     checked: first the pair itself, then perturbations by elements of
     I^2, then, when `general`, general random pairs from I.
 
     The perturbations take the same number of draws from Random(seed)
     whatever the pair, so the general pairs depend only on I, the seed
-    and the budgets: a caller that has already tried them passes
+    and the meter's limits: a caller that has already tried them passes
     general=False."""
     c, d = pair
     hit = _try_ci_pair(I, c, d)
     if hit is not None:
         return hit
     rng = random.Random(seed)
+    budgets = limits()
     degree_cap = budgets.degree_cap(I.gens)
     live = [g for g in I.gens if g]
     square = _square_gens(live)
@@ -671,8 +626,8 @@ class STCICertificate(Replayable):
         }
 
     def _rerun(self):
-        return stci_verify(IdealHandle(self.report.ring, self.ideal_gens),
-                           self.pair, Budgets(e_max=self.radical.e_max))
+        with Budget(self.radical.budgets):
+            return stci_verify(IdealHandle(self.report.ring, self.ideal_gens), self.pair)
 
 
 class STCIRefutation:
@@ -685,7 +640,7 @@ class STCIRefutation:
 
 
 @metered
-def stci_verify(I: IdealHandle, pair, budgets=DEFAULT_BUDGETS):
+def stci_verify(I: IdealHandle, pair):
     """Check that the pair cuts out the same radical and is regular.
 
     The cheaper refutation runs first.  Radical equality needs the basis
@@ -699,7 +654,7 @@ def stci_verify(I: IdealHandle, pair, budgets=DEFAULT_BUDGETS):
     if report.height != 2:
         raise InputError(f"height is {report.height}, need 2")
     pair_ideal = IdealHandle(I.ring, (f, g))
-    rad = radical_equal(I, pair_ideal, e_max=budgets.e_max)
+    rad = radical_equal(I, pair_ideal)
     if not isinstance(rad, RadicalEqualityCertificate):
         return STCIRefutation("radical-equality", rad.payload())
     reg = is_regular_sequence((f, g))
@@ -728,7 +683,7 @@ def _row_reduced(rows, p):
 
 
 @metered
-def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS) -> SearchResult:
+def stci_search(I: IdealHandle, seed=0) -> SearchResult:
     """Find a regular pair with the same radical as I.
 
     Every stage runs over the ring's own field.  After the height check
@@ -750,7 +705,7 @@ def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS) -> SearchResult
         raise InputError(f"height is {height}, need 2")
     live = [g for g in I.gens if g]
     lci = lci_certificate(I)
-    if isinstance(lci, LCIProxyCertificate) and lci.height == 2:
+    if isinstance(lci, LCIProxyCertificate):
         # pair pool: the generators plus their pairwise sums and
         # differences, each with its integer coefficient row over the
         # generators; enough to expose conormal bases hidden in a
@@ -772,14 +727,15 @@ def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS) -> SearchResult
                 holds[span] = mod_square_generation(I, (c, d)).holds
             if not holds[span]:
                 continue
-            hit = _ci_search(I, (c, d), seed, budgets, general)
+            hit = _ci_search(I, (c, d), seed, general)
             general = False
             if isinstance(hit, CICertificate):
-                outcome = stci_verify(I, hit.pair, budgets)
+                outcome = stci_verify(I, hit.pair)
                 if not isinstance(outcome, STCICertificate):
                     raise AssertionError("a complete-intersection pair fails stci")
                 return SearchResult(outcome, "conormal-basis", 0)
 
+    budgets = limits()
     degree_cap = budgets.degree_cap(I.gens)
     rng = random.Random(seed)
     for trial in range(budgets.trials):
@@ -788,7 +744,7 @@ def stci_search(I: IdealHandle, seed=0, budgets=DEFAULT_BUDGETS) -> SearchResult
         g = _random_combination(live, rng, coeff_deg)
         if not f or not g or f == g:
             continue
-        outcome = stci_verify(I, (f, g), budgets)
+        outcome = stci_verify(I, (f, g))
         if isinstance(outcome, STCICertificate):
             return SearchResult(outcome, "random-pairs", trial + 1)
     return SearchResult(

@@ -636,8 +636,11 @@ def _rehashed(**edits):
     _rehashed(command_index=False),
     lambda payload: certificates.finalize(
         {**payload, "budgets": {**payload["budgets"], "trials": True}}),
+    lambda payload: certificates.finalize(
+        {**payload, "budgets": {**payload["budgets"], "e_max": -1}}),
 ], ids=["command-index", "null-budgets", "budget-type", "budget-range", "budget-key",
-        "field", "field-zero", "list", "bool-seed", "bool-command-index", "bool-budget"])
+        "field", "field-zero", "list", "bool-seed", "bool-command-index", "bool-budget",
+        "negative-e-max"])
 def test_main_replay_malformed_is_input_error(tmp_path, edit):
     payloads, _ = run_session("ring R = QQ[x]; ideal I = (x); check member x in I;")
     bad = tmp_path / "x.json"
@@ -652,7 +655,8 @@ def test_budgets_check_their_own_ranges():
             "check stci-search I;")
     with pytest.raises(InputError, match="^degree_bound must be at least 1, got 0$"):
         run_session(c345, RunOptions(budgets=Budgets(degree_bound=0, trials=3)))
-    for field, value in (("degree_bound", -3), ("gb_steps", -1), ("trials", -1)):
+    for field, value in (("degree_bound", -3), ("gb_steps", -1), ("trials", -1),
+                         ("e_max", -1)):
         with pytest.raises(InputError, match=f"^{field} must be at least"):
             Budgets(**{field: value})
     payloads, _ = run_session("ring R = QQ[x]; ideal I = (x); check member x in I;")
@@ -704,6 +708,20 @@ def test_budget_flags_respected(tmp_path):
         "check dimension I;")
     assert main([str(session), "--budget-gb-steps", "2"]) == EXIT_INCONCLUSIVE
     assert main([str(session)]) == EXIT_VERIFIED
+
+
+def test_zero_trials_draw_no_regularizing_perturbation(tmp_path):
+    """The second generator is a zerodivisor modulo the first, and at
+    --budget-trials 0 no perturbation is drawn for it, as a search at 0
+    trials draws no pair."""
+    session = tmp_path / "s.ck"
+    session.write_text("ring R = QQ[x,y,z]; ideal I = (y*(1 - x), z*(1 - x), x);"
+                       "check regularize I;")
+    assert main([str(session)]) == EXIT_VERIFIED
+    out = tmp_path / "c.json"
+    assert main([str(session), "--budget-trials", "0", "--out", str(out)]) == EXIT_INCONCLUSIVE
+    assert certificates.load_certificate(out)["witnesses"] == \
+        {"reason": "no regularizing perturbation at step 2", "trials": 0, "log": []}
 
 
 @pytest.mark.parametrize("flag, value, least", [

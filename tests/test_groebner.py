@@ -11,6 +11,7 @@ from cicert.groebner import (
     BasisStore,
     Budget,
     BudgetExceededError,
+    Budgets,
     IdealHandle,
     ModuleBasis,
     _BasisElt,
@@ -106,7 +107,7 @@ def test_quotient_ring_membership():
 def test_budget_exceeded_carries_its_limit():
     R = RingSpec(("x", "y", "z"), QQ)
     gens = [R.parse(t) for t in ("x^3*y - z^2", "y^4 - x*z", "z^3 - x^2*y^2")]
-    with pytest.raises(BudgetExceededError) as err, Budget(limit=2):
+    with pytest.raises(BudgetExceededError) as err, Budget(Budgets(gb_steps=2)):
         groebner_basis(gens, R)
     assert err.value.limit == 2
 
@@ -132,7 +133,7 @@ def test_store_reuses_a_basis_at_its_cost():
     store = BasisStore()
     with Budget(store=store):
         groebner_basis([A.parse(g) for g in gens], A)
-    with pytest.raises(BudgetExceededError), Budget(cost - 1, store=store):
+    with pytest.raises(BudgetExceededError), Budget(Budgets(gb_steps=cost - 1), store=store):
         groebner_basis([A.parse(g) for g in gens], A)
 
 
@@ -402,7 +403,7 @@ def test_lex_cyclic5_within_300_steps():
     # joins, and the pair of least sugar goes first, so the lex basis
     # needs a few hundred steps, not the thousands a scan at pop time took.
     R = RingSpec(tuple(f"x{i}" for i in range(5)), QQ, MonomialOrder("lex"))
-    with Budget(300):
+    with Budget(Budgets(gb_steps=300)):
         basis = groebner_basis(_cyclic(R, 5), R)
     assert len(basis) == 11
 
@@ -464,7 +465,7 @@ def test_reduced_basis_ignores_order_and_repeats(case, data):
         return
     shuffled = data.draw(st.permutations(vectors))
     shuffled += data.draw(st.lists(st.sampled_from(vectors), max_size=2))
-    with Budget(2000):
+    with Budget(Budgets(gb_steps=2000)):
         basis = module_groebner(vectors, ring)
         assert module_groebner(shuffled, ring) == basis
     assert _closed(basis, ring)

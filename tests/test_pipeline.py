@@ -4,9 +4,9 @@ import pytest
 
 from cicert import pipeline
 from cicert.cli import run_session
-from cicert.groebner import BasisStore, Budget, IdealHandle, zero_ideal
+from cicert.groebner import BasisStore, Budget, BudgetExceededError, IdealHandle, zero_ideal
 from cicert.homology import koszul2_exactness
-from cicert.ideals import quotient, saturate
+from cicert.ideals import quotient, radical_equal, radical_member, saturate
 from cicert.pipeline import (
     Budgets,
     CICertificate,
@@ -238,6 +238,42 @@ def test_regularize_repairs_bad_order(R3):
         assert sum((c * g for g, c in p.combination), R3.zero) == p.value
     assert out.verify()
     assert IdealHandle(R3, out.sequence).equals(I)
+
+
+def test_regularization_replays_under_its_recorded_limits(monkeypatch, R3):
+    """A result records the limits of the meter it was made under, and
+    verify() reruns under a meter of those limits whatever meter is open:
+    under the open meter's 0 trials the rerun would draw no perturbation."""
+    from cicert import groebner
+
+    I = H(R3, "y*(1 - x)", "z*(1 - x)", "x")
+    made = Budgets(trials=2)
+    with Budget(made):
+        out = regularize_generators(I, I.gens, seed=0)
+    assert isinstance(out, RegularizationResult) and out.perturbations
+    assert out.budgets is made
+    opened = []
+    enter = groebner.Budget.__enter__
+
+    def counted(meter):
+        opened.append(meter)
+        return enter(meter)
+
+    monkeypatch.setattr(groebner.Budget, "__enter__", counted)
+    with Budget(Budgets(trials=0)):
+        assert out.verify()
+    assert opened[1].budgets is made
+
+
+def test_stci_certificate_replays_under_its_recorded_limits(skew_lines, skew_pair):
+    """verify() reruns under the limits the certificate was made under,
+    not under those of the open meter, which here allows one step."""
+    made = Budgets(e_max=1)
+    with Budget(made):
+        cert = stci_verify(skew_lines, skew_pair)
+    assert isinstance(cert, STCICertificate) and cert.radical.budgets is made
+    with Budget(Budgets(gb_steps=1)):
+        assert cert.verify()
 
 
 def test_regularize_rejects_wrong_generators(R3):
@@ -599,7 +635,8 @@ def test_stci_search_tries_the_general_pairs_once(monkeypatch, skew_lines):
     tried = []
     monkeypatch.setattr(pipeline, "_try_ci_pair",
                         lambda I, c, d: tried.append((c, d)))
-    res = stci_search(skew_lines, seed=0, budgets=Budgets(trials=4))
+    with Budget(Budgets(trials=4)):
+        res = stci_search(skew_lines, seed=0)
     assert res.via == "exhausted"
     assert len(tried) == 8
 
@@ -630,7 +667,8 @@ def test_stci_search_deterministic(skew_lines):
 
 def test_stci_search_inconclusive_with_zero_trials(R2):
     I = H(R2, "x^2", "x*y", "y^2")
-    res = stci_search(I, seed=0, budgets=Budgets(trials=0))
+    with Budget(Budgets(trials=0)):
+        res = stci_search(I, seed=0)
     assert isinstance(res.outcome, Inconclusive)
 
 
@@ -638,6 +676,35 @@ def test_stci_search_inconclusive_with_zero_trials(R2):
 
 
 C345 = ("x*z - y^2", "x^3 - y*z", "x^2*y - z^2")
+
+
+def test_a_library_search_runs_under_the_open_meters_limits():
+    """The open meter's Budgets bound a library search, its steps as well
+    as its trials: c345 over GF(7) at 3 trials spends 84 steps, so a
+    meter of 5 steps runs out."""
+    I = IdealHandle(RingSpec(("x", "y", "z"), GF(7)), list(C345))
+    with pytest.raises(BudgetExceededError), Budget(Budgets(gb_steps=5, trials=3)):
+        stci_search(I, seed=1)
+    with Budget(Budgets(gb_steps=10**9, trials=3)) as meter:
+        res = stci_search(I, seed=1)
+    assert (res.via, res.trials, meter.used) == ("exhausted", 3, 84)
+
+
+def test_meters_of_different_limits_share_one_store():
+    """One store serves meters of any limits, and nothing it serves reads
+    them: each search reports its own trials, and each radical
+    certificate and membership its own e_max."""
+    I = IdealHandle(RingSpec(("x", "y", "z"), GF(7)), list(C345))
+    R = I.ring
+    store = BasisStore()
+    seen = []
+    for trials, e_max in ((2, 1), (3, 30)):
+        with Budget(Budgets(trials=trials, e_max=e_max), store=store):
+            res = stci_search(I, seed=1)
+            rad = radical_equal(H(R, "x^2", "y"), H(R, "x", "y^3"))
+            w = radical_member(R.gen("x"), H(R, "x^2"))
+        seen.append((res.trials, res.outcome.trials, rad.budgets.e_max, w.exponent))
+    assert seen == [(2, 2, 1, None), (3, 3, 30, 2)]
 
 
 def test_exhausted_search_stays_in_the_rings_own_field(monkeypatch):
@@ -653,7 +720,8 @@ def test_exhausted_search_stays_in_the_rings_own_field(monkeypatch):
 
     monkeypatch.setattr(RingSpec, "__init__", recorded)
     I = IdealHandle(RingSpec(("x", "y", "z"), GF(7)), list(C345))
-    res = stci_search(I, seed=0, budgets=Budgets(trials=2))
+    with Budget(Budgets(trials=2)):
+        res = stci_search(I, seed=0)
     assert (res.via, res.trials, res.outcome.trials) == ("exhausted", 2, 2)
     assert len(built) > 1
     for variables in built:
@@ -670,23 +738,25 @@ def test_random_pairs_run_over_the_ring_itself(monkeypatch):
     real = pipeline.stci_verify
     unforced = []
 
-    def recorded(K, pair, budgets):
+    def recorded(K, pair):
         unforced.append(pair)
-        return real(K, pair, budgets)
+        return real(K, pair)
 
     monkeypatch.setattr(pipeline, "stci_verify", recorded)
-    assert stci_search(I, seed=0, budgets=Budgets(trials=4)).trials == 1
+    with Budget(Budgets(trials=4)):
+        assert stci_search(I, seed=0).trials == 1
     calls = []
 
-    def first_refuted(K, pair, budgets):
+    def first_refuted(K, pair):
         assert K.ring is I.ring
         calls.append(pair)
         if len(calls) == 1:
             return STCIRefutation("radical-equality", {})
-        return real(K, pair, budgets)
+        return real(K, pair)
 
     monkeypatch.setattr(pipeline, "stci_verify", first_refuted)
-    res = stci_search(I, seed=0, budgets=Budgets(trials=4))
+    with Budget(Budgets(trials=4)):
+        res = stci_search(I, seed=0)
     assert calls[0] == unforced[0]
     assert res.via == "random-pairs" and res.trials == len(calls) > 1
     assert res.certificate.report.ring is I.ring
@@ -754,12 +824,12 @@ def test_principal_powers_strictly_decrease(R3, skew_pair):
 
 
 @pytest.mark.parametrize("entry", ["stci_verify", "ci_from_free_conormal", "stci_search",
-                                   "regularize_generators"])
+                                   "regularize_generators", "radical_member", "radical_equal"])
 def test_a_library_call_runs_under_one_meter(monkeypatch, R3, skew_pair, entry):
-    """Called with no meter open, a search or verification opens one
-    default meter for the whole call, and its bases are shared by value
-    through that meter's store."""
-    from cicert import groebner
+    """Called with no meter open, a search, verification or radical
+    membership opens one default meter for the whole call, and its bases
+    are shared by value through that meter's store."""
+    from cicert import groebner, ideals
     opened = []
     enter = groebner.Budget.__enter__
 
@@ -770,6 +840,7 @@ def test_a_library_call_runs_under_one_meter(monkeypatch, R3, skew_pair, entry):
     monkeypatch.setattr(groebner.Budget, "__enter__", counted)
     I = H(R3, "x^2 - x", "x*y - y", "x*z", "y*z")  # the skew lines, made afresh
     args = {"stci_verify": (I, skew_pair), "ci_from_free_conormal": (I, skew_pair),
-            "stci_search": (I,), "regularize_generators": (I, I.gens)}[entry]
-    getattr(pipeline, entry)(*args)
-    assert len(opened) == 1 and opened[0].limit == groebner.DEFAULT_GB_STEPS
+            "stci_search": (I,), "regularize_generators": (I, I.gens),
+            "radical_member": (R3.gen("x"), I), "radical_equal": (I, H(R3, *skew_pair))}[entry]
+    getattr(ideals if entry.startswith("radical") else pipeline, entry)(*args)
+    assert len(opened) == 1 and opened[0].budgets.gb_steps == groebner.DEFAULT_GB_STEPS

@@ -6,10 +6,9 @@ Run from anywhere inside a cicert checkout:
     python3 tools/bytecodes.py --seed 1 --workload stci-search
     python3 tools/bytecodes.py --import
 
-For the given workload seed it builds the sessions of the perfbench
-workloads (`perfbench/workloads.py`, read only), or of the one named,
-runs each check once as `perfbench/run.py` does, with the item's trial
-budget in `RunOptions` and one basis store per session, and prints
+For the given workload seed it runs each check of the perfbench
+workloads, or of the one named, once, as `perfbench/run.py` does
+(`benchmark_checks.py`), and prints
 `workload/item#index count`, then one `workload/pass count` line per
 workload.  A count is the number of `sys.settrace` opcode events while
 `cicert.cli.run_command` runs: the interpreter's work, free of timer
@@ -36,17 +35,8 @@ import inspect
 import os
 import subprocess
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.dont_write_bytecode = True  # leave no cache files beside perfbench/
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-
-from cicert.cli import RunOptions, run_command  # noqa: E402
-from cicert.dsl import parse_session  # noqa: E402
-from cicert.pipeline import Budgets  # noqa: E402
-
-import workloads  # noqa: E402
+from benchmark_checks import ROOT, checks, items, workloads
 
 
 def counted(call, *args):
@@ -98,11 +88,9 @@ def main(argv=None):
     names = [args.workload] if args.workload else list(workloads.WORKLOADS)
     for name in names:
         total = 0
-        for item in workloads.WORKLOADS[name](args.seed):
-            options = RunOptions(budgets=Budgets(trials=item.trials))
-            session = parse_session(item.text)
-            for i in range(len(session.commands)):
-                _payload, events = counted(run_command, session, i, options)
+        for _label, item in items(args.seed, (name,), untimed=False):
+            for i, check in enumerate(checks(item)):
+                _payload, events = counted(check)
                 total += events
                 print(f"{name}/{item.name}#{i} {events}", flush=True)
         print(f"{name}/pass {total}", flush=True)

@@ -5,11 +5,9 @@ Run from anywhere inside a cicert checkout:
 
     python3 tools/spair_counts.py --seed 1
 
-For the given workload seed it builds the sessions of the three
-perfbench workloads and the untimed stci-search inputs
-(`perfbench/workloads.py`, read only), runs each session once as
-`perfbench/run.py` does, with the item's trial budget in `RunOptions`
-and one basis store per session, and prints
+For the given workload seed it runs each session of the three
+perfbench workloads and of the untimed stci-search inputs once, as
+`perfbench/run.py` does (`benchmark_checks.py`), and prints
 `workload/item reduced zero memo`, then one `workload/total` line per
 workload.  `reduced` counts the S-pair reductions the Buchberger core
 runs, `zero` those whose remainder is zero; a basis reused from the
@@ -27,27 +25,10 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.dont_write_bytecode = True  # leave no cache files beside perfbench/
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+from benchmark_checks import checks, items
 
-from cicert import groebner  # noqa: E402
-from cicert.cli import RunOptions, run_command  # noqa: E402
-from cicert.dsl import parse_session  # noqa: E402
-from cicert.pipeline import Budgets  # noqa: E402
-
-import workloads  # noqa: E402
-
-
-def items(seed):
-    """(label, Item) for every benchmark session at `seed`."""
-    for name, build in workloads.WORKLOADS.items():
-        for item in build(seed):
-            yield name, item
-    for item, _stuck in workloads.untimed_inputs(seed):
-        yield "untimed", item
+from cicert import groebner
 
 
 def main(argv=None):
@@ -80,10 +61,8 @@ def main(argv=None):
     totals = {}
     for label, item in items(args.seed):
         counts.clear()
-        options = RunOptions(budgets=Budgets(trials=item.trials))
-        session = parse_session(item.text)
-        for i in range(len(session.commands)):
-            run_command(session, i, options)
+        for check in checks(item):
+            check()
         print(f"{label}/{item.name} {counts['reduced']} {counts['zero']} {counts['memo']}",
               flush=True)
         totals.setdefault(label, Counter()).update(counts)
