@@ -15,7 +15,10 @@ recorded seed and budgets, and the core payload must be byte-identical.
 For a certificate object of the library, `Replayable.verify()` calls the
 producing function on the object's recorded fields and compares
 `payload()`.  Any tampering with a witness, a hash or an input is
-detected, because the producer recomputes all of them.
+detected, because the producer recomputes all of them.  Each certificate
+class has one producer, the function its `_rerun` calls, and no other
+code constructs it; so `verify()` re-runs the very code that made the
+object, and a check is verified exactly when its outcome is `Replayable`.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ class SchemaError(ValueError):
 class Replayable:
     """verify() for certificate objects: `_rerun()` calls the producer on
     the recorded inputs, and the certificate holds when the fresh result
-    has the same payload.  A producer that rejects the recorded inputs
+    has the same payload.  The producer is the one function that
+    constructs the subclass.  A producer that rejects the recorded inputs
     (ValueError) or finds nothing (None) does not reproduce it."""
 
     def verify(self) -> bool:

@@ -9,30 +9,19 @@ the certificate reproduces byte-for-byte (timings aside).
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 import weakref
 from pathlib import Path
 
 from . import certificates
-from .certificates import SchemaError
+from .certificates import Replayable, SchemaError
 from .dsl import DslParseError, Session, parse_session
 from .groebner import BasisStore, Budget, BudgetExceededError, Budgets, InputError
 from .homology import ext_module, free_resolution, koszul2_exactness
-from .ideals import (
-    RadicalEqualityCertificate,
-    dimension_height,
-    radical_equal,
-    radical_member,
-)
+from .ideals import dimension_height, radical_equal, radical_member
 from .pipeline import (
-    CICertificate,
     Inconclusive,
-    LCIProxyCertificate,
-    RegSeqCertificate,
-    RegularizationResult,
-    STCICertificate,
     ci_from_free_conormal,
     is_regular_sequence,
     lci_certificate,
@@ -69,15 +58,12 @@ def parse_field(text):
 # command execution
 
 
-# the outcomes that certify their check; `Inconclusive` means a search
-# ran out, and any other outcome refutes
-_CERTIFICATES = (RegSeqCertificate, RadicalEqualityCertificate,
-                 LCIProxyCertificate, CICertificate, STCICertificate,
-                 RegularizationResult)
-
-
 def _verdict(outcome) -> str:
-    if isinstance(outcome, _CERTIFICATES):
+    """An outcome certifies its check exactly when it is `Replayable`;
+    `Inconclusive` means a search ran out, and any other outcome refutes.
+    `ProjectiveRankCertificate`, the one `Replayable` that may record a
+    failure, is never a check's outcome: `lci_certificate` wraps it."""
+    if isinstance(outcome, Replayable):
         return "verified"
     return "inconclusive" if isinstance(outcome, Inconclusive) else "refuted"
 
@@ -270,16 +256,17 @@ _FLAGS = {"gb_steps": "--budget-gb-steps", "trials": "--budget-trials",
           "degree_bound": "--degree-bound"}
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """An argument parser whose usage errors exit with EXIT_INPUT_ERROR:
-    argparse's own status, 2, is EXIT_INCONCLUSIVE here."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
-
-
 def main(argv=None) -> int:
+    import argparse  # here, so that `import cicert` does not load it
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        """An argument parser whose usage errors exit with EXIT_INPUT_ERROR:
+        argparse's own status, 2, is EXIT_INCONCLUSIVE here."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
     parser = _ArgumentParser(
         prog="cicert",
         description="Groebner-backed complete-intersection certificates")

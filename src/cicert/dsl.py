@@ -34,7 +34,7 @@ class DslParseError(ValueError):
         self.col = col
 
 
-# command name -> argument shape, handled in cli.run_command
+# command name -> argument shape, handled in cli._dispatch
 COMMANDS = {
     "member": "expr in ideal",
     "radical-member": "expr in ideal",
@@ -62,15 +62,13 @@ class Command:
 
 
 class Session:
-    def __init__(self, text: str, rings: dict | None = None, ideals: dict | None = None,
-                 polys: dict | None = None, pairs: dict | None = None,
-                 commands: list | None = None):
+    def __init__(self, text: str):
         self.text = text
-        self.rings = {} if rings is None else rings
-        self.ideals = {} if ideals is None else ideals
-        self.polys = {} if polys is None else polys
-        self.pairs = {} if pairs is None else pairs
-        self.commands = [] if commands is None else commands
+        self.rings = {}
+        self.ideals = {}
+        self.polys = {}
+        self.pairs = {}
+        self.commands = []
 
 
 class _Parser:

@@ -47,8 +47,8 @@ __all__ = [
 ]
 
 
-def fresh_name(ring: RingSpec, stem: str = "t") -> str:
-    name = stem
+def fresh_name(ring: RingSpec) -> str:
+    name = "t"
     while name in ring.variables:
         name += "_"
     return name

@@ -277,14 +277,15 @@ def regularize_generators(I: IdealHandle, generators, seed=0):
 
     Each candidate g_k+1 = f_k+1 + lambda keeps the ideal unchanged
     because lambda lies in (f_k+2, ..., f_n); the non-zerodivisor
-    condition is tested outright, so a bad draw is discarded and the
-    output is always verified: the certificate holds the test of each
-    accepted step, the first against the zero ideal.  A step draws at
-    most the trial budget of perturbations, none at 0, and when they run
-    out the result is Inconclusive, never an unverified sequence.  No
-    regular sequence generates the unit ideal, so there the result is
-    the RegSeqFailure of the accepted sequence: index k when its first k
-    elements generate the unit ideal, and witness 1.
+    condition is tested outright, so a bad draw is discarded.  A step
+    draws at most the trial budget of perturbations, none at 0, and when
+    they run out the result is Inconclusive, never an unverified
+    sequence.  The accepted sequence is certified by
+    `is_regular_sequence`, whose colon ideals the search has already
+    computed, and its outcome is returned: the RegSeqFailure of the unit
+    ideal, which no regular sequence generates (index k when the first
+    k elements generate it, and witness 1), or the certificate.  An
+    empty generating set is an input error, as for `is_regular_sequence`.
     """
     generators = tuple(generators)
     ring = I.ring
@@ -294,16 +295,13 @@ def regularize_generators(I: IdealHandle, generators, seed=0):
     budgets = limits()
     degree_cap = budgets.degree_cap(generators)
     sequence: list[Polynomial] = []
-    steps = []
     perturbations = []
     log = []
     for k, candidate in enumerate(generators):
         tail = generators[k + 1:]
         base = IdealHandle(ring, sequence) if sequence else zero_ideal(ring)
-        step = is_nzd(candidate, base)
-        if step.nzd:
+        if is_nzd(candidate, base).nzd:
             sequence.append(candidate)
-            steps.append(step)
             continue
         if not tail:
             log.append(f"step {k + 1}: zerodivisor and no trailing generators")
@@ -324,25 +322,23 @@ def regularize_generators(I: IdealHandle, generators, seed=0):
             shifted = candidate + lam
             if not shifted:
                 continue
-            step = is_nzd(shifted, base)
-            if step.nzd:
+            if is_nzd(shifted, base).nzd:
                 perturbations.append(PerturbationElement(
                     k + 1, lam, tuple((g, c) for g, c in coeffs if c),
                     seed, trial))
                 sequence.append(shifted)
-                steps.append(step)
                 break
             log.append(f"step {k + 1} trial {trial}: zerodivisor")
         else:
             return Inconclusive(f"no regularizing perturbation at step {k + 1}",
                                 len(log), tuple(log))
-    cert = RegSeqCertificate(ring, (), tuple(sequence), tuple(steps))
     out = IdealHandle(ring, sequence)
     if not out.equals(I):
         raise AssertionError("perturbation changed the ideal")
-    if out.is_unit():
-        return is_regular_sequence(sequence)  # its failure at the first unit prefix
-    return RegularizationResult(I.gens, tuple(sequence), cert,
+    cert = is_regular_sequence(sequence)
+    if isinstance(cert, RegSeqFailure):
+        return cert
+    return RegularizationResult(I.gens, cert.sequence, cert,
                                 tuple(perturbations), I.gb_hash(), out.gb_hash(),
                                 generators, seed, budgets)
 

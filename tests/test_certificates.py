@@ -3,14 +3,18 @@
 newline, for every value `json.load` returns, and a stored certificate
 that does not reproduce is reported as such, whatever JSON it holds."""
 
+import ast
 import json
+from collections import defaultdict
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cicert
 from cicert import certificates
-from cicert.certificates import canonical_json
+from cicert.certificates import Replayable, canonical_json
 from cicert.cli import EXIT_REFUTED, main, run_session
 
 # control characters, quotes, backslashes, non-ASCII and astral text
@@ -24,6 +28,43 @@ values = st.recursive(
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
                    | st.dictionaries(texts, inner, max_size=4)),
     max_leaves=30)
+
+
+def _calls_by_function(node, function, found):
+    """found[name]: the functions of `node` that call `name(...)` or
+    `x.name(...)` directly, outside any function nested in them."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            _calls_by_function(child, child.name, found)
+            continue
+        if isinstance(child, ast.Call):
+            callee = child.func
+            found[getattr(callee, "id", None) or getattr(callee, "attr", None)].add(function)
+        _calls_by_function(child, function, found)
+
+
+def test_each_certificate_class_has_one_producer():
+    """Each `Replayable` class of `src/cicert` is constructed in exactly one
+    function, and its `_rerun` calls that function: `verify()` re-runs the
+    only code that makes the certificate."""
+    reruns = {}  # class name -> the names its _rerun calls
+    found = defaultdict(set)
+    for path in sorted(Path(cicert.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        _calls_by_function(tree, None, found)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and \
+                    any(getattr(b, "id", None) == "Replayable" for b in node.bases):
+                rerun = next(f for f in node.body
+                             if isinstance(f, ast.FunctionDef) and f.name == "_rerun")
+                calls = defaultdict(set)
+                _calls_by_function(rerun, rerun.name, calls)
+                reruns[node.name] = set(calls)
+    assert set(reruns) == {cls.__name__ for cls in Replayable.__subclasses__()}
+    for name, called in sorted(reruns.items()):
+        assert len(found[name]) == 1, (name, sorted(found[name]))
+        (producer,) = found[name]
+        assert producer in called, (name, producer)
 
 
 def _reference(value):

@@ -697,7 +697,7 @@ def test_import_loads_every_module_and_no_dataclass_machinery():
                   "poly")
     assert {m for m in loaded if m.startswith("cicert")} == \
         {"cicert"} | {f"cicert.{m}" for m in submodules}
-    assert not {"dataclasses", "inspect"} & loaded
+    assert not {"argparse", "dataclasses", "inspect"} & loaded
 
 
 def test_budget_flags_respected(tmp_path):
@@ -740,6 +740,20 @@ def test_budget_flags_out_of_range_are_input_errors(tmp_path, capsys, flag, valu
                        "check stci-search I;")
     assert main([str(session), flag, value]) == EXIT_INPUT_ERROR
     assert capsys.readouterr().err == f"cicert: {flag} must be at least {least}, got {value}\n"
+
+
+@pytest.mark.parametrize("statements", [
+    pytest.param("ideal I = (); check regularize I;", id="regularize"),
+    pytest.param("check regular-sequence ();", id="regular-sequence"),
+])
+def test_an_empty_generating_set_is_input_error(tmp_path, capsys, statements):
+    """`regularize` certifies its sequence through `is_regular_sequence`,
+    so both checks reject an empty one."""
+    session = tmp_path / "empty.ck"
+    session.write_text(f"ring R = QQ[x,y]; {statements}")
+    assert main([str(session)]) == EXIT_INPUT_ERROR
+    out, err = capsys.readouterr()
+    assert "empty sequence" in err and out == ""
 
 
 @pytest.mark.parametrize("flag", ["--degree-bound", "--budget-gb-steps", "--budget-trials"])

@@ -4,8 +4,9 @@ Each `tests/golden/<name>.ck` session sits next to `<name>.json`, the
 list of its certificates (one per check, timings left out) as the
 engine produced them when the corpus was recorded.  Reduced bases,
 syzygy generators and normal forms are unique, so a refactor of the
-engine must reproduce every core payload byte for byte, and every
-stored certificate must still replay.  The work of each session, in
+engine must reproduce every core payload byte for byte, every
+stored certificate must still replay, and every certificate object a
+check's producer returns must pass `verify()`.  The work of each session, in
 S-pair reductions (`Budget.charge` calls), is pinned too, so a refactor
 that adds hidden work fails here, and so is the meter reading of each
 check, so one that moves a budget-bound verdict fails here.
@@ -25,9 +26,10 @@ from pathlib import Path
 
 import pytest
 
-from cicert import certificates, groebner
+from cicert import certificates, cli, groebner
+from cicert.certificates import Replayable
 from cicert.cli import RunOptions, replay_payload, run_session
-from cicert.pipeline import Budgets
+from cicert.pipeline import Budgets, SearchResult
 
 GOLDEN = Path(__file__).parent / "golden"
 TOOLS = Path(__file__).parent.parent / "tools"
@@ -90,6 +92,42 @@ def test_golden_certificates_replay(name):
     for cert in _load(name):
         _verdict, ok = replay_payload(cert)
         assert ok, cert["command"]
+
+
+def _replayables(value):
+    """The certificate objects in a producer's result, nested ones included."""
+    if isinstance(value, SearchResult):
+        value = value.outcome
+    if isinstance(value, Replayable):
+        yield value
+        for field in vars(value).values():
+            yield from _replayables(field)
+
+
+def test_golden_certificate_objects_verify(monkeypatch):
+    """Every certificate object a golden check's producer returns passes
+    `verify()`, and the corpus makes one of every certificate class."""
+    made = []
+
+    def wrap(producer):
+        def call(*args, **kwargs):
+            result = producer(*args, **kwargs)
+            made.extend(_replayables(result))
+            return result
+        return call
+
+    # `_dispatch` looks its producers up in `cli`'s namespace when it calls them
+    for name, value in list(vars(cli).items()):
+        if callable(value) and not isinstance(value, type) and \
+                getattr(value, "__module__", "").startswith("cicert.") and \
+                value.__module__ != "cicert.cli":
+            monkeypatch.setattr(cli, name, wrap(value))
+    for name in SESSIONS:
+        text = (GOLDEN / f"{name}.ck").read_text(encoding="utf-8")
+        run_session(text, _options(_load(name)))
+    assert {type(c) for c in made} == set(Replayable.__subclasses__())
+    for cert in made:
+        assert cert.verify(), type(cert).__name__
 
 
 @pytest.mark.parametrize("name", SESSIONS)

@@ -281,6 +281,13 @@ def test_regularize_rejects_wrong_generators(R3):
         regularize_generators(H(R3, "x", "y"), (R3.gen("x"),), seed=0)
 
 
+def test_regularize_rejects_the_empty_generating_set(R2):
+    """`is_regular_sequence` certifies the sequence found, and it rejects
+    an empty one."""
+    with pytest.raises(InputError, match="empty sequence"):
+        regularize_generators(IdealHandle(R2, ()), ())
+
+
 def test_regularize_certificate_replays_on_the_rings_zero_ideal(monkeypatch):
     """A regular-sequence certificate without a base replays from the
     ring's zero ideal, whose basis of J0 is already held."""
@@ -460,6 +467,43 @@ def test_ci_search_recovers_equality_from_shifted_basis(R2):
     out = ci_from_free_conormal(I, (c, d), seed=3)
     assert isinstance(out, CICertificate)
     assert IdealHandle(R2, out.pair).equals(I)
+
+
+@pytest.mark.parametrize("pair, seed, tries, found", [
+    # general random pairs from I: past the 1 + 100 tries of the pair and
+    # its perturbations, at the default 200 trials
+    (("x + x^2", "y"), 0, 111, ("3*x + 3*y", "4*x - 2*y")),
+    (("x + x^2", "y"), 1, 102, ("x", "3*x - y")),
+    # a perturbation of the pair by elements of I^2
+    (("x + x*y", "y - x^2"), 2, 45, ("-3*x^2 + x*y + 2*y^2 + x",
+                                     "-3*x^2 + x*y + 2*y^2 + y")),
+], ids=["general-seed-0", "general-seed-1", "perturbed-seed-2"])
+def test_ci_search_past_the_first_pair(monkeypatch, R2, pair, seed, tries, found):
+    """Each pair generates I = (x, y) modulo I^2 but not I itself, so the
+    search goes on to its trials; the pair it finds, and the number of
+    pairs it tried, pin the stream of Random(seed)."""
+    tried = []
+    real = pipeline._try_ci_pair
+
+    def counted(I, c, d):
+        tried.append((c, d))
+        return real(I, c, d)
+
+    monkeypatch.setattr(pipeline, "_try_ci_pair", counted)
+    I = H(R2, "x", "y")
+    out = ci_from_free_conormal(I, tuple(R2.parse(p) for p in pair), seed=seed)
+    assert isinstance(out, CICertificate)
+    assert tuple(str(g) for g in out.pair) == found and len(tried) == tries
+    assert out.verify()
+
+
+@pytest.mark.parametrize("pair", [
+    ("x", "0"),  # generates I and x is regular: only the zero entry fails
+    ("x^2", "y"),  # a regular sequence, but (x^2, y) != I
+    ("x", "x*y"),  # generates I, but x*y is zero modulo x
+], ids=["zero-entry", "differs-from-I", "not-regular"])
+def test_try_ci_pair_rejects(R2, pair):
+    assert pipeline._try_ci_pair(H(R2, "x"), *(R2.parse(p) for p in pair)) is None
 
 
 # -- set-theoretic complete intersections
