@@ -656,9 +656,20 @@ class IdealHandle:
             raise RingMismatchError("ideals in different rings")
         return self.groebner() == other.groebner()
 
+    def vanishes_at_origin(self) -> bool:
+        """True if no working generator has a constant term (key 0).  Then
+        all of them vanish at 0, so I + J0 lies in (x_1, ..., x_n): the
+        ideal is proper, and no basis is needed to say so."""
+        return all(0 not in g.vec for g in self.working_gens())
+
     def is_unit(self) -> bool:
+        """True if the ideal of A is (1).  A constant generator says yes
+        and `vanishes_at_origin` says no, both without a basis, so the
+        meter is charged nothing; otherwise the reduced basis decides."""
         if any(g and g.is_constant() for g in self.gens):
             return True
+        if self.vanishes_at_origin():
+            return False
         basis = self.groebner()
         return len(basis) == 1 and basis[0].is_constant()
 

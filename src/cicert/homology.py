@@ -567,7 +567,13 @@ def projective_rank_certificate(P: PresentationMatrix,
     form of every such tail, e_L / m_L among them.  That one term is
     reducible only by a syzygy whose lead is a constant at position L,
     with zeros before L; such a syzygy exists iff the rows after L
-    generate (1).  In every other case the augmented basis is computed.
+    generate (1).  Otherwise, when no minor and no base generator has a
+    constant term, Fitt_r is proper (`IdealHandle.vanishes_at_origin`)
+    and no basis is computed.  In every other case the augmented basis
+    alone decides: 1 reduces to zero against it exactly when Fitt_r is
+    (1), and then the reduction gives the witness; a nonzero remainder
+    refutes, after every minor and base generator is checked to reduce
+    to zero against that basis.
     """
     if rank < 0:
         raise ValueError("rank must be non-negative")
@@ -590,22 +596,24 @@ def projective_rank_certificate(P: PresentationMatrix,
         if m * c != ring.one:
             raise AssertionError("constant minor without an inverse")
         return ProjectiveRankCertificate(P, rank, True, None, None, ((m, c),), ())
-    if not high.is_unit():
-        return ProjectiveRankCertificate(
-            P, rank, False, f"fitt_{rank} is not the unit ideal", None, None, None)
-    ext = extended_groebner(high.gens, ring)
-    remainder, coeffs = ext.express(ring.one)
-    if not remainder.is_zero:
-        raise AssertionError("unit ideal without a unit witness")
-    ngens = len(high.gens)
-    unit_combo = tuple(
-        (g, c) for g, c in zip(high.gens, coeffs[:ngens]) if c
-    )
-    base_combo = tuple(
-        (g, c) for g, c in zip(ring.base_ideal, coeffs[ngens:]) if c
-    )
-    return ProjectiveRankCertificate(P, rank, True, None, None,
-                                     unit_combo, base_combo)
+    if not high.vanishes_at_origin():
+        ext = extended_groebner(high.gens, ring)
+        remainder, coeffs = ext.express(ring.one)
+        if remainder.is_zero:
+            ngens = len(high.gens)
+            unit_combo = tuple(
+                (g, c) for g, c in zip(high.gens, coeffs[:ngens]) if c
+            )
+            base_combo = tuple(
+                (g, c) for g, c in zip(ring.base_ideal, coeffs[ngens:]) if c
+            )
+            return ProjectiveRankCertificate(P, rank, True, None, None,
+                                             unit_combo, base_combo)
+        for g in ext.inputs:  # self-check of the basis that refutes
+            if not ext.express(g)[0].is_zero:
+                raise AssertionError(f"generator {g} does not reduce against its own basis")
+    return ProjectiveRankCertificate(
+        P, rank, False, f"fitt_{rank} is not the unit ideal", None, None, None)
 
 
 # ---------------------------------------------------------------------------

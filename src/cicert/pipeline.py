@@ -138,7 +138,9 @@ def is_regular_sequence(sequence, base: IdealHandle | None = None):
     A regular sequence is proper: A/(base, g_1, ..., g_k) != 0 (Matsumura).
     When base + (g_1, ..., g_k) is the unit ideal the failure has index k
     and witness 1.  Each prefix's basis is the one the next step's colon
-    needs, so only the full ideal's basis is extra work, none if stored."""
+    needs, so only the full ideal's basis is extra work: none if stored,
+    or if no generator of it or of J0 has a constant term, since such an
+    ideal is proper (`IdealHandle.is_unit`)."""
     sequence = tuple(sequence)
     if not sequence:
         raise InputError("empty sequence")

@@ -40,16 +40,16 @@ SESSIONS = sorted(p.stem for p in GOLDEN.glob("*.ck"))
 # Budget.charge calls of one run of each session with its recorded options:
 # the S-pair reductions that run; a basis reused from the session's store
 # is paid by Budget.pay at its recorded cost instead
-CHARGES = {"budget-2": 3, "c345": 55, "f5-cylinder": 69, "readme-skew": 84,
-           "skew-quotient": 106, "stalled-searches": 176, "twisted-cubic": 18}
+CHARGES = {"budget-2": 3, "c345": 45, "f5-cylinder": 61, "readme-skew": 76,
+           "skew-quotient": 98, "stalled-searches": 170, "twisted-cubic": 15}
 
 # the meter reading (Budget.used) at the end of each check of that run: the
 # cost of each distinct basis the check used, once; it decides every
 # budget-bound verdict
-READINGS = {"budget-2": [3], "c345": [2, 11, 19, 5, 10, 2, 24],
-            "f5-cylinder": [4, 33, 69], "readme-skew": [12, 48, 69],
-            "skew-quotient": [4, 51, 18, 93], "stalled-searches": [137, 39],
-            "twisted-cubic": [3, 3, 5, 6, 3, 9, 3, 10, 3, 6, 12]}
+READINGS = {"budget-2": [3], "c345": [2, 5, 15, 5, 10, 2, 24],
+            "f5-cylinder": [4, 25, 61], "readme-skew": [12, 40, 61],
+            "skew-quotient": [4, 43, 18, 85], "stalled-searches": [131, 39],
+            "twisted-cubic": [3, 3, 5, 3, 3, 6, 3, 10, 3, 6, 9]}
 
 
 def _load(name):
@@ -160,13 +160,14 @@ def test_benchmark_certificates_byte_identical(seed):
 
 
 def test_benchmark_spair_counts_pinned():
-    """`tools/spair_counts.py --seed 1`: S-pairs reduced, reduced to zero
-    and producer results served from the session memo, per workload."""
+    """`tools/spair_counts.py --seed 1`: S-pairs reduced, reduced to zero,
+    producer results served from the session memo and Buchberger runs,
+    per workload."""
     out = subprocess.run([sys.executable, str(TOOLS / "spair_counts.py"), "--seed", "1"],
                          capture_output=True, text=True, check=True)
     totals = [line for line in out.stdout.splitlines() if "/total " in line]
-    assert totals == ["gb-families/total 446 288 0", "curve-checks/total 670 230 128",
-                      "stci-search/total 330 153 20", "untimed/total 561 379 11"]
+    assert totals == ["gb-families/total 446 288 0 9", "curve-checks/total 570 138 128 264",
+                      "stci-search/total 288 117 20 68", "untimed/total 413 231 11 22"]
 
 
 def test_benchmark_bytecode_counts_repeat():

@@ -96,6 +96,51 @@ def test_unit_ideal(R3):
     assert [str(g) for g in basis] == ["1"]
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_is_unit_matches_the_basis_of_the_working_generators(field):
+    """`is_unit` says whether the reduced basis of the generators and J0
+    is (1), for seeded ideals with and without constant terms, in a
+    polynomial ring and in a quotient ring."""
+    rng = random.Random(36)
+    seen = set()
+    bare = RingSpec(("x", "y", "z", "w"), field)
+    for ring in (RingSpec(("x", "y", "z"), field), bare.quotient([bare.parse("w^2 - x*z")])):
+        for draw in range(40):
+            gens = [_random_poly(ring, rng, 2) for _ in range(rng.randint(1, 3))]
+            if draw % 2:  # drop every constant term
+                gens = [g - g.constant_value() for g in gens]
+            I = IdealHandle(ring, gens)
+            unit = groebner_basis(I.working_gens(), ring) == (ring.one,)
+            assert I.is_unit() == unit
+            seen.add((I.vanishes_at_origin(), unit))
+    # the origin decides some, and the basis is needed both ways
+    assert seen == {(True, False), (False, False), (False, True)}
+
+
+@pytest.mark.parametrize("gens, unit, origin", [
+    (("x*y", "y - x^2"), False, True),  # proper, decided by the origin rule
+    (("x - 1", "x*y - y"), False, False),  # proper, but it has a constant term
+    (("x", "x - 1"), True, False),  # (1), with no constant generator
+], ids=["origin", "constant-term", "unit"])
+def test_origin_rule_cases(R3, gens, unit, origin):
+    """Under a meter, the origin rule answers without a basis and charges
+    nothing; every other non-constant case pays for one."""
+    I = IdealHandle(R3, list(gens))
+    with Budget() as meter:
+        assert I.is_unit() == unit
+    assert I.vanishes_at_origin() == origin
+    assert (meter.used == 0) == origin
+
+
+def test_origin_rule_reads_the_base_ideal():
+    """In QQ[x,y]/(x - 1) the base ideal has a constant term, so the
+    origin rule does not fire: (x) is the unit ideal and (y) is proper."""
+    bare = RingSpec(("x", "y"), QQ)
+    A = bare.quotient([bare.parse("x - 1")])
+    assert IdealHandle(A, ["x"]).is_unit()
+    assert not IdealHandle(A, ["y"]).is_unit()
+
+
 def test_quotient_ring_membership():
     bare = RingSpec(("x", "y"), QQ)
     A = bare.quotient([bare.parse("x*y")])

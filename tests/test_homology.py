@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -412,6 +413,49 @@ def test_unit_witness_matches_the_augmented_basis(monkeypatch, field, base, row,
     assert cert.base_combination == tuple(
         (g, c) for g, c in zip(ring.base_ideal, coeffs[n:]) if c)
     assert cert.verify()
+
+
+def _buchberger_runs(monkeypatch):
+    """A list that counts the Buchberger runs, one per basis computed."""
+    from cicert import groebner
+    runs = []
+    buchberger = groebner._module_buchberger_dicts
+
+    def counted(vecdicts, ring):
+        runs.append(None)
+        return buchberger(vecdicts, ring)
+
+    monkeypatch.setattr(groebner, "_module_buchberger_dicts", counted)
+    return runs
+
+
+def test_skew_lines_top_fitting_ideal_from_one_basis(monkeypatch, skew_lines):
+    """Fitt_2 of the skew lines' conormal module has no constant minor:
+    its augmented basis alone gives the unit witness."""
+    pres = conormal_presentation(skew_lines)
+    runs = _buchberger_runs(monkeypatch)
+    cert = projective_rank_certificate(pres, 2)
+    assert cert.certified and len(runs) == 1
+
+
+@pytest.mark.parametrize("rows, payload", [
+    # Fitt_0 = (x - 1, x*y - y) is proper, but has a constant term
+    ((("x - 1",), ("x*y - y",)),
+     '{"certified": false, "failing": "fitt_0 is not the unit ideal", "rank": 0}'),
+    # Fitt_0 = (x, x - 1) is (1), and no minor is a constant
+    ((("x",), ("x - 1",)),
+     '{"base_combination": [], "certified": true, "rank": 0, "unit_combination": '
+     '[{"coefficient": "1", "minor": "x"}, {"coefficient": "-1", "minor": "x - 1"}]}'),
+], ids=["proper-with-constant-term", "unit-without-constant-minor"])
+def test_top_fitting_ideal_decided_by_its_augmented_basis(monkeypatch, R2, rows, payload):
+    """When neither a constant minor nor the origin decides Fitt_r, one
+    augmented basis does, and the payload is the one the plain basis and
+    then the augmented one gave."""
+    pres = PresentationMatrix.of(R2, 1, [tuple(map(R2.parse, r)) for r in rows])
+    runs = _buchberger_runs(monkeypatch)
+    cert = projective_rank_certificate(pres, 0)
+    assert json.dumps(cert.payload(), sort_keys=True) == payload
+    assert len(runs) == 1 and cert.verify()
 
 
 def test_projective_refuted_for_torsion():

@@ -1,5 +1,6 @@
-"""Print the S-pairs reduced, those reduced to zero, and the producer
-results served from the session memo, per benchmark item.
+"""Print the S-pairs reduced, those reduced to zero, the producer
+results served from the session memo and the Buchberger runs, per
+benchmark item.
 
 Run from anywhere inside a cicert checkout:
 
@@ -8,14 +9,17 @@ Run from anywhere inside a cicert checkout:
 For the given workload seed it runs each session of the three
 perfbench workloads and of the untimed stci-search inputs once, as
 `perfbench/run.py` does (`benchmark_checks.py`), and prints
-`workload/item reduced zero memo`, then one `workload/total` line per
-workload.  `reduced` counts the S-pair reductions the Buchberger core
-runs, `zero` those whose remainder is zero; a basis reused from the
+`workload/item reduced zero memo runs`, then one `workload/total` line
+per workload.  `reduced` counts the S-pair reductions the Buchberger
+core runs, `zero` those whose remainder is zero; a basis reused from the
 session's store runs none.  `memo` counts the calls of a memoized
 producer other than the module basis (`lci_certificate`,
 `mod_square_generation`, `is_regular_sequence`, `free_resolution`,
-`dimension_height`) answered from the store.  The counts are
-deterministic, so two checkouts compare with one `diff`.
+`dimension_height`) answered from the store.  `runs` counts the
+Buchberger runs (`_module_buchberger_dicts`), one per basis computed, so
+a change that skips whole bases shows itself directly, not only through
+the S-pairs.  The counts are deterministic, so two checkouts compare
+with one `diff`.
 
 `quartic-F5-4-trials` is included: it takes a few seconds.
 """
@@ -29,6 +33,10 @@ from collections import Counter
 from benchmark_checks import checks, items
 
 from cicert import groebner
+
+
+def _columns(counts):
+    return " ".join(str(counts[name]) for name in ("reduced", "zero", "memo", "runs"))
 
 
 def main(argv=None):
@@ -56,18 +64,24 @@ def main(argv=None):
         counts["memo"] += entry is not None and key.parts[0] is not module_basis
         return entry
 
+    buchberger = groebner._module_buchberger_dicts
+
+    def run(vecdicts, ring):
+        counts["runs"] += 1
+        return buchberger(vecdicts, ring)
+
     groebner._vec_reduce = counted
+    groebner._module_buchberger_dicts = run
     groebner.BasisStore.get = served
     totals = {}
     for label, item in items(args.seed):
         counts.clear()
         for check in checks(item):
             check()
-        print(f"{label}/{item.name} {counts['reduced']} {counts['zero']} {counts['memo']}",
-              flush=True)
+        print(f"{label}/{item.name} {_columns(counts)}", flush=True)
         totals.setdefault(label, Counter()).update(counts)
     for label, total in totals.items():
-        print(f"{label}/total {total['reduced']} {total['zero']} {total['memo']}")
+        print(f"{label}/total {_columns(total)}")
     return 0
 
 
