@@ -7,7 +7,10 @@ it on its recorded inputs, under a meter of its recorded limits, and
 compares payloads (`Replayable`).  Searches are deterministic functions
 of the seed and the open meter's limits (`groebner.limits()`); random
 candidates are always verified before they are reported, so a bad
-sample costs a trial but never soundness.
+sample costs a trial but never soundness.  The pair searches
+(`ci_from_free_conormal`, `stci_search`) are stages: generators of
+candidate pairs, of which one loop (`_first_hit`) reports the first
+that passes the stage's check.
 """
 
 from __future__ import annotations
@@ -555,50 +558,55 @@ def ci_from_free_conormal(I: IdealHandle, pair, seed=0):
     """Upgrade a conormal basis (c, d) to an exact equality I = (c', d').
 
     Checks the preconditions (I certified lci of height 2, the pair
-    generating I modulo I^2), then searches with `_ci_search`.
-    Existence is guaranteed under the preconditions, so failure is
-    always reported as inconclusive-with-budget, never as a refutation.
+    generating I modulo I^2), then tries the pair and its perturbations
+    by elements of I^2, then general random pairs from I, all drawn from
+    one Random(seed).  Existence is guaranteed under the preconditions,
+    so failure is always reported as inconclusive-with-budget, never as
+    a refutation.
     """
     lci = lci_certificate(I)
     if not isinstance(lci, LCIProxyCertificate) or lci.height != 2:
         raise InputError("ideal is not certified lci of height 2")
     if not mod_square_generation(I, pair).holds:
         raise InputError("pair does not generate the ideal modulo its square")
-    return _ci_search(I, pair, seed)
-
-
-def _ci_search(I, pair, seed, general=True):
-    """The search of ci_from_free_conormal, its preconditions taken as
-    checked: first the pair itself, then perturbations by elements of
-    I^2, then, when `general`, general random pairs from I.
-
-    The perturbations take the same number of draws from Random(seed)
-    whatever the pair, so the general pairs depend only on I, the seed
-    and the meter's limits: a caller that has already tried them passes
-    general=False."""
-    c, d = pair
-    hit = _try_ci_pair(I, c, d)
-    if hit is not None:
-        return hit
     rng = random.Random(seed)
+    pairs = itertools.chain(_perturbed_pairs(I, pair, rng), _general_pairs(I, rng))
+    _, hit = _first_hit(pairs, lambda p: _try_ci_pair(I, *p))
+    return hit or Inconclusive("no exact two-element basis found within budget",
+                               limits().trials)
+
+
+def _perturbed_pairs(I, pair, rng):
+    """The pair, then `trials // 2` perturbations of it by elements of
+    I^2, which generate I modulo I^2 as the pair does."""
+    yield pair
+    square = _square_gens([g for g in I.gens if g])
+    for _ in range(limits().trials // 2):
+        yield tuple(e + _random_combination(square, rng, 0) for e in pair)
+
+
+def _general_pairs(I, rng):
+    """General random pairs from I, for the trials that
+    `_perturbed_pairs` leaves."""
     budgets = limits()
     degree_cap = budgets.degree_cap(I.gens)
     live = [g for g in I.gens if g]
-    square = _square_gens(live)
-    half = budgets.trials // 2
-    for trial in range(budgets.trials if general else half):
-        if trial < half:
-            delta1 = _random_combination(square, rng, 0)
-            delta2 = _random_combination(square, rng, 0)
-            hit = _try_ci_pair(I, c + delta1, d + delta2)
-        else:
-            f = _random_combination(live, rng, rng.randint(0, degree_cap))
-            g = _random_combination(live, rng, rng.randint(0, degree_cap))
-            hit = _try_ci_pair(I, f, g)
-        if hit is not None:
-            return hit
-    return Inconclusive("no exact two-element basis found within budget",
-                        budgets.trials)
+    for _ in range(budgets.trials - budgets.trials // 2):
+        yield (_random_combination(live, rng, rng.randint(0, degree_cap)),
+               _random_combination(live, rng, rng.randint(0, degree_cap)))
+
+
+def _first_hit(pairs, check):
+    """(n, outcome) for the n-th pair, the first whose check is
+    Replayable, or (n, None) when none of the n pairs is.  A None in
+    `pairs` is a trial that drew nothing to check."""
+    n = 0
+    for n, pair in enumerate(pairs, 1):
+        if pair is not None:
+            outcome = check(pair)
+            if isinstance(outcome, Replayable):
+                return n, outcome
+    return n, None
 
 
 # ---------------------------------------------------------------------------
@@ -680,72 +688,76 @@ def _row_reduced(rows, p):
                         for col, row in reduced.items()))
 
 
-@metered
-def stci_search(I: IdealHandle, seed=0) -> SearchResult:
-    """Find a regular pair with the same radical as I.
-
-    Every stage runs over the ring's own field.  After the height check
-    and the lci certificate, the conormal-basis stage tries generator
-    pairs that generate I modulo its square, each upgraded through the
-    exact complete-intersection search.  Whether I = (c, d) + I^2
-    depends only on the span of c and d, so each candidate carries its
-    coefficient rows over the generators and the test runs once per
-    row-reduced span.  Only the first candidate that passes tries `_ci_search`'s
-    general random pairs, which are the same for every candidate.  A
-    pair found is certified by `stci_verify`, from the meter's store.
-
-    Then come random pairs of combinations of the generators, drawn
-    from one Random(seed): scalar coefficients on even trials, sparse
-    polynomial ones on odd trials.
-    """
-    height = dimension_height(I).height
-    if height != 2:
-        raise InputError(f"height is {height}, need 2")
+def _conormal_pairs(I, seed):
+    """Pairs of the conormal-basis stage.  The pool is the generators
+    plus their pairwise sums and differences, each with its integer
+    coefficient row over the generators: enough to expose conormal bases
+    hidden in a redundant generating set.  Whether I = (c, d) + I^2
+    depends only on the span of c and d, so the test runs once per
+    row-reduced span.  Each of the first 400 candidates whose span
+    passes yields its `_perturbed_pairs`, from a fresh Random(seed)."""
     live = [g for g in I.gens if g]
-    lci = lci_certificate(I)
-    if isinstance(lci, LCIProxyCertificate):
-        # pair pool: the generators plus their pairwise sums and
-        # differences, each with its integer coefficient row over the
-        # generators; enough to expose conormal bases hidden in a
-        # redundant generating set, and every candidate is verified
-        n = len(live)
-        pool = [(g, tuple(int(i == j) for j in range(n)))
-                for i, g in enumerate(live)]
-        for (a, r), (b, s) in itertools.combinations(pool[:n], 2):
-            pool.append((a - b, tuple(u - v for u, v in zip(r, s))))
-            pool.append((a + b, tuple(u + v for u, v in zip(r, s))))
-        candidates = [(p, q) for p, q in itertools.combinations(pool, 2)
-                      if p[0] and q[0] and p[0] != q[0]]
-        char = I.ring.field.characteristic
-        holds = {}  # row-reduced span -> does it generate I modulo I^2
-        general = True
-        for (c, r), (d, s) in candidates[:400]:
-            span = _row_reduced((r, s), char)
-            if span not in holds:
-                holds[span] = mod_square_generation(I, (c, d)).holds
-            if not holds[span]:
-                continue
-            hit = _ci_search(I, (c, d), seed, general)
-            general = False
-            if isinstance(hit, CICertificate):
-                outcome = stci_verify(I, hit.pair)
-                if not isinstance(outcome, STCICertificate):
-                    raise AssertionError("a complete-intersection pair fails stci")
-                return SearchResult(outcome, "conormal-basis", 0)
+    n = len(live)
+    pool = [(g, tuple(int(i == j) for j in range(n))) for i, g in enumerate(live)]
+    for (a, r), (b, s) in itertools.combinations(pool[:n], 2):
+        pool.append((a - b, tuple(u - v for u, v in zip(r, s))))
+        pool.append((a + b, tuple(u + v for u, v in zip(r, s))))
+    candidates = [(p, q) for p, q in itertools.combinations(pool, 2)
+                  if p[0] and q[0] and p[0] != q[0]]
+    char = I.ring.field.characteristic
+    holds = {}  # row-reduced span -> does it generate I modulo I^2
+    for (c, r), (d, s) in candidates[:400]:
+        span = _row_reduced((r, s), char)
+        if span not in holds:
+            holds[span] = mod_square_generation(I, (c, d)).holds
+        if holds[span]:
+            yield from _perturbed_pairs(I, (c, d), random.Random(seed))
 
+
+def _random_pairs(I, seed):
+    """One pair per trial of random combinations of the generators, drawn
+    from one Random(seed): scalar coefficients on even trials, sparse
+    polynomial ones on odd trials.  A draw with a zero or repeated entry
+    yields None, so each trial keeps its number."""
     budgets = limits()
     degree_cap = budgets.degree_cap(I.gens)
+    live = [g for g in I.gens if g]
     rng = random.Random(seed)
     for trial in range(budgets.trials):
         coeff_deg = 0 if trial % 2 == 0 else rng.randint(1, degree_cap)
         f = _random_combination(live, rng, coeff_deg)
         g = _random_combination(live, rng, coeff_deg)
-        if not f or not g or f == g:
-            continue
-        outcome = stci_verify(I, (f, g))
-        if isinstance(outcome, STCICertificate):
-            return SearchResult(outcome, "random-pairs", trial + 1)
-    return SearchResult(
-        Inconclusive("no certified pair within the trial budget", budgets.trials),
-        "exhausted", budgets.trials)
+        yield (f, g) if f and g and f != g else None
 
+
+@metered
+def stci_search(I: IdealHandle, seed=0) -> SearchResult:
+    """Find a regular pair with the same radical as I.
+
+    Every stage runs over the ring's own field, and each is a stream of
+    pairs of which `_first_hit` takes the first that passes its check.
+    After the height check, an lci ideal runs the conormal-basis stage
+    (`_conormal_pairs`): a pair that generates I exactly as a regular
+    sequence (`_try_ci_pair`) is then certified by `stci_verify`, from
+    the meter's store.  Then the random-pair stage (`_random_pairs`)
+    certifies the first pair that `stci_verify` accepts; the result's
+    trials is that pair's trial number, 0 for the conormal stage.  Only
+    `ci` goes on to general random pairs from I: here they would repeat
+    the random-pair stage, and `stci_verify` accepts every pair that
+    `_try_ci_pair` does.
+    """
+    height = dimension_height(I).height
+    if height != 2:
+        raise InputError(f"height is {height}, need 2")
+    if isinstance(lci_certificate(I), LCIProxyCertificate):
+        _, hit = _first_hit(_conormal_pairs(I, seed), lambda p: _try_ci_pair(I, *p))
+        if hit is not None:
+            outcome = stci_verify(I, hit.pair)
+            if not isinstance(outcome, STCICertificate):
+                raise AssertionError("a complete-intersection pair fails stci")
+            return SearchResult(outcome, "conormal-basis", 0)
+    n, outcome = _first_hit(_random_pairs(I, seed), lambda p: stci_verify(I, p))
+    if outcome is not None:
+        return SearchResult(outcome, "random-pairs", n)
+    return SearchResult(Inconclusive("no certified pair within the trial budget", n),
+                        "exhausted", n)

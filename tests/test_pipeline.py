@@ -481,8 +481,8 @@ def test_ci_search_recovers_equality_from_shifted_basis(monkeypatch, R2):
 
 
 @pytest.mark.parametrize("pair, seed, tries, found", [
-    # general random pairs from I: past the 1 + 100 tries of the pair and
-    # its perturbations, at the default 200 trials
+    # `_general_pairs` from I: past the 1 + 100 `_perturbed_pairs`, the
+    # pair and its perturbations, at the default 200 trials
     (("x + x^2", "y"), 0, 111, ("3*x + 3*y", "4*x - 2*y")),
     (("x + x^2", "y"), 1, 102, ("x", "3*x - y")),
     # a perturbation of the pair by elements of I^2
@@ -683,17 +683,57 @@ def test_stci_search_tests_each_candidate_span_once(monkeypatch, skew_lines):
     assert res.certificate.verify()
 
 
-def test_stci_search_tries_the_general_pairs_once(monkeypatch, skew_lines):
-    """_ci_search's general random pairs are the same for every
-    candidate, so only the first candidate that passes mod-square tries
-    them: 1 + 4 pairs for it and 1 + 2 for the second, at 4 trials."""
+# the pairs `_try_ci_pair` receives on the skew lines at 4 trials, seed 0:
+# the two candidates that generate I modulo I^2, each with its 2
+# perturbations by elements of I^2 from a fresh Random(0)
+SKEW_CI_TRIED = [
+    ("x^2 - x", "x*y - x*z - y"),
+    ("3*x^4 - 3*x^2*y^2 + 3*x^3*z - x^2*y*z + x*y^2*z + 3*y^2*z^2 - 6*x^3 + 6*x*y^2"
+     " - 3*x^2*z + x*y*z - y^2*z + 4*x^2 - 3*y^2 - x",
+     "3*x^4 - x^3*y + x^2*y^2 - 3*x^2*y*z + x*y^2*z - 2*x^2*z^2 - x*y*z^2 - 2*y^2*z^2"
+     " - 6*x^3 + 2*x^2*y - 2*x*y^2 + 3*x*y*z - y^2*z + 3*x^2 + y^2 - x*z - y"),
+    ("3*x^4 - 3*x^3*y - x^2*y^2 + x^3*z + 4*x^2*y*z + 2*x*y^2*z + 3*x^2*z^2 + x*y*z^2"
+     " - 2*y^2*z^2 - 6*x^3 + 6*x^2*y + 2*x*y^2 - x^2*z - 4*x*y*z - 2*y^2*z + 4*x^2"
+     " - 3*x*y - y^2 - x",
+     "-x^4 - 3*x^3*y + 3*x^2*y^2 + 2*x^3*z - x^2*y*z - x*y^2*z + x*y*z^2 - 3*y^2*z^2"
+     " + 2*x^3 + 6*x^2*y - 6*x*y^2 - 2*x^2*z + x*y*z + y^2*z - x^2 - 2*x*y + 3*y^2"
+     " - x*z - y"),
+    ("x^2 - x", "x*y + x*z - y"),
+    ("3*x^4 - 3*x^2*y^2 + 3*x^3*z - x^2*y*z + x*y^2*z + 3*y^2*z^2 - 6*x^3 + 6*x*y^2"
+     " - 3*x^2*z + x*y*z - y^2*z + 4*x^2 - 3*y^2 - x",
+     "3*x^4 - x^3*y + x^2*y^2 - 3*x^2*y*z + x*y^2*z - 2*x^2*z^2 - x*y*z^2 - 2*y^2*z^2"
+     " - 6*x^3 + 2*x^2*y - 2*x*y^2 + 3*x*y*z - y^2*z + 3*x^2 + y^2 + x*z - y"),
+    ("3*x^4 - 3*x^3*y - x^2*y^2 + x^3*z + 4*x^2*y*z + 2*x*y^2*z + 3*x^2*z^2 + x*y*z^2"
+     " - 2*y^2*z^2 - 6*x^3 + 6*x^2*y + 2*x*y^2 - x^2*z - 4*x*y*z - 2*y^2*z + 4*x^2"
+     " - 3*x*y - y^2 - x",
+     "-x^4 - 3*x^3*y + 3*x^2*y^2 + 2*x^3*z - x^2*y*z - x*y^2*z + x*y*z^2 - 3*y^2*z^2"
+     " + 2*x^3 + 6*x^2*y - 6*x*y^2 - 2*x^2*z + x*y*z + y^2*z - x^2 - 2*x*y + 3*y^2"
+     " + x*z - y"),
+]
+
+
+def test_stci_search_leaves_random_pairs_to_the_random_stage(monkeypatch, skew_lines):
+    """The conormal stage tries each candidate that generates I modulo
+    I^2 and its perturbations by elements of I^2, 1 + 2 pairs per
+    candidate at 4 trials, and no general random pairs: those are random
+    pairs from I, which the random-pair stage tries."""
     tried = []
     monkeypatch.setattr(pipeline, "_try_ci_pair",
-                        lambda I, c, d: tried.append((c, d)))
+                        lambda I, c, d: tried.append((str(c), str(d))))
     with Budget(Budgets(trials=4)):
         res = stci_search(skew_lines, seed=0)
     assert res.via == "exhausted"
-    assert len(tried) == 8
+    assert len(tried) == 6
+    assert tried == SKEW_CI_TRIED
+
+
+def test_stci_search_keeps_its_consistency_check(monkeypatch, skew_lines):
+    """A complete-intersection pair that stci_verify refutes is a fault
+    of the program, raised, never reported as a search result."""
+    monkeypatch.setattr(pipeline, "stci_verify",
+                        lambda K, pair: STCIRefutation("radical-equality", {}))
+    with pytest.raises(AssertionError, match="a complete-intersection pair fails stci"):
+        stci_search(skew_lines, seed=0)
 
 
 def test_stci_search_already_ci(R2):
@@ -728,6 +768,46 @@ def test_stci_search_inconclusive_with_zero_trials(R2):
 
 
 # -- the random-pair stage
+
+
+@pytest.mark.parametrize("field, drawn", [
+    (QQ, [(1, ("3*x^2 + 3*y^2", "-3*x*y - y^2")),
+          (2, ("x*y^5 - x^4*y + 3*x^3*y + x^3 + 3*y^3", "x^5*y + 2*x*y^2 - 2*x*y")),
+          (3, ("-2*x^2 - 2*x*y + 3*y^2", "-2*x^2 + 3*x*y + y^2")),
+          (4, ("2*x^3*y^3 - x^2*y^4 + 4*x*y^2 + x^2", "2*x*y + 3*y^2"))]),
+    # trial 2 draws a zero or repeated entry: nothing to check, and the
+    # trials after it keep their numbers
+    (GF(3), [(1, ("x^2 + x*y", "x^2 + 2*x*y + y^2")),
+             (3, ("x^2 + 2*x*y", "x^2 + x*y + y^2")),
+             (4, ("y^4", "x^2*y^2 + x^2"))]),
+], ids=["QQ", "F3"])
+def test_random_pairs_keep_their_draws_and_trial_numbers(monkeypatch, field, drawn):
+    """The fat point (x^2, x*y, y^2) is not lci, so every pair that
+    stci_verify receives at 4 trials, seed 0, is a random-pair trial.
+    Refuting all of them gives the pairs; accepting only the k-th ends
+    the search at its trial number.  Both pin the stream of Random(0)."""
+    I = IdealHandle(RingSpec(("x", "y"), field), ["x^2", "x*y", "y^2"])
+
+    def run(accepted):
+        calls = []
+
+        def check(K, pair):
+            calls.append(tuple(str(g) for g in pair))
+            if len(calls) == accepted:
+                return STCICertificate(K.gens, pair, None, None, None)
+            return STCIRefutation("radical-equality", {})
+
+        monkeypatch.setattr(pipeline, "stci_verify", check)
+        with Budget(Budgets(trials=4)):
+            res = stci_search(I, seed=0)
+        return res, calls
+
+    res, calls = run(None)
+    assert (res.via, res.trials) == ("exhausted", 4)
+    assert calls == [pair for _, pair in drawn]
+    for k, (trial, pair) in enumerate(drawn, 1):
+        res, calls = run(k)
+        assert (res.via, res.trials, calls[-1]) == ("random-pairs", trial, pair)
 
 
 C345 = ("x*z - y^2", "x^3 - y*z", "x^2*y - z^2")
