@@ -559,41 +559,32 @@ def ci_from_free_conormal(I: IdealHandle, pair, seed=0):
 
     Checks the preconditions (I certified lci of height 2, the pair
     generating I modulo I^2), then tries the pair and its perturbations
-    by elements of I^2, then general random pairs from I, all drawn from
-    one Random(seed).  Existence is guaranteed under the preconditions,
-    so failure is always reported as inconclusive-with-budget, never as
-    a refutation.
+    by elements of I^2 (`_perturbed_pairs`), then the first draws of the
+    random-pair stage (`_random_pairs`), at most `trials + 1` pairs in
+    all.  Existence is guaranteed under the preconditions, so failure is
+    always reported as inconclusive-with-budget, never as a refutation.
     """
     lci = lci_certificate(I)
     if not isinstance(lci, LCIProxyCertificate) or lci.height != 2:
         raise InputError("ideal is not certified lci of height 2")
     if not mod_square_generation(I, pair).holds:
         raise InputError("pair does not generate the ideal modulo its square")
-    rng = random.Random(seed)
-    pairs = itertools.chain(_perturbed_pairs(I, pair, rng), _general_pairs(I, rng))
+    trials = limits().trials
+    pairs = itertools.chain(_perturbed_pairs(I, pair, seed),
+                            itertools.islice(_random_pairs(I, seed), trials - trials // 2))
     _, hit = _first_hit(pairs, lambda p: _try_ci_pair(I, *p))
-    return hit or Inconclusive("no exact two-element basis found within budget",
-                               limits().trials)
+    return hit or Inconclusive("no exact two-element basis found within budget", trials)
 
 
-def _perturbed_pairs(I, pair, rng):
+def _perturbed_pairs(I, pair, seed):
     """The pair, then `trials // 2` perturbations of it by elements of
-    I^2, which generate I modulo I^2 as the pair does."""
+    I^2, drawn from one Random(seed), which generate I modulo I^2 as the
+    pair does."""
     yield pair
     square = _square_gens([g for g in I.gens if g])
+    rng = random.Random(seed)
     for _ in range(limits().trials // 2):
         yield tuple(e + _random_combination(square, rng, 0) for e in pair)
-
-
-def _general_pairs(I, rng):
-    """General random pairs from I, for the trials that
-    `_perturbed_pairs` leaves."""
-    budgets = limits()
-    degree_cap = budgets.degree_cap(I.gens)
-    live = [g for g in I.gens if g]
-    for _ in range(budgets.trials - budgets.trials // 2):
-        yield (_random_combination(live, rng, rng.randint(0, degree_cap)),
-               _random_combination(live, rng, rng.randint(0, degree_cap)))
 
 
 def _first_hit(pairs, check):
@@ -711,7 +702,7 @@ def _conormal_pairs(I, seed):
         if span not in holds:
             holds[span] = mod_square_generation(I, (c, d)).holds
         if holds[span]:
-            yield from _perturbed_pairs(I, (c, d), random.Random(seed))
+            yield from _perturbed_pairs(I, (c, d), seed)
 
 
 def _random_pairs(I, seed):
@@ -741,10 +732,7 @@ def stci_search(I: IdealHandle, seed=0) -> SearchResult:
     sequence (`_try_ci_pair`) is then certified by `stci_verify`, from
     the meter's store.  Then the random-pair stage (`_random_pairs`)
     certifies the first pair that `stci_verify` accepts; the result's
-    trials is that pair's trial number, 0 for the conormal stage.  Only
-    `ci` goes on to general random pairs from I: here they would repeat
-    the random-pair stage, and `stci_verify` accepts every pair that
-    `_try_ci_pair` does.
+    trials is that pair's trial number, 0 for the conormal stage.
     """
     height = dimension_height(I).height
     if height != 2:

@@ -450,11 +450,11 @@ class Polynomial:
 
         Write f = a + b with a the lead term.  When no term of b uses a
         variable of a, f^n is the sum over k of C(n, k) a^k b^(n-k): the
-        powers of b are formed one product by b at a time, or as one term
-        each when b is one term, and the terms of distinct k differ in
-        a's variables, so they never collide and are written into one
-        dict.  Without collisions, repeated multiplication forms fewer
-        term products than squaring (Monagan and Pearce, CASC 2012).
+        powers of b are formed one product by b at a time, and the terms
+        of distinct k differ in a's variables, so they never collide and
+        are written into one dict.  Without collisions, repeated
+        multiplication forms fewer term products than squaring (Monagan
+        and Pearce, CASC 2012).
         Otherwise f is squared repeatedly: f a monomial, n < 2, or a
         variable shared, where the squares' terms merge and squaring
         forms fewer products.
@@ -477,15 +477,11 @@ class Polynomial:
             used = [i for i, e in enumerate(unpack(lead)[1]) if e]
             if not any(unpack(k)[1][i] for k, _ in tail for i in used):
                 p = ring.field.characteristic
-                if len(tail) == 1:
-                    ((bk, bc),) = tail
-                    powers = [{j * bk: pow(bc, j, p) if p else bc ** j} for j in range(n + 1)]
-                else:
-                    b = Polynomial(ring, dict(tail))
-                    powers = [ring.one, b]
-                    for _ in range(n - 1):
-                        powers.append(powers[-1] * b)
-                    powers = [f.vec for f in powers]
+                b = Polynomial(ring, dict(tail))
+                powers = [ring.one, b]
+                for _ in range(n - 1):
+                    powers.append(powers[-1] * b)
+                powers = [f.vec for f in powers]
                 acc = {}
                 lc_power = 1  # lc^k
                 for k in range(n + 1):

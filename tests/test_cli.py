@@ -556,6 +556,26 @@ def test_main_numbered_outputs(tmp_path):
     assert (tmp_path / "c.2.json").exists()
 
 
+def test_main_field_qq_overrides_a_prime_field(tmp_path):
+    session = tmp_path / "s.ck"
+    session.write_text("ring R = Fp(7)[x,y]; ideal I = (x, y); check member x^2 in I;")
+    out = tmp_path / "cert.json"
+    assert main([str(session), "--field", "QQ", "--out", str(out)]) == EXIT_VERIFIED
+    payload = certificates.load_certificate(out)
+    assert payload["field_override"] == "QQ" and payload["ring"]["field"] == "QQ"
+    assert main(["--replay", str(out)]) == EXIT_VERIFIED
+
+
+def test_main_out_into_a_missing_directory_is_input_error(tmp_path, capsys):
+    session = tmp_path / "s.ck"
+    session.write_text("ring R = QQ[x]; ideal I = (x); check member x in I;")
+    out = tmp_path / "missing" / "cert.json"
+    assert main([str(session), "--out", str(out)]) == EXIT_INPUT_ERROR
+    stdout, err = capsys.readouterr()
+    assert f"cannot write {out}" in err and "Traceback" not in err
+    assert stdout == "" and not out.parent.exists()
+
+
 def test_main_bad_session_is_input_error(tmp_path):
     session = tmp_path / "bad.ck"
     session.write_text("ideal I = (x);")
@@ -638,9 +658,10 @@ def _rehashed(**edits):
         {**payload, "budgets": {**payload["budgets"], "trials": True}}),
     lambda payload: certificates.finalize(
         {**payload, "budgets": {**payload["budgets"], "e_max": -1}}),
+    lambda payload: {**payload, "schema": "cicert.certificate/9"},
 ], ids=["command-index", "null-budgets", "budget-type", "budget-range", "budget-key",
         "field", "field-zero", "list", "bool-seed", "bool-command-index", "bool-budget",
-        "negative-e-max"])
+        "negative-e-max", "other-schema"])
 def test_main_replay_malformed_is_input_error(tmp_path, edit):
     payloads, _ = run_session("ring R = QQ[x]; ideal I = (x); check member x in I;")
     bad = tmp_path / "x.json"
@@ -722,6 +743,20 @@ def test_zero_trials_draw_no_regularizing_perturbation(tmp_path):
     assert main([str(session), "--budget-trials", "0", "--out", str(out)]) == EXIT_INCONCLUSIVE
     assert certificates.load_certificate(out)["witnesses"] == \
         {"reason": "no regularizing perturbation at step 2", "trials": 0, "log": []}
+
+
+def test_regularize_skips_a_perturbation_that_zeroes_the_generator(tmp_path):
+    """Over GF(2) the scalar trials 0 and 1 draw lambda = -x, so x + lambda
+    is 0 and the trial is skipped unlogged; trials 2 and 3 draw
+    polynomial coefficients, and x + lambda is a nonzero multiple of x,
+    a zerodivisor modulo (x)."""
+    session = tmp_path / "s.ck"
+    session.write_text("ring R = Fp(2)[x]; ideal I = (x, x, x); check regularize I;")
+    out = tmp_path / "c.json"
+    assert main([str(session), "--budget-trials", "4", "--out", str(out)]) == EXIT_INCONCLUSIVE
+    assert certificates.load_certificate(out)["witnesses"] == {
+        "reason": "no regularizing perturbation at step 2", "trials": 2,
+        "log": ["step 2 trial 2: zerodivisor", "step 2 trial 3: zerodivisor"]}
 
 
 @pytest.mark.parametrize("flag, value, least", [

@@ -136,6 +136,11 @@ def test_pair_from_another_ring_fails():
                       "ring S = QQ[u,v]; check koszul-exact P;")
 
 
+def test_member_of_an_ideal_from_another_ring_fails():
+    with pytest.raises(DslParseError, match="element and ideal live in different rings"):
+        parse_session("ring R = QQ[x]; ideal I = (x); ring S = QQ[y]; check member y in I;")
+
+
 def test_field_override():
     s = parse_session("ring R = QQ[x]; ideal I = (x + 6);",
                       field_override=GF(5))

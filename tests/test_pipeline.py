@@ -481,10 +481,11 @@ def test_ci_search_recovers_equality_from_shifted_basis(monkeypatch, R2):
 
 
 @pytest.mark.parametrize("pair, seed, tries, found", [
-    # `_general_pairs` from I: past the 1 + 100 `_perturbed_pairs`, the
-    # pair and its perturbations, at the default 200 trials
-    (("x + x^2", "y"), 0, 111, ("3*x + 3*y", "4*x - 2*y")),
-    (("x + x^2", "y"), 1, 102, ("x", "3*x - y")),
+    # draws of `_random_pairs`, the random-pair stage's rule: past the
+    # 1 + 100 `_perturbed_pairs`, the pair and its perturbations, at the
+    # default 200 trials
+    (("x + x^2", "y"), 0, 103, ("2*x - 2*y", "x")),
+    (("x + x^2", "y"), 1, 102, ("-2*x + y", "3*x + 3*y")),
     # a perturbation of the pair by elements of I^2
     (("x + x*y", "y - x^2"), 2, 45, ("-3*x^2 + x*y + 2*y^2 + x",
                                      "-3*x^2 + x*y + 2*y^2 + y")),
@@ -715,8 +716,8 @@ SKEW_CI_TRIED = [
 def test_stci_search_leaves_random_pairs_to_the_random_stage(monkeypatch, skew_lines):
     """The conormal stage tries each candidate that generates I modulo
     I^2 and its perturbations by elements of I^2, 1 + 2 pairs per
-    candidate at 4 trials, and no general random pairs: those are random
-    pairs from I, which the random-pair stage tries."""
+    candidate at 4 trials, and no random pairs from I: the random-pair
+    stage tries those."""
     tried = []
     monkeypatch.setattr(pipeline, "_try_ci_pair",
                         lambda I, c, d: tried.append((str(c), str(d))))

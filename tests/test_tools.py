@@ -47,3 +47,63 @@ def test_code_lines_total_is_the_sum_of_the_modules():
     assert total[0] == "total"
     for column in (1, 2):
         assert int(total[column]) == sum(int(row[column]) for row in modules)
+
+
+def _traffic_lines():
+    spec = importlib.util.spec_from_file_location("traffic_lines", TOOLS / "traffic_lines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TRAFFIC = '''"""Module docstring."""
+import os
+
+LIMIT = 3
+
+
+def f(n):
+    """Docstring of f."""
+    total = 0
+    for i in range(n):
+        if i > LIMIT:
+            total += len(os.sep)
+        try:
+            total += i
+        except TypeError:
+            total = -1
+    while True:
+        return total
+
+
+def g():
+    return f(
+        99)
+
+
+class C:
+    WIDTH = 2
+
+    def h(self):
+        pass
+'''
+
+
+def test_traffic_lines_list_the_statements_that_never_ran(tmp_path):
+    """Importing the fixture and calling f(2) runs every statement but
+    the branch past LIMIT, the except body, g's return (two lines, one
+    statement) and h's pass.  Docstrings, the import and the def and
+    class lines are never listed; `while True:` ran through its body."""
+    traffic = _traffic_lines()
+    path = tmp_path / "fixture.py"
+    path.write_text(TRAFFIC)
+
+    def run():
+        spec = importlib.util.spec_from_file_location("fixture", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert module.f(2) == 1
+
+    hits = traffic.trace(run, [path])
+    assert traffic.unexecuted(TRAFFIC, hits[str(path)]) == [
+        (12, "total += len(os.sep)"), (16, "total = -1"), (22, "return f("), (30, "pass")]
